@@ -1,31 +1,12 @@
 package bufferkit
 
 import (
-	"context"
 	"fmt"
 
 	"bufferkit/internal/core"
 )
 
-// BatchOptions configure InsertBatch.
-//
-// Deprecated: construct a Solver with WithDriver / WithDrivers /
-// WithPruneMode / WithWorkers instead.
-type BatchOptions struct {
-	// Driver is the source driver applied to every net (zero = ideal).
-	Driver Driver
-	// Drivers optionally overrides Driver per net; when non-nil its length
-	// must equal the number of nets.
-	Drivers []Driver
-	// Prune selects the convex pruning mode for every run.
-	Prune PruneMode
-	// Workers caps the number of concurrent worker goroutines; 0 or
-	// negative means runtime.GOMAXPROCS(0).
-	Workers int
-}
-
-// BatchError reports every net that failed in a RunBatch or InsertBatch
-// call.
+// BatchError reports every net that failed in a RunBatch call.
 type BatchError struct {
 	// Errs maps net index to its error; only failed nets appear.
 	Errs map[int]error
@@ -42,58 +23,6 @@ func (e *BatchError) Error() string {
 	}
 	return fmt.Sprintf("bufferkit: batch: %d nets failed; first failure at net %d: %v",
 		len(e.Errs), first, e.Errs[first])
-}
-
-// InsertBatch runs the paper's O(bn²) insertion over every net concurrently
-// on a worker pool. Results are positionally aligned with nets and
-// identical to running Insert sequentially on each net. On failure the
-// returned error is a *BatchError naming every failed net; the result
-// slice still carries the successful nets, with nil at failed indices.
-//
-// Deprecated: use NewSolver with Solver.RunBatch, which adds context
-// cancellation, or Solver.Stream, which yields results as they complete.
-func InsertBatch(nets []*Tree, lib Library, opt BatchOptions) ([]*Result, error) {
-	// Preserve the legacy error contract exactly: a driver-count mismatch
-	// fails with this message, an empty batch succeeds even with a bad
-	// library, and an invalid library surfaces as a *BatchError naming
-	// every net (as the per-net engine Resets used to report it).
-	if opt.Drivers != nil && len(opt.Drivers) != len(nets) {
-		return nil, fmt.Errorf("bufferkit: batch: %d per-net drivers for %d nets", len(opt.Drivers), len(nets))
-	}
-	if len(nets) == 0 {
-		return []*Result{}, nil
-	}
-	s, err := NewSolver(
-		WithLibrary(lib),
-		WithDriver(opt.Driver),
-		WithDrivers(opt.Drivers),
-		WithPruneMode(opt.Prune),
-		WithWorkers(opt.Workers),
-	)
-	if err != nil {
-		errs := make(map[int]error, len(nets))
-		for i := range nets {
-			errs[i] = err
-		}
-		return make([]*Result, len(nets)), &BatchError{Errs: errs}
-	}
-	nrs, err := s.RunBatch(context.Background(), nets)
-	if _, partial := err.(*BatchError); err != nil && !partial {
-		return nil, err
-	}
-	results := make([]*Result, len(nets))
-	for i, nr := range nrs {
-		if nr != nil {
-			results[i] = legacyResult(nr)
-		}
-	}
-	return results, err
-}
-
-// legacyResult converts a NetResult back into the pre-Solver Result shape
-// shared by the deprecated Insert and InsertBatch wrappers.
-func legacyResult(nr *NetResult) *Result {
-	return &Result{Slack: nr.Slack, Placement: nr.Placement, Candidates: nr.Candidates, Stats: nr.Stats}
 }
 
 // NewEngine returns a reusable insertion engine for workloads that manage

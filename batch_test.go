@@ -1,6 +1,7 @@
 package bufferkit_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -20,17 +21,30 @@ func batchNets(n int) []*bufferkit.Tree {
 	return nets
 }
 
+// batchSolver builds a Solver for the batch tests.
+func batchSolver(t *testing.T, lib bufferkit.Library, opts ...bufferkit.Option) *bufferkit.Solver {
+	t.Helper()
+	s, err := bufferkit.NewSolver(append([]bufferkit.Option{bufferkit.WithLibrary(lib)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	return s
+}
+
 // TestInsertBatchMatchesSequential is the batch correctness property: with
-// any worker count, InsertBatch must produce results byte-identical to a
-// sequential Insert per net — same slack bits, same placement, same stats.
+// any worker count, RunBatch must produce results byte-identical to a
+// sequential Run per net — same slack bits, same placement, same stats —
+// positionally aligned with the input.
 func TestInsertBatchMatchesSequential(t *testing.T) {
 	nets := batchNets(72)
 	lib := bufferkit.GenerateLibrary(12)
 	d := bufferkit.Driver{R: 0.25, K: 10}
 
-	want := make([]*bufferkit.Result, len(nets))
+	seq := batchSolver(t, lib, bufferkit.WithDriver(d))
+	want := make([]*bufferkit.NetResult, len(nets))
 	for i, tr := range nets {
-		res, err := bufferkit.Insert(tr, lib, bufferkit.Options{Driver: d})
+		res, err := seq.Run(context.Background(), tr)
 		if err != nil {
 			t.Fatalf("net %d: %v", i, err)
 		}
@@ -38,7 +52,8 @@ func TestInsertBatchMatchesSequential(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 3, 8} {
-		got, err := bufferkit.InsertBatch(nets, lib, bufferkit.BatchOptions{Driver: d, Workers: workers})
+		s := batchSolver(t, lib, bufferkit.WithDriver(d), bufferkit.WithWorkers(workers))
+		got, err := s.RunBatch(context.Background(), nets)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -48,6 +63,9 @@ func TestInsertBatchMatchesSequential(t *testing.T) {
 		for i := range got {
 			if got[i] == nil {
 				t.Fatalf("workers=%d net %d: nil result", workers, i)
+			}
+			if got[i].Index != i {
+				t.Fatalf("workers=%d net %d: index %d", workers, i, got[i].Index)
 			}
 			if math.Float64bits(got[i].Slack) != math.Float64bits(want[i].Slack) {
 				t.Fatalf("workers=%d net %d: slack %v != sequential %v", workers, i, got[i].Slack, want[i].Slack)
@@ -68,17 +86,16 @@ func TestInsertBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestInsertBatchConcurrent exercises the worker pool with maximum overlap
-// (more nets than workers, all workers busy); run with -race this is the
-// batch data-race test required for the concurrent arena/engine design.
+// TestInsertBatchConcurrent exercises the RunBatch worker pool with maximum
+// overlap (more nets than workers, all workers busy); run with -race this
+// is the batch data-race test required for the concurrent arena/engine
+// design.
 func TestInsertBatchConcurrent(t *testing.T) {
 	nets := batchNets(96)
-	lib := bufferkit.GenerateLibrary(8)
+	s := batchSolver(t, bufferkit.GenerateLibrary(8),
+		bufferkit.WithDriver(bufferkit.Driver{R: 0.3, K: 5}), bufferkit.WithWorkers(8))
 	for round := 0; round < 3; round++ {
-		res, err := bufferkit.InsertBatch(nets, lib, bufferkit.BatchOptions{
-			Driver:  bufferkit.Driver{R: 0.3, K: 5},
-			Workers: 8,
-		})
+		res, err := s.RunBatch(context.Background(), nets)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +118,8 @@ func TestInsertBatchPartialFailure(t *testing.T) {
 	bad.AddSinkPol(v, 1, 1, 2, 100, bufferkit.Negative)
 	nets[2] = bad.MustBuild()
 
-	res, err := bufferkit.InsertBatch(nets, bufferkit.GenerateLibrary(4), bufferkit.BatchOptions{Workers: 2})
+	s := batchSolver(t, bufferkit.GenerateLibrary(4), bufferkit.WithWorkers(2))
+	res, err := s.RunBatch(context.Background(), nets)
 	be, ok := err.(*bufferkit.BatchError)
 	if !ok {
 		t.Fatalf("err = %v, want *BatchError", err)
@@ -121,16 +139,15 @@ func TestInsertBatchPartialFailure(t *testing.T) {
 
 func TestInsertBatchDriverMismatch(t *testing.T) {
 	nets := batchNets(3)
-	_, err := bufferkit.InsertBatch(nets, bufferkit.GenerateLibrary(4), bufferkit.BatchOptions{
-		Drivers: make([]bufferkit.Driver, 2),
-	})
-	if err == nil {
+	s := batchSolver(t, bufferkit.GenerateLibrary(4), bufferkit.WithDrivers(make([]bufferkit.Driver, 2)))
+	if _, err := s.RunBatch(context.Background(), nets); err == nil {
 		t.Fatal("accepted mismatched per-net drivers")
 	}
 }
 
 func TestInsertBatchEmpty(t *testing.T) {
-	res, err := bufferkit.InsertBatch(nil, bufferkit.GenerateLibrary(4), bufferkit.BatchOptions{})
+	s := batchSolver(t, bufferkit.GenerateLibrary(4))
+	res, err := s.RunBatch(context.Background(), nil)
 	if err != nil || len(res) != 0 {
 		t.Fatalf("empty batch: res=%v err=%v", res, err)
 	}
@@ -156,10 +173,7 @@ func TestWarmEngineZeroAllocs(t *testing.T) {
 	if err := eng.Run(res); err != nil {
 		t.Fatal(err)
 	}
-	cold, err := bufferkit.Insert(tr, lib, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := solveWith(t, tr, bufferkit.WithLibrary(lib), bufferkit.WithDriver(opt.Driver))
 	if math.Float64bits(res.Slack) != math.Float64bits(cold.Slack) {
 		t.Fatalf("warm %v != cold %v", res.Slack, cold.Slack)
 	}
@@ -201,10 +215,7 @@ func TestWarmEngineAcrossShapes(t *testing.T) {
 		if err := eng.Run(res); err != nil {
 			t.Fatal(err)
 		}
-		want, err := bufferkit.Insert(tr, lib, bufferkit.Options{Driver: d})
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := solveWith(t, tr, bufferkit.WithLibrary(lib), bufferkit.WithDriver(d))
 		if math.Float64bits(res.Slack) != math.Float64bits(want.Slack) {
 			t.Fatalf("net %d: warm engine %v != fresh %v", i, res.Slack, want.Slack)
 		}

@@ -162,15 +162,15 @@ func BenchmarkAblationPruneMode(b *testing.B) {
 	b.Run("destructive", func(b *testing.B) { runNew(b, t, lib, core.PruneDestructive) })
 }
 
-// BenchmarkAblationListImpl compares the doubly-linked candidate list with
-// the structure-of-arrays representation on an identical operation mix
-// (wire, merge-betas, convex prune) shaped like one buffer position's work.
-// BenchmarkBackends measures the same trade-off through the whole engine.
+// BenchmarkAblationListImpl compares the paper's doubly-linked candidate
+// list with the structure-of-arrays representation the engines run on, on
+// an identical operation mix (wire, merge-betas, convex prune) shaped like
+// one buffer position's work.
 func BenchmarkAblationListImpl(b *testing.B) {
 	for _, k := range []int{64, 512, 4096} {
 		pairs := syntheticList(k)
 		betas := syntheticBetas(64, pairs[k-1].C)
-		b.Run(fmt.Sprintf("k%d/backend=list", k), func(b *testing.B) {
+		b.Run(fmt.Sprintf("k%d/list", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				l := candidate.FromPairs(pairs)
@@ -180,7 +180,7 @@ func BenchmarkAblationListImpl(b *testing.B) {
 				l.Recycle()
 			}
 		})
-		b.Run(fmt.Sprintf("k%d/backend=soa", k), func(b *testing.B) {
+		b.Run(fmt.Sprintf("k%d/soa", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				l := candidate.SoAFromPairs(pairs)
@@ -267,118 +267,81 @@ func BenchmarkEngineReuse(b *testing.B) {
 func BenchmarkECOResolve(b *testing.B) {
 	for _, ec := range experiments.ECOBenchCases() {
 		sink := ec.Tree.Sinks()[0]
-		for _, backend := range []core.Backend{core.BackendList, core.BackendSoA} {
-			opt := core.Options{Driver: drv, Backend: backend}
-			b.Run(fmt.Sprintf("regime=%s/backend=%s/mode=cold", ec.Name, backend), func(b *testing.B) {
-				eng := core.NewEngine()
-				if err := eng.Reset(ec.Tree, ec.Lib, opt); err != nil {
+		opt := core.Options{Driver: drv}
+		b.Run("regime="+ec.Name+"/mode=cold", func(b *testing.B) {
+			eng := core.NewEngine()
+			if err := eng.Reset(ec.Tree, ec.Lib, opt); err != nil {
+				b.Fatal(err)
+			}
+			res := &core.Result{}
+			if err := eng.Run(res); err != nil { // warm the arena slabs
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := eng.Run(res); err != nil {
 					b.Fatal(err)
 				}
-				res := &core.Result{}
-				if err := eng.Run(res); err != nil { // warm the arena slabs
+			}
+		})
+		b.Run("regime="+ec.Name+"/mode=delta", func(b *testing.B) {
+			sess, err := core.NewSession(ec.Tree, ec.Lib, opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer sess.Close()
+			ctx := context.Background()
+			res := &core.Result{}
+			for i := 0; i < 8; i++ { // first resolve is full; warm past it
+				if err := sess.PatchSink(sink, 1200+float64(i%7), 8); err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := eng.Run(res); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.Run(fmt.Sprintf("regime=%s/backend=%s/mode=delta", ec.Name, backend), func(b *testing.B) {
-				sess, err := core.NewSession(ec.Tree, ec.Lib, opt)
-				if err != nil {
+				if err := sess.Resolve(ctx, res); err != nil {
 					b.Fatal(err)
 				}
-				defer sess.Close()
-				ctx := context.Background()
-				res := &core.Result{}
-				for i := 0; i < 8; i++ { // first resolve is full; warm past it
-					if err := sess.PatchSink(sink, 1200+float64(i%7), 8); err != nil {
-						b.Fatal(err)
-					}
-					if err := sess.Resolve(ctx, res); err != nil {
-						b.Fatal(err)
-					}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := sess.PatchSink(sink, 1200+float64(i%7), 8); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := sess.PatchSink(sink, 1200+float64(i%7), 8); err != nil {
-						b.Fatal(err)
-					}
-					if err := sess.Resolve(ctx, res); err != nil {
-						b.Fatal(err)
-					}
+				if err := sess.Resolve(ctx, res); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
-// BenchmarkInsertBatch measures batch throughput scaling over a 256-net
-// workload: one engine+arena per worker, results identical to sequential
-// runs (asserted by the batch tests). The nets/s metric is the number the
-// acceptance criterion tracks.
-func BenchmarkInsertBatch(b *testing.B) {
+// BenchmarkRunBatch measures Solver.RunBatch throughput scaling over a
+// 256-net workload: one warm engine per worker, results identical to
+// sequential runs (asserted by the batch tests). The nets/s metric is the
+// number the acceptance criterion tracks.
+func BenchmarkRunBatch(b *testing.B) {
 	nets := experiments.BatchWorkload(256) // shared with repro -bench-json
 	lib := library.Generate(16)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
+			solver, err := bufferkit.NewSolver(
+				bufferkit.WithLibrary(lib),
+				bufferkit.WithDriver(drv),
+				bufferkit.WithWorkers(workers),
+			)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer solver.Close()
+			ctx := context.Background()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := bufferkit.InsertBatch(nets, lib, bufferkit.BatchOptions{
-					Driver:  drv,
-					Workers: workers,
-				}); err != nil {
+				if _, err := solver.RunBatch(ctx, nets); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(float64(len(nets)*b.N)/b.Elapsed().Seconds(), "nets/s")
 		})
-	}
-}
-
-// BenchmarkBackends is the head-to-head list-vs-SoA comparison through the
-// whole engine, across the list-length regimes that matter: small and large
-// libraries on a bushy industrial net, a long 2-pin line (deep lists, the
-// pointer-chasing worst case), and a balanced multi-pin tree (many short
-// lists, heavy merging). Sub-benchmark names follow the benchstat key=value
-// convention, so
-//
-//	go test -bench 'Backends' -count 10 | benchstat -col /backend -
-//
-// renders the ablation directly. Engines are warm (Reset once, Run per
-// iteration), so the numbers measure the representations, not allocation.
-// DESIGN.md §11 records the measured trade-off and the chosen default.
-func BenchmarkBackends(b *testing.B) {
-	// The regime table is shared with repro -bench-json (BENCH_engine.json)
-	// through experiments.BackendRegimes, so the two trajectories measure
-	// the same workloads under the same names. The industrial net is the
-	// usual benchScale-scaled case; the synthetic lines run at full paper
-	// scale here.
-	regimes := experiments.BackendRegimes(benchNet(b, 337, 5729), 1)
-	for _, rg := range regimes {
-		for _, backend := range []core.Backend{core.BackendList, core.BackendSoA} {
-			b.Run(fmt.Sprintf("regime=%s/backend=%s", rg.Name, backend), func(b *testing.B) {
-				eng := core.NewEngine()
-				if err := eng.Reset(rg.Tree, rg.Lib, core.Options{Driver: drv, Backend: backend}); err != nil {
-					b.Fatal(err)
-				}
-				res := &core.Result{}
-				if err := eng.Run(res); err != nil { // warm the arena slabs
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := eng.Run(res); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }
 

@@ -4,7 +4,7 @@
 //
 // Given a routing tree with sink capacitances and required arrival times,
 // per-edge lumped RC, a set of legal buffer positions and a library of b
-// buffer types, Insert places buffers to maximize the slack at the source
+// buffer types, a Solver places buffers to maximize the slack at the source
 // under the Elmore wire delay model and the linear buffer delay model — in
 // O(bn²) time, versus the classic Lillis–Cheng–Lin O(b²n²).
 //
@@ -33,12 +33,6 @@
 // context.Context and cancels mid-run; typed errors (ErrInfeasible,
 // ErrCanceled, *ValidationError) support errors.Is / errors.As branching.
 //
-// The O(bn²) and Lillis engines run on either of two candidate-list
-// representations — the paper's doubly-linked list or cache-friendly
-// structure-of-arrays slabs — selected with WithBackend; results are
-// bit-identical and the SoA default is the measured-faster one
-// (DESIGN.md §11).
-//
 // The package is a facade over focused internal packages: routing trees,
 // buffer libraries, exact Elmore evaluation, the candidate-list machinery
 // with the paper's convex pruning, the O(bn²) algorithm, the van Ginneken
@@ -63,7 +57,6 @@
 package bufferkit
 
 import (
-	"context"
 	"io"
 
 	"bufferkit/internal/core"
@@ -71,12 +64,10 @@ import (
 	"bufferkit/internal/delay"
 	"bufferkit/internal/library"
 	"bufferkit/internal/libreduce"
-	"bufferkit/internal/lillis"
 	"bufferkit/internal/netgen"
 	"bufferkit/internal/netlist"
 	"bufferkit/internal/segment"
 	"bufferkit/internal/tree"
-	"bufferkit/internal/vanginneken"
 )
 
 // Core model types.
@@ -99,27 +90,19 @@ type (
 	Placement = delay.Placement
 	// TimingResult is the exact Elmore evaluation of one placement.
 	TimingResult = delay.Result
-	// Options configure Insert.
+	// Options configure an Engine run (see NewEngine).
 	Options = core.Options
-	// Result is the outcome of Insert.
+	// Result is the outcome of an Engine run.
 	Result = core.Result
-	// LillisResult is the outcome of InsertLillis.
-	LillisResult = lillis.Result
-	// VanGinnekenResult is the outcome of InsertVanGinneken.
-	VanGinnekenResult = vanginneken.Result
-	// Stats are Insert's instrumentation counters.
+	// Stats are the O(bn²) engine's instrumentation counters.
 	Stats = core.Stats
 	// PruneMode selects transient (exact) or destructive (paper-literal)
 	// convex pruning.
 	PruneMode = core.PruneMode
-	// Backend selects the candidate-list representation (see WithBackend).
-	Backend = core.Backend
 	// Net bundles a parsed net file: name, tree and driver.
 	Net = netlist.Net
 	// CostSlackPoint is one point of the cost–slack Pareto frontier.
 	CostSlackPoint = costopt.Point
-	// CostOptions configure CostSlackPareto.
-	CostOptions = costopt.Options
 	// NetOpts parameterize RandomNet topologies.
 	NetOpts = netgen.Opts
 	// Wire is a per-µm wire parameterization for the net generators.
@@ -138,126 +121,19 @@ const (
 	// PruneDestructive reproduces the paper's printed pruning code; exact
 	// on 2-pin nets, heuristic on multi-pin nets (DESIGN.md §4).
 	PruneDestructive = core.PruneDestructive
-	// BackendDefault resolves to the benchmark-chosen default backend.
-	BackendDefault = core.BackendDefault
-	// BackendList is the paper's doubly-linked candidate list.
-	BackendList = core.BackendList
-	// BackendSoA is the cache-friendly structure-of-arrays representation.
-	BackendSoA = core.BackendSoA
 )
 
 // NewTreeBuilder returns a builder whose vertex 0 is the source.
 func NewTreeBuilder() *TreeBuilder { return tree.NewBuilder() }
 
-// Insert runs the paper's O(bn²) optimal buffer insertion.
-//
-// Deprecated: construct a Solver (NewSolver with WithLibrary, WithDriver,
-// WithPruneMode) and call Solver.Run, which adds context cancellation and
-// reuses warm engines across runs. Insert remains as a thin wrapper.
-func Insert(t *Tree, lib Library, opt Options) (*Result, error) {
-	s, err := NewSolver(
-		WithLibrary(lib),
-		WithDriver(opt.Driver),
-		WithPruneMode(opt.Prune),
-		WithCheckInvariants(opt.CheckInvariants),
-	)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	nr, err := s.Run(context.Background(), t)
-	if err != nil {
-		return nil, err
-	}
-	return legacyResult(nr), nil
-}
-
-// InsertLillis runs the Lillis–Cheng–Lin O(b²n²) baseline (no inverter
-// support). Same optimum as Insert; quadratic in the library size.
-//
-// Deprecated: use NewSolver with WithAlgorithm(AlgoLillis) and Solver.Run.
-// InsertLillis remains as a thin wrapper.
-func InsertLillis(t *Tree, lib Library, drv Driver) (*LillisResult, error) {
-	s, err := NewSolver(WithLibrary(lib), WithDriver(drv), WithAlgorithm(AlgoLillis))
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	nr, err := s.Run(context.Background(), t)
-	if err != nil {
-		return nil, err
-	}
-	return &LillisResult{
-		Slack:      nr.Slack,
-		Placement:  nr.Placement,
-		Candidates: nr.Candidates,
-		Stats: lillis.Stats{
-			Positions:     nr.Stats.Positions,
-			MaxListLen:    nr.Stats.MaxListLen,
-			SumListLen:    nr.Stats.SumListLen,
-			BetasInserted: nr.Stats.BetasKept,
-		},
-	}, nil
-}
-
-// InsertVanGinneken runs the classic single-type O(n²) algorithm.
-//
-// Deprecated: use NewSolver with WithAlgorithm(AlgoVanGinneken) — and a
-// one-type library — and Solver.Run. InsertVanGinneken remains as a thin
-// wrapper.
-func InsertVanGinneken(t *Tree, buf Buffer, drv Driver) (*VanGinnekenResult, error) {
-	s, err := NewSolver(WithLibrary(Library{buf}), WithDriver(drv), WithAlgorithm(AlgoVanGinneken))
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	nr, err := s.Run(context.Background(), t)
-	if err != nil {
-		return nil, err
-	}
-	return &VanGinnekenResult{
-		Slack:      nr.Slack,
-		Placement:  nr.Placement,
-		Candidates: nr.Candidates,
-		MaxListLen: nr.Stats.MaxListLen,
-	}, nil
-}
-
-// Evaluate computes exact Elmore timing of a placement — the oracle Insert
-// results agree with.
+// Evaluate computes exact Elmore timing of a placement — the oracle every
+// Solver result agrees with.
 func Evaluate(t *Tree, lib Library, p Placement, drv Driver) (*TimingResult, error) {
 	return delay.Evaluate(t, lib, p, drv)
 }
 
 // NewPlacement returns an all-unbuffered placement for n vertices.
 func NewPlacement(n int) Placement { return delay.NewPlacement(n) }
-
-// CostSlackPareto computes the buffer-cost versus slack trade-off frontier
-// (the paper's cost-reduction application).
-//
-// Deprecated: use NewSolver with WithAlgorithm(AlgoCostSlack) and
-// Solver.Run; NetResult.Frontier carries the frontier. CostSlackPareto
-// remains as a thin wrapper.
-func CostSlackPareto(t *Tree, lib Library, opt CostOptions) ([]CostSlackPoint, error) {
-	if opt.NoCrossLevelPrune {
-		// The ablation switch has no Solver option; take the direct path.
-		return costopt.Pareto(t, lib, opt)
-	}
-	s, err := NewSolver(
-		WithLibrary(lib),
-		WithDriver(opt.Driver),
-		WithAlgorithm(AlgoCostSlack),
-		WithMaxCost(opt.MaxCost),
-	)
-	if err != nil {
-		return nil, err
-	}
-	nr, err := s.Run(context.Background(), t)
-	if err != nil {
-		return nil, err
-	}
-	return nr.Frontier, nil
-}
 
 // GenerateLibrary builds a graded library of the given size spanning the
 // paper's TSMC 180 nm parameter ranges.

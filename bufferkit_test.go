@@ -2,12 +2,28 @@ package bufferkit_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
 
 	"bufferkit"
 )
+
+// solveWith runs one net through a fresh Solver built from opts.
+func solveWith(t *testing.T, net *bufferkit.Tree, opts ...bufferkit.Option) *bufferkit.NetResult {
+	t.Helper()
+	s, err := bufferkit.NewSolver(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	res, err := s.Run(context.Background(), net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 // TestFacadeQuickstart exercises the documented public workflow end to end.
 func TestFacadeQuickstart(t *testing.T) {
@@ -20,10 +36,7 @@ func TestFacadeQuickstart(t *testing.T) {
 
 	lib := bufferkit.GenerateLibrary(16)
 	d := bufferkit.Driver{R: 0.2, K: 15}
-	res, err := bufferkit.Insert(net, lib, bufferkit.Options{Driver: d})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := solveWith(t, net, bufferkit.WithLibrary(lib), bufferkit.WithDriver(d))
 	unbuf, err := bufferkit.Evaluate(net, lib, bufferkit.NewPlacement(net.Len()), d)
 	if err != nil {
 		t.Fatal(err)
@@ -40,25 +53,18 @@ func TestFacadeQuickstart(t *testing.T) {
 	}
 }
 
-// TestFacadeAlgorithmsAgree checks the three exported algorithms against
-// each other through the public API only.
+// TestFacadeAlgorithmsAgree checks the three slack-optimal algorithms
+// against each other through the public API only.
 func TestFacadeAlgorithmsAgree(t *testing.T) {
 	net := bufferkit.TwoPinNet(9000, 18, 12, 800, bufferkit.PaperWire())
 	d := bufferkit.Driver{R: 0.25, K: 10}
 	lib := bufferkit.GenerateLibrary(1)
 
-	vg, err := bufferkit.InsertVanGinneken(net, lib[0], d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ll, err := bufferkit.InsertLillis(net, lib, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	co, err := bufferkit.Insert(net, lib, bufferkit.Options{Driver: d})
-	if err != nil {
-		t.Fatal(err)
-	}
+	vg := solveWith(t, net, bufferkit.WithLibrary(lib), bufferkit.WithDriver(d),
+		bufferkit.WithAlgorithm(bufferkit.AlgoVanGinneken))
+	ll := solveWith(t, net, bufferkit.WithLibrary(lib), bufferkit.WithDriver(d),
+		bufferkit.WithAlgorithm(bufferkit.AlgoLillis))
+	co := solveWith(t, net, bufferkit.WithLibrary(lib), bufferkit.WithDriver(d))
 	if math.Abs(vg.Slack-ll.Slack) > 1e-6 || math.Abs(ll.Slack-co.Slack) > 1e-6 {
 		t.Fatalf("algorithms disagree: vg %g, lillis %g, new %g", vg.Slack, ll.Slack, co.Slack)
 	}
@@ -97,19 +103,14 @@ func TestFacadeNetlistRoundTrip(t *testing.T) {
 
 func TestFacadeCostPareto(t *testing.T) {
 	net := bufferkit.TwoPinNet(8000, 10, 15, 900, bufferkit.PaperWire())
-	pts, err := bufferkit.CostSlackPareto(net, bufferkit.GenerateLibrary(4), bufferkit.CostOptions{
-		Driver: bufferkit.Driver{R: 0.4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lib := bufferkit.GenerateLibrary(4)
+	d := bufferkit.Driver{R: 0.4}
+	pts := solveWith(t, net, bufferkit.WithLibrary(lib), bufferkit.WithDriver(d),
+		bufferkit.WithAlgorithm(bufferkit.AlgoCostSlack)).Frontier
 	if len(pts) < 2 {
 		t.Fatalf("degenerate frontier: %+v", pts)
 	}
-	opt, err := bufferkit.Insert(net, bufferkit.GenerateLibrary(4), bufferkit.Options{Driver: bufferkit.Driver{R: 0.4}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt := solveWith(t, net, bufferkit.WithLibrary(lib), bufferkit.WithDriver(d))
 	if math.Abs(pts[len(pts)-1].Slack-opt.Slack) > 1e-6 {
 		t.Fatalf("frontier max %g != optimum %g", pts[len(pts)-1].Slack, opt.Slack)
 	}
@@ -144,14 +145,10 @@ func TestFacadeDestructiveMode(t *testing.T) {
 	net := bufferkit.TwoPinNet(9000, 20, 12, 800, bufferkit.PaperWire())
 	d := bufferkit.Driver{R: 0.3}
 	lib := bufferkit.GenerateLibrary(8)
-	a, err := bufferkit.Insert(net, lib, bufferkit.Options{Driver: d, Prune: bufferkit.PruneTransient})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := bufferkit.Insert(net, lib, bufferkit.Options{Driver: d, Prune: bufferkit.PruneDestructive})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := solveWith(t, net, bufferkit.WithLibrary(lib), bufferkit.WithDriver(d),
+		bufferkit.WithPruneMode(bufferkit.PruneTransient))
+	b := solveWith(t, net, bufferkit.WithLibrary(lib), bufferkit.WithDriver(d),
+		bufferkit.WithPruneMode(bufferkit.PruneDestructive))
 	if math.Abs(a.Slack-b.Slack) > 1e-6 {
 		t.Fatalf("modes disagree on a 2-pin net: %g vs %g", a.Slack, b.Slack)
 	}

@@ -134,13 +134,12 @@ func WithChipProgress(fn func(ChipRound)) Option {
 //
 // Drivers come from each ChipNet.Driver, not WithDriver. A single net under
 // unbounded capacity reproduces Run bit for bit (asserted by the
-// differential suite on both backends). Cancellation returns a
+// differential suite). Cancellation returns a
 // *PartialChipError wrapping ErrCanceled; an instance where some net has no
 // capacity-feasible placement returns an error wrapping ErrInfeasible.
 // See DESIGN.md §14.
 func (s *Solver) SolveChip(ctx context.Context, inst *ChipInstance) (*ChipResult, error) {
-	backend, err := s.coreBackend("chip solving")
-	if err != nil {
+	if err := s.requireCore("chip solving"); err != nil {
 		return nil, err
 	}
 	for i := range inst.Nets {
@@ -159,7 +158,6 @@ func (s *Solver) SolveChip(ctx context.Context, inst *ChipInstance) (*ChipResult
 		Capacity:        s.chip.capacity,
 		Workers:         s.workers,
 		Prune:           s.cfg.Prune,
-		Backend:         backend,
 		CheckInvariants: s.cfg.CheckInvariants,
 		GetEngine:       func() *core.Engine { return enginePool.Get().(*core.Engine) },
 		PutEngine:       func(e *core.Engine) { enginePool.Put(e) },

@@ -19,40 +19,38 @@ func chipSolver(t *testing.T, opts ...bufferkit.Option) *bufferkit.Solver {
 }
 
 // TestSolveChipSingleNetMatchesRun: one net under unbounded site capacity
-// must reproduce Solver.Run bit for bit, on both pinned backends.
+// must reproduce Solver.Run bit for bit.
 func TestSolveChipSingleNetMatchesRun(t *testing.T) {
 	inst := bufferkit.GenerateChip(bufferkit.ChipGenOpts{
 		W: 10, H: 10, Nets: 1, Capacity: 1 << 20, Contention: 0, Seed: 17,
 	})
 	net := &inst.Nets[0]
-	for _, algo := range []string{bufferkit.AlgoCore, bufferkit.AlgoCoreSoA} {
-		s := chipSolver(t, bufferkit.WithAlgorithm(algo), bufferkit.WithDriver(net.Driver))
-		res, err := s.SolveChip(context.Background(), inst)
-		if err != nil {
-			t.Fatalf("%s: %v", algo, err)
+	s := chipSolver(t, bufferkit.WithDriver(net.Driver))
+	res, err := s.SolveChip(context.Background(), inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.Run(context.Background(), net.Tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if !res.Feasible || len(res.Rounds) != 1 {
+		t.Fatalf("unconstrained single net took %d rounds (feasible=%v)",
+			len(res.Rounds), res.Feasible)
+	}
+	for v := range want.Placement {
+		if res.Placements[0][v] != want.Placement[v] {
+			t.Fatalf("placement differs at vertex %d: %d vs %d",
+				v, res.Placements[0][v], want.Placement[v])
 		}
-		want, err := s.Run(context.Background(), net.Tree)
-		if err != nil {
-			t.Fatalf("%s: %v", algo, err)
-		}
-		s.Close()
-		if !res.Feasible || len(res.Rounds) != 1 {
-			t.Fatalf("%s: unconstrained single net took %d rounds (feasible=%v)",
-				algo, len(res.Rounds), res.Feasible)
-		}
-		for v := range want.Placement {
-			if res.Placements[0][v] != want.Placement[v] {
-				t.Fatalf("%s: placement differs at vertex %d: %d vs %d",
-					algo, v, res.Placements[0][v], want.Placement[v])
-			}
-		}
-		ev, err := bufferkit.Evaluate(net.Tree, bufferkit.GenerateLibrary(8), want.Placement, net.Driver)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Slacks[0] != ev.Slack {
-			t.Fatalf("%s: chip slack %.17g != evaluated Run slack %.17g", algo, res.Slacks[0], ev.Slack)
-		}
+	}
+	ev, err := bufferkit.Evaluate(net.Tree, bufferkit.GenerateLibrary(8), want.Placement, net.Driver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Slacks[0] != ev.Slack {
+		t.Fatalf("chip slack %.17g != evaluated Run slack %.17g", res.Slacks[0], ev.Slack)
 	}
 }
 

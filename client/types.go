@@ -13,9 +13,6 @@ type SolveOptions struct {
 	Algorithm string `json:"algorithm,omitempty"`
 	// Prune is "transient" (default) or "destructive".
 	Prune string `json:"prune,omitempty"`
-	// Backend pins a candidate-list representation: "list", "soa" or ""
-	// for the server default.
-	Backend string `json:"backend,omitempty"`
 	// MaxCost caps total buffer cost (costslack only; 0 = no cap).
 	MaxCost int `json:"max_cost,omitempty"`
 	// NoStats skips Stats on the reply.

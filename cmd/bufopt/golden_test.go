@@ -58,7 +58,7 @@ func checkGolden(t *testing.T, name, got string) {
 // slack, verification, placement listing — for the default algorithm.
 func TestGoldenSingleNet(t *testing.T) {
 	var out strings.Builder
-	if err := run(bg(), &out, testdata+"line.net", testdata+"lib8.buf", 0, "new", "transient", "", 0, true, true); err != nil {
+	if err := run(bg(), &out, testdata+"line.net", testdata+"lib8.buf", 0, "new", "transient", 0, true, true); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "single_line.golden", scrub(out.String()))
@@ -67,7 +67,7 @@ func TestGoldenSingleNet(t *testing.T) {
 // TestGoldenSingleCostSlack pins the cost–slack frontier formatting.
 func TestGoldenSingleCostSlack(t *testing.T) {
 	var out strings.Builder
-	if err := run(bg(), &out, testdata+"line.net", testdata+"lib8.buf", 0, "costslack", "transient", "", 0, false, true); err != nil {
+	if err := run(bg(), &out, testdata+"line.net", testdata+"lib8.buf", 0, "costslack", "transient", 0, false, true); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "single_line_costslack.golden", scrub(out.String()))
@@ -78,7 +78,7 @@ func TestGoldenSingleCostSlack(t *testing.T) {
 // stable no matter how the workers are scheduled.
 func TestGoldenBatch(t *testing.T) {
 	var out strings.Builder
-	if err := runBatch(bg(), &out, testdata, testdata+"lib8.buf", 0, "new", "transient", "", 0, 2, true); err != nil {
+	if err := runBatch(bg(), &out, testdata, testdata+"lib8.buf", 0, "new", "transient", 0, 2, true); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "batch.golden", scrub(out.String()))
@@ -109,7 +109,7 @@ func TestBatchOrderDeterministic(t *testing.T) {
 
 	runOnce := func() string {
 		var out strings.Builder
-		if err := runBatch(bg(), &out, dir, "", 8, "new", "transient", "", 0, 8, true); err != nil {
+		if err := runBatch(bg(), &out, dir, "", 8, "new", "transient", 0, 8, true); err != nil {
 			t.Fatal(err)
 		}
 		return out.String()

@@ -14,9 +14,7 @@
 // GOMAXPROCS), with one line streamed per net in sorted-path order.
 //
 // -algo selects any algorithm registered with the bufferkit facade
-// ("new", "core", "core-soa", "lillis", "vanginneken"/"vg", "costslack")
-// and -backend pins the candidate-list representation ("list" or "soa";
-// results are bit-identical, see DESIGN.md §11). Ctrl-C cancels a run
+// ("new", "lillis", "vanginneken"/"vg", "costslack"). Ctrl-C cancels a run
 // gracefully: in-flight nets stop at the next per-vertex checkpoint and
 // completed results are still reported.
 //
@@ -53,7 +51,6 @@ func main() {
 		genLib    = flag.Int("gen-lib", 0, "generate a paper-range library of this size instead of -lib")
 		algo      = flag.String("algo", bufferkit.AlgoNew, "algorithm: "+strings.Join(bufferkit.Algorithms(), ", ")+" (vg = vanginneken)")
 		prune     = flag.String("prune", "transient", "convex pruning for -algo new: transient (exact) or destructive (paper-literal)")
-		backend   = flag.String("backend", "", "candidate-list backend for -algo new/lillis: list, soa, or empty for the default")
 		placement = flag.Bool("placement", false, "print the buffer placement")
 		verify    = flag.Bool("verify", true, "re-check the result against the exact Elmore oracle")
 		reduce    = flag.Int("reduce", 0, "library reduction: -1 dominance-only (bit-exact), k>0 cluster to k types, 0 off")
@@ -90,19 +87,19 @@ func main() {
 	case *batchDir != "" && *yield:
 		err = fmt.Errorf("-yield is not supported with -batch")
 	case *chipPath != "":
-		err = runChip(ctx, os.Stdout, *chipPath, *libPath, *genLib, *algo, *prune, *backend, *reduce, chipOpts{
+		err = runChip(ctx, os.Stdout, *chipPath, *libPath, *genLib, *algo, *prune, *reduce, chipOpts{
 			rounds: *rounds, step: *chipStep, decay: *chipDec, capacity: *chipCap,
 			workers: *jobs, verify: *verify,
 		})
 	case *batchDir != "":
-		err = runBatch(ctx, os.Stdout, *batchDir, *libPath, *genLib, *algo, *prune, *backend, *reduce, *jobs, *verify)
+		err = runBatch(ctx, os.Stdout, *batchDir, *libPath, *genLib, *algo, *prune, *reduce, *jobs, *verify)
 	case *yield:
-		err = runYield(ctx, os.Stdout, *netPath, *libPath, *genLib, *algo, *prune, *backend, *reduce, yieldOpts{
+		err = runYield(ctx, os.Stdout, *netPath, *libPath, *genLib, *algo, *prune, *reduce, yieldOpts{
 			samples: *samples, sigma: *sigma, seed: *seed, target: *yieldTarget,
 			robust: *robust, corners: *corners, placement: *placement, workers: *jobs,
 		})
 	default:
-		err = run(ctx, os.Stdout, *netPath, *libPath, *genLib, *algo, *prune, *backend, *reduce, *placement, *verify)
+		err = run(ctx, os.Stdout, *netPath, *libPath, *genLib, *algo, *prune, *reduce, *placement, *verify)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bufopt:", err)
@@ -153,7 +150,7 @@ func parseAlgo(algo string) (string, error) {
 }
 
 // newSolver assembles the Solver all bufopt modes share.
-func newSolver(lib bufferkit.Library, algo, prune, backend string, reduce int, extra ...bufferkit.Option) (*bufferkit.Solver, error) {
+func newSolver(lib bufferkit.Library, algo, prune string, reduce int, extra ...bufferkit.Option) (*bufferkit.Solver, error) {
 	name, err := parseAlgo(algo)
 	if err != nil {
 		return nil, err
@@ -166,7 +163,6 @@ func newSolver(lib bufferkit.Library, algo, prune, backend string, reduce int, e
 		bufferkit.WithLibrary(lib),
 		bufferkit.WithAlgorithm(name),
 		bufferkit.WithPruneMode(mode),
-		bufferkit.WithBackend(backend),
 	}
 	if reduce != 0 {
 		opts = append(opts, bufferkit.WithLibraryReduction(reduce))
@@ -174,7 +170,7 @@ func newSolver(lib bufferkit.Library, algo, prune, backend string, reduce int, e
 	return bufferkit.NewSolver(append(opts, extra...)...)
 }
 
-func run(ctx context.Context, w io.Writer, netPath, libPath string, genLib int, algo, prune, backend string, reduce int, placement, verify bool) error {
+func run(ctx context.Context, w io.Writer, netPath, libPath string, genLib int, algo, prune string, reduce int, placement, verify bool) error {
 	if netPath == "" {
 		return fmt.Errorf("-net is required")
 	}
@@ -192,7 +188,7 @@ func run(ctx context.Context, w io.Writer, netPath, libPath string, genLib int, 
 	if err != nil {
 		return err
 	}
-	solver, err := newSolver(lib, algo, prune, backend, reduce, bufferkit.WithDriver(net.Driver))
+	solver, err := newSolver(lib, algo, prune, reduce, bufferkit.WithDriver(net.Driver))
 	if err != nil {
 		return err
 	}
@@ -269,7 +265,7 @@ type yieldOpts struct {
 // runYield runs Monte Carlo yield analysis on one net, reporting the slack
 // distribution across corners, the yield at the target, and the chosen
 // placement.
-func runYield(ctx context.Context, w io.Writer, netPath, libPath string, genLib int, algo, prune, backend string, reduce int, o yieldOpts) error {
+func runYield(ctx context.Context, w io.Writer, netPath, libPath string, genLib int, algo, prune string, reduce int, o yieldOpts) error {
 	if netPath == "" {
 		return fmt.Errorf("-net is required")
 	}
@@ -298,7 +294,7 @@ func runYield(ctx context.Context, w io.Writer, netPath, libPath string, genLib 
 	if o.corners {
 		extra = append(extra, bufferkit.WithCorners(bufferkit.ProcessCorners()[1:]))
 	}
-	solver, err := newSolver(lib, algo, prune, backend, reduce, extra...)
+	solver, err := newSolver(lib, algo, prune, reduce, extra...)
 	if err != nil {
 		return err
 	}
@@ -363,7 +359,7 @@ func (o yieldOpts) cornerCount() int {
 // first, so batch output is deterministic across runs. Cancellation
 // (Ctrl-C) stops cleanly: completed nets stay reported and the totals line
 // says how far the batch got.
-func runBatch(ctx context.Context, w io.Writer, dir, libPath string, genLib int, algo, prune, backend string, reduce, jobs int, verify bool) error {
+func runBatch(ctx context.Context, w io.Writer, dir, libPath string, genLib int, algo, prune string, reduce, jobs int, verify bool) error {
 	lib, err := loadLibrary(libPath, genLib)
 	if err != nil {
 		return err
@@ -394,7 +390,7 @@ func runBatch(ctx context.Context, w io.Writer, dir, libPath string, genLib int,
 		drivers[i] = nets[i].Driver
 	}
 
-	solver, err := newSolver(lib, algo, prune, backend, reduce,
+	solver, err := newSolver(lib, algo, prune, reduce,
 		bufferkit.WithDrivers(drivers),
 		bufferkit.WithWorkers(jobs),
 	)

@@ -16,7 +16,7 @@ func bg() context.Context { return context.Background() }
 
 func TestRunBatchDirectory(t *testing.T) {
 	var out strings.Builder
-	if err := runBatch(bg(), &out, testdata, "", 8, "new", "transient", "", 0, 2, true); err != nil {
+	if err := runBatch(bg(), &out, testdata, "", 8, "new", "transient", 0, 2, true); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
@@ -32,7 +32,7 @@ func TestRunBatchDirectory(t *testing.T) {
 func TestRunBatchAllAlgorithms(t *testing.T) {
 	for _, algo := range []string{"lillis", "costslack"} {
 		var out strings.Builder
-		if err := runBatch(bg(), &out, testdata, "", 8, algo, "transient", "", 0, 2, true); err != nil {
+		if err := runBatch(bg(), &out, testdata, "", 8, algo, "transient", 0, 2, true); err != nil {
 			t.Fatalf("%s: %v\n%s", algo, err, out.String())
 		}
 		if !strings.Contains(out.String(), "batch: 2/2 nets") {
@@ -47,7 +47,7 @@ func TestRunBatchCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(bg())
 	cancel()
 	var out strings.Builder
-	err := runBatch(ctx, &out, testdata, "", 8, "new", "transient", "", 0, 2, false)
+	err := runBatch(ctx, &out, testdata, "", 8, "new", "transient", 0, 2, false)
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -64,16 +64,16 @@ func TestRunBatchErrors(t *testing.T) {
 		f    func() error
 	}{
 		{"empty dir", "no *.net files", func() error {
-			return runBatch(bg(), &out, "..", "", 8, "new", "transient", "", 0, 0, false)
+			return runBatch(bg(), &out, "..", "", 8, "new", "transient", 0, 0, false)
 		}},
 		{"bad prune", "unknown -prune", func() error {
-			return runBatch(bg(), &out, testdata, "", 8, "new", "nope", "", 0, 0, false)
+			return runBatch(bg(), &out, testdata, "", 8, "new", "nope", 0, 0, false)
 		}},
 		{"bad algo", "unknown -algo", func() error {
-			return runBatch(bg(), &out, testdata, "", 8, "nope", "transient", "", 0, 0, false)
+			return runBatch(bg(), &out, testdata, "", 8, "nope", "transient", 0, 0, false)
 		}},
 		{"no library", "provide -lib", func() error {
-			return runBatch(bg(), &out, testdata, "", 0, "new", "transient", "", 0, 0, false)
+			return runBatch(bg(), &out, testdata, "", 0, "new", "transient", 0, 0, false)
 		}},
 	}
 	for _, tc := range cases {
@@ -87,27 +87,27 @@ func TestRunBatchErrors(t *testing.T) {
 }
 
 func TestRunNewAlgorithm(t *testing.T) {
-	if err := run(bg(), io.Discard, testdata+"random12.net", testdata+"lib8.buf", 0, "new", "transient", "", 0, true, true); err != nil {
+	if err := run(bg(), io.Discard, testdata+"random12.net", testdata+"lib8.buf", 0, "new", "transient", 0, true, true); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunAllAlgorithms(t *testing.T) {
 	for _, algo := range []string{"new", "lillis", "costslack"} {
-		if err := run(bg(), io.Discard, testdata+"line.net", "", 8, algo, "transient", "", 0, false, true); err != nil {
+		if err := run(bg(), io.Discard, testdata+"line.net", "", 8, algo, "transient", 0, false, true); err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
 	}
 	// Both the historical alias and the registry name reach van Ginneken.
 	for _, algo := range []string{"vg", "vanginneken"} {
-		if err := run(bg(), io.Discard, testdata+"line.net", "", 1, algo, "transient", "", 0, false, true); err != nil {
+		if err := run(bg(), io.Discard, testdata+"line.net", "", 1, algo, "transient", 0, false, true); err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
 	}
 }
 
 func TestRunDestructivePrune(t *testing.T) {
-	if err := run(bg(), io.Discard, testdata+"line.net", "", 8, "new", "destructive", "", 0, false, true); err != nil {
+	if err := run(bg(), io.Discard, testdata+"line.net", "", 8, "new", "destructive", 0, false, true); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -115,7 +115,7 @@ func TestRunDestructivePrune(t *testing.T) {
 func TestRunCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(bg())
 	cancel()
-	err := run(ctx, io.Discard, testdata+"line.net", "", 8, "new", "transient", "", 0, false, false)
+	err := run(ctx, io.Discard, testdata+"line.net", "", 8, "new", "transient", 0, false, false)
 	if err == nil || !errors.Is(err, bufferkit.ErrCanceled) {
 		t.Fatalf("err = %v, want bufferkit.ErrCanceled", err)
 	}
@@ -128,25 +128,25 @@ func TestRunErrors(t *testing.T) {
 		f    func() error
 	}{
 		{"missing net", "-net is required", func() error {
-			return run(bg(), io.Discard, "", "", 8, "new", "transient", "", 0, false, false)
+			return run(bg(), io.Discard, "", "", 8, "new", "transient", 0, false, false)
 		}},
 		{"no library", "provide -lib", func() error {
-			return run(bg(), io.Discard, testdata+"line.net", "", 0, "new", "transient", "", 0, false, false)
+			return run(bg(), io.Discard, testdata+"line.net", "", 0, "new", "transient", 0, false, false)
 		}},
 		{"both libs", "mutually exclusive", func() error {
-			return run(bg(), io.Discard, testdata+"line.net", testdata+"lib8.buf", 4, "new", "transient", "", 0, false, false)
+			return run(bg(), io.Discard, testdata+"line.net", testdata+"lib8.buf", 4, "new", "transient", 0, false, false)
 		}},
 		{"bad algo", "unknown -algo", func() error {
-			return run(bg(), io.Discard, testdata+"line.net", "", 8, "nope", "transient", "", 0, false, false)
+			return run(bg(), io.Discard, testdata+"line.net", "", 8, "nope", "transient", 0, false, false)
 		}},
 		{"bad prune", "unknown -prune", func() error {
-			return run(bg(), io.Discard, testdata+"line.net", "", 8, "new", "nope", "", 0, false, false)
+			return run(bg(), io.Discard, testdata+"line.net", "", 8, "new", "nope", 0, false, false)
 		}},
 		{"vg multi-type", "single-type", func() error {
-			return run(bg(), io.Discard, testdata+"line.net", "", 8, "vg", "transient", "", 0, false, false)
+			return run(bg(), io.Discard, testdata+"line.net", "", 8, "vg", "transient", 0, false, false)
 		}},
 		{"missing file", "no such file", func() error {
-			return run(bg(), io.Discard, testdata+"missing.net", "", 8, "new", "transient", "", 0, false, false)
+			return run(bg(), io.Discard, testdata+"missing.net", "", 8, "new", "transient", 0, false, false)
 		}},
 	}
 	for _, tc := range cases {
@@ -164,7 +164,7 @@ func TestRunErrors(t *testing.T) {
 func TestRunYield(t *testing.T) {
 	var out strings.Builder
 	o := yieldOpts{samples: 16, sigma: 0.08, seed: 1, robust: true, corners: true, placement: true}
-	if err := runYield(bg(), &out, testdata+"random12.net", testdata+"lib8.buf", 0, "new", "transient", "", 0, o); err != nil {
+	if err := runYield(bg(), &out, testdata+"random12.net", testdata+"lib8.buf", 0, "new", "transient", 0, o); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
@@ -184,7 +184,7 @@ func TestRunYieldDeterministic(t *testing.T) {
 	render := func() string {
 		var out strings.Builder
 		o := yieldOpts{samples: 24, sigma: 0.1, seed: 7}
-		if err := runYield(bg(), &out, testdata+"random12.net", "", 8, "new", "transient", "", 0, o); err != nil {
+		if err := runYield(bg(), &out, testdata+"random12.net", "", 8, "new", "transient", 0, o); err != nil {
 			t.Fatal(err)
 		}
 		lines := strings.Split(out.String(), "\n")
@@ -215,7 +215,7 @@ func TestRunYieldErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := runYield(bg(), io.Discard, testdata+"random12.net", "", 8, tc.algo, "transient", "", 0, tc.o)
+			err := runYield(bg(), io.Discard, testdata+"random12.net", "", 8, tc.algo, "transient", 0, tc.o)
 			if err == nil || !strings.Contains(err.Error(), tc.err) {
 				t.Fatalf("err = %v, want substring %q", err, tc.err)
 			}

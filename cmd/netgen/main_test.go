@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -66,7 +67,12 @@ func TestEmittedNetIsOptimizable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := bufferkit.Insert(net.Tree, bufferkit.GenerateLibrary(4), bufferkit.Options{Driver: net.Driver})
+	solver, err := bufferkit.NewSolver(bufferkit.WithLibrary(bufferkit.GenerateLibrary(4)), bufferkit.WithDriver(net.Driver))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer solver.Close()
+	res, err := solver.Run(context.Background(), net.Tree)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,9 +11,9 @@
 //	repro -bench-json BENCH_engine.json -scale 4
 //
 // -bench-json runs the allocation-discipline benchmark suite (cold vs warm
-// insertion, the list-vs-SoA backend regimes, the yield-sweep series, and
-// batch throughput) and writes one JSON document tracked as a BENCH_*.json
-// trajectory.
+// insertion, the warm-engine regimes, the ECO, yield, chip and
+// observability series, and batch throughput) and writes one JSON document
+// tracked as a BENCH_*.json trajectory.
 package main
 
 import (

@@ -46,9 +46,10 @@ func TestBenchJSONOutput(t *testing.T) {
 	want := []string{
 		"insert/coldshot",
 		"insert/warm",
-		"engine/regime=smallb/backend=list",
-		"engine/regime=smallb/backend=soa",
-		"engine/regime=deepline/backend=soa",
+		"engine/regime=smallb",
+		"engine/regime=deepline",
+		"eco/regime=bushy/mode=cold",
+		"eco/regime=bushy/mode=delta",
 		"yield/samples=16",
 		"yield/samples=64",
 		"yield/samples=64/robust",

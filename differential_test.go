@@ -32,15 +32,13 @@ type corpusConfig struct {
 	lillis bool
 }
 
-// TestDifferentialCorpus cross-checks the paper's O(bn²) algorithm — on
-// both candidate-list backends — and, where applicable, the Lillis
-// baseline, against the brute-force oracle on 300 seeded random nets
-// spanning plain libraries, inverter libraries, and mixed sink polarities.
-// Exact slack agreement with the oracle is required everywhere; between the
-// two backends the agreement must be bit-exact (identical slack, identical
-// placement, identical buffer cost), since they execute the identical
-// arithmetic over different memory layouts. Every reported placement must
-// reproduce its slack under the Elmore oracle.
+// TestDifferentialCorpus cross-checks the paper's O(bn²) algorithm — with
+// every candidate list validated after every operation — and, where
+// applicable, the Lillis baseline, against the brute-force oracle on 300
+// seeded random nets spanning plain libraries, inverter libraries, and
+// mixed sink polarities. Exact slack agreement with the oracle is required
+// everywhere, and every reported placement must reproduce its slack under
+// the Elmore oracle.
 func TestDifferentialCorpus(t *testing.T) {
 	const maxPositions = 6 // (b+1)^positions stays ≤ 4^6 evaluations per net
 	configs := []corpusConfig{
@@ -75,60 +73,28 @@ func TestDifferentialCorpus(t *testing.T) {
 					t.Fatalf("seed %d: bruteforce: %v", seed, err)
 				}
 
-				solver, err := NewSolver(WithLibrary(cfg.lib), WithDriver(drv), WithBackend("list"))
+				solver, err := NewSolver(WithLibrary(cfg.lib), WithDriver(drv), WithCheckInvariants(true))
 				if err != nil {
 					t.Fatalf("seed %d: NewSolver: %v", seed, err)
 				}
 				res, err := solver.Run(context.Background(), tr)
 				solver.Close()
 
-				ss, err2 := NewSolver(WithLibrary(cfg.lib), WithDriver(drv), WithBackend("soa"))
-				if err2 != nil {
-					t.Fatalf("seed %d: NewSolver(soa): %v", seed, err2)
-				}
-				soa, err2 := ss.Run(context.Background(), tr)
-				ss.Close()
-
 				if !brute.Feasible {
 					infeasible++
 					if !errors.Is(err, ErrInfeasible) {
 						t.Fatalf("seed %d: oracle says infeasible; core returned %v", seed, err)
-					}
-					if !errors.Is(err2, ErrInfeasible) {
-						t.Fatalf("seed %d: oracle says infeasible; soa backend returned %v", seed, err2)
 					}
 					continue
 				}
 				if err != nil {
 					t.Fatalf("seed %d: core: %v (oracle slack %.6f)", seed, err, brute.Slack)
 				}
-				if err2 != nil {
-					t.Fatalf("seed %d: soa backend: %v (oracle slack %.6f)", seed, err2, brute.Slack)
-				}
 				if !testutil.AlmostEqual(res.Slack, brute.Slack) {
 					t.Fatalf("seed %d: core slack %.12g != brute-force optimum %.12g (Δ=%g)",
 						seed, res.Slack, brute.Slack, res.Slack-brute.Slack)
 				}
 				testutil.CheckPlacement(t, tr, cfg.lib, res.Placement, drv, res.Slack, "core")
-
-				// Backend agreement must be bit-exact, not merely within
-				// tolerance: same arithmetic, different memory layout.
-				if soa.Slack != res.Slack {
-					t.Fatalf("seed %d: soa slack %.17g != list slack %.17g", seed, soa.Slack, res.Slack)
-				}
-				if len(soa.Placement) != len(res.Placement) {
-					t.Fatalf("seed %d: placement lengths differ", seed)
-				}
-				for v := range res.Placement {
-					if soa.Placement[v] != res.Placement[v] {
-						t.Fatalf("seed %d: placements differ at vertex %d: %d vs %d",
-							seed, v, soa.Placement[v], res.Placement[v])
-					}
-				}
-				if soa.Placement.Cost(cfg.lib) != res.Placement.Cost(cfg.lib) {
-					t.Fatalf("seed %d: placement costs differ", seed)
-				}
-				testutil.CheckPlacement(t, tr, cfg.lib, soa.Placement, drv, soa.Slack, "core-soa")
 
 				if cfg.lillis {
 					ls, err := NewSolver(WithLibrary(cfg.lib), WithDriver(drv), WithAlgorithm(AlgoLillis))
@@ -159,8 +125,7 @@ func TestDifferentialCorpus(t *testing.T) {
 // TestVariationSigmaZeroMatchesNominal is the sigma=0 property: a yield
 // sweep drawing one Monte Carlo sample at sigma 0 evaluates only nominal
 // corners, so its slack, placement and buffer cost must agree bit-exactly
-// with the plain Solver.Run result — on both candidate-list backends,
-// across plain libraries, inverter libraries and mixed sink polarities.
+// with the plain Solver.Run result, across plain libraries, inverter libraries and mixed sink polarities.
 func TestVariationSigmaZeroMatchesNominal(t *testing.T) {
 	configs := []corpusConfig{
 		{name: "plain-3types", lib: GenerateLibrary(3), seeds: 25},
@@ -171,59 +136,57 @@ func TestVariationSigmaZeroMatchesNominal(t *testing.T) {
 			for seed := int64(0); seed < int64(cfg.seeds); seed++ {
 				tr := netgen.RandomSmall(seed, 6, cfg.negProb)
 				drv := Driver{R: 0.25, K: 12}
-				for _, backend := range []string{"list", "soa"} {
-					s, err := NewSolver(WithLibrary(cfg.lib), WithDriver(drv), WithBackend(backend))
-					if err != nil {
-						t.Fatal(err)
-					}
-					run, runErr := s.Run(context.Background(), tr)
+				s, err := NewSolver(WithLibrary(cfg.lib), WithDriver(drv))
+				if err != nil {
+					t.Fatal(err)
+				}
+				run, runErr := s.Run(context.Background(), tr)
 
-					ys, err := NewSolver(
-						WithLibrary(cfg.lib), WithDriver(drv), WithBackend(backend),
-						WithSamples(1), WithSigma(0), WithVariationSeed(seed),
-					)
-					if err != nil {
-						t.Fatal(err)
-					}
-					yres, yerr := ys.SolveYield(context.Background(), tr)
-					s.Close()
-					ys.Close()
+				ys, err := NewSolver(
+					WithLibrary(cfg.lib), WithDriver(drv),
+					WithSamples(1), WithSigma(0), WithVariationSeed(seed),
+				)
+				if err != nil {
+					t.Fatal(err)
+				}
+				yres, yerr := ys.SolveYield(context.Background(), tr)
+				s.Close()
+				ys.Close()
 
-					if runErr != nil {
-						// Infeasibility must agree too: no polarity-feasible
-						// solution nominally means none under any corner.
-						if !errors.Is(runErr, ErrInfeasible) {
-							t.Fatalf("seed %d %s: Run: %v", seed, backend, runErr)
-						}
-						if !errors.Is(yerr, ErrInfeasible) {
-							t.Fatalf("seed %d %s: Run infeasible but SolveYield returned %v", seed, backend, yerr)
-						}
-						continue
+				if runErr != nil {
+					// Infeasibility must agree too: no polarity-feasible
+					// solution nominally means none under any corner.
+					if !errors.Is(runErr, ErrInfeasible) {
+						t.Fatalf("seed %d: Run: %v", seed, runErr)
 					}
-					if yerr != nil {
-						t.Fatalf("seed %d %s: SolveYield: %v", seed, backend, yerr)
+					if !errors.Is(yerr, ErrInfeasible) {
+						t.Fatalf("seed %d: Run infeasible but SolveYield returned %v", seed, yerr)
 					}
-					if len(yres.Samples) != 2 {
-						t.Fatalf("seed %d %s: got %d samples, want 2 (nominal + one sigma-0 draw)", seed, backend, len(yres.Samples))
+					continue
+				}
+				if yerr != nil {
+					t.Fatalf("seed %d: SolveYield: %v", seed, yerr)
+				}
+				if len(yres.Samples) != 2 {
+					t.Fatalf("seed %d: got %d samples, want 2 (nominal + one sigma-0 draw)", seed, len(yres.Samples))
+				}
+				for i, smp := range yres.Samples {
+					if smp.Slack != run.Slack {
+						t.Fatalf("seed %d: sample %d slack %.17g != Run slack %.17g",
+							seed, i, smp.Slack, run.Slack)
 					}
-					for i, smp := range yres.Samples {
-						if smp.Slack != run.Slack {
-							t.Fatalf("seed %d %s: sample %d slack %.17g != Run slack %.17g",
-								seed, backend, i, smp.Slack, run.Slack)
-						}
+				}
+				if len(yres.Placements) != 1 {
+					t.Fatalf("seed %d: sigma-0 sweep found %d distinct placements, want 1", seed, len(yres.Placements))
+				}
+				for v := range run.Placement {
+					if yres.Placement[v] != run.Placement[v] {
+						t.Fatalf("seed %d: placements differ at vertex %d", seed, v)
 					}
-					if len(yres.Placements) != 1 {
-						t.Fatalf("seed %d %s: sigma-0 sweep found %d distinct placements, want 1", seed, backend, len(yres.Placements))
-					}
-					for v := range run.Placement {
-						if yres.Placement[v] != run.Placement[v] {
-							t.Fatalf("seed %d %s: placements differ at vertex %d", seed, backend, v)
-						}
-					}
-					if yres.Placements[0].Cost != run.Placement.Cost(cfg.lib) {
-						t.Fatalf("seed %d %s: cost %d != Run cost %d",
-							seed, backend, yres.Placements[0].Cost, run.Placement.Cost(cfg.lib))
-					}
+				}
+				if yres.Placements[0].Cost != run.Placement.Cost(cfg.lib) {
+					t.Fatalf("seed %d: cost %d != Run cost %d",
+						seed, yres.Placements[0].Cost, run.Placement.Cost(cfg.lib))
 				}
 			}
 		})
@@ -251,9 +214,8 @@ func dominatedAugment(lib Library) Library {
 // property on the differential corpus: with a library carrying one
 // strictly-dominated copy of every type, dominance-only reduction (k < 0)
 // must reproduce the full-library solve bit for bit — identical slack,
-// identical placement in the original index space — on both candidate-list
-// backends, across plain libraries, inverter libraries and mixed sink
-// polarities. Infeasibility must agree too.
+// identical placement in the original index space — across plain
+// libraries, inverter libraries and mixed sink polarities. Infeasibility must agree too.
 func TestLibraryReductionDominanceExact(t *testing.T) {
 	configs := []corpusConfig{
 		{name: "plain-1type", lib: GenerateLibrary(1), seeds: 60},
@@ -270,50 +232,48 @@ func TestLibraryReductionDominanceExact(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				drv := Driver{R: 0.3 * rng.Float64(), K: 20 * rng.Float64()}
 				total++
-				for _, backend := range []string{"list", "soa"} {
-					full, err := NewSolver(WithLibrary(aug), WithDriver(drv), WithBackend(backend))
-					if err != nil {
-						t.Fatal(err)
-					}
-					fres, ferr := full.Run(context.Background(), tr)
-					full.Close()
+				full, err := NewSolver(WithLibrary(aug), WithDriver(drv))
+				if err != nil {
+					t.Fatal(err)
+				}
+				fres, ferr := full.Run(context.Background(), tr)
+				full.Close()
 
-					red, err := NewSolver(WithLibrary(aug), WithDriver(drv), WithBackend(backend),
-						WithLibraryReduction(-1))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if red.libMap == nil {
-						t.Fatal("dominated-augmented library triggered no pruning")
-					}
-					if len(red.cfg.Library) > len(cfg.lib) {
-						t.Fatalf("reduction kept %d of %d types, want ≤ %d",
-							len(red.cfg.Library), len(aug), len(cfg.lib))
-					}
-					rres, rerr := red.Run(context.Background(), tr)
-					red.Close()
+				red, err := NewSolver(WithLibrary(aug), WithDriver(drv),
+					WithLibraryReduction(-1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if red.libMap == nil {
+					t.Fatal("dominated-augmented library triggered no pruning")
+				}
+				if len(red.cfg.Library) > len(cfg.lib) {
+					t.Fatalf("reduction kept %d of %d types, want ≤ %d",
+						len(red.cfg.Library), len(aug), len(cfg.lib))
+				}
+				rres, rerr := red.Run(context.Background(), tr)
+				red.Close()
 
-					if ferr != nil {
-						if !errors.Is(ferr, ErrInfeasible) {
-							t.Fatalf("seed %d %s: full: %v", seed, backend, ferr)
-						}
-						if !errors.Is(rerr, ErrInfeasible) {
-							t.Fatalf("seed %d %s: full infeasible but reduced returned %v", seed, backend, rerr)
-						}
-						continue
+				if ferr != nil {
+					if !errors.Is(ferr, ErrInfeasible) {
+						t.Fatalf("seed %d: full: %v", seed, ferr)
 					}
-					if rerr != nil {
-						t.Fatalf("seed %d %s: reduced: %v (full slack %.6f)", seed, backend, rerr, fres.Slack)
+					if !errors.Is(rerr, ErrInfeasible) {
+						t.Fatalf("seed %d: full infeasible but reduced returned %v", seed, rerr)
 					}
-					if rres.Slack != fres.Slack {
-						t.Fatalf("seed %d %s: reduced slack %.17g != full slack %.17g",
-							seed, backend, rres.Slack, fres.Slack)
-					}
-					for v := range fres.Placement {
-						if rres.Placement[v] != fres.Placement[v] {
-							t.Fatalf("seed %d %s: placements differ at vertex %d: %d vs %d",
-								seed, backend, v, rres.Placement[v], fres.Placement[v])
-						}
+					continue
+				}
+				if rerr != nil {
+					t.Fatalf("seed %d: reduced: %v (full slack %.6f)", seed, rerr, fres.Slack)
+				}
+				if rres.Slack != fres.Slack {
+					t.Fatalf("seed %d: reduced slack %.17g != full slack %.17g",
+						seed, rres.Slack, fres.Slack)
+				}
+				for v := range fres.Placement {
+					if rres.Placement[v] != fres.Placement[v] {
+						t.Fatalf("seed %d: placements differ at vertex %d: %d vs %d",
+							seed, v, rres.Placement[v], fres.Placement[v])
 					}
 				}
 			}

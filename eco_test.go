@@ -3,9 +3,9 @@ package bufferkit
 // The ECO differential harness: every session resolve must be bit-identical
 // to a cold Solver.Run on the identically patched net. The test maintains
 // its own mirror tree, applies each random delta to both the session and
-// the mirror, and compares slack, placement and candidate counts exactly —
-// on both candidate-list backends. Infeasibility (a patch can disable the
-// only inverter position a negative sink needs) must agree too.
+// the mirror, and compares slack, placement and candidate counts exactly.
+// Infeasibility (a patch can disable the only inverter position a negative
+// sink needs) must agree too.
 
 import (
 	"context"
@@ -50,67 +50,63 @@ func ecoDelta(rng *rand.Rand, tr *Tree, libSize int) (Delta, func(*Tree)) {
 }
 
 // TestECODifferential drives randomized patch sequences over a ≥100-net
-// corpus on both backends, asserting every session Resolve is bit-identical
-// to a cold Run on the mirror tree.
+// corpus, asserting every session Resolve is bit-identical to a cold Run on
+// the mirror tree.
 func TestECODifferential(t *testing.T) {
 	lib := GenerateLibraryWithInverters(3)
-	const seeds = 60
+	const seeds = 120
 	total := 0
-	for _, backend := range []string{"list", "soa"} {
-		t.Run(backend, func(t *testing.T) {
-			for seed := int64(0); seed < seeds; seed++ {
-				rng := rand.New(rand.NewSource(seed))
-				tr := netgen.RandomSmall(seed, 6, 0.3)
-				drv := Driver{R: 0.3 * rng.Float64(), K: 20 * rng.Float64()}
-				s, err := NewSolver(WithLibrary(lib), WithDriver(drv), WithBackend(backend))
-				if err != nil {
-					t.Fatal(err)
+	for seed := int64(0); seed < seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tr := netgen.RandomSmall(seed, 6, 0.3)
+		drv := Driver{R: 0.3 * rng.Float64(), K: 20 * rng.Float64()}
+		s, err := NewSolver(WithLibrary(lib), WithDriver(drv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mirror := tr.Clone()
+		sess, err := s.NewSession(tr)
+		if err != nil {
+			t.Fatalf("seed %d: NewSession: %v", seed, err)
+		}
+		total++
+		for step := 0; step < 7; step++ {
+			if step > 0 {
+				d, apply := ecoDelta(rng, mirror, len(lib))
+				if err := sess.Patch(d).Err(); err != nil {
+					t.Fatalf("seed %d step %d: patch: %v", seed, step, err)
 				}
-				mirror := tr.Clone()
-				sess, err := s.NewSession(tr)
-				if err != nil {
-					t.Fatalf("seed %d: NewSession: %v", seed, err)
-				}
-				total++
-				for step := 0; step < 7; step++ {
-					if step > 0 {
-						d, apply := ecoDelta(rng, mirror, len(lib))
-						if err := sess.Patch(d).Err(); err != nil {
-							t.Fatalf("seed %d step %d: patch: %v", seed, step, err)
-						}
-						apply(mirror)
-					}
-					got, sessErr := sess.Resolve(context.Background())
-					want, coldErr := s.Run(context.Background(), mirror)
-					if (sessErr == nil) != (coldErr == nil) {
-						t.Fatalf("seed %d step %d: session err %v, cold err %v", seed, step, sessErr, coldErr)
-					}
-					if sessErr != nil {
-						if !errors.Is(sessErr, ErrInfeasible) || !errors.Is(coldErr, ErrInfeasible) {
-							t.Fatalf("seed %d step %d: expected matching infeasibility, session %v cold %v",
-								seed, step, sessErr, coldErr)
-						}
-						continue
-					}
-					if got.Slack != want.Slack {
-						t.Fatalf("seed %d step %d: slack diverged: session %.17g, cold %.17g",
-							seed, step, got.Slack, want.Slack)
-					}
-					if got.Candidates != want.Candidates {
-						t.Fatalf("seed %d step %d: candidates diverged: session %d, cold %d",
-							seed, step, got.Candidates, want.Candidates)
-					}
-					for v := range want.Placement {
-						if got.Placement[v] != want.Placement[v] {
-							t.Fatalf("seed %d step %d: placement diverged at vertex %d: session %d, cold %d",
-								seed, step, v, got.Placement[v], want.Placement[v])
-						}
-					}
-				}
-				sess.Close()
-				s.Close()
+				apply(mirror)
 			}
-		})
+			got, sessErr := sess.Resolve(context.Background())
+			want, coldErr := s.Run(context.Background(), mirror)
+			if (sessErr == nil) != (coldErr == nil) {
+				t.Fatalf("seed %d step %d: session err %v, cold err %v", seed, step, sessErr, coldErr)
+			}
+			if sessErr != nil {
+				if !errors.Is(sessErr, ErrInfeasible) || !errors.Is(coldErr, ErrInfeasible) {
+					t.Fatalf("seed %d step %d: expected matching infeasibility, session %v cold %v",
+						seed, step, sessErr, coldErr)
+				}
+				continue
+			}
+			if got.Slack != want.Slack {
+				t.Fatalf("seed %d step %d: slack diverged: session %.17g, cold %.17g",
+					seed, step, got.Slack, want.Slack)
+			}
+			if got.Candidates != want.Candidates {
+				t.Fatalf("seed %d step %d: candidates diverged: session %d, cold %d",
+					seed, step, got.Candidates, want.Candidates)
+			}
+			for v := range want.Placement {
+				if got.Placement[v] != want.Placement[v] {
+					t.Fatalf("seed %d step %d: placement diverged at vertex %d: session %d, cold %d",
+						seed, step, v, got.Placement[v], want.Placement[v])
+				}
+			}
+		}
+		sess.Close()
+		s.Close()
 	}
 	if total < 100 {
 		t.Fatalf("ECO corpus has %d session nets, want ≥ 100", total)

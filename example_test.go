@@ -71,41 +71,6 @@ func ExampleWithAlgorithm() {
 	// same optimum: true
 }
 
-// ExampleWithBackend pins the candidate-list representation. The two
-// backends — the paper's doubly-linked list and the cache-friendly
-// structure-of-arrays slabs — execute the same arithmetic and return
-// bit-identical results; only the constant factor differs (DESIGN.md §11),
-// so selecting one is purely a performance decision.
-func ExampleWithBackend() {
-	net := bufferkit.TwoPinNet(10000, 20, 12, 1000, bufferkit.PaperWire())
-	lib := bufferkit.GenerateLibrary(8)
-
-	slacks := map[string]float64{}
-	for _, backend := range []string{"list", "soa"} {
-		s, err := bufferkit.NewSolver(
-			bufferkit.WithLibrary(lib),
-			bufferkit.WithDriver(bufferkit.Driver{R: 0.2, K: 15}),
-			bufferkit.WithBackend(backend),
-		)
-		if err != nil {
-			fmt.Println(err)
-			return
-		}
-		res, err := s.Run(context.Background(), net)
-		s.Close()
-		if err != nil {
-			fmt.Println(err)
-			return
-		}
-		slacks[backend] = res.Slack
-	}
-	fmt.Println("bit-identical:", slacks["list"] == slacks["soa"])
-	fmt.Printf("slack: %.1f ps\n", slacks["soa"])
-	// Output:
-	// bit-identical: true
-	// slack: 516.9 ps
-}
-
 // ExampleSolver_SolveYield estimates timing yield under process variation:
 // 64 seeded Monte Carlo corners perturb the library and wire parameters,
 // and robust selection returns the placement maximizing the fraction of

@@ -38,12 +38,12 @@ const (
 // a warm arena re-runs the whole dynamic program with zero allocations.
 //
 // The package-level sync.Pool keeps recycling nodes for arena-less lists
-// (FromPairs, tests, ablations); arena-backed lists recycle through the
+// (FromPairs, tests); arena-backed lists recycle through the
 // arena's own free lists instead, so their nodes never leak into the global
 // pool and never outlive a Reset.
 //
 // An Arena is not safe for concurrent use; batch workloads use one arena per
-// worker (see bufferkit.InsertBatch).
+// worker (see bufferkit.Solver.Stream).
 type Arena struct {
 	dec    [][]decRecord
 	nDec   int

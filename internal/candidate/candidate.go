@@ -6,12 +6,18 @@
 // dominates α' when Q(α) ≥ Q(α') and C(α) ≤ C(α'). The set of nonredundant
 // candidates, kept sorted, is strictly increasing in both Q and C.
 //
-// The package provides the doubly-linked list the paper's C code uses (with
-// O(1) deletion for pruning and O(k+b) in-place merging of new buffered
-// candidates), the three van Ginneken operations on it (add-wire, merge,
-// insert), and convex pruning — Graham's scan over the C-sorted list —
-// which is the paper's key device: for every driving resistance R ≥ 0 the
-// maximizer of Q − R·C lies on the concave majorant of the (C, Q) points.
+// The package provides two representations of a candidate list with the
+// same operation set — the three van Ginneken operations (add-wire, merge,
+// insert) and convex pruning, Graham's scan over the C-sorted list, which is
+// the paper's key device: for every driving resistance R ≥ 0 the maximizer
+// of Q − R·C lies on the concave majorant of the (C, Q) points.
+//
+//   - SoAList (soalist.go), packed parallel slabs, is what the insertion
+//     engines (internal/core, internal/lillis) run on.
+//   - List, the doubly-linked list the paper's C code uses (O(1) deletion,
+//     O(k+b) in-place merging), backs the cost–slack extension
+//     (internal/costopt) and serves as the readable reference SoAList is
+//     property-tested against.
 //
 // Allocation model: reconstruction decisions are index-linked records in a
 // per-run Arena (see arena.go) rather than individually heap-allocated
@@ -454,51 +460,6 @@ func (l *List) HullViewInto(buf []*Node) []*Node {
 	}
 	return hull
 }
-
-// AppendHullInto appends the concave majorant to h as packed parallel
-// values — the representation-neutral form of HullViewInto the generic
-// engines consume. The stack head is a plain cursor (pops are a decrement,
-// one commit at the end), matching the SoA implementation. O(k).
-func (l *List) AppendHullInto(h *Hull) {
-	hq, hc, hd := h.Q, h.C, h.Dec
-	n := len(hq)
-	for nd := l.front; nd != nil; nd = nd.next {
-		for n >= 2 && (hq[n-1]-hq[n-2])*(nd.C-hc[n-1]) <= (nd.Q-hq[n-1])*(hc[n-1]-hc[n-2]) {
-			n--
-		}
-		hq = append(hq[:n], nd.Q)
-		hc = append(hc[:n], nd.C)
-		hd = append(hd[:n], nd.Dec)
-		n++
-	}
-	h.Q, h.C, h.Dec = hq, hc, hd
-}
-
-// AppendAllInto appends every candidate to h (after destructive pruning the
-// whole list is the hull).
-func (l *List) AppendAllInto(h *Hull) {
-	for nd := l.front; nd != nil; nd = nd.next {
-		h.push(nd.Q, nd.C, nd.Dec)
-	}
-}
-
-// HullDec resolves the decision of hull point p: nodes cannot be recovered
-// from an index, so the linked backend carries the Dec column in the hull
-// itself. The hint cursor is unused.
-func (l *List) HullDec(h *Hull, p, hint int) (DecRef, int) { return h.Dec[p], hint }
-
-// Best is BestForR returning the candidate's values, in the form the
-// generic engines consume. ok is false on an empty list.
-func (l *List) Best(r float64) (q, c float64, dec DecRef, ok bool) {
-	nd := l.BestForR(r)
-	if nd == nil {
-		return 0, 0, 0, false
-	}
-	return nd.Q, nd.C, nd.Dec, true
-}
-
-// MergeWith is Merge in the method form the generic engines dispatch on.
-func (l *List) MergeWith(o *List) *List { return Merge(l, o) }
 
 // ConvexPruneInPlace removes every candidate not on the concave majorant
 // from the list itself — the literal behaviour of the paper's printed

@@ -5,25 +5,24 @@ import (
 	"math"
 )
 
-// SoAList is the structure-of-arrays candidate representation: three
+// SoAList is the candidate representation the engines run on: three
 // parallel slabs — slacks, capacitances, decision references — kept strictly
 // increasing in both Q and C, exactly like the node order of List.
 //
 // The paper chose a doubly-linked list for O(1) deletion and in-place
 // O(k+b) merging (at a ~2% memory overhead, per its Section 4). The SoA
-// variant keeps the same asymptotics but trades pointer-chasing for
+// layout keeps the same asymptotics but trades pointer-chasing for
 // sequential copying: every operation is a forward pass over packed
 // float64 arrays, which is the access pattern hardware prefetchers are
 // built for. Operations that can shrink the list (AddWire re-pruning,
 // convex pruning) compact in place; operations that can grow it
 // (MergeBetas, InsertOne) rebuild into a swap buffer owned by the list and
-// flip the two, so a warm list performs zero heap allocations — the same
-// steady-state guarantee the linked representation has. DESIGN.md §11
-// records which representation wins at which list length.
+// flip the two, so a warm list performs zero heap allocations. DESIGN.md
+// §11 records why this is the only engine representation.
 //
 // Operations mirror List exactly; the property tests in soalist_test.go
-// drive both through randomized interleavings of the full operation set and
-// demand identical candidate sequences at every step.
+// hold both to the brute-force nonredundancy reference and to each other
+// through randomized interleavings of the full operation set.
 type SoAList struct {
 	q   []float64
 	c   []float64
@@ -39,6 +38,29 @@ type SoAList struct {
 	ar *Arena
 }
 
+// Hull is the concave majorant of a candidate list, materialized as packed
+// parallel arrays so the engines' monotone hull walk — the paper's O(k+b)
+// device — touches contiguous memory. Engines own one Hull per parity and
+// reuse it across buffer positions; Reset keeps capacity, so warm runs fill
+// hulls without allocating. The hull builder scans O(k) candidates but the
+// walk resolves decisions for at most b of them, so the hull carries no
+// decision column: SoAList.HullDec recovers a point's decision on demand.
+type Hull struct {
+	Q, C []float64
+}
+
+// Reset empties the hull, keeping capacity.
+func (h *Hull) Reset() { h.Q, h.C = h.Q[:0], h.C[:0] }
+
+// Len returns the number of hull points.
+func (h *Hull) Len() int { return len(h.Q) }
+
+// leftTurnQC is leftTurn on scalar (Q, C) values: does the middle point b
+// lie strictly above the chord a→c (Eq. 2 of the paper)?
+func leftTurnQC(aq, ac, bq, bc, cq, cc float64) bool {
+	return (bq-aq)*(cc-bc) > (cq-bq)*(bc-ac)
+}
+
 // NewSoASink returns a single-candidate SoA list for a sink with RAT q and
 // load c, recording its base-case decision in the arena.
 func (ar *Arena) NewSoASink(q, c float64, vertex int) *SoAList {
@@ -51,7 +73,7 @@ func (ar *Arena) NewSoASink(q, c float64, vertex int) *SoAList {
 
 // SoAFromPairs builds an arena-less SoA list from pairs that must already be
 // strictly increasing in Q and C (panics otherwise); primarily for tests and
-// the data-structure ablation benchmarks.
+// the data-structure benchmarks.
 func SoAFromPairs(ps []Pair) *SoAList {
 	l := &SoAList{
 		q:   make([]float64, len(ps)),
@@ -143,7 +165,7 @@ func (l *SoAList) AddWire(r, c float64) {
 		return
 	}
 	// half is hoisted but the expression stays r·(c/2 + C) — bit-identical
-	// to List.AddWire, which the differential tests hold both backends to.
+	// to List.AddWire, which the reference property tests hold it to.
 	half := c / 2
 	out := 0
 	last := math.Inf(-1)
@@ -212,9 +234,6 @@ func MergeSoA(a, b *SoAList) *SoAList {
 	out.q, out.c, out.dec = oq[:w], oc[:w], od[:w]
 	return out
 }
-
-// MergeWith is MergeSoA in the method form the generic engines dispatch on.
-func (l *SoAList) MergeWith(o *SoAList) *SoAList { return MergeSoA(l, o) }
 
 // InsertOne inserts candidate (q, c, dec), maintaining nonredundancy, by a
 // single forward rebuild into the swap buffer — the O(k) per-candidate
@@ -305,8 +324,8 @@ func (l *SoAList) BestForR(r float64) int {
 	return best
 }
 
-// Best is BestForR returning the candidate's values, in the form the
-// generic engines consume. ok is false on an empty list.
+// Best is BestForR returning the candidate's values. ok is false on an
+// empty list.
 func (l *SoAList) Best(r float64) (q, c float64, dec DecRef, ok bool) {
 	i := l.BestForR(r)
 	if i < 0 {
@@ -340,7 +359,7 @@ func (l *SoAList) ConvexPruneInPlace() int {
 // list — the transient-prune path. Graham's scan over the already C-sorted
 // slabs runs in O(k); the stack head is a plain cursor, so pops are a
 // decrement and the hull slices are committed once at the end.
-// The Dec column is not copied — see Hull and HullDec.
+// Decisions are not copied — see Hull and HullDec.
 func (l *SoAList) AppendHullInto(h *Hull) {
 	q := l.q
 	cs := l.c
@@ -363,8 +382,8 @@ func (l *SoAList) AppendHullInto(h *Hull) {
 }
 
 // AppendAllInto appends every candidate to h (after destructive pruning the
-// whole list is the hull). Dec is skipped here too; HullDec's identity fast
-// path recovers it in O(1).
+// whole list is the hull). HullDec's identity fast path recovers decisions
+// in O(1).
 func (l *SoAList) AppendAllInto(h *Hull) {
 	h.Q = append(h.Q, l.q...)
 	h.C = append(h.C, l.c...)

@@ -43,8 +43,6 @@ type Config struct {
 	Workers int
 	// Prune selects the core engine's convex pruning mode.
 	Prune core.PruneMode
-	// Backend selects the candidate-list representation.
-	Backend core.Backend
 	// CheckInvariants enables per-operation candidate-list validation in
 	// every oracle run (for tests; roughly doubles runtime).
 	CheckInvariants bool
@@ -191,7 +189,7 @@ type solver struct {
 }
 
 func newSolver(cfg *Config) *solver {
-	s := &solver{opt: core.Options{Prune: cfg.Prune, Backend: cfg.Backend, CheckInvariants: cfg.CheckInvariants}}
+	s := &solver{opt: core.Options{Prune: cfg.Prune, CheckInvariants: cfg.CheckInvariants}}
 	if !cfg.NoSessions {
 		return s
 	}
@@ -321,7 +319,6 @@ func Solve(ctx context.Context, inst *Instance, lib library.Library, cfg Config)
 			sess, err := core.NewSession(st.tr, lib, core.Options{
 				Driver:          net.Driver,
 				Prune:           cfg.Prune,
-				Backend:         cfg.Backend,
 				CheckInvariants: cfg.CheckInvariants,
 			})
 			if err != nil {

@@ -159,34 +159,31 @@ func TestChipOnRoundStreams(t *testing.T) {
 }
 
 // TestChipSingleNetMatchesEngine: with one net and unbounded capacity the
-// allocator must reproduce a plain engine run bit for bit, on both
-// candidate backends.
+// allocator must reproduce a plain engine run bit for bit.
 func TestChipSingleNetMatchesEngine(t *testing.T) {
 	lib := library.Generate(6)
 	inst := Generate(GenOpts{W: 10, H: 10, Nets: 1, Capacity: 1 << 20, Contention: 0, Seed: 5})
 	net := &inst.Nets[0]
-	for _, backend := range []core.Backend{core.BackendList, core.BackendSoA} {
-		want, err := core.Insert(net.Tree, lib, core.Options{Driver: net.Driver, Backend: backend})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Solve(context.Background(), inst, lib, Config{Backend: backend})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Rounds) != 1 {
-			t.Fatalf("backend %v: expected 1 round, got %d", backend, len(res.Rounds))
-		}
-		ev := delay.Evaluator{}
-		ev.Slack(net.Tree, lib, want.Placement, net.Driver)
-		if res.Slacks[0] != ev.MinSlack {
-			t.Fatalf("backend %v: slack %.17g != engine-evaluated %.17g", backend, res.Slacks[0], ev.MinSlack)
-		}
-		for v := range want.Placement {
-			if res.Placements[0][v] != want.Placement[v] {
-				t.Fatalf("backend %v: placement differs at vertex %d: %d vs %d",
-					backend, v, res.Placements[0][v], want.Placement[v])
-			}
+	want, err := core.Insert(net.Tree, lib, core.Options{Driver: net.Driver})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Solve(context.Background(), inst, lib, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rounds) != 1 {
+		t.Fatalf("expected 1 round, got %d", len(res.Rounds))
+	}
+	ev := delay.Evaluator{}
+	ev.Slack(net.Tree, lib, want.Placement, net.Driver)
+	if res.Slacks[0] != ev.MinSlack {
+		t.Fatalf("slack %.17g != engine-evaluated %.17g", res.Slacks[0], ev.MinSlack)
+	}
+	for v := range want.Placement {
+		if res.Placements[0][v] != want.Placement[v] {
+			t.Fatalf("placement differs at vertex %d: %d vs %d",
+				v, res.Placements[0][v], want.Placement[v])
 		}
 	}
 }

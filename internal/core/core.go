@@ -24,16 +24,14 @@
 // candidate lists (one per required arrival parity), and exposes two
 // pruning modes — see PruneMode and DESIGN.md §4.
 //
-// The dynamic program exists once, generic over the candidate-list
-// representation (see engine.go): Options.Backend selects the paper's
-// doubly-linked list or the cache-friendly structure-of-arrays slabs, with
-// identical results and instrumentation either way. DESIGN.md §11 records
-// the measured trade-off; the SoA backend is the default.
+// Candidate lists are candidate.SoAList structure-of-arrays slabs; the
+// paper treats the list structure as a constant-factor detail, and
+// DESIGN.md §11 records the measurement behind the choice.
 //
 // Execution is split from construction: an Engine owns a decision Arena and
 // every scratch buffer, Reset re-targets it at a net, and Run executes the
 // dynamic program. A warm engine re-running on same-shaped nets performs
-// zero steady-state heap allocations on either backend (asserted by
+// zero steady-state heap allocations (asserted by
 // testing.AllocsPerRun in the tests), which is what makes the batch API in
 // the bufferkit facade scale across worker goroutines instead of across the
 // garbage collector.
@@ -77,34 +75,12 @@ func (m PruneMode) String() string {
 	return fmt.Sprintf("PruneMode(%d)", uint8(m))
 }
 
-// Backend selects the candidate-list representation the dynamic program
-// runs on; see internal/candidate.Backend.
-type Backend = candidate.Backend
-
-// Re-exported backend constants.
-const (
-	// BackendDefault resolves to DefaultBackend.
-	BackendDefault = candidate.BackendDefault
-	// BackendList is the paper's doubly-linked candidate list.
-	BackendList = candidate.BackendList
-	// BackendSoA is the structure-of-arrays representation.
-	BackendSoA = candidate.BackendSoA
-	// DefaultBackend is the representation the benchmarks measured fastest.
-	DefaultBackend = candidate.DefaultBackend
-)
-
-// ParseBackend resolves a backend name ("list", "soa", "" / "default").
-func ParseBackend(name string) (Backend, error) { return candidate.ParseBackend(name) }
-
 // Options configure a run.
 type Options struct {
 	// Driver is the source driver; the zero value is an ideal driver.
 	Driver delay.Driver
 	// Prune selects the convex pruning mode.
 	Prune PruneMode
-	// Backend selects the candidate-list representation; the zero value
-	// resolves to DefaultBackend. Results are identical across backends.
-	Backend Backend
 	// CheckInvariants validates every candidate list after every operation.
 	// For tests; roughly doubles runtime.
 	CheckInvariants bool
@@ -120,8 +96,7 @@ type Options struct {
 	SitePenalty []float64
 }
 
-// Stats are instrumentation counters for one run. Both backends populate
-// every counter identically (asserted by TestBackendStatsParity).
+// Stats are instrumentation counters for one run.
 type Stats struct {
 	// Positions is the number of buffer positions processed.
 	Positions int
@@ -146,9 +121,8 @@ type Stats struct {
 }
 
 // SameCounters reports whether two runs performed identical DP work:
-// every counter equal, ignoring ArenaBytes — the footprint depends on
-// backend element sizes and slab warmth, not on the work performed, so
-// the backend-parity contract excludes it.
+// every counter equal, ignoring ArenaBytes — the footprint depends on slab
+// warmth, not on the work performed.
 func (s Stats) SameCounters(o Stats) bool {
 	s.ArenaBytes, o.ArenaBytes = 0, 0
 	return s == o
@@ -169,7 +143,7 @@ type Result struct {
 // Insert computes optimal buffer insertion on t with library lib — the
 // single-shot entry point, paying construction on every call. Workloads
 // that optimize many nets (or the same net repeatedly) should hold an
-// Engine and Reset/Run it instead, or use bufferkit.InsertBatch.
+// Engine and Reset/Run it instead, or use a bufferkit.Solver.
 func Insert(t *tree.Tree, lib library.Library, opt Options) (*Result, error) {
 	e := NewEngine()
 	if err := e.Reset(t, lib, opt); err != nil {
@@ -182,24 +156,33 @@ func Insert(t *tree.Tree, lib library.Library, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// Engine is a reusable insertion engine. It owns one decision Arena plus a
-// lazily built implementation per backend (each with its own hull buffers,
-// beta slots, per-vertex list table and library orderings), none of which
-// is reallocated across runs: Reset re-targets the engine at a (tree,
-// library, options) triple — including the backend — and Run executes one
-// run. A warm engine allocates nothing on the steady-state path, on either
-// backend.
+// Engine is a reusable insertion engine. It owns one decision Arena plus
+// every scratch buffer the dynamic program needs — hull buffers, beta
+// slots, the per-vertex list table and the library orderings — none of
+// which is reallocated across runs: Reset re-targets the engine at a
+// (tree, library, options) triple and Run executes one run. A warm engine
+// allocates nothing on the steady-state path.
 //
 // An Engine is not safe for concurrent use; use one per goroutine.
 type Engine struct {
 	arena *candidate.Arena
 
-	list *engine[*candidate.List, candidate.ListAlloc]
-	soa  *engine[*candidate.SoAList, candidate.SoAAlloc]
-	cur  runner
+	t     *tree.Tree
+	lib   library.Library
+	opt   Options
+	ready bool
 
-	backend Backend
-	ready   bool
+	orderR  []int // type indices, driving resistance non-increasing
+	cinRank []int // cinRank[type] = rank in input-capacitance order
+
+	hull     [2]candidate.Hull   // packed hulls, per source parity
+	betaSlot [2][]candidate.Beta // slotted by cin rank, per destination parity
+	betaHas  [2][]bool
+	betaOrd  [2][]candidate.Beta // cin-ordered betas, per destination parity
+
+	lists []pair // per-vertex candidate state, reused across runs
+
+	stats Stats
 }
 
 // NewEngine returns an engine with an empty arena. All scratch buffers are
@@ -208,15 +191,10 @@ func NewEngine() *Engine {
 	return &Engine{arena: candidate.NewArena()}
 }
 
-// Backend returns the resolved backend of the last successful Reset.
-func (e *Engine) Backend() Backend { return e.backend }
-
-// Reset points the engine at a new instance, revalidating the library,
-// resolving the backend and resizing that backend's scratch state. It does
-// not run anything; call Run afterwards. Scratch buffers and arena slabs
-// are kept — both backend implementations share one arena, and only one
-// runs at a time — so resetting to a same-shaped instance allocates
-// nothing.
+// Reset points the engine at a new instance, revalidating the library and
+// resizing scratch state. It does not run anything; call Run afterwards.
+// Scratch buffers and arena slabs are kept, so resetting to a same-shaped
+// instance allocates nothing.
 func (e *Engine) Reset(t *tree.Tree, lib library.Library, opt Options) error {
 	e.ready = false // a failed Reset must not leave a runnable stale instance
 	if err := lib.Validate(); err != nil {
@@ -226,33 +204,37 @@ func (e *Engine) Reset(t *tree.Tree, lib library.Library, opt Options) error {
 		return solvererr.Validation("core", "site_penalty",
 			"penalty vector length %d < tree size %d", len(opt.SitePenalty), t.Len())
 	}
-	polar := lib.HasInverters()
-	for i := range t.Verts {
-		if t.Verts[i].Kind == tree.Sink && t.Verts[i].Pol == tree.Negative {
-			if !lib.HasInverters() {
+	if !lib.HasInverters() {
+		for i := range t.Verts {
+			if t.Verts[i].Kind == tree.Sink && t.Verts[i].Pol == tree.Negative {
 				return solvererr.Validation("core", "polarity",
 					"sink requires negative polarity but the library has no inverters").AtVertex(i)
 			}
-			polar = true
+		}
+	}
+	e.t, e.opt = t, opt
+
+	// Library orderings are recomputed only when the library changes
+	// (compared by backing array identity), keeping warm resets free; the
+	// change path may allocate, which is fine — it is paid once per
+	// library, not per run.
+	if !sameLibrary(e.lib, lib) {
+		e.lib = lib
+		b := len(lib)
+		e.orderR = lib.ByRDesc()
+		e.cinRank = candidate.Resize(e.cinRank, b)
+		for rank, ti := range lib.ByCinAsc() {
+			e.cinRank[ti] = rank
+		}
+		for s := 0; s < 2; s++ {
+			e.betaSlot[s] = candidate.Resize(e.betaSlot[s], b)
+			e.betaHas[s] = candidate.Resize(e.betaHas[s], b)
+			clear(e.betaHas[s])
+			e.betaOrd[s] = candidate.Resize(e.betaOrd[s], b)[:0]
 		}
 	}
 
-	switch backend := opt.Backend.Resolve(); backend {
-	case BackendList:
-		if e.list == nil {
-			e.list = &engine[*candidate.List, candidate.ListAlloc]{arena: e.arena}
-		}
-		e.list.reset(t, lib, opt, polar)
-		e.cur, e.backend = e.list, backend
-	case BackendSoA:
-		if e.soa == nil {
-			e.soa = &engine[*candidate.SoAList, candidate.SoAAlloc]{arena: e.arena}
-		}
-		e.soa.reset(t, lib, opt, polar)
-		e.cur, e.backend = e.soa, backend
-	default:
-		return solvererr.Validation("core", "backend", "unknown backend %v", opt.Backend)
-	}
+	e.lists = candidate.Resize(e.lists, t.Len())
 	e.ready = true
 	return nil
 }
@@ -262,13 +244,8 @@ func (e *Engine) Reset(t *tree.Tree, lib library.Library, opt Options) error {
 // engines do not keep whole designs reachable. Reset makes the engine
 // runnable again.
 func (e *Engine) Release() {
-	if e.list != nil {
-		e.list.release()
-	}
-	if e.soa != nil {
-		e.soa.release()
-	}
-	e.cur = nil
+	e.t, e.lib, e.opt = nil, nil, Options{}
+	clear(e.lists)
 	e.ready = false
 }
 
@@ -290,7 +267,8 @@ func (e *Engine) RunContext(ctx context.Context, res *Result) error {
 	if !e.ready {
 		return errors.New("core: Run called before a successful Reset")
 	}
-	return e.cur.runContext(ctx, res)
+	_, err := e.solve(ctx, res, nil, true)
+	return err
 }
 
 // ResolveRetained executes one run that checkpoints every vertex's
@@ -306,7 +284,7 @@ func (e *Engine) ResolveRetained(ctx context.Context, res *Result, dirty []bool,
 	if !e.ready {
 		return 0, errors.New("core: ResolveRetained called before a successful Reset")
 	}
-	return e.cur.resolveRetained(ctx, res, dirty, full)
+	return e.solve(ctx, res, dirty, full)
 }
 
 // Decisions returns the number of reconstruction records currently in the

@@ -10,179 +10,27 @@ import (
 	"bufferkit/internal/tree"
 )
 
-// runner is the backend-erased face of engine[L, A] the Engine facade
-// dispatches through — one indirect call per Reset/Run, nothing per vertex.
-type runner interface {
-	reset(t *tree.Tree, lib library.Library, opt Options, polar bool)
-	runContext(ctx context.Context, res *Result) error
-	resolveRetained(ctx context.Context, res *Result, dirty []bool, full bool) (int, error)
-	release()
-}
-
 // pair is the candidate state at one vertex: pair[0] holds candidates valid
 // when the arriving signal has source polarity, pair[1] when inverted. In
-// non-polar runs only slot 0 is used. A zero (nil) list means "no candidate
-// of this parity exists".
-type pair[L candidate.Rep[L]] [2]L
+// non-polar runs only slot 0 is used. A nil list means "no candidate of
+// this parity exists".
+type pair [2]*candidate.SoAList
 
-// engine is the generic implementation of the paper's algorithm over one
-// candidate representation. It shares the owning Engine's arena (only one
-// backend runs at a time, and every run rewinds the arena at entry) but
-// owns its scratch: hulls, beta slots, the per-vertex list table, and the
-// library orderings.
-type engine[L candidate.Rep[L], A candidate.Alloc[L]] struct {
-	alloc A
-	arena *candidate.Arena
-
-	t     *tree.Tree
-	lib   library.Library
-	opt   Options
-	polar bool
-
-	orderR  []int // type indices, driving resistance non-increasing
-	cinRank []int // cinRank[type] = rank in input-capacitance order
-
-	hull     [2]candidate.Hull   // packed hulls, per source parity
-	betaSlot [2][]candidate.Beta // slotted by cin rank, per destination parity
-	betaHas  [2][]bool
-	betaOrd  [2][]candidate.Beta // cin-ordered betas, per destination parity
-
-	lists []pair[L] // per-vertex candidate state, reused across runs
-
-	stats Stats
-}
-
-// reset re-targets the engine at a validated (tree, library, options)
-// triple; the facade has already validated the instance, so reset only
-// resizes scratch. Warm resets to a same-shaped instance allocate nothing.
-func (e *engine[L, A]) reset(t *tree.Tree, lib library.Library, opt Options, polar bool) {
-	e.t, e.opt, e.polar = t, opt, polar
-
-	// Library orderings are recomputed only when the library changes
-	// (compared by backing array identity), keeping warm resets free; the
-	// change path may allocate, which is fine — it is paid once per
-	// library, not per run.
-	if !sameLibrary(e.lib, lib) {
-		e.lib = lib
-		b := len(lib)
-		e.orderR = lib.ByRDesc()
-		e.cinRank = candidate.Resize(e.cinRank, b)
-		for rank, ti := range lib.ByCinAsc() {
-			e.cinRank[ti] = rank
-		}
-		for s := 0; s < 2; s++ {
-			e.betaSlot[s] = candidate.Resize(e.betaSlot[s], b)
-			e.betaHas[s] = candidate.Resize(e.betaHas[s], b)
-			clear(e.betaHas[s])
-			e.betaOrd[s] = candidate.Resize(e.betaOrd[s], b)[:0]
-		}
-	}
-
-	e.lists = candidate.Resize(e.lists, t.Len())
-}
-
-// release drops the engine's references to the last instance's tree and
-// library (retaining scratch capacity), so pooled idle engines do not keep
-// whole designs reachable.
-func (e *engine[L, A]) release() {
-	e.t, e.lib, e.opt = nil, nil, Options{}
-	clear(e.lists)
-}
-
-// runContext executes one insertion run — van Ginneken's bottom-up dynamic
-// program with the paper's O(k+b) add-buffer — on the instance set by
-// reset. The per-vertex loop polls ctx at a coarse grain (every
-// solvererr.PollMask+1 vertices); with a background context the poll is a
-// nil comparison per stride, so the warm path keeps its zero-allocation
-// steady state.
-func (e *engine[L, A]) runContext(ctx context.Context, res *Result) error {
-	var zero L
-	e.arena.Reset()
-	e.stats = Stats{}
-	clear(e.lists)
-
-	for vi, v := range e.t.PostOrder() {
-		if vi&solvererr.PollMask == 0 && ctx.Err() != nil {
-			return solvererr.Canceled(ctx)
-		}
-		vert := &e.t.Verts[v]
-		if vert.Kind == tree.Sink {
-			s := 0
-			if vert.Pol == tree.Negative {
-				s = 1
-			}
-			var p pair[L]
-			p[s] = e.alloc.Sink(e.arena, vert.RAT, vert.Cap, v)
-			e.lists[v] = p
-			continue
-		}
-		var acc pair[L]
-		first := true
-		for _, c := range e.t.Children(v) {
-			lc := e.lists[c]
-			e.lists[c] = pair[L]{}
-			r, wc := e.t.Verts[c].EdgeR, e.t.Verts[c].EdgeC
-			for s := 0; s < 2; s++ {
-				if lc[s] != zero {
-					lc[s].AddWire(r, wc)
-				}
-			}
-			if first {
-				acc = lc
-				first = false
-			} else {
-				for s := 0; s < 2; s++ {
-					merged := mergeNil(acc[s], lc[s])
-					freeNil(acc[s])
-					freeNil(lc[s])
-					acc[s] = merged
-				}
-			}
-		}
-		if acc[0] == zero && acc[1] == zero {
-			return solvererr.Infeasible("core: subtree at vertex %d has no polarity-feasible candidates", v)
-		}
-		if vert.BufferOK {
-			e.addBuffer(v, &acc, vert.Allowed)
-		}
-		if err := e.check(&acc); err != nil {
-			return err
-		}
-		if n := lenNil(acc[0]) + lenNil(acc[1]); n > e.stats.MaxListLen {
-			e.stats.MaxListLen = n
-		}
-		e.lists[v] = acc
-	}
-
-	root := e.lists[0][0]
-	if root == zero || root.Len() == 0 {
-		return solvererr.Infeasible("core: no polarity-feasible solution at the source")
-	}
-	e.stats.Decisions = e.arena.NumDecisions()
-	e.stats.ArenaBytes = e.arena.Bytes()
-
-	res.Placement = res.Placement.Reuse(e.t.Len())
-	res.Candidates = root.Len()
-	res.Stats = e.stats
-	q, c, dec, _ := root.Best(e.opt.Driver.R)
-	res.Slack = q - e.opt.Driver.R*c - e.opt.Driver.K
-	e.arena.Fill(dec, res.Placement)
-	return nil
-}
-
-// resolveRetained executes one insertion run that keeps every vertex's
-// final candidate pair in e.lists as a checkpoint instead of consuming it
-// into the arena, so a later call can recompute only the vertices marked in
-// dirty (which must be closed under "parent of a dirty vertex is dirty" —
-// the Session guarantees this by marking whole vertex-to-root paths).
+// solve is van Ginneken's bottom-up dynamic program with the paper's
+// O(k+b) add-buffer, run on the instance set by Reset. It has two modes.
 //
-// Where runContext wires and merges a child's list destructively, this pass
-// clones the child's checkpoint and consumes the clone, leaving the
-// checkpoint intact for the next resolve. The clone then undergoes exactly
-// the float operations the destructive path performs on the original, in
-// the same order, so every candidate value — and therefore slack, placement
-// and cost — is bit-identical to a cold run on the same instance (the ECO
-// differential suite enforces this on both backends).
+// A plain run (dirty == nil, full) consumes every child's list into its
+// parent, leaving only the root's in e.lists.
+//
+// A retained run (dirty != nil) keeps every vertex's final candidate pair
+// in e.lists as a checkpoint, so a later call can recompute only the
+// vertices marked in dirty (which must be closed under "parent of a dirty
+// vertex is dirty" — the Session guarantees this by marking whole
+// vertex-to-root paths). Each child's checkpoint is cloned and the clone
+// consumed, so the clone undergoes exactly the float operations a plain run
+// performs on the original, in the same order: every candidate value — and
+// therefore slack, placement and cost — is bit-identical to a plain run on
+// the same instance (the ECO differential suite enforces this).
 //
 // full forces a from-scratch pass: the arena is rewound (invalidating every
 // checkpoint and decision) and all vertices recompute. Delta passes append
@@ -190,11 +38,14 @@ func (e *engine[L, A]) runContext(ctx context.Context, res *Result) error {
 // schedules a full pass whenever the decision slab outgrows its
 // post-rebuild baseline.
 //
-// It returns the number of vertices recomputed. On error the checkpoint
-// state is unspecified; the caller must force a full pass before trusting
-// another resolve.
-func (e *engine[L, A]) resolveRetained(ctx context.Context, res *Result, dirty []bool, full bool) (int, error) {
-	var zero L
+// The per-vertex loop polls ctx at a coarse grain (every
+// solvererr.PollMask+1 vertices); with a background context the poll is a
+// nil comparison per stride, so the warm path keeps its zero-allocation
+// steady state. solve returns the number of vertices recomputed. After a
+// retained-run error the checkpoint state is unspecified; the caller must
+// force a full pass before trusting another resolve.
+func (e *Engine) solve(ctx context.Context, res *Result, dirty []bool, full bool) (int, error) {
+	retain := dirty != nil
 	if full {
 		e.arena.Reset()
 		clear(e.lists)
@@ -213,30 +64,33 @@ func (e *engine[L, A]) resolveRetained(ctx context.Context, res *Result, dirty [
 		vert := &e.t.Verts[v]
 		old := e.lists[v]
 		if vert.Kind == tree.Sink {
-			var p pair[L]
+			var p pair
 			s := 0
 			if vert.Pol == tree.Negative {
 				s = 1
 			}
-			p[s] = e.alloc.Sink(e.arena, vert.RAT, vert.Cap, v)
+			p[s] = e.arena.NewSoASink(vert.RAT, vert.Cap, v)
 			e.lists[v] = p
 			freeNil(old[0])
 			freeNil(old[1])
 			continue
 		}
-		var acc pair[L]
+		var acc pair
 		first := true
 		for _, c := range e.t.Children(v) {
-			cp := e.lists[c]
-			var lc pair[L]
-			for s := 0; s < 2; s++ {
-				if cp[s] != zero {
-					lc[s] = cp[s].Clone()
+			lc := e.lists[c]
+			if retain {
+				for s := 0; s < 2; s++ {
+					if lc[s] != nil {
+						lc[s] = lc[s].Clone()
+					}
 				}
+			} else {
+				e.lists[c] = pair{}
 			}
 			r, wc := e.t.Verts[c].EdgeR, e.t.Verts[c].EdgeC
 			for s := 0; s < 2; s++ {
-				if lc[s] != zero {
+				if lc[s] != nil {
 					lc[s].AddWire(r, wc)
 				}
 			}
@@ -252,7 +106,7 @@ func (e *engine[L, A]) resolveRetained(ctx context.Context, res *Result, dirty [
 				}
 			}
 		}
-		if acc[0] == zero && acc[1] == zero {
+		if acc[0] == nil && acc[1] == nil {
 			return recomputed, solvererr.Infeasible("core: subtree at vertex %d has no polarity-feasible candidates", v)
 		}
 		if vert.BufferOK {
@@ -270,7 +124,7 @@ func (e *engine[L, A]) resolveRetained(ctx context.Context, res *Result, dirty [
 	}
 
 	root := e.lists[0][0]
-	if root == zero || root.Len() == 0 {
+	if root == nil || root.Len() == 0 {
 		return recomputed, solvererr.Infeasible("core: no polarity-feasible solution at the source")
 	}
 	e.stats.Decisions = e.arena.NumDecisions()
@@ -291,8 +145,7 @@ func (e *engine[L, A]) resolveRetained(ctx context.Context, res *Result, dirty [
 // non-increasing R order (Lemmas 1 and 4), slot the surviving buffered
 // candidates by input-capacitance rank, and merge them back in one pass
 // (Theorem 2).
-func (e *engine[L, A]) addBuffer(v int, acc *pair[L], allowed []int) {
-	var zero L
+func (e *Engine) addBuffer(v int, acc *pair, allowed []int) {
 	e.stats.Positions++
 	e.stats.SumListLen += lenNil(acc[0]) + lenNil(acc[1])
 
@@ -301,7 +154,7 @@ func (e *engine[L, A]) addBuffer(v int, acc *pair[L], allowed []int) {
 		h := &e.hull[s]
 		h.Reset()
 		l := acc[s]
-		if l == zero || l.Len() == 0 {
+		if l == nil || l.Len() == 0 {
 			continue
 		}
 		if e.opt.Prune == PruneDestructive {
@@ -324,9 +177,8 @@ func (e *engine[L, A]) addBuffer(v int, acc *pair[L], allowed []int) {
 
 	// One monotone pointer per source hull, shared across all types since
 	// the library is walked in non-increasing R order (Lemma 1). The walk
-	// reads the packed hull arrays directly — no candidate structures, no
-	// representation dispatch. decPos carries each parity's decision-
-	// resolution cursor through HullDec (monotone alongside ptr).
+	// reads the packed hull arrays directly. decPos carries each parity's
+	// decision-resolution cursor through HullDec (monotone alongside ptr).
 	var ptr, decPos [2]int
 	for _, ti := range e.orderR {
 		if len(allowed) > 0 && !contains(allowed, ti) {
@@ -391,20 +243,19 @@ func (e *engine[L, A]) addBuffer(v int, acc *pair[L], allowed []int) {
 		}
 		ord = candidate.NormalizeBetas(ord)
 		e.stats.BetasKept += len(ord)
-		if acc[dst] == zero {
-			acc[dst] = e.alloc.Empty(e.arena)
+		if acc[dst] == nil {
+			acc[dst] = e.arena.NewSoAList()
 		}
 		acc[dst].MergeBetas(ord)
 	}
 }
 
-func (e *engine[L, A]) check(acc *pair[L]) error {
+func (e *Engine) check(acc *pair) error {
 	if !e.opt.CheckInvariants {
 		return nil
 	}
-	var zero L
 	for s := 0; s < 2; s++ {
-		if acc[s] == zero {
+		if acc[s] == nil {
 			continue
 		}
 		if err := acc[s].Validate(); err != nil {
@@ -423,26 +274,23 @@ func sameLibrary(a, b library.Library) bool {
 
 // mergeNil merges two branch lists of the same parity; if either branch
 // offers no candidate of this parity, neither does the merge.
-func mergeNil[L candidate.Rep[L]](a, b L) L {
-	var zero L
-	if a == zero || b == zero || a.Len() == 0 || b.Len() == 0 {
-		return zero
+func mergeNil(a, b *candidate.SoAList) *candidate.SoAList {
+	if a == nil || b == nil || a.Len() == 0 || b.Len() == 0 {
+		return nil
 	}
-	return a.MergeWith(b)
+	return candidate.MergeSoA(a, b)
 }
 
-func lenNil[L candidate.Rep[L]](l L) int {
-	var zero L
-	if l == zero {
+func lenNil(l *candidate.SoAList) int {
+	if l == nil {
 		return 0
 	}
 	return l.Len()
 }
 
 // freeNil returns a consumed branch list (and its storage) to the arena.
-func freeNil[L candidate.Rep[L]](l L) {
-	var zero L
-	if l != zero {
+func freeNil(l *candidate.SoAList) {
+	if l != nil {
 		l.Free()
 	}
 }

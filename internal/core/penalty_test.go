@@ -87,57 +87,21 @@ func TestSitePenaltyExactOnTwoPin(t *testing.T) {
 func TestSitePenaltyNilMatchesZero(t *testing.T) {
 	lib := smallLib()
 	drv := delay.Driver{R: 0.5, K: 2}
-	for _, backend := range []Backend{BackendList, BackendSoA} {
-		for seed := int64(0); seed < 25; seed++ {
-			tr := netgen.RandomSmall(seed, 6, 0)
-			plain, err := Insert(tr, lib, Options{Driver: drv, Backend: backend})
-			if err != nil {
-				t.Fatal(err)
-			}
-			zero, err := Insert(tr, lib, Options{Driver: drv, Backend: backend, SitePenalty: make([]float64, tr.Len())})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if plain.Slack != zero.Slack {
-				t.Fatalf("backend %v seed %d: nil %.17g != zero %.17g", backend, seed, plain.Slack, zero.Slack)
-			}
-			for v := range plain.Placement {
-				if plain.Placement[v] != zero.Placement[v] {
-					t.Fatalf("backend %v seed %d: placement differs at %d", backend, seed, v)
-				}
-			}
-		}
-	}
-}
-
-// TestSitePenaltyBackendsAgree asserts both candidate backends produce
-// bit-identical priced results — the chip allocator's determinism depends
-// on it.
-func TestSitePenaltyBackendsAgree(t *testing.T) {
-	lib := smallLib()
-	drv := delay.Driver{R: 0.4}
 	for seed := int64(0); seed < 25; seed++ {
-		rng := rand.New(rand.NewSource(seed + 1000))
 		tr := netgen.RandomSmall(seed, 6, 0)
-		pen := make([]float64, tr.Len())
-		for v := range pen {
-			if tr.Verts[v].BufferOK {
-				pen[v] = rng.Float64() * 25
-			}
-		}
-		list, err := Insert(tr, lib, Options{Driver: drv, Backend: BackendList, SitePenalty: pen})
+		plain, err := Insert(tr, lib, Options{Driver: drv})
 		if err != nil {
 			t.Fatal(err)
 		}
-		soa, err := Insert(tr, lib, Options{Driver: drv, Backend: BackendSoA, SitePenalty: pen})
+		zero, err := Insert(tr, lib, Options{Driver: drv, SitePenalty: make([]float64, tr.Len())})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if list.Slack != soa.Slack {
-			t.Fatalf("seed %d: list %.17g != soa %.17g", seed, list.Slack, soa.Slack)
+		if plain.Slack != zero.Slack {
+			t.Fatalf("seed %d: nil %.17g != zero %.17g", seed, plain.Slack, zero.Slack)
 		}
-		for v := range list.Placement {
-			if list.Placement[v] != soa.Placement[v] {
+		for v := range plain.Placement {
+			if plain.Placement[v] != zero.Placement[v] {
 				t.Fatalf("seed %d: placement differs at %d", seed, v)
 			}
 		}

@@ -106,8 +106,7 @@ type Session struct {
 
 // NewSession validates the instance and opens a session on a private clone
 // of t. opt.SitePenalty, when non-nil, seeds the session's own penalty
-// vector (later updated through PenaltyDelta); opt.Backend selects the
-// candidate representation exactly as for Engine.Reset.
+// vector (later updated through PenaltyDelta).
 func NewSession(t *tree.Tree, lib library.Library, opt Options) (*Session, error) {
 	s := &Session{
 		t:   t.Clone(),
@@ -136,9 +135,6 @@ func NewSession(t *tree.Tree, lib library.Library, opt Options) (*Session, error
 // cold run must use to reproduce Resolve bit for bit. Callers must treat it
 // as read-only; all mutation goes through Patch.
 func (s *Session) Tree() *tree.Tree { return s.t }
-
-// Backend returns the resolved candidate-list backend the session runs on.
-func (s *Session) Backend() Backend { return s.eng.Backend() }
 
 // Penalty exposes the session's current site-penalty vector — together with
 // Tree, the full instance a cold run must use to reproduce Resolve bit for

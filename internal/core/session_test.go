@@ -51,13 +51,13 @@ func randomDelta(rng *rand.Rand, tr *tree.Tree, libSize int) Delta {
 // checkSessionVsCold asserts the session's resolve is bit-identical —
 // slack, placement, candidates — to a cold run on the patched instance, or
 // that both fail with the same typed error.
-func checkSessionVsCold(t *testing.T, s *Session, drv delay.Driver, lib library.Library, backend Backend, label string) {
+func checkSessionVsCold(t *testing.T, s *Session, drv delay.Driver, lib library.Library, label string) {
 	t.Helper()
 	var got Result
 	sessErr := s.Resolve(context.Background(), &got)
 
 	cold := NewEngine()
-	opt := Options{Driver: drv, Backend: backend, SitePenalty: s.Penalty()}
+	opt := Options{Driver: drv, SitePenalty: s.Penalty()}
 	if err := cold.Reset(s.Tree(), lib, opt); err != nil {
 		t.Fatalf("%s: cold reset: %v", label, err)
 	}
@@ -88,26 +88,24 @@ func checkSessionVsCold(t *testing.T, s *Session, drv delay.Driver, lib library.
 }
 
 func TestSessionMatchesColdRunUnderRandomPatches(t *testing.T) {
-	for _, backend := range []Backend{BackendList, BackendSoA} {
-		lib := library.GenerateWithInverters(6)
-		for seed := int64(0); seed < 40; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			tr := netgen.RandomSmall(seed, 10, 0.3)
-			drv := delay.Driver{R: 0.3 * rng.Float64(), K: 10 * rng.Float64()}
-			s, err := NewSession(tr, lib, Options{Driver: drv, Backend: backend})
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			checkSessionVsCold(t, s, drv, lib, backend, "initial")
-			for step := 0; step < 8; step++ {
-				d := randomDelta(rng, s.Tree(), len(lib))
-				if err := s.Patch(d); err != nil {
-					t.Fatalf("seed %d step %d: patch: %v", seed, step, err)
-				}
-				checkSessionVsCold(t, s, drv, lib, backend, "patched")
-			}
-			s.Close()
+	lib := library.GenerateWithInverters(6)
+	for seed := int64(0); seed < 80; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tr := netgen.RandomSmall(seed, 10, 0.3)
+		drv := delay.Driver{R: 0.3 * rng.Float64(), K: 10 * rng.Float64()}
+		s, err := NewSession(tr, lib, Options{Driver: drv})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
+		checkSessionVsCold(t, s, drv, lib, "initial")
+		for step := 0; step < 8; step++ {
+			d := randomDelta(rng, s.Tree(), len(lib))
+			if err := s.Patch(d); err != nil {
+				t.Fatalf("seed %d step %d: patch: %v", seed, step, err)
+			}
+			checkSessionVsCold(t, s, drv, lib, "patched")
+		}
+		s.Close()
 	}
 }
 
@@ -190,46 +188,44 @@ func TestSessionRecoversAfterInfeasiblePatch(t *testing.T) {
 }
 
 func TestSessionWarmResolveZeroAllocs(t *testing.T) {
-	for _, backend := range []Backend{BackendList, BackendSoA} {
-		tr := netgen.Random(netgen.Opts{Sinks: 12, Seed: 7})
-		lib := library.Generate(8)
-		drv := delay.Driver{R: 0.3, K: 5}
-		s, err := NewSession(tr, lib, Options{Driver: drv, Backend: backend})
-		if err != nil {
+	tr := netgen.Random(netgen.Opts{Sinks: 12, Seed: 7})
+	lib := library.Generate(8)
+	drv := delay.Driver{R: 0.3, K: 5}
+	s, err := NewSession(tr, lib, Options{Driver: drv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sink int
+	for v := range s.Tree().Verts {
+		if s.Tree().Verts[v].Kind == tree.Sink {
+			sink = v
+			break
+		}
+	}
+	var res Result
+	ctx := context.Background()
+	// Warm through at least one full decision-slab rebuild cycle so the
+	// steady state (including periodic rebuilds) is measured warm.
+	for i := 0; i < 400; i++ {
+		if err := s.PatchSink(sink, float64(20+i%7), 1.5); err != nil {
 			t.Fatal(err)
 		}
-		var sink int
-		for v := range s.Tree().Verts {
-			if s.Tree().Verts[v].Kind == tree.Sink {
-				sink = v
-				break
-			}
+		if err := s.Resolve(ctx, &res); err != nil {
+			t.Fatal(err)
 		}
-		var res Result
-		ctx := context.Background()
-		// Warm through at least one full decision-slab rebuild cycle so the
-		// steady state (including periodic rebuilds) is measured warm.
-		for i := 0; i < 400; i++ {
-			if err := s.PatchSink(sink, float64(20+i%7), 1.5); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Resolve(ctx, &res); err != nil {
-				t.Fatal(err)
-			}
-		}
-		i := 0
-		allocs := testing.AllocsPerRun(200, func() {
-			i++
-			if err := s.PatchSink(sink, float64(20+i%7), 1.5); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Resolve(ctx, &res); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Fatalf("backend %v: warm session patch+resolve allocates %.1f/op, want 0", backend, allocs)
-		}
-		s.Close()
 	}
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		i++
+		if err := s.PatchSink(sink, float64(20+i%7), 1.5); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Resolve(ctx, &res); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm session patch+resolve allocates %.1f/op, want 0", allocs)
+	}
+	s.Close()
 }

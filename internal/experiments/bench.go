@@ -22,7 +22,7 @@ import (
 )
 
 // BatchWorkload returns the deterministic mixed batch of n small nets used
-// by both the root BenchmarkInsertBatch and repro -bench-json, so the two
+// by both the root BenchmarkRunBatch and repro -bench-json, so the two
 // trajectories measure the same workload under the same name.
 func BatchWorkload(n int) []*tree.Tree {
 	nets := make([]*tree.Tree, n)
@@ -32,45 +32,13 @@ func BatchWorkload(n int) []*tree.Tree {
 	return nets
 }
 
-// BackendRegime is one workload of the candidate-backend (list vs SoA)
-// ablation.
-type BackendRegime struct {
-	// Name keys the regime in benchmark names (regime=<Name>).
-	Name string
-	// Tree is the workload net.
-	Tree *tree.Tree
-	// Lib is the buffer library the regime runs under.
-	Lib library.Library
-}
-
-// BackendRegimes returns the canonical workload set of the backend
-// ablation, shared by the root BenchmarkBackends and repro -bench-json so
-// the two trajectories measure the same regimes under the same names.
-// industrial is the caller's (already scaled) industrial net, used for the
-// small- and large-library regimes; scale divides the synthetic 2-pin
-// lines the same way Config.Scale divides the paper's nets. The bushy tree
-// is deliberately constant: it is sub-millisecond at full size and exists
-// to measure merge-heavy short-list behaviour, not scaling.
-func BackendRegimes(industrial *tree.Tree, scale int) []BackendRegime {
-	if scale < 1 {
-		scale = 1
-	}
-	return []BackendRegime{
-		{"smallb", industrial, library.Generate(8)},
-		{"largeb", industrial, library.Generate(64)},
-		{"line", netgen.TwoPin(50000/float64(scale), max(2, 2000/scale), 20, 0, netgen.PaperWire()), library.Generate(16)},
-		{"deepline", netgen.TwoPin(100000/float64(scale), max(2, 4000/scale), 20, 0, netgen.PaperWire()), library.Generate(8)},
-		{"bushy", netgen.Balanced(3, 6, 400, 8, 1200, netgen.PaperWire()), library.Generate(16)},
-	}
-}
-
 // ECOBenchCase is one workload of the incremental ECO-session benchmark
 // series, shared by the root BenchmarkECOResolve and repro -bench-json so
 // both trajectories measure the same regimes under the same names. Each
-// case is benchmarked twice per backend — mode=cold (a full warm-engine
-// re-solve, the pre-session baseline) and mode=delta (a session resolve
-// after one sink patch) — so the eco/ trajectory records the incremental
-// speedup directly. The trees are deliberately bushy: a single-sink delta
+// case is benchmarked twice — mode=cold (a full warm-engine re-solve, the
+// pre-session baseline) and mode=delta (a session resolve after one sink
+// patch) — so the eco/ trajectory records the incremental speedup
+// directly. The trees are deliberately bushy: a single-sink delta
 // dirties one leaf-to-root path, a thin slice of a balanced tree, which is
 // exactly the regime ECO loops live in (a 2-pin line would dirty
 // everything and measure nothing).
@@ -221,30 +189,38 @@ func BenchJSON(cfg Config, w io.Writer) error {
 		}
 	}))
 
-	// Head-to-head candidate-list backend ablation, warm engines, on the
-	// shared regime table — the trajectory DESIGN.md §11's crossover table
-	// is built from.
-	for _, rg := range BackendRegimes(t, cfg.Scale) {
-		for _, backend := range []core.Backend{core.BackendList, core.BackendSoA} {
-			eng := core.NewEngine()
-			bopt := core.Options{Driver: Driver, Backend: backend}
-			if err := eng.Reset(rg.Tree, rg.Lib, bopt); err != nil {
-				return fmt.Errorf("bench-json: %w", err)
-			}
-			res := &core.Result{}
-			if err := eng.Run(res); err != nil { // warm the arena slabs
-				return fmt.Errorf("bench-json: %w", err)
-			}
-			add(fmt.Sprintf("engine/regime=%s/backend=%s", rg.Name, backend), 1,
-				testing.Benchmark(func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if err := eng.Run(res); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}))
+	// Warm-engine series: small and large libraries on the industrial net,
+	// and 2-pin lines (scaled like the paper's nets) whose long candidate
+	// lists make add-wire dominate. The bushy, merge-heavy regime is the
+	// eco/regime=bushy/mode=cold series below, which times the same warm
+	// run.
+	regimes := []struct {
+		Name string
+		Tree *tree.Tree
+		Lib  library.Library
+	}{
+		{"smallb", t, library.Generate(8)},
+		{"largeb", t, library.Generate(64)},
+		{"line", netgen.TwoPin(50000/float64(cfg.Scale), max(2, 2000/cfg.Scale), 20, 0, netgen.PaperWire()), library.Generate(16)},
+		{"deepline", netgen.TwoPin(100000/float64(cfg.Scale), max(2, 4000/cfg.Scale), 20, 0, netgen.PaperWire()), library.Generate(8)},
+	}
+	for _, rg := range regimes {
+		eng := core.NewEngine()
+		if err := eng.Reset(rg.Tree, rg.Lib, opt); err != nil {
+			return fmt.Errorf("bench-json: %w", err)
 		}
+		res := &core.Result{}
+		if err := eng.Run(res); err != nil { // warm the arena slabs
+			return fmt.Errorf("bench-json: %w", err)
+		}
+		add("engine/regime="+rg.Name, 1, testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := eng.Run(res); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}))
 	}
 
 	// ECO-session series: full warm re-solve vs single-sink-delta session
@@ -252,53 +228,48 @@ func BenchJSON(cfg Config, w io.Writer) error {
 	// patched RAT cycles so every delta resolve does real work.
 	for _, ec := range ECOBenchCases() {
 		sink := ec.Tree.Sinks()[0]
-		for _, backend := range []core.Backend{core.BackendList, core.BackendSoA} {
-			bopt := core.Options{Driver: Driver, Backend: backend}
-			eng := core.NewEngine()
-			if err := eng.Reset(ec.Tree, ec.Lib, bopt); err != nil {
-				return fmt.Errorf("bench-json: %w", err)
+		eng := core.NewEngine()
+		if err := eng.Reset(ec.Tree, ec.Lib, opt); err != nil {
+			return fmt.Errorf("bench-json: %w", err)
+		}
+		res := &core.Result{}
+		if err := eng.Run(res); err != nil { // warm the arena slabs
+			return fmt.Errorf("bench-json: %w", err)
+		}
+		add("eco/regime="+ec.Name+"/mode=cold", 1, testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := eng.Run(res); err != nil {
+					b.Fatal(err)
+				}
 			}
-			res := &core.Result{}
-			if err := eng.Run(res); err != nil { // warm the arena slabs
-				return fmt.Errorf("bench-json: %w", err)
-			}
-			add(fmt.Sprintf("eco/regime=%s/backend=%s/mode=cold", ec.Name, backend), 1,
-				testing.Benchmark(func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if err := eng.Run(res); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}))
+		}))
 
-			sess, err := core.NewSession(ec.Tree, ec.Lib, bopt)
-			if err != nil {
+		sess, err := core.NewSession(ec.Tree, ec.Lib, opt)
+		if err != nil {
+			return fmt.Errorf("bench-json: %w", err)
+		}
+		ctx := context.Background()
+		for i := 0; i < 8; i++ { // warm: first resolve is full, later ones delta
+			if err := sess.PatchSink(sink, 1200+float64(i%7), 8); err != nil {
 				return fmt.Errorf("bench-json: %w", err)
 			}
-			ctx := context.Background()
-			for i := 0; i < 8; i++ { // warm: first resolve is full, later ones delta
+			if err := sess.Resolve(ctx, res); err != nil {
+				return fmt.Errorf("bench-json: %w", err)
+			}
+		}
+		add("eco/regime="+ec.Name+"/mode=delta", 1, testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
 				if err := sess.PatchSink(sink, 1200+float64(i%7), 8); err != nil {
-					return fmt.Errorf("bench-json: %w", err)
+					b.Fatal(err)
 				}
 				if err := sess.Resolve(ctx, res); err != nil {
-					return fmt.Errorf("bench-json: %w", err)
+					b.Fatal(err)
 				}
 			}
-			add(fmt.Sprintf("eco/regime=%s/backend=%s/mode=delta", ec.Name, backend), 1,
-				testing.Benchmark(func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if err := sess.PatchSink(sink, 1200+float64(i%7), 8); err != nil {
-							b.Fatal(err)
-						}
-						if err := sess.Resolve(ctx, res); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}))
-			sess.Close()
-		}
+		}))
+		sess.Close()
 	}
 
 	// Yield-sweep series: Monte Carlo corner fan-out over the pooled warm
@@ -401,20 +372,28 @@ func BenchJSON(cfg Config, w io.Writer) error {
 		}))
 	}
 
+	// Batch throughput series: RunBatch over the shared small-net workload
+	// at several worker counts (GOMAXPROCS is recorded in the report).
 	nets := BatchWorkload(256)
 	for _, workers := range []int{1, 2, 4, 8} {
-		workers := workers
+		solver, err := bufferkit.NewSolver(
+			bufferkit.WithLibrary(lib),
+			bufferkit.WithDriver(Driver),
+			bufferkit.WithWorkers(workers),
+		)
+		if err != nil {
+			return fmt.Errorf("bench-json: %w", err)
+		}
+		ctx := context.Background()
 		add(fmt.Sprintf("batch/w%d", workers), len(nets), testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := bufferkit.InsertBatch(nets, lib, bufferkit.BatchOptions{
-					Driver:  Driver,
-					Workers: workers,
-				}); err != nil {
+				if _, err := solver.RunBatch(ctx, nets); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}))
+		solver.Close()
 	}
 
 	enc := json.NewEncoder(w)

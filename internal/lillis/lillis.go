@@ -8,10 +8,8 @@
 // by an O(k) linear-scan insertion (another O(bk)).
 //
 // Like internal/core, the baseline exposes a reusable Engine with the same
-// arena-backed allocation discipline, and like internal/core its dynamic
-// program is written once against candidate.Rep, so SetBackend selects the
-// doubly-linked list or the structure-of-arrays representation — benchmark
-// comparisons between the two algorithms (and the two representations)
+// arena-backed allocation discipline over the same candidate.SoAList
+// representation, so benchmark comparisons between the two algorithms
 // measure the algorithms, not their memory management.
 package lillis
 
@@ -49,26 +47,19 @@ type Result struct {
 	Stats      Stats
 }
 
-// Engine is a reusable Lillis engine: one decision arena plus a lazily
-// built implementation per candidate-list backend (per-vertex list table
-// and beta scratch), all kept across runs. Not safe for concurrent use.
+// Engine is a reusable Lillis engine: one decision arena plus the
+// per-vertex list table and beta scratch, all kept across runs. Not safe
+// for concurrent use.
 type Engine struct {
-	arena   *candidate.Arena
-	backend candidate.Backend
-
-	list *lengine[*candidate.List, candidate.ListAlloc]
-	soa  *lengine[*candidate.SoAList, candidate.SoAAlloc]
+	arena *candidate.Arena
+	lists []*candidate.SoAList
+	betas []candidate.Beta
 }
 
-// NewEngine returns an engine with an empty arena, running on the default
-// backend.
+// NewEngine returns an engine with an empty arena.
 func NewEngine() *Engine {
 	return &Engine{arena: candidate.NewArena()}
 }
-
-// SetBackend selects the candidate-list representation for subsequent runs.
-// Results are identical across backends.
-func (e *Engine) SetBackend(b candidate.Backend) { e.backend = b }
 
 // Insert computes optimal buffer insertion on t with library lib and driver
 // drv. Inverting types and negative-polarity sinks are not supported by this
@@ -110,30 +101,6 @@ func (e *Engine) RunContext(ctx context.Context, t *tree.Tree, lib library.Libra
 		}
 	}
 
-	switch e.backend.Resolve() {
-	case candidate.BackendList:
-		if e.list == nil {
-			e.list = &lengine[*candidate.List, candidate.ListAlloc]{arena: e.arena}
-		}
-		return e.list.runContext(ctx, t, lib, drv, res)
-	default:
-		if e.soa == nil {
-			e.soa = &lengine[*candidate.SoAList, candidate.SoAAlloc]{arena: e.arena}
-		}
-		return e.soa.runContext(ctx, t, lib, drv, res)
-	}
-}
-
-// lengine is the generic baseline implementation over one candidate
-// representation.
-type lengine[L candidate.Rep[L], A candidate.Alloc[L]] struct {
-	alloc A
-	arena *candidate.Arena
-	lists []L
-	betas []candidate.Beta
-}
-
-func (e *lengine[L, A]) runContext(ctx context.Context, t *tree.Tree, lib library.Library, drv delay.Driver, res *Result) error {
 	e.arena.Reset()
 	n := t.Len()
 	e.lists = candidate.Resize(e.lists, n)
@@ -149,19 +116,18 @@ func (e *lengine[L, A]) runContext(ctx context.Context, t *tree.Tree, lib librar
 		}
 		vert := &t.Verts[v]
 		if vert.Kind == tree.Sink {
-			lists[v] = e.alloc.Sink(e.arena, vert.RAT, vert.Cap, v)
+			lists[v] = e.arena.NewSoASink(vert.RAT, vert.Cap, v)
 			continue
 		}
-		var zero L
-		cur := zero
+		var cur *candidate.SoAList
 		for _, c := range t.Children(v) {
 			lc := lists[c]
-			lists[c] = zero
+			lists[c] = nil
 			lc.AddWire(t.Verts[c].EdgeR, t.Verts[c].EdgeC)
-			if cur == zero {
+			if cur == nil {
 				cur = lc
 			} else {
-				m := cur.MergeWith(lc)
+				m := candidate.MergeSoA(cur, lc)
 				cur.Free()
 				lc.Free()
 				cur = m
@@ -193,7 +159,7 @@ func (e *lengine[L, A]) runContext(ctx context.Context, t *tree.Tree, lib librar
 
 // addBuffer generates one buffered candidate per allowed type by a full
 // linear scan of the list — the O(b·k) step.
-func addBuffer[L candidate.Rep[L]](ar *candidate.Arena, l L, lib library.Library, allowed []int, vertex int, out []candidate.Beta) []candidate.Beta {
+func addBuffer(ar *candidate.Arena, l *candidate.SoAList, lib library.Library, allowed []int, vertex int, out []candidate.Beta) []candidate.Beta {
 	for ti := range lib {
 		if len(allowed) > 0 && !contains(allowed, ti) {
 			continue

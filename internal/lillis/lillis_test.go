@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"bufferkit/internal/bruteforce"
-	"bufferkit/internal/candidate"
 	"bufferkit/internal/delay"
 	"bufferkit/internal/library"
 	"bufferkit/internal/netgen"
@@ -193,45 +192,5 @@ func TestWarmEngineMatchesAndDoesNotAllocate(t *testing.T) {
 	}
 	if res.Slack != cold.Slack {
 		t.Fatalf("warm runs diverged: %v != %v", res.Slack, cold.Slack)
-	}
-}
-
-// TestLillisBackendsAgreeExactly runs the baseline on both candidate-list
-// representations and demands bit-exact agreement, including the warm
-// zero-allocation guarantee on each.
-func TestLillisBackendsAgreeExactly(t *testing.T) {
-	drv := delay.Driver{R: 0.3, K: 5}
-	for _, b := range []int{2, 8} {
-		lib := library.Generate(b)
-		for seed := int64(0); seed < 6; seed++ {
-			tr := netgen.Random(netgen.Opts{Sinks: 8, Seed: seed})
-			results := map[candidate.Backend]*Result{}
-			for _, backend := range []candidate.Backend{candidate.BackendList, candidate.BackendSoA} {
-				eng := NewEngine()
-				eng.SetBackend(backend)
-				res := &Result{}
-				if err := eng.Run(tr, lib, drv, res); err != nil {
-					t.Fatal(err)
-				}
-				allocs := testing.AllocsPerRun(10, func() {
-					if err := eng.Run(tr, lib, drv, res); err != nil {
-						t.Fatal(err)
-					}
-				})
-				if allocs > 0.5 {
-					t.Fatalf("backend=%v: warm lillis run allocates %.1f/run, want 0", backend, allocs)
-				}
-				results[backend] = res
-			}
-			l, s := results[candidate.BackendList], results[candidate.BackendSoA]
-			if l.Slack != s.Slack || l.Candidates != s.Candidates || l.Stats != s.Stats {
-				t.Fatalf("b=%d seed=%d: backends diverge:\nlist %+v\nsoa  %+v", b, seed, l, s)
-			}
-			for v := range l.Placement {
-				if l.Placement[v] != s.Placement[v] {
-					t.Fatalf("b=%d seed=%d: placements differ at vertex %d", b, seed, v)
-				}
-			}
-		}
 	}
 }

@@ -167,10 +167,13 @@ func ParseNet(r io.Reader) (*Net, error) {
 					id = b.AddInternal(parent, er, ec)
 				}
 			}
-			if id >= 0 {
-				b.SetName(id, name)
-				ids[name] = id
+			if id < 0 {
+				// The builder rejected the vertex; report it on this line
+				// rather than as a missing parent further down.
+				return nil, fmt.Errorf("netlist: line %d: %w", lineNo, b.Err())
 			}
+			b.SetName(id, name)
+			ids[name] = id
 		default:
 			return nil, fail("unknown directive %q", f[0])
 		}

@@ -2,6 +2,8 @@ package netlist
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"bufferkit/internal/delay"
 	"bufferkit/internal/library"
 	"bufferkit/internal/netgen"
+	"bufferkit/internal/solvererr"
 	"bufferkit/internal/tree"
 )
 
@@ -154,6 +157,40 @@ func TestParseNetErrors(t *testing.T) {
 				t.Fatalf("err = %v, want substring %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestParseNetRejectsNonFiniteValues: every electrical value of a net file
+// — edge res and cap, sink load, RAT — that parses as NaN or ±Inf is a
+// *ValidationError naming the vertex and the field, never a net that later
+// solves to a misleading infeasibility.
+func TestParseNetRejectsNonFiniteValues(t *testing.T) {
+	fields := []struct {
+		key, field string
+		vertex     int // n1 is vertex 1, s1 vertex 2
+	}{
+		{"res", "EdgeR", 1},
+		{"cap", "EdgeC", 1},
+		{"load", "Cap", 2},
+		{"rat", "RAT", 2},
+	}
+	for _, f := range fields {
+		for _, bad := range []string{"NaN", "+Inf", "-Inf"} {
+			t.Run(f.key+"="+bad, func(t *testing.T) {
+				vals := map[string]string{"res": "0.1", "cap": "5", "load": "10", "rat": "1000"}
+				vals[f.key] = bad
+				node := fmt.Sprintf("node n1 parent src res %s cap %s buffer\n", vals["res"], vals["cap"])
+				sink := fmt.Sprintf("sink s1 parent n1 res 0.1 cap 5 load %s rat %s\n", vals["load"], vals["rat"])
+				_, err := ParseNet(strings.NewReader(node + sink))
+				var verr *solvererr.ValidationError
+				if !errors.As(err, &verr) {
+					t.Fatalf("err = %v, want *ValidationError", err)
+				}
+				if verr.Field != f.field || verr.Vertex != f.vertex {
+					t.Fatalf("field %q vertex %d, want %q at %d (%v)", verr.Field, verr.Vertex, f.field, f.vertex, err)
+				}
+			})
+		}
 	}
 }
 

@@ -409,7 +409,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // decodeBody JSON-decodes a size-limited request body into dst. A body
 // exceeding Config.MaxBodyBytes maps to 413 Request Entity Too Large, not
-// a generic decode-error 400.
+// a generic decode-error 400. Payloads embedding solveOptions are then
+// validated, before any cache lookup.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	if err := json.NewDecoder(body).Decode(dst); err != nil {
@@ -419,6 +420,9 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) err
 				msg: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)}
 		}
 		return badRequestf("", "malformed JSON body: %v", err)
+	}
+	if v, ok := dst.(interface{ validate() error }); ok {
+		return v.validate()
 	}
 	return nil
 }

@@ -623,9 +623,10 @@ type solveOptions struct {
 	Algorithm string `json:"algorithm,omitempty"`
 	// Prune is "transient" (default) or "destructive" (AlgoNew only).
 	Prune string `json:"prune,omitempty"`
-	// Backend is the candidate-list representation: "list", "soa", or ""
-	// for the benchmark-chosen default. Results are identical across
-	// backends; the field exists so ablation traffic can pin one.
+	// Backend is accepted for compatibility with clients that used to pin
+	// a candidate-list representation: "", "default", "list" and "soa"
+	// are valid and ignored (the engines have one representation), any
+	// other value is a 400. It is not part of the cache key.
 	Backend string `json:"backend,omitempty"`
 	// MaxCost caps total buffer cost (AlgoCostSlack only; 0 = no cap).
 	MaxCost int `json:"max_cost,omitempty"`
@@ -656,20 +657,25 @@ func (o solveOptions) newSolver(lib bufferkit.Library, extra ...bufferkit.Option
 	default:
 		return nil, badRequestf("prune", "unknown prune mode %q (transient or destructive)", o.Prune)
 	}
-	switch o.Backend {
-	case "", "default", "list", "soa":
-	default:
-		return nil, badRequestf("backend", "unknown backend %q (list or soa)", o.Backend)
-	}
 	opts := append([]bufferkit.Option{
 		bufferkit.WithLibrary(lib),
 		bufferkit.WithAlgorithm(algo),
 		bufferkit.WithPruneMode(mode),
-		bufferkit.WithBackend(o.Backend),
 		bufferkit.WithMaxCost(o.MaxCost),
 		bufferkit.WithStats(!o.NoStats),
 	}, extra...)
 	return bufferkit.NewSolver(opts...)
+}
+
+// validate rejects option values that must fail even on a cache hit —
+// fields outside the cache key. decodeBody calls it on every payload that
+// embeds solveOptions.
+func (o solveOptions) validate() error {
+	switch o.Backend {
+	case "", "default", "list", "soa":
+		return nil
+	}
+	return badRequestf("backend", "unknown backend %q (list or soa; the field is accepted and ignored)", o.Backend)
 }
 
 // cacheOptions canonicalizes the option fields that affect the result, for
@@ -684,14 +690,7 @@ func (o solveOptions) cacheOptions() string {
 	if prune == "" {
 		prune = "transient"
 	}
-	// Like algo and prune, backend folds in as its resolved value, so
-	// "", "default" and the concrete default backend share one cache
-	// entry — the results are bit-identical by contract.
-	backend := o.Backend
-	if backend == "" || backend == "default" {
-		backend = bufferkit.BackendDefault.Resolve().String()
-	}
-	return fmt.Sprintf("algo=%s prune=%s backend=%s maxcost=%d stats=%t", algo, prune, backend, o.MaxCost, !o.NoStats)
+	return fmt.Sprintf("algo=%s prune=%s maxcost=%d stats=%t", algo, prune, o.MaxCost, !o.NoStats)
 }
 
 // timeout resolves the request's solve budget against the server limits.

@@ -119,13 +119,24 @@ func (s *Server) handleSessionPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		// Evicted between table lookup and lock; the client's retry recreates.
-		s.writeError(w, &httpError{status: http.StatusNotFound, field: "id",
-			msg: "session " + id + " was evicted; retry with net and library to recreate it"})
-		return
+	for e.closed {
+		// Evicted or deleted between table lookup and lock. The entry is
+		// already out of the table, so a request carrying net and library
+		// looks the id up again, which recreates the session; a patch-only
+		// request cannot, and the client's retry must.
+		e.mu.Unlock()
+		if req.Net == "" || req.Library == "" {
+			s.writeError(w, &httpError{status: http.StatusNotFound, field: "id",
+				msg: "session " + id + " was evicted; retry with net and library to recreate it"})
+			return
+		}
+		if e, created, err = s.getOrCreateSession(id, &req); err != nil {
+			s.writeError(w, err)
+			return
+		}
+		e.mu.Lock()
 	}
+	defer e.mu.Unlock()
 
 	if len(req.Patches) > 0 {
 		deltas, err := e.buildDeltas(req.Patches)

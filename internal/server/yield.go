@@ -13,9 +13,8 @@ import (
 )
 
 // yieldRequest is the POST /v1/yield payload. The embedded solveOptions
-// select algorithm / prune / backend / timeout exactly as /v1/solve does;
-// yield analysis accepts the core-engine algorithms only ("", "new",
-// "core", "core-soa").
+// select algorithm / prune / timeout exactly as /v1/solve does; yield
+// analysis accepts the core-engine algorithm only ("" or "new").
 type yieldRequest struct {
 	// Net is the net in the repository's .net text format.
 	Net string `json:"net"`

@@ -12,6 +12,9 @@ package tree
 import (
 	"errors"
 	"fmt"
+	"math"
+
+	"bufferkit/internal/solvererr"
 )
 
 // Kind classifies a vertex of the routing tree.
@@ -225,8 +228,8 @@ func (b *Builder) add(v Vertex) int {
 	if b.verts[v.Parent].Kind == Sink {
 		return b.setErr(fmt.Errorf("tree: vertex %d: parent %d is a sink", len(b.verts), v.Parent))
 	}
-	if v.EdgeR < 0 || v.EdgeC < 0 {
-		return b.setErr(fmt.Errorf("tree: vertex %d: negative edge RC (%g, %g)", len(b.verts), v.EdgeR, v.EdgeC))
+	if err := checkValues(len(b.verts), &v); err != nil {
+		return b.setErr(err)
 	}
 	b.verts = append(b.verts, v)
 	return len(b.verts) - 1
@@ -235,9 +238,6 @@ func (b *Builder) add(v Vertex) int {
 // AddSink adds a sink below parent with the given edge RC, load capacitance
 // and RAT, returning its index.
 func (b *Builder) AddSink(parent int, edgeR, edgeC, cap, rat float64) int {
-	if cap < 0 {
-		return b.setErr(fmt.Errorf("tree: sink below %d: negative capacitance %g", parent, cap))
-	}
 	return b.add(Vertex{Kind: Sink, Parent: parent, EdgeR: edgeR, EdgeC: edgeC, Cap: cap, RAT: rat})
 }
 
@@ -269,6 +269,10 @@ func (b *Builder) AddBufferPosRestricted(parent int, edgeR, edgeC float64, allow
 	}
 	return id
 }
+
+// Err returns the first construction error, or nil. Once it is set every
+// Add method returns -1 and Build reports it.
+func (b *Builder) Err() error { return b.err }
 
 // SetName labels vertex v (for netlist round-trips and diagnostics).
 func (b *Builder) SetName(v int, name string) {
@@ -328,9 +332,6 @@ func (t *Tree) finalize() error {
 			if len(t.children[i]) != 0 {
 				return fmt.Errorf("tree: sink %d has children", i)
 			}
-			if v.Cap < 0 {
-				return fmt.Errorf("tree: sink %d: negative capacitance %g", i, v.Cap)
-			}
 			if v.BufferOK {
 				return fmt.Errorf("tree: sink %d cannot be a buffer position", i)
 			}
@@ -341,8 +342,8 @@ func (t *Tree) finalize() error {
 		default:
 			return fmt.Errorf("tree: vertex %d: unknown kind %d", i, v.Kind)
 		}
-		if v.EdgeR < 0 || v.EdgeC < 0 {
-			return fmt.Errorf("tree: vertex %d: negative edge RC (%g, %g)", i, v.EdgeR, v.EdgeC)
+		if err := checkValues(i, v); err != nil {
+			return err
 		}
 	}
 	if len(t.children[0]) == 0 {
@@ -351,6 +352,41 @@ func (t *Tree) finalize() error {
 	t.computePostOrder()
 	return nil
 }
+
+// checkValues rejects vertex i when an electrical value is negative or not
+// finite, as a *solvererr.ValidationError naming the vertex and the Vertex
+// field. NaN fails every ordered comparison, so a bare "< 0" test would let
+// it through to the dynamic program, which then reports a misleading
+// infeasibility.
+func checkValues(i int, v *Vertex) error {
+	bad := func(field, format string, args ...any) error {
+		return solvererr.Validation("tree", field, format, args...).AtVertex(i)
+	}
+	switch {
+	case !finite(v.EdgeR):
+		return bad("EdgeR", "non-finite edge resistance %g", v.EdgeR)
+	case !finite(v.EdgeC):
+		return bad("EdgeC", "non-finite edge capacitance %g", v.EdgeC)
+	case v.EdgeR < 0:
+		return bad("EdgeR", "negative edge RC (%g, %g)", v.EdgeR, v.EdgeC)
+	case v.EdgeC < 0:
+		return bad("EdgeC", "negative edge RC (%g, %g)", v.EdgeR, v.EdgeC)
+	}
+	if v.Kind != Sink {
+		return nil
+	}
+	switch {
+	case !finite(v.Cap):
+		return bad("Cap", "non-finite capacitance %g", v.Cap)
+	case v.Cap < 0:
+		return bad("Cap", "negative capacitance %g", v.Cap)
+	case !finite(v.RAT):
+		return bad("RAT", "non-finite RAT %g", v.RAT)
+	}
+	return nil
+}
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // computePostOrder fills t.postorder iteratively (explicit stack) so deep
 // chains cannot overflow the goroutine stack.

@@ -28,7 +28,7 @@
 // samples are written by index and placements are deduplicated in sample
 // order. A corner with all factors exactly 1 reproduces the nominal
 // solver's result bit for bit (x·1.0 ≡ x in IEEE 754), which the root
-// differential suite asserts on both candidate-list backends.
+// differential suite asserts.
 package variation
 
 import (

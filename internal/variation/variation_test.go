@@ -105,32 +105,29 @@ func TestCornerValidate(t *testing.T) {
 }
 
 // TestSweepNominalMatchesCore: a one-corner nominal sweep must reproduce
-// the plain engine's slack and placement bit for bit, on both backends.
+// the plain engine's slack and placement bit for bit.
 func TestSweepNominalMatchesCore(t *testing.T) {
 	tr, drv := random12(t)
 	lib := library.Generate(8)
-	for _, backend := range []core.Backend{core.BackendList, core.BackendSoA} {
-		want, err := core.Insert(tr, lib, core.Options{Driver: drv, Backend: backend})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Sweep(context.Background(), tr, lib, Config{
-			Corners: []Corner{Nominal()},
-			Driver:  drv,
-			Backend: backend,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Samples[0].Slack != want.Slack {
-			t.Fatalf("backend %v: nominal sweep slack %.17g != core slack %.17g", backend, res.Samples[0].Slack, want.Slack)
-		}
-		if !placementsEqual(res.Placement, want.Placement) {
-			t.Fatalf("backend %v: nominal sweep placement differs from core", backend)
-		}
-		if res.Yield != 1 || res.OptimalYield != 1 {
-			t.Fatalf("backend %v: single feasible corner should have yield 1, got %g/%g", backend, res.Yield, res.OptimalYield)
-		}
+	want, err := core.Insert(tr, lib, core.Options{Driver: drv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Sweep(context.Background(), tr, lib, Config{
+		Corners: []Corner{Nominal()},
+		Driver:  drv,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Samples[0].Slack != want.Slack {
+		t.Fatalf("nominal sweep slack %.17g != core slack %.17g", res.Samples[0].Slack, want.Slack)
+	}
+	if !placementsEqual(res.Placement, want.Placement) {
+		t.Fatal("nominal sweep placement differs from core")
+	}
+	if res.Yield != 1 || res.OptimalYield != 1 {
+		t.Fatalf("single feasible corner should have yield 1, got %g/%g", res.Yield, res.OptimalYield)
 	}
 }
 
@@ -165,39 +162,6 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSweepBackendsBitExact: both candidate-list backends must produce
-// identical sweeps, sample by sample.
-func TestSweepBackendsBitExact(t *testing.T) {
-	tr, drv := random12(t)
-	lib := library.GenerateWithInverters(6)
-	corners := append([]Corner{Nominal()}, Sampler{Params: Uniform(0.1), Seed: 11}.Corners(32)...)
-	run := func(b core.Backend) *Result {
-		res, err := Sweep(context.Background(), tr, lib, Config{
-			Corners: corners, Driver: drv, Backend: b, Robust: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	list, soa := run(core.BackendList), run(core.BackendSoA)
-	for i := range list.Samples {
-		if list.Samples[i].Slack != soa.Samples[i].Slack {
-			t.Fatalf("sample %d: list slack %.17g != soa slack %.17g", i, list.Samples[i].Slack, soa.Samples[i].Slack)
-		}
-		if list.Samples[i].Placement != soa.Samples[i].Placement {
-			t.Fatalf("sample %d: group id differs across backends", i)
-		}
-	}
-	if list.Yield != soa.Yield || list.Chosen != soa.Chosen {
-		t.Fatalf("selection differs across backends: yield %g/%g chosen %d/%d",
-			list.Yield, soa.Yield, list.Chosen, soa.Chosen)
-	}
-	if !placementsEqual(list.Placement, soa.Placement) {
-		t.Fatal("chosen placements differ across backends")
-	}
-}
-
 // TestSweepZeroAllocPerSample is the acceptance assertion: 256 Monte Carlo
 // samples on the random12 net, each re-optimizing the net under a fresh
 // corner on a warm SweepEngine, must perform zero steady-state heap
@@ -207,27 +171,25 @@ func TestSweepZeroAllocPerSample(t *testing.T) {
 	lib := library.Generate(8)
 	corners := append([]Corner{Nominal()}, Sampler{Params: Uniform(0.08), Seed: 1}.Corners(255)...)
 
-	for _, backend := range []core.Backend{core.BackendList, core.BackendSoA} {
-		eng := NewSweepEngine(tr, lib, core.Options{Driver: drv, Backend: backend}, nil, nil)
-		ctx := context.Background()
-		// Warm pass: grow the arena and scratch to the sweep's high-water mark.
-		for _, c := range corners {
-			if _, _, _, err := eng.RunCorner(ctx, c); err != nil {
-				t.Fatal(err)
-			}
+	eng := NewSweepEngine(tr, lib, core.Options{Driver: drv}, nil, nil)
+	ctx := context.Background()
+	// Warm pass: grow the arena and scratch to the sweep's high-water mark.
+	for _, c := range corners {
+		if _, _, _, err := eng.RunCorner(ctx, c); err != nil {
+			t.Fatal(err)
 		}
-		i := 0
-		allocs := testing.AllocsPerRun(len(corners), func() {
-			c := corners[i%len(corners)]
-			i++
-			if _, _, _, err := eng.RunCorner(ctx, c); err != nil {
-				t.Fatal(err)
-			}
-		})
-		eng.Release()
-		if allocs != 0 {
-			t.Fatalf("backend %v: warm sweep allocates %.2f allocs per sample, want 0", backend, allocs)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(len(corners), func() {
+		c := corners[i%len(corners)]
+		i++
+		if _, _, _, err := eng.RunCorner(ctx, c); err != nil {
+			t.Fatal(err)
 		}
+	})
+	eng.Release()
+	if allocs != 0 {
+		t.Fatalf("warm sweep allocates %.2f allocs per sample, want 0", allocs)
 	}
 }
 

@@ -35,7 +35,7 @@ type SessionStats = core.SessionStats
 // those paths, reusing checkpointed sibling frontiers at every merge. The
 // result of every Resolve is bit-identical — slack, placement, cost — to a
 // cold Solver.Run on the identically patched net (enforced by the ECO
-// differential suite on both backends), at a cost proportional to the
+// differential suite), at a cost proportional to the
 // dirty region instead of the whole tree.
 //
 // Patch is chainable and sticky: an invalid delta rejects its whole batch
@@ -51,12 +51,10 @@ type Session struct {
 
 // NewSession opens an incremental ECO session on net t. Sessions run on
 // the core engine, so the solver's algorithm must be the paper's (the
-// default, or the pinned "core"/"core-soa" entries); the session follows
-// the solver's library, driver, prune mode, backend and invariant-checking
-// configuration.
+// default); the session follows the solver's library, driver, prune mode
+// and invariant-checking configuration.
 func (s *Solver) NewSession(t *Tree) (*Session, error) {
-	backend, err := s.coreBackend("ECO sessions")
-	if err != nil {
+	if err := s.requireCore("ECO sessions"); err != nil {
 		return nil, err
 	}
 	if err := s.checkReducible(t); err != nil {
@@ -65,7 +63,6 @@ func (s *Solver) NewSession(t *Tree) (*Session, error) {
 	cs, err := core.NewSession(t, s.cfg.Library, core.Options{
 		Driver:          s.cfg.Driver,
 		Prune:           s.cfg.Prune,
-		Backend:         backend,
 		CheckInvariants: s.cfg.CheckInvariants,
 	})
 	if err != nil {

@@ -28,12 +28,6 @@ const (
 	// AlgoCostSlack is the cost–slack Pareto extension; NetResult.Frontier
 	// carries the full frontier, Slack/Placement its best point.
 	AlgoCostSlack = "costslack"
-	// AlgoCore is the paper's algorithm pinned to the doubly-linked
-	// candidate-list backend, regardless of WithBackend.
-	AlgoCore = "core"
-	// AlgoCoreSoA is the paper's algorithm pinned to the structure-of-arrays
-	// candidate backend, regardless of WithBackend.
-	AlgoCoreSoA = "core-soa"
 )
 
 // RunConfig is the resolved per-run configuration a Solver hands to an
@@ -47,11 +41,6 @@ type RunConfig struct {
 	Driver Driver
 	// Prune selects the convex pruning mode (AlgoNew only).
 	Prune PruneMode
-	// Backend selects the candidate-list representation (AlgoNew and
-	// AlgoLillis; the pinned AlgoCore/AlgoCoreSoA entries override it).
-	// The zero value resolves to the benchmark-chosen DefaultBackend.
-	// Results are identical across backends.
-	Backend Backend
 	// CollectStats asks the algorithm to fill NetResult.Stats.
 	CollectStats bool
 	// CheckInvariants enables per-operation list validation (AlgoNew
@@ -194,9 +183,7 @@ func lookup(name string) (func() Algorithm, error) {
 }
 
 func init() {
-	Register(AlgoNew, func() Algorithm { return &coreAlgo{name: AlgoNew} })
-	Register(AlgoCore, func() Algorithm { return &coreAlgo{name: AlgoCore, force: core.BackendList} })
-	Register(AlgoCoreSoA, func() Algorithm { return &coreAlgo{name: AlgoCoreSoA, force: core.BackendSoA} })
+	Register(AlgoNew, func() Algorithm { return &coreAlgo{} })
 	Register(AlgoLillis, func() Algorithm { return &lillisAlgo{} })
 	Register(AlgoVanGinneken, func() Algorithm { return vgAlgo{} })
 	Register(AlgoCostSlack, func() Algorithm { return costAlgo{} })
@@ -247,22 +234,6 @@ func WithDrivers(drivers []Driver) Option {
 // WithPruneMode selects the convex pruning mode for AlgoNew.
 func WithPruneMode(m PruneMode) Option {
 	return func(s *Solver) error { s.cfg.Prune = m; return nil }
-}
-
-// WithBackend selects the candidate-list representation by name: "list"
-// (the paper's doubly-linked list), "soa" (structure-of-arrays slabs), or
-// "" / "default" for the benchmark-chosen default. Both backends produce
-// identical results; see DESIGN.md §11 for the measured trade-off. The
-// pinned registry entries AlgoCore and AlgoCoreSoA override this setting.
-func WithBackend(name string) Option {
-	return func(s *Solver) error {
-		b, err := core.ParseBackend(name)
-		if err != nil {
-			return solvererr.Validation("bufferkit", "backend", "%v", err)
-		}
-		s.cfg.Backend = b
-		return nil
-	}
 }
 
 // WithAlgorithm selects a registered algorithm by name; the default is
@@ -459,43 +430,22 @@ func (s *Solver) Close() {
 var enginePool = sync.Pool{New: func() any { return core.NewEngine() }}
 
 // coreAlgo adapts internal/core (the paper's O(bn²) algorithm) to the
-// Algorithm interface, holding one pooled warm engine. The registry carries
-// it under three names: AlgoNew follows RunConfig.Backend (WithBackend),
-// while AlgoCore and AlgoCoreSoA are pinned to one representation each —
-// the shape head-to-head comparisons and the server's ablation traffic
-// want.
+// Algorithm interface, holding one pooled warm engine.
 type coreAlgo struct {
-	eng   *core.Engine
-	name  string
-	force core.Backend // BackendDefault = follow RunConfig.Backend
+	eng *core.Engine
 }
 
-func (a *coreAlgo) Name() string { return a.name }
+func (a *coreAlgo) Name() string { return AlgoNew }
 
 func (a *coreAlgo) Description() string {
-	switch a.force {
-	case core.BackendList:
-		return "Li–Shi O(bn²) on the doubly-linked candidate list backend"
-	case core.BackendSoA:
-		return "Li–Shi O(bn²) on the structure-of-arrays candidate backend"
-	}
 	return "Li–Shi O(bn²) algorithm (DATE 2005); inverters and sink polarities supported (default)"
-}
-
-// backend resolves which representation this instance runs: the pinned one
-// for AlgoCore/AlgoCoreSoA, the solver-wide WithBackend choice otherwise.
-func (a *coreAlgo) backend(cfg RunConfig) core.Backend {
-	if a.force != core.BackendDefault {
-		return a.force
-	}
-	return cfg.Backend
 }
 
 func (a *coreAlgo) Solve(ctx context.Context, t *Tree, cfg RunConfig) (*NetResult, error) {
 	if a.eng == nil {
 		a.eng = enginePool.Get().(*core.Engine)
 	}
-	opt := core.Options{Driver: cfg.Driver, Prune: cfg.Prune, Backend: a.backend(cfg), CheckInvariants: cfg.CheckInvariants}
+	opt := core.Options{Driver: cfg.Driver, Prune: cfg.Prune, CheckInvariants: cfg.CheckInvariants}
 	if err := a.eng.Reset(t, cfg.Library, opt); err != nil {
 		return nil, err
 	}
@@ -534,8 +484,7 @@ func (a *lillisAlgo) Solve(ctx context.Context, t *Tree, cfg RunConfig) (*NetRes
 	if a.eng == nil {
 		a.eng = lillis.NewEngine()
 	}
-	a.eng.SetBackend(cfg.Backend)
-	res := &LillisResult{}
+	res := &lillis.Result{}
 	if err := a.eng.RunContext(ctx, t, cfg.Library, cfg.Driver, res); err != nil {
 		return nil, err
 	}

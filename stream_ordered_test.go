@@ -108,4 +108,11 @@ func TestAlgorithmInfos(t *testing.T) {
 			t.Errorf("algorithm %q has no description", name)
 		}
 	}
+	// The engines have one candidate representation, so there are no
+	// representation-pinned registry entries.
+	for _, name := range []string{"core", "core-soa"} {
+		if _, ok := byName[name]; ok {
+			t.Errorf("unexpected registry entry %q", name)
+		}
+	}
 }

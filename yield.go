@@ -109,21 +109,14 @@ func WithRobustPlacement(robust bool) Option {
 	return func(s *Solver) error { s.yield.robust = robust; return nil }
 }
 
-// coreBackend resolves the candidate-list backend for surfaces that run
-// directly on the core engine (yield sweeps, chip allocation), honoring the
-// pinned AlgoCore / AlgoCoreSoA registry entries the same way Run does.
-func (s *Solver) coreBackend(surface string) (core.Backend, error) {
-	switch s.algoName {
-	case AlgoNew:
-		return s.cfg.Backend, nil
-	case AlgoCore:
-		return core.BackendList, nil
-	case AlgoCoreSoA:
-		return core.BackendSoA, nil
+// requireCore rejects the surfaces that run directly on the core engine
+// (yield sweeps, chip allocation, ECO sessions) under any other algorithm.
+func (s *Solver) requireCore(surface string) error {
+	if s.algoName == AlgoNew {
+		return nil
 	}
-	return 0, solvererr.Validation("bufferkit", "algorithm",
-		"%s runs on the core engine; algorithm %q is not supported (use %q, %q or %q)",
-		surface, s.algoName, AlgoNew, AlgoCore, AlgoCoreSoA)
+	return solvererr.Validation("bufferkit", "algorithm",
+		"%s runs on the core engine; algorithm %q is not supported (use %q)", surface, s.algoName, AlgoNew)
 }
 
 // yieldCorners assembles the corner list of one sweep: nominal first, then
@@ -150,12 +143,10 @@ func (s *Solver) yieldCorners() []Corner {
 // fixed-placement yield maximizer under WithRobustPlacement.
 //
 // A sweep with one sample and sigma 0 reproduces Run's slack, placement
-// and cost bit for bit (asserted by the differential suite on both
-// backends). Cancellation mid-sweep returns a *PartialSweepError wrapping
+// and cost bit for bit (asserted by the differential suite). Cancellation mid-sweep returns a *PartialSweepError wrapping
 // ErrCanceled with completed/total sample counts.
 func (s *Solver) SolveYield(ctx context.Context, t *Tree) (*YieldResult, error) {
-	backend, err := s.coreBackend("yield analysis")
-	if err != nil {
+	if err := s.requireCore("yield analysis"); err != nil {
 		return nil, err
 	}
 	if err := s.checkReducible(t); err != nil {
@@ -165,7 +156,6 @@ func (s *Solver) SolveYield(ctx context.Context, t *Tree) (*YieldResult, error) 
 		Corners:         s.yieldCorners(),
 		Driver:          s.cfg.Driver,
 		Prune:           s.cfg.Prune,
-		Backend:         backend,
 		CheckInvariants: s.cfg.CheckInvariants,
 		Target:          s.yield.target,
 		Robust:          s.yield.robust,

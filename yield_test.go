@@ -184,35 +184,6 @@ func TestSolveYieldOptionValidation(t *testing.T) {
 	}
 }
 
-// TestSolveYieldPinnedBackends: the pinned core/core-soa registry entries
-// sweep on their pinned representation and agree bit-exactly.
-func TestSolveYieldPinnedBackends(t *testing.T) {
-	net := bufferkit.RandomNet(bufferkit.NetOpts{Sinks: 8, Seed: 13})
-	results := map[string]*bufferkit.YieldResult{}
-	for _, algo := range []string{bufferkit.AlgoCore, bufferkit.AlgoCoreSoA} {
-		s := yieldSolver(t,
-			bufferkit.WithAlgorithm(algo),
-			bufferkit.WithSamples(24),
-			bufferkit.WithSigma(0.12),
-		)
-		res, err := s.SolveYield(context.Background(), net)
-		s.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		results[algo] = res
-	}
-	a, b := results[bufferkit.AlgoCore], results[bufferkit.AlgoCoreSoA]
-	for i := range a.Samples {
-		if a.Samples[i].Slack != b.Samples[i].Slack {
-			t.Fatalf("sample %d: core %.17g != core-soa %.17g", i, a.Samples[i].Slack, b.Samples[i].Slack)
-		}
-	}
-	if a.Yield != b.Yield {
-		t.Fatalf("yield differs across pinned backends: %g vs %g", a.Yield, b.Yield)
-	}
-}
-
 // TestSolveYieldCancellation: cancellation mid-sweep surfaces as a
 // *PartialSweepError wrapping ErrCanceled.
 func TestSolveYieldCancellation(t *testing.T) {
