@@ -10,9 +10,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"bufferkit/internal/fleet"
@@ -170,23 +170,24 @@ func (s *Server) handleSolveForward(w http.ResponseWriter, r *http.Request, req 
 func (s *Server) forwardSolve(ctx context.Context, req *solveRequest, key cache.Key, h uint64, targets []string) (*solveResponse, error) {
 	fcfg := s.fleet.Config()
 	tr := obs.TraceFromContext(ctx)
-	var arms atomic.Int32
+	// Each arm's span opens at launch, on Hedged's own goroutine, so an arm
+	// whose goroutine has not yet run when the race is decided is still in
+	// the trace the handler finishes.
+	arms := make([]obs.SpanRef, len(targets))
 	out, winner, hedged, err := fleet.Hedged(ctx, targets, fcfg.HedgeAfter,
 		s.fleet.AllowHedge,
 		func(i int) {
+			name := "peer_call"
 			if i > 0 {
 				s.fleetHedges.Add(1)
 				tr.Set("hedged", true)
-			}
-		},
-		func(ctx context.Context, peer string) (forwardOutcome, error) {
-			name := "peer_call"
-			if arms.Add(1) > 1 {
 				name = "hedge_attempt"
 			}
-			sp := tr.StartSpan(name)
-			sp.Set("peer", peer)
-			defer sp.End()
+			arms[i] = tr.StartSpan(name)
+			arms[i].Set("peer", targets[i])
+		},
+		func(ctx context.Context, peer string) (forwardOutcome, error) {
+			defer arms[slices.Index(targets, peer)].End()
 			return s.callPeerSolve(ctx, peer, req, tr.Traceparent())
 		})
 	if err != nil {
