@@ -15,11 +15,13 @@ import (
 	"bufferkit"
 	"bufferkit/internal/candidate"
 	"bufferkit/internal/core"
+	"bufferkit/internal/costopt"
 	"bufferkit/internal/delay"
 	"bufferkit/internal/experiments"
 	"bufferkit/internal/library"
 	"bufferkit/internal/lillis"
 	"bufferkit/internal/netgen"
+	"bufferkit/internal/segment"
 	"bufferkit/internal/tree"
 )
 
@@ -61,12 +63,12 @@ func runLillis(b *testing.B, t *tree.Tree, lib library.Library) {
 	}
 }
 
-func runNew(b *testing.B, t *tree.Tree, lib library.Library, mode core.PruneMode) {
+func runNew(b *testing.B, t *tree.Tree, lib library.Library) {
 	b.Helper()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Insert(t, lib, core.Options{Driver: drv, Prune: mode}); err != nil {
+		if _, err := core.Insert(t, lib, core.Options{Driver: drv}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -82,7 +84,7 @@ func BenchmarkTable1(b *testing.B) {
 			lib := library.Generate(size)
 			name := fmt.Sprintf("m%d_n%d/b%d", cs.M, cs.N, size)
 			b.Run(name+"/lillis", func(b *testing.B) { runLillis(b, t, lib) })
-			b.Run(name+"/new", func(b *testing.B) { runNew(b, t, lib, core.PruneTransient) })
+			b.Run(name+"/new", func(b *testing.B) { runNew(b, t, lib) })
 		}
 	}
 }
@@ -95,7 +97,7 @@ func BenchmarkFig3(b *testing.B) {
 	for _, size := range []int{8, 16, 24, 32, 40, 48, 56, 64} {
 		lib := library.Generate(size)
 		b.Run(fmt.Sprintf("b%d/lillis", size), func(b *testing.B) { runLillis(b, t, lib) })
-		b.Run(fmt.Sprintf("b%d/new", size), func(b *testing.B) { runNew(b, t, lib, core.PruneTransient) })
+		b.Run(fmt.Sprintf("b%d/new", size), func(b *testing.B) { runNew(b, t, lib) })
 	}
 }
 
@@ -107,7 +109,7 @@ func BenchmarkFig4(b *testing.B) {
 	for _, n := range []int{1943, 4142, 8283, 16566, 33133, 66266} {
 		t := benchNet(b, 1944, n)
 		b.Run(fmt.Sprintf("n%d/lillis", n), func(b *testing.B) { runLillis(b, t, lib) })
-		b.Run(fmt.Sprintf("n%d/new", n), func(b *testing.B) { runNew(b, t, lib, core.PruneTransient) })
+		b.Run(fmt.Sprintf("n%d/new", n), func(b *testing.B) { runNew(b, t, lib) })
 	}
 }
 
@@ -122,72 +124,29 @@ func BenchmarkAblationAddBuffer(b *testing.B) {
 	for _, k := range []int{64, 256, 1024, 4096} {
 		pairs := syntheticList(k)
 		b.Run(fmt.Sprintf("k%d/linearscan", k), func(b *testing.B) {
-			l := candidate.FromPairs(pairs)
+			l := candidate.SoAFromPairs(pairs)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for ti := range lib {
-					if l.BestForR(lib[ti].R) == nil {
+					if l.BestForR(lib[ti].R) < 0 {
 						b.Fatal("empty list")
 					}
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("k%d/hullwalk", k), func(b *testing.B) {
-			l := candidate.FromPairs(pairs)
-			buf := make([]*candidate.Node, 0, k)
+			l := candidate.SoAFromPairs(pairs)
+			h := &candidate.Hull{}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				hull := l.HullViewInto(buf)
+				h.Reset()
+				l.AppendHullInto(h)
 				p := 0
 				for _, ti := range orderR {
-					r := lib[ti].R
-					for p+1 < len(hull) && hull[p+1].Q-r*hull[p+1].C > hull[p].Q-r*hull[p].C {
-						p++
-					}
+					p = h.Walk(p, lib[ti].R)
 				}
-				buf = hull[:0]
-			}
-		})
-	}
-}
-
-// BenchmarkAblationPruneMode compares transient (exact) and destructive
-// (paper-literal) convex pruning on a multi-pin net.
-func BenchmarkAblationPruneMode(b *testing.B) {
-	t := benchNet(b, 1944, 33133)
-	lib := library.Generate(32)
-	b.Run("transient", func(b *testing.B) { runNew(b, t, lib, core.PruneTransient) })
-	b.Run("destructive", func(b *testing.B) { runNew(b, t, lib, core.PruneDestructive) })
-}
-
-// BenchmarkAblationListImpl compares the paper's doubly-linked candidate
-// list with the structure-of-arrays representation the engines run on, on
-// an identical operation mix (wire, merge-betas, convex prune) shaped like
-// one buffer position's work.
-func BenchmarkAblationListImpl(b *testing.B) {
-	for _, k := range []int{64, 512, 4096} {
-		pairs := syntheticList(k)
-		betas := syntheticBetas(64, pairs[k-1].C)
-		b.Run(fmt.Sprintf("k%d/list", k), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				l := candidate.FromPairs(pairs)
-				l.AddWire(0.01, 5)
-				l.MergeBetas(betas)
-				l.ConvexPruneInPlace()
-				l.Recycle()
-			}
-		})
-		b.Run(fmt.Sprintf("k%d/soa", k), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				l := candidate.SoAFromPairs(pairs)
-				l.AddWire(0.01, 5)
-				l.MergeBetas(betas)
-				l.ConvexPruneInPlace()
-				l.Recycle()
 			}
 		})
 	}
@@ -202,21 +161,39 @@ func BenchmarkAblationBetaInsert(b *testing.B) {
 		b.Run(fmt.Sprintf("k%d/mergebetas", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				l := candidate.FromPairs(pairs)
+				l := candidate.SoAFromPairs(pairs)
 				l.MergeBetas(betas)
-				l.Recycle()
 			}
 		})
 		b.Run(fmt.Sprintf("k%d/insertone", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				l := candidate.FromPairs(pairs)
+				l := candidate.SoAFromPairs(pairs)
 				for j := range betas {
 					l.InsertOne(betas[j].Q, betas[j].C, 0)
 				}
-				l.Recycle()
 			}
 		})
+	}
+}
+
+// BenchmarkCostSlack measures the cost–slack Pareto extension
+// (internal/costopt): one candidate list per reachable cost level, the
+// paper's hull walk within each level, on a random 16-sink net with a
+// cost-graded library (type i costs i+1).
+func BenchmarkCostSlack(b *testing.B) {
+	base := netgen.Random(netgen.Opts{Sinks: 16, Seed: 1})
+	t, err := segment.Uniform(base, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lib := library.Generate(8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := costopt.Pareto(t, lib, costopt.Options{Driver: drv}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -96,9 +96,6 @@ type (
 	Result = core.Result
 	// Stats are the O(bn²) engine's instrumentation counters.
 	Stats = core.Stats
-	// PruneMode selects transient (exact) or destructive (paper-literal)
-	// convex pruning.
-	PruneMode = core.PruneMode
 	// Net bundles a parsed net file: name, tree and driver.
 	Net = netlist.Net
 	// CostSlackPoint is one point of the cost–slack Pareto frontier.
@@ -116,11 +113,6 @@ const (
 	Negative = tree.Negative
 	// NoBuffer marks an unbuffered vertex in a Placement.
 	NoBuffer = delay.NoBuffer
-	// PruneTransient keeps the full candidate list and is exact everywhere.
-	PruneTransient = core.PruneTransient
-	// PruneDestructive reproduces the paper's printed pruning code; exact
-	// on 2-pin nets, heuristic on multi-pin nets (DESIGN.md §4).
-	PruneDestructive = core.PruneDestructive
 )
 
 // NewTreeBuilder returns a builder whose vertex 0 is the source.

@@ -140,16 +140,3 @@ func TestFacadeSegmentAndReduce(t *testing.T) {
 		t.Fatalf("reduce returned %d types", len(red))
 	}
 }
-
-func TestFacadeDestructiveMode(t *testing.T) {
-	net := bufferkit.TwoPinNet(9000, 20, 12, 800, bufferkit.PaperWire())
-	d := bufferkit.Driver{R: 0.3}
-	lib := bufferkit.GenerateLibrary(8)
-	a := solveWith(t, net, bufferkit.WithLibrary(lib), bufferkit.WithDriver(d),
-		bufferkit.WithPruneMode(bufferkit.PruneTransient))
-	b := solveWith(t, net, bufferkit.WithLibrary(lib), bufferkit.WithDriver(d),
-		bufferkit.WithPruneMode(bufferkit.PruneDestructive))
-	if math.Abs(a.Slack-b.Slack) > 1e-6 {
-		t.Fatalf("modes disagree on a 2-pin net: %g vs %g", a.Slack, b.Slack)
-	}
-}

@@ -157,7 +157,6 @@ func (s *Solver) SolveChip(ctx context.Context, inst *ChipInstance) (*ChipResult
 		HistoryStep:     s.chip.history,
 		Capacity:        s.chip.capacity,
 		Workers:         s.workers,
-		Prune:           s.cfg.Prune,
 		CheckInvariants: s.cfg.CheckInvariants,
 		GetEngine:       func() *core.Engine { return enginePool.Get().(*core.Engine) },
 		PutEngine:       func(e *core.Engine) { enginePool.Put(e) },

@@ -36,11 +36,13 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"bufferkit/internal/fleet"
 	"bufferkit/internal/obs"
 )
 
@@ -408,6 +410,12 @@ func (c *Client) Solve(ctx context.Context, req SolveRequest) (*SolveResult, err
 	return c.hedgedSolve(ctx, req, targets)
 }
 
+// hedgedSolve races the solve with fleet.Hedged over the first two targets
+// (the base URL twice outside fleet mode): the hedge arm launches after the
+// hedge delay, or at once when the primary arm fails. Each arm retries
+// within its own target only — the other arm covers the other member. A
+// non-retryable *APIError is the server's verdict, not a flaky member, so
+// it ends the race at once instead of failing over.
 func (c *Client) hedgedSolve(ctx context.Context, req SolveRequest, targets []*url.URL) (*SolveResult, error) {
 	body, err := json.Marshal(&req)
 	if err != nil {
@@ -417,72 +425,57 @@ func (c *Client) hedgedSolve(ctx context.Context, req SolveRequest, targets []*u
 	// arms fork), so the two server-side traces share one trace id and the
 	// race is reconstructible from either node's /debug/traces.
 	ctx, _ = obs.EnsureTraceparent(ctx)
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel() // the loser is canceled on return
+	if len(targets) == 0 {
+		targets = []*url.URL{c.base}
+	}
+	arms := []*url.URL{targets[0], targets[1%len(targets)]}
+	names := []string{arms[0].String(), arms[1].String()}
 	type outcome struct {
-		res *SolveResult
-		idx int
-		err error
+		res     *SolveResult
+		verdict error // a terminal server error that ends the race
 	}
-	results := make(chan outcome, 2)
-	// Arm i talks to its own target (in fleet mode the hedge races the
-	// replica, not the same node), retrying within that arm only — the
-	// other arm covers the other member.
-	launch := func(i int) {
-		var t []*url.URL
-		if len(targets) > 0 {
-			t = []*url.URL{targets[i%len(targets)]}
-		}
-		resp, err := c.doTargets(ctx, http.MethodPost, "/v1/solve", body, t)
-		if err != nil {
-			results <- outcome{idx: i, err: err}
-			return
-		}
-		defer resp.Body.Close()
-		var out SolveResult
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			results <- outcome{idx: i, err: err}
-			return
-		}
-		out.Trace = resp.Header.Get("X-Bufferkit-Trace")
-		results <- outcome{res: &out, idx: i}
-	}
-	go launch(0)
-	hedge := time.NewTimer(c.hedgeAfter)
-	defer hedge.Stop()
-	inFlight, hedged := 1, false
-	var firstErr error
-	for {
-		select {
-		case <-hedge.C:
-			if !hedged {
-				hedged = true
-				inFlight++
+	hedgeLaunched := false
+	out, _, hedgeWon, err := fleet.Hedged(ctx, names, c.hedgeAfter, nil,
+		func(i int) {
+			if i > 0 {
+				hedgeLaunched = true
 				c.stats.hedgesLaunched.Add(1)
-				go launch(1)
 			}
-		case o := <-results:
-			if o.err == nil {
-				if hedged {
-					// First success wins; score the race for Stats.
-					if o.idx > 0 {
-						c.stats.hedgeWins.Add(1)
-					} else {
-						c.stats.hedgeLosses.Add(1)
-					}
+		},
+		func(ctx context.Context, target string) (outcome, error) {
+			// Equal names denote equal URLs, so the first match serves.
+			arm := []*url.URL{arms[slices.Index(names, target)]}
+			resp, err := c.doTargets(ctx, http.MethodPost, "/v1/solve", body, arm)
+			if err != nil {
+				var apiErr *APIError
+				if errors.As(err, &apiErr) && !retryable(err) {
+					return outcome{verdict: err}, nil
 				}
-				return o.res, nil // cancel() stops the loser
+				return outcome{}, err
 			}
-			if firstErr == nil {
-				firstErr = o.err
+			defer resp.Body.Close()
+			var res SolveResult
+			if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+				return outcome{}, err
 			}
-			if inFlight--; inFlight == 0 {
-				return nil, firstErr
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
+			res.Trace = resp.Header.Get("X-Bufferkit-Trace")
+			return outcome{res: &res}, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	if out.verdict != nil {
+		return nil, out.verdict
+	}
+	if hedgeLaunched {
+		// First success wins; score the race for Stats.
+		if hedgeWon {
+			c.stats.hedgeWins.Add(1)
+		} else {
+			c.stats.hedgeLosses.Add(1)
 		}
 	}
+	return out.res, nil
 }
 
 // Yield runs Monte Carlo / multi-corner yield analysis on one net.

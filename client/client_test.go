@@ -334,6 +334,91 @@ func TestHedgedSolve(t *testing.T) {
 	}
 }
 
+// TestHedgedSolveVerdictAndFailover: with hedging armed, a 400 is the
+// server's verdict — it ends the race at once, even while the hedge arm is
+// still waiting on a stalled server — and a primary arm that fails with a
+// retryable 503 hands over to the hedge immediately instead of waiting out
+// the hedge delay.
+func TestHedgedSolveVerdictAndFailover(t *testing.T) {
+	t.Run("400 ends the race", func(t *testing.T) {
+		var calls atomic.Int64
+		stall := make(chan struct{})
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body)
+			if calls.Add(1) > 1 {
+				<-stall // the hedge arm never answers
+				return
+			}
+			time.Sleep(40 * time.Millisecond) // past the hedge delay
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusBadRequest)
+			fmt.Fprint(w, `{"error":"bad net","field":"net"}`)
+		}))
+		defer srv.Close()
+		defer close(stall)
+		c, err := New(srv.URL, WithHedging(10*time.Millisecond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The bound turns a race that waits on the stalled arm into an error.
+		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+		defer cancel()
+		_, err = c.Solve(ctx, SolveRequest{Net: "x", Library: "y"})
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
+			t.Fatalf("err = %v, want the 400 APIError without waiting on the hedge arm", err)
+		}
+		if n := calls.Load(); n != 2 {
+			t.Fatalf("server saw %d calls, want 2 (primary + hedge, no retry)", n)
+		}
+
+		// Answered before the hedge delay: exactly one request.
+		calls.Store(0)
+		c, err = New(srv.URL, WithHedging(5*time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Solve(context.Background(), SolveRequest{Net: "x", Library: "y"}); !errors.As(err, &apiErr) {
+			t.Fatalf("err = %v, want the 400 APIError", err)
+		}
+		if n := calls.Load(); n != 1 {
+			t.Fatalf("server saw %d calls, want exactly 1", n)
+		}
+	})
+	t.Run("503 fails over to the hedge", func(t *testing.T) {
+		var calls atomic.Int64
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body)
+			w.Header().Set("Content-Type", "application/json")
+			if calls.Add(1) == 1 {
+				w.WriteHeader(http.StatusServiceUnavailable)
+				fmt.Fprint(w, `{"error":"draining"}`)
+				return
+			}
+			fmt.Fprint(w, fakeSolveBody)
+		}))
+		defer srv.Close()
+		c, err := New(srv.URL, WithHedging(5*time.Second), WithRetry(RetryPolicy{MaxAttempts: 1}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		res, err := c.Solve(context.Background(), SolveRequest{Net: "x", Library: "y"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Slack != 42 || calls.Load() != 2 {
+			t.Fatalf("result %+v after %d calls, want the hedge's answer after 2", res, calls.Load())
+		}
+		if elapsed := time.Since(start); elapsed > 2*time.Second {
+			t.Fatalf("failover waited %v for the hedge delay", elapsed)
+		}
+		if s := c.Stats(); s.HedgesLaunched != 1 || s.HedgeWins != 1 || s.HedgeLosses != 0 {
+			t.Fatalf("stats after failover win: %+v", s)
+		}
+	})
+}
+
 func TestReadyAndMetrics(t *testing.T) {
 	s := server.New(server.Config{})
 	srv := httptest.NewServer(s.Handler())

@@ -11,8 +11,6 @@ import "encoding/json"
 type SolveOptions struct {
 	// Algorithm is a registry name ("" = the paper's O(bn²) algorithm).
 	Algorithm string `json:"algorithm,omitempty"`
-	// Prune is "transient" (default) or "destructive".
-	Prune string `json:"prune,omitempty"`
 	// MaxCost caps total buffer cost (costslack only; 0 = no cap).
 	MaxCost int `json:"max_cost,omitempty"`
 	// NoStats skips Stats on the reply.

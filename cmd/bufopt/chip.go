@@ -24,7 +24,7 @@ type chipOpts struct {
 // one line per pricing round and reporting the final allocation. With
 // -verify the per-net placements are re-checked against the Elmore oracle
 // and the site usage against every capacity.
-func runChip(ctx context.Context, w io.Writer, chipPath, libPath string, genLib int, algo, prune string, reduce int, o chipOpts) error {
+func runChip(ctx context.Context, w io.Writer, chipPath, libPath string, genLib int, algo string, reduce int, o chipOpts) error {
 	f, err := os.Open(chipPath)
 	if err != nil {
 		return err
@@ -62,7 +62,7 @@ func runChip(ctx context.Context, w io.Writer, chipPath, libPath string, genLib 
 	if o.capacity > 0 {
 		extra = append(extra, bufferkit.WithChipCapacity(o.capacity))
 	}
-	solver, err := newSolver(lib, algo, prune, reduce, extra...)
+	solver, err := newSolver(lib, algo, reduce, extra...)
 	if err != nil {
 		return err
 	}

@@ -34,7 +34,7 @@ func writeChipFixture(t *testing.T) string {
 func TestRunChip(t *testing.T) {
 	path := writeChipFixture(t)
 	var out strings.Builder
-	err := runChip(bg(), &out, path, "", 6, "new", "transient", 0, chipOpts{verify: true})
+	err := runChip(bg(), &out, path, "", 6, "new", 0, chipOpts{verify: true})
 	if err != nil {
 		t.Fatalf("runChip: %v\n%s", err, out.String())
 	}
@@ -51,7 +51,7 @@ func TestRunChipFlagConflicts(t *testing.T) {
 	// An explicit tiny budget still verifies: the repair pass delivers a
 	// feasible allocation.
 	var out strings.Builder
-	err := runChip(bg(), &out, path, "", 6, "new", "transient", 0,
+	err := runChip(bg(), &out, path, "", 6, "new", 0,
 		chipOpts{rounds: 1, verify: true})
 	if err != nil {
 		t.Fatalf("runChip rounds=1: %v\n%s", err, out.String())
@@ -61,7 +61,7 @@ func TestRunChipFlagConflicts(t *testing.T) {
 	}
 
 	if err := runChip(bg(), io.Discard, filepath.Join(t.TempDir(), "missing.json"),
-		"", 6, "new", "transient", 0, chipOpts{}); err == nil {
+		"", 6, "new", 0, chipOpts{}); err == nil {
 		t.Fatal("missing instance file accepted")
 	}
 }
@@ -71,12 +71,12 @@ func TestRunChipFlagConflicts(t *testing.T) {
 // caller's full library.
 func TestRunWithReduction(t *testing.T) {
 	if err := run(bg(), io.Discard, testdata+"random12.net", testdata+"lib8.buf",
-		0, "new", "transient", -1, true, true); err != nil {
+		0, "new", -1, true, true); err != nil {
 		t.Fatal(err)
 	}
 	// Clustering to 2 types is lossy but must still verify self-consistently.
 	if err := run(bg(), io.Discard, testdata+"random12.net", testdata+"lib8.buf",
-		0, "new", "transient", 2, false, true); err != nil {
+		0, "new", 2, false, true); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -50,7 +50,6 @@ func main() {
 		libPath   = flag.String("lib", "", "buffer library file")
 		genLib    = flag.Int("gen-lib", 0, "generate a paper-range library of this size instead of -lib")
 		algo      = flag.String("algo", bufferkit.AlgoNew, "algorithm: "+strings.Join(bufferkit.Algorithms(), ", ")+" (vg = vanginneken)")
-		prune     = flag.String("prune", "transient", "convex pruning for -algo new: transient (exact) or destructive (paper-literal)")
 		placement = flag.Bool("placement", false, "print the buffer placement")
 		verify    = flag.Bool("verify", true, "re-check the result against the exact Elmore oracle")
 		reduce    = flag.Int("reduce", 0, "library reduction: -1 dominance-only (bit-exact), k>0 cluster to k types, 0 off")
@@ -87,19 +86,19 @@ func main() {
 	case *batchDir != "" && *yield:
 		err = fmt.Errorf("-yield is not supported with -batch")
 	case *chipPath != "":
-		err = runChip(ctx, os.Stdout, *chipPath, *libPath, *genLib, *algo, *prune, *reduce, chipOpts{
+		err = runChip(ctx, os.Stdout, *chipPath, *libPath, *genLib, *algo, *reduce, chipOpts{
 			rounds: *rounds, step: *chipStep, decay: *chipDec, capacity: *chipCap,
 			workers: *jobs, verify: *verify,
 		})
 	case *batchDir != "":
-		err = runBatch(ctx, os.Stdout, *batchDir, *libPath, *genLib, *algo, *prune, *reduce, *jobs, *verify)
+		err = runBatch(ctx, os.Stdout, *batchDir, *libPath, *genLib, *algo, *reduce, *jobs, *verify)
 	case *yield:
-		err = runYield(ctx, os.Stdout, *netPath, *libPath, *genLib, *algo, *prune, *reduce, yieldOpts{
+		err = runYield(ctx, os.Stdout, *netPath, *libPath, *genLib, *algo, *reduce, yieldOpts{
 			samples: *samples, sigma: *sigma, seed: *seed, target: *yieldTarget,
 			robust: *robust, corners: *corners, placement: *placement, workers: *jobs,
 		})
 	default:
-		err = run(ctx, os.Stdout, *netPath, *libPath, *genLib, *algo, *prune, *reduce, *placement, *verify)
+		err = run(ctx, os.Stdout, *netPath, *libPath, *genLib, *algo, *reduce, *placement, *verify)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bufopt:", err)
@@ -125,16 +124,6 @@ func loadLibrary(libPath string, genLib int) (bufferkit.Library, error) {
 	return nil, fmt.Errorf("provide -lib <file> or -gen-lib <size>")
 }
 
-func parsePrune(prune string) (bufferkit.PruneMode, error) {
-	switch prune {
-	case "transient":
-		return bufferkit.PruneTransient, nil
-	case "destructive":
-		return bufferkit.PruneDestructive, nil
-	}
-	return 0, fmt.Errorf("unknown -prune %q", prune)
-}
-
 // parseAlgo resolves the -algo flag against the algorithm registry,
 // accepting "vg" as the historical alias for "vanginneken".
 func parseAlgo(algo string) (string, error) {
@@ -150,19 +139,14 @@ func parseAlgo(algo string) (string, error) {
 }
 
 // newSolver assembles the Solver all bufopt modes share.
-func newSolver(lib bufferkit.Library, algo, prune string, reduce int, extra ...bufferkit.Option) (*bufferkit.Solver, error) {
+func newSolver(lib bufferkit.Library, algo string, reduce int, extra ...bufferkit.Option) (*bufferkit.Solver, error) {
 	name, err := parseAlgo(algo)
-	if err != nil {
-		return nil, err
-	}
-	mode, err := parsePrune(prune)
 	if err != nil {
 		return nil, err
 	}
 	opts := []bufferkit.Option{
 		bufferkit.WithLibrary(lib),
 		bufferkit.WithAlgorithm(name),
-		bufferkit.WithPruneMode(mode),
 	}
 	if reduce != 0 {
 		opts = append(opts, bufferkit.WithLibraryReduction(reduce))
@@ -170,7 +154,7 @@ func newSolver(lib bufferkit.Library, algo, prune string, reduce int, extra ...b
 	return bufferkit.NewSolver(append(opts, extra...)...)
 }
 
-func run(ctx context.Context, w io.Writer, netPath, libPath string, genLib int, algo, prune string, reduce int, placement, verify bool) error {
+func run(ctx context.Context, w io.Writer, netPath, libPath string, genLib int, algo string, reduce int, placement, verify bool) error {
 	if netPath == "" {
 		return fmt.Errorf("-net is required")
 	}
@@ -188,7 +172,7 @@ func run(ctx context.Context, w io.Writer, netPath, libPath string, genLib int, 
 	if err != nil {
 		return err
 	}
-	solver, err := newSolver(lib, algo, prune, reduce, bufferkit.WithDriver(net.Driver))
+	solver, err := newSolver(lib, algo, reduce, bufferkit.WithDriver(net.Driver))
 	if err != nil {
 		return err
 	}
@@ -265,7 +249,7 @@ type yieldOpts struct {
 // runYield runs Monte Carlo yield analysis on one net, reporting the slack
 // distribution across corners, the yield at the target, and the chosen
 // placement.
-func runYield(ctx context.Context, w io.Writer, netPath, libPath string, genLib int, algo, prune string, reduce int, o yieldOpts) error {
+func runYield(ctx context.Context, w io.Writer, netPath, libPath string, genLib int, algo string, reduce int, o yieldOpts) error {
 	if netPath == "" {
 		return fmt.Errorf("-net is required")
 	}
@@ -294,7 +278,7 @@ func runYield(ctx context.Context, w io.Writer, netPath, libPath string, genLib 
 	if o.corners {
 		extra = append(extra, bufferkit.WithCorners(bufferkit.ProcessCorners()[1:]))
 	}
-	solver, err := newSolver(lib, algo, prune, reduce, extra...)
+	solver, err := newSolver(lib, algo, reduce, extra...)
 	if err != nil {
 		return err
 	}
@@ -359,7 +343,7 @@ func (o yieldOpts) cornerCount() int {
 // first, so batch output is deterministic across runs. Cancellation
 // (Ctrl-C) stops cleanly: completed nets stay reported and the totals line
 // says how far the batch got.
-func runBatch(ctx context.Context, w io.Writer, dir, libPath string, genLib int, algo, prune string, reduce, jobs int, verify bool) error {
+func runBatch(ctx context.Context, w io.Writer, dir, libPath string, genLib int, algo string, reduce, jobs int, verify bool) error {
 	lib, err := loadLibrary(libPath, genLib)
 	if err != nil {
 		return err
@@ -390,7 +374,7 @@ func runBatch(ctx context.Context, w io.Writer, dir, libPath string, genLib int,
 		drivers[i] = nets[i].Driver
 	}
 
-	solver, err := newSolver(lib, algo, prune, reduce,
+	solver, err := newSolver(lib, algo, reduce,
 		bufferkit.WithDrivers(drivers),
 		bufferkit.WithWorkers(jobs),
 	)

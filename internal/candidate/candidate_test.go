@@ -30,7 +30,7 @@ func refNonredundant(ps []Pair) []Pair {
 }
 
 // randList builds a random nonredundant list of up to maxLen candidates.
-func randList(rng *rand.Rand, maxLen int) *List {
+func randList(rng *rand.Rand, maxLen int) *SoAList {
 	k := 1 + rng.Intn(maxLen)
 	raw := make([]Pair, k)
 	q, c := rng.Float64()*100-200, rng.Float64()*5
@@ -39,7 +39,7 @@ func randList(rng *rand.Rand, maxLen int) *List {
 		q += 0.01 + rng.Float64()*50
 		c += 0.01 + rng.Float64()*10
 	}
-	return FromPairs(raw)
+	return SoAFromPairs(raw)
 }
 
 func pairsEqual(t *testing.T, got, want []Pair, what string) {
@@ -54,17 +54,25 @@ func pairsEqual(t *testing.T, got, want []Pair, what string) {
 	}
 }
 
+// hullPairs returns the concave majorant of l as pairs, via HullIdx.
+func hullPairs(l *SoAList) []Pair {
+	var out []Pair
+	for _, i := range l.HullIdx() {
+		out = append(out, l.At(i))
+	}
+	return out
+}
+
 func TestNewSink(t *testing.T) {
 	ar := NewArena()
-	l := ar.NewSink(120, 3.5, 7)
+	l := ar.NewSoASink(120, 3.5, 7)
 	if l.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", l.Len())
 	}
-	nd := l.Front()
-	if nd.Q != 120 || nd.C != 3.5 {
-		t.Fatalf("candidate = (%g, %g), want (120, 3.5)", nd.Q, nd.C)
+	if p := l.At(0); p.Q != 120 || p.C != 3.5 {
+		t.Fatalf("candidate = (%g, %g), want (120, 3.5)", p.Q, p.C)
 	}
-	if dec := ar.Decision(nd.Dec); nd.Dec == 0 || dec.Kind != DecSink || dec.Vertex != 7 {
+	if dec := ar.Decision(l.DecAt(0)); l.DecAt(0) == 0 || dec.Kind != DecSink || dec.Vertex != 7 {
 		t.Fatalf("decision = %+v, want sink at vertex 7", dec)
 	}
 	if err := l.Validate(); err != nil {
@@ -73,17 +81,16 @@ func TestNewSink(t *testing.T) {
 }
 
 func TestAddWireSimple(t *testing.T) {
-	l := NewArena().NewSink(100, 10, 1)
+	l := NewArena().NewSoASink(100, 10, 1)
 	l.AddWire(2, 4) // delay = 2*(4/2 + 10) = 24
-	nd := l.Front()
-	if nd.Q != 76 || nd.C != 14 {
-		t.Fatalf("after wire: (%g, %g), want (76, 14)", nd.Q, nd.C)
+	if p := l.At(0); p.Q != 76 || p.C != 14 {
+		t.Fatalf("after wire: (%g, %g), want (76, 14)", p.Q, p.C)
 	}
 }
 
 func TestAddWirePrunesReversals(t *testing.T) {
 	// High-C candidate pays more wire delay and becomes dominated.
-	l := FromPairs([]Pair{{0, 0}, {10, 1}, {11, 100}})
+	l := SoAFromPairs([]Pair{{0, 0}, {10, 1}, {11, 100}})
 	l.AddWire(1, 0) // Q -= C
 	got := l.Pairs()
 	want := []Pair{{0, 0}, {9, 1}} // (11-100, 100) = (-89,100) dominated
@@ -94,7 +101,7 @@ func TestAddWirePrunesReversals(t *testing.T) {
 }
 
 func TestAddWireZeroResistance(t *testing.T) {
-	l := FromPairs([]Pair{{0, 0}, {10, 1}})
+	l := SoAFromPairs([]Pair{{0, 0}, {10, 1}})
 	l.AddWire(0, 5)
 	pairsEqual(t, l.Pairs(), []Pair{{0, 5}, {10, 6}}, "zero-R wire")
 }
@@ -120,9 +127,9 @@ func TestAddWireProperty(t *testing.T) {
 }
 
 func TestMergeSimple(t *testing.T) {
-	a := FromPairs([]Pair{{0, 1}, {10, 2}})
-	b := FromPairs([]Pair{{5, 1}})
-	got := Merge(a, b).Pairs()
+	a := SoAFromPairs([]Pair{{0, 1}, {10, 2}})
+	b := SoAFromPairs([]Pair{{5, 1}})
+	got := MergeSoA(a, b).Pairs()
 	// q=0: (0, 2); q=5: best a with Q>=5 is (10,2) -> (5, 3)
 	pairsEqual(t, got, []Pair{{0, 2}, {5, 3}}, "merge")
 }
@@ -133,7 +140,7 @@ func TestMergeProperty(t *testing.T) {
 		a := randList(rng, 25)
 		b := randList(rng, 25)
 		ap, bp := a.Pairs(), b.Pairs()
-		m := Merge(a, b)
+		m := MergeSoA(a, b)
 		if err := m.Validate(); err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
@@ -153,18 +160,18 @@ func TestMergeProperty(t *testing.T) {
 
 func TestMergeDecisionsReferenceBothBranches(t *testing.T) {
 	ar := NewArena()
-	a := ar.NewSink(50, 1, 3)
-	b := ar.NewSink(60, 2, 4)
-	m := Merge(a, b)
+	a := ar.NewSoASink(50, 1, 3)
+	b := ar.NewSoASink(60, 2, 4)
+	m := MergeSoA(a, b)
 	if m.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", m.Len())
 	}
-	dec := ar.Decision(m.Front().Dec)
+	dec := ar.Decision(m.DecAt(0))
 	if dec.Kind != DecMerge || dec.A == 0 || dec.B == 0 {
 		t.Fatalf("decision %+v does not join two branches", dec)
 	}
 	p := []int{-1, -1, -1, -1, -1}
-	ar.Fill(m.Front().Dec, p)
+	ar.Fill(m.DecAt(0), p)
 	for i, v := range p {
 		if v != -1 {
 			t.Fatalf("p[%d] = %d, want no buffers", i, v)
@@ -192,7 +199,7 @@ func TestInsertOneCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			l := FromPairs(base)
+			l := SoAFromPairs(base)
 			ok := l.InsertOne(tc.q, tc.c, 0)
 			if ok != tc.ok {
 				t.Fatalf("InsertOne returned %v, want %v", ok, tc.ok)
@@ -222,15 +229,18 @@ func TestInsertOneProperty(t *testing.T) {
 
 func TestHullViewSlopesStrictlyDecrease(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
+	h := &Hull{}
 	for iter := 0; iter < 300; iter++ {
 		l := randList(rng, 40)
-		hull := l.HullView()
-		if len(hull) == 0 || hull[0] != l.Front() || hull[len(hull)-1] != l.Back() {
+		h.Reset()
+		l.AppendHullInto(h)
+		n := h.Len()
+		if n == 0 || h.Q[0] != l.At(0).Q || h.Q[n-1] != l.At(l.Len()-1).Q {
 			t.Fatalf("iter %d: hull must keep extreme candidates", iter)
 		}
-		for i := 2; i < len(hull); i++ {
-			s1 := (hull[i-1].Q - hull[i-2].Q) / (hull[i-1].C - hull[i-2].C)
-			s2 := (hull[i].Q - hull[i-1].Q) / (hull[i].C - hull[i-1].C)
+		for i := 2; i < n; i++ {
+			s1 := (h.Q[i-1] - h.Q[i-2]) / (h.C[i-1] - h.C[i-2])
+			s2 := (h.Q[i] - h.Q[i-1]) / (h.C[i] - h.C[i-1])
 			if !(s1 > s2) {
 				t.Fatalf("iter %d: slopes not strictly decreasing: %g then %g", iter, s1, s2)
 			}
@@ -244,16 +254,15 @@ func TestHullKeepsBestForAnyR(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for iter := 0; iter < 200; iter++ {
 		l := randList(rng, 40)
-		hull := l.HullView()
-		inHull := map[*Node]bool{}
-		for _, nd := range hull {
-			inHull[nd] = true
+		inHull := map[int]bool{}
+		for _, i := range l.HullIdx() {
+			inHull[i] = true
 		}
 		for trial := 0; trial < 20; trial++ {
 			r := rng.Float64() * 20
 			best := l.BestForR(r)
 			if !inHull[best] {
-				t.Fatalf("iter %d: best for R=%g at (%g,%g) was convex-pruned", iter, r, best.Q, best.C)
+				t.Fatalf("iter %d: best for R=%g at %v was convex-pruned", iter, r, l.At(best))
 			}
 		}
 	}
@@ -264,9 +273,11 @@ func TestHullKeepsBestForAnyR(t *testing.T) {
 // order finds the same best candidates as full linear scans.
 func TestHullWalkMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
+	h := &Hull{}
 	for iter := 0; iter < 200; iter++ {
 		l := randList(rng, 40)
-		hull := l.HullView()
+		h.Reset()
+		l.AppendHullInto(h)
 		// Random non-increasing resistances.
 		rs := make([]float64, 1+rng.Intn(30))
 		for i := range rs {
@@ -276,39 +287,16 @@ func TestHullWalkMatchesLinearScan(t *testing.T) {
 		p := 0
 		prevC := math.Inf(-1)
 		for _, r := range rs {
-			for p+1 < len(hull) && hull[p+1].Q-r*hull[p+1].C > hull[p].Q-r*hull[p].C {
-				p++
+			p = h.Walk(p, r)
+			want := l.At(l.BestForR(r))
+			if h.Q[p] != want.Q || h.C[p] != want.C {
+				t.Fatalf("iter %d: walk found (%g,%g) for R=%g, scan found %v",
+					iter, h.Q[p], h.C[p], r, want)
 			}
-			want := l.BestForR(r)
-			if hull[p] != want {
-				t.Fatalf("iter %d: walk found (%g,%g) for R=%g, scan found (%g,%g)",
-					iter, hull[p].Q, hull[p].C, r, want.Q, want.C)
-			}
-			if hull[p].C < prevC {
+			if h.C[p] < prevC {
 				t.Fatalf("iter %d: best-candidate C went backwards (Lemma 1 violated)", iter)
 			}
-			prevC = hull[p].C
-		}
-	}
-}
-
-func TestConvexPruneInPlaceMatchesHullView(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for iter := 0; iter < 300; iter++ {
-		l := randList(rng, 40)
-		hull := l.HullView()
-		want := make([]Pair, len(hull))
-		for i, nd := range hull {
-			want[i] = Pair{nd.Q, nd.C}
-		}
-		before := l.Len()
-		pruned := l.ConvexPruneInPlace()
-		if pruned != before-len(want) {
-			t.Fatalf("iter %d: reported %d pruned, want %d", iter, pruned, before-len(want))
-		}
-		pairsEqual(t, l.Pairs(), want, "destructive prune vs hull view")
-		if err := l.Validate(); err != nil {
-			t.Fatalf("iter %d: %v", iter, err)
+			prevC = h.C[p]
 		}
 	}
 }
@@ -350,13 +338,10 @@ func TestMergeBetasProperty(t *testing.T) {
 			c += 0.01 + rng.Float64()*20
 			q += 0.01 + rng.Float64()*40
 		}
-		all := append(append([]Pair(nil), before...), func() []Pair {
-			ps := make([]Pair, nb)
-			for i, b := range betas {
-				ps[i] = Pair{b.Q, b.C}
-			}
-			return ps
-		}()...)
+		all := append([]Pair(nil), before...)
+		for _, b := range betas {
+			all = append(all, Pair{b.Q, b.C})
+		}
 		l.MergeBetas(betas)
 		if err := l.Validate(); err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
@@ -366,7 +351,7 @@ func TestMergeBetasProperty(t *testing.T) {
 }
 
 func TestMergeBetasIntoEmptyList(t *testing.T) {
-	l := &List{}
+	l := &SoAList{}
 	l.MergeBetas([]Beta{{Q: 1, C: 1}, {Q: 2, C: 2}})
 	pairsEqual(t, l.Pairs(), []Pair{{1, 1}, {2, 2}}, "betas into empty list")
 }
@@ -386,9 +371,9 @@ func TestMergeBetasMatchesInsertOne(t *testing.T) {
 			c += 0.01 + rng.Float64()*15
 			q += 0.01 + rng.Float64()*30
 		}
-		l1 := FromPairs(base)
+		l1 := SoAFromPairs(base)
 		l1.MergeBetas(betas)
-		l2 := FromPairs(base)
+		l2 := SoAFromPairs(base)
 		for _, b := range betas {
 			l2.InsertOne(b.Q, b.C, b.Dec)
 		}
@@ -397,20 +382,20 @@ func TestMergeBetasMatchesInsertOne(t *testing.T) {
 }
 
 // TestDestructivePruningCounterexample is the DESIGN.md §4 demonstration
-// that the merge operation does not preserve convex hulls: destructively
-// pruning the interior candidate (4,1) loses the better merged candidate.
+// that the merge operation does not preserve convex hulls: pruning the
+// interior candidate (4,1) from the list itself, as the paper's printed
+// code does, loses the better merged candidate. It is why the hull is only
+// ever a read-only view.
 func TestDestructivePruningCounterexample(t *testing.T) {
-	mk := func() *List { return FromPairs([]Pair{{0, 0}, {4, 1}, {10, 2}}) }
-	other := func() *List { return FromPairs([]Pair{{4, 0.5}}) }
+	mk := func() *SoAList { return SoAFromPairs([]Pair{{0, 0}, {4, 1}, {10, 2}}) }
+	other := func() *SoAList { return SoAFromPairs([]Pair{{4, 0.5}}) }
 
-	full := Merge(mk(), other())
+	full := MergeSoA(mk(), other())
 	pairsEqual(t, full.Pairs(), []Pair{{0, 0.5}, {4, 1.5}}, "merge with full list")
 
-	pruned := mk()
-	if n := pruned.ConvexPruneInPlace(); n != 1 {
-		t.Fatalf("expected (4,1) to be convex-pruned, got %d prunes", n)
-	}
-	lossy := Merge(pruned, other())
+	hull := hullPairs(mk())
+	pairsEqual(t, hull, []Pair{{0, 0}, {10, 2}}, "hull drops (4,1)")
+	lossy := MergeSoA(SoAFromPairs(hull), other())
 	pairsEqual(t, lossy.Pairs(), []Pair{{0, 0.5}, {4, 2.5}}, "merge with pruned list")
 	// The surviving Q=4 candidate now carries 1 fF more: any upstream
 	// resistance r loses r·1 ps of slack versus the exact answer.
@@ -446,19 +431,19 @@ func TestArenaResetReleasesAndReuses(t *testing.T) {
 	p := make([]int, 3)
 	run := func() float64 {
 		ar.Reset()
-		a := ar.NewSink(50, 1, 1)
-		b := ar.NewSink(60, 2, 2)
-		m := Merge(a, b)
+		a := ar.NewSoASink(50, 1, 1)
+		b := ar.NewSoASink(60, 2, 2)
+		m := MergeSoA(a, b)
 		a.Free()
 		b.Free()
-		betas[0] = Beta{Q: 100, C: 0.5, Buffer: 1, Vertex: 0, SrcDec: m.Front().Dec}
+		betas[0] = Beta{Q: 100, C: 0.5, Buffer: 1, Vertex: 0, SrcDec: m.DecAt(0)}
 		m.MergeBetas(betas)
 		p[0], p[1], p[2] = -1, -1, -1
-		ar.Fill(m.Front().Dec, p)
+		ar.Fill(m.DecAt(0), p)
 		if p[0] != 1 {
 			t.Fatalf("fill lost the buffer decision: %v", p)
 		}
-		return m.Front().Q
+		return m.At(0).Q
 	}
 	want := run()
 	allocs := testing.AllocsPerRun(100, func() {
@@ -471,30 +456,38 @@ func TestArenaResetReleasesAndReuses(t *testing.T) {
 	}
 }
 
+// TestFromPairsPanicsOnDisorder: a C sequence that does not strictly
+// increase is rejected even when Q does increase (the Q side is
+// TestSoAFromPairsPanicsOnDisorder).
 func TestFromPairsPanicsOnDisorder(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	FromPairs([]Pair{{1, 1}, {0, 2}})
+	SoAFromPairs([]Pair{{0, 2}, {1, 2}})
 }
 
 func TestValidateDetectsCorruption(t *testing.T) {
-	l := FromPairs([]Pair{{0, 0}, {1, 1}})
-	l.Front().Q = 5 // breaks strict Q order
+	l := SoAFromPairs([]Pair{{0, 0}, {1, 1}})
+	l.q[0] = 5 // breaks strict Q order
 	if err := l.Validate(); err == nil {
 		t.Fatal("Validate accepted a corrupted list")
 	}
-	l2 := FromPairs([]Pair{{0, 0}})
-	l2.Front().C = math.NaN()
+	l2 := SoAFromPairs([]Pair{{0, 0}})
+	l2.c[0] = math.NaN()
 	if err := l2.Validate(); err == nil {
 		t.Fatal("Validate accepted NaN")
+	}
+	l3 := SoAFromPairs([]Pair{{0, 0}, {1, 1}})
+	l3.dec = l3.dec[:1]
+	if err := l3.Validate(); err == nil {
+		t.Fatal("Validate accepted diverging slab lengths")
 	}
 }
 
 // TestQuickNonredundantClosure uses testing/quick to fuzz arbitrary pair
-// multisets through FromPairs(refNonredundant(...)) and the three list
+// multisets through SoAFromPairs(refNonredundant(...)) and the list
 // operations, asserting the invariants always hold.
 func TestQuickNonredundantClosure(t *testing.T) {
 	f := func(qs []float64, r, c uint8) bool {
@@ -514,7 +507,7 @@ func TestQuickNonredundantClosure(t *testing.T) {
 		if len(nr) == 0 {
 			return true
 		}
-		l := FromPairs(nr)
+		l := SoAFromPairs(nr)
 		l.AddWire(float64(r)/16, float64(c)/4)
 		if l.Validate() != nil {
 			return false
@@ -527,31 +520,40 @@ func TestQuickNonredundantClosure(t *testing.T) {
 	}
 }
 
-func TestHullViewIntoReusesBuffer(t *testing.T) {
-	l := FromPairs([]Pair{{0, 0}, {1, 1}, {100, 2}})
-	buf := make([]*Node, 0, 8)
-	hull := l.HullViewInto(buf)
-	if len(hull) != 2 { // (1,1) has increasing slopes -> pruned
-		t.Fatalf("hull size %d, want 2", len(hull))
+// TestAppendHullIntoReusesBuffer: the hull builder appends into the caller's
+// Hull, and Reset keeps its capacity, so warm hull builds do not allocate.
+func TestAppendHullIntoReusesBuffer(t *testing.T) {
+	l := SoAFromPairs([]Pair{{0, 0}, {1, 1}, {100, 2}})
+	h := &Hull{Q: make([]float64, 0, 8), C: make([]float64, 0, 8)}
+	l.AppendHullInto(h)
+	if h.Len() != 2 { // (1,1) has increasing slopes -> pruned
+		t.Fatalf("hull size %d, want 2", h.Len())
 	}
-	if cap(hull) != 8 {
-		t.Fatalf("buffer not reused: cap %d", cap(hull))
+	if cap(h.Q) != 8 || cap(h.C) != 8 {
+		t.Fatalf("buffer not reused: cap %d/%d", cap(h.Q), cap(h.C))
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		h.Reset()
+		l.AppendHullInto(h)
+	})
+	if allocs > 0 || h.Len() != 2 {
+		t.Fatalf("warm hull rebuild: %.1f allocs, %d points", allocs, h.Len())
 	}
 }
 
 func TestPairsRoundTrip(t *testing.T) {
 	want := []Pair{{-3, 0}, {0, 1}, {5, 2.5}}
-	got := FromPairs(want).Pairs()
+	got := SoAFromPairs(want).Pairs()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip: got %v want %v", got, want)
 	}
 }
 
 func TestRecycleEmptiesList(t *testing.T) {
-	l := FromPairs([]Pair{{0, 0}, {1, 1}, {2, 2}})
+	l := SoAFromPairs([]Pair{{0, 0}, {1, 1}, {2, 2}})
 	l.Recycle()
-	if l.Len() != 0 || l.Front() != nil || l.Back() != nil {
-		t.Fatalf("Recycle left state: %+v", l)
+	if l.Len() != 0 {
+		t.Fatalf("Recycle left %d candidates", l.Len())
 	}
 	if err := l.Validate(); err != nil {
 		t.Fatal(err)
@@ -565,21 +567,21 @@ func TestRecycleEmptiesList(t *testing.T) {
 	}
 }
 
-// TestPoolReuseDoesNotAliasDecisions guards node recycling against the
-// lineage-corruption hazard documented on Beta: decisions read from removed
-// nodes must stay valid because betas capture SrcDec (the decision
-// reference), never the node.
+// TestPoolReuseDoesNotAliasDecisions guards slab reuse against the
+// lineage-corruption hazard documented on Beta: decisions read from
+// removed candidates must stay valid because betas capture SrcDec (the
+// decision reference), never a slab position.
 func TestPoolReuseDoesNotAliasDecisions(t *testing.T) {
 	ar := NewArena()
-	l := ar.NewSink(10, 1, 7)
-	src := l.Front().Dec
+	l := ar.NewSoASink(10, 1, 7)
+	src := l.DecAt(0)
 	betas := []Beta{{Q: 20, C: 0.5, Buffer: 2, Vertex: 3, SrcDec: src}}
 	l.MergeBetas(betas) // dominates and removes the sink candidate
 	if l.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", l.Len())
 	}
-	dec := ar.Decision(l.Front().Dec)
-	if l.Front().Dec == 0 || dec.Kind != DecBuffer || dec.Vertex != 3 || dec.Buffer != 2 {
+	dec := ar.Decision(l.DecAt(0))
+	if l.DecAt(0) == 0 || dec.Kind != DecBuffer || dec.Vertex != 3 || dec.Buffer != 2 {
 		t.Fatalf("decision corrupted: %+v", dec)
 	}
 	if a := ar.Decision(dec.A); dec.A != src || a.Kind != DecSink || a.Vertex != 7 {

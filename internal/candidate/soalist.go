@@ -5,9 +5,9 @@ import (
 	"math"
 )
 
-// SoAList is the candidate representation the engines run on: three
-// parallel slabs — slacks, capacitances, decision references — kept strictly
-// increasing in both Q and C, exactly like the node order of List.
+// SoAList is the candidate list every engine runs on: three parallel
+// slabs — slacks, capacitances, decision references — kept strictly
+// increasing in both Q and C.
 //
 // The paper chose a doubly-linked list for O(1) deletion and in-place
 // O(k+b) merging (at a ~2% memory overhead, per its Section 4). The SoA
@@ -15,14 +15,15 @@ import (
 // sequential copying: every operation is a forward pass over packed
 // float64 arrays, which is the access pattern hardware prefetchers are
 // built for. Operations that can shrink the list (AddWire re-pruning,
-// convex pruning) compact in place; operations that can grow it
+// RemoveDominated) compact in place; operations that can grow it
 // (MergeBetas, InsertOne) rebuild into a swap buffer owned by the list and
 // flip the two, so a warm list performs zero heap allocations. DESIGN.md
-// §11 records why this is the only engine representation.
+// §11 records why this is the only representation.
 //
-// Operations mirror List exactly; the property tests in soalist_test.go
-// hold both to the brute-force nonredundancy reference and to each other
-// through randomized interleavings of the full operation set.
+// The tests in soalist_test.go hold every operation to brute-force
+// references: dominance filtering of the full candidate multiset, the
+// upper envelope by exhaustive segment checks, and the argmax of Q − r·C
+// by exhaustive scan.
 type SoAList struct {
 	q   []float64
 	c   []float64
@@ -55,8 +56,23 @@ func (h *Hull) Reset() { h.Q, h.C = h.Q[:0], h.C[:0] }
 // Len returns the number of hull points.
 func (h *Hull) Len() int { return len(h.Q) }
 
-// leftTurnQC is leftTurn on scalar (Q, C) values: does the middle point b
-// lie strictly above the chord a→c (Eq. 2 of the paper)?
+// Walk advances the monotone hull pointer p for driving resistance r: it
+// moves forward while the next hull point is strictly better for Q − r·C,
+// so ties keep the smaller C (the paper's best-candidate definition). On
+// the concave majorant the objective is unimodal (Lemma 4) and its
+// maximizer moves toward larger C as r decreases (Lemma 1), so walking a
+// library in non-increasing r order finds every type's best candidate in
+// O(k + b) total.
+func (h *Hull) Walk(p int, r float64) int {
+	for p+1 < len(h.Q) && h.Q[p+1]-r*h.C[p+1] > h.Q[p]-r*h.C[p] {
+		p++
+	}
+	return p
+}
+
+// leftTurnQC reports whether the middle point b lies strictly above the
+// chord a→c in the (C, Q) plane, i.e. slope(a→b) > slope(b→c). Points
+// violating this (Eq. 2 of the paper) are off the concave majorant.
 func leftTurnQC(aq, ac, bq, bc, cq, cc float64) bool {
 	return (bq-aq)*(cc-bc) > (cq-bq)*(bc-ac)
 }
@@ -146,9 +162,9 @@ func (l *SoAList) Clone() *SoAList {
 
 // AddWire applies a wire of resistance r (kΩ) and capacitance c (fF)
 // upstream: Q ← Q − r·(c/2 + C), C ← C + c, then compacts away candidates
-// whose new Q does not strictly exceed their surviving predecessor's — the
-// same forward re-prune List.AddWire performs. Update and compaction are
-// fused into a single streaming pass over the slabs (one read and at most
+// whose new Q does not strictly exceed their surviving predecessor's: C
+// order is preserved (a constant shift), but Q order may break because
+// high-C candidates pay more delay. Update and compaction are fused into a single streaming pass over the slabs (one read and at most
 // one write per candidate, no pointer chain), which is where the SoA layout
 // earns its keep on wire-heavy nets. O(k).
 func (l *SoAList) AddWire(r, c float64) {
@@ -165,7 +181,7 @@ func (l *SoAList) AddWire(r, c float64) {
 		return
 	}
 	// half is hoisted but the expression stays r·(c/2 + C) — bit-identical
-	// to List.AddWire, which the reference property tests hold it to.
+	// to WireDelay, which the reference property tests hold it to.
 	half := c / 2
 	out := 0
 	last := math.Inf(-1)
@@ -180,9 +196,12 @@ func (l *SoAList) AddWire(r, c float64) {
 	l.q, l.c, l.dec = q[:out], cs[:out], dec[:out]
 }
 
-// MergeSoA combines the candidate lists of two sibling branches — the same
-// two-pointer sweep as Merge, over packed arrays. The inputs should be
-// discarded (Free them when arena-backed); the output allocates from the
+// MergeSoA combines the candidate lists of two sibling branches meeting at
+// a vertex: a joint candidate has Q = min(Q_a, Q_b) and C = C_a + C_b. For
+// a target Q the cheapest combination pairs the first candidate of each
+// list with Q at least the target, so a two-pointer sweep over the
+// Q-sorted lists emits all nonredundant joint candidates in
+// O(len(a) + len(b)). The inputs should be discarded (Free them when arena-backed); the output allocates from the
 // first input's arena (or the second's, if the first has none). With no
 // arena, merge decisions are not recorded.
 func MergeSoA(a, b *SoAList) *SoAList {
@@ -301,6 +320,26 @@ func (l *SoAList) MergeBetas(betas []Beta) {
 	l.swap(nq, nc, nd)
 }
 
+// RemoveDominated removes every candidate dominated by a candidate of f
+// (one with Q ≥ q and C ≤ c), compacting in place. Both lists are C-sorted
+// and f's Q grows with its C, so one forward sweep suffices: O(k + len(f)).
+func (l *SoAList) RemoveDominated(f *SoAList) {
+	out, j := 0, 0
+	bestQ, has := 0.0, false
+	for i := range l.q {
+		for j < len(f.q) && f.c[j] <= l.c[i] {
+			bestQ, has = f.q[j], true
+			j++
+		}
+		if has && bestQ >= l.q[i] {
+			continue
+		}
+		l.q[out], l.c[out], l.dec[out] = l.q[i], l.c[i], l.dec[i]
+		out++
+	}
+	l.q, l.c, l.dec = l.q[:out], l.c[:out], l.dec[:out]
+}
+
 // swap installs a rebuilt candidate set and keeps the previous slabs as the
 // next rebuild's scratch.
 func (l *SoAList) swap(nq, nc []float64, nd []DecRef) {
@@ -334,29 +373,10 @@ func (l *SoAList) Best(r float64) (q, c float64, dec DecRef, ok bool) {
 	return l.q[i], l.c[i], l.dec[i], true
 }
 
-// ConvexPruneInPlace removes every candidate not on the concave majorant —
-// Graham's scan compacting the three slabs in place (the stack head never
-// passes the read cursor, so no scratch is needed). Returns the number of
-// candidates pruned. O(k).
-func (l *SoAList) ConvexPruneInPlace() int {
-	n := len(l.q)
-	if n < 3 {
-		return 0
-	}
-	out := 0
-	for i := 0; i < n; i++ {
-		for out >= 2 && !leftTurnQC(l.q[out-2], l.c[out-2], l.q[out-1], l.c[out-1], l.q[i], l.c[i]) {
-			out--
-		}
-		l.q[out], l.c[out], l.dec[out] = l.q[i], l.c[i], l.dec[i]
-		out++
-	}
-	l.q, l.c, l.dec = l.q[:out], l.c[:out], l.dec[:out]
-	return n - out
-}
-
 // AppendHullInto appends the concave majorant to h without modifying the
-// list — the transient-prune path. Graham's scan over the already C-sorted
+// list: convex pruning is a read-only view, so candidates off the hull stay
+// available to later merges (DESIGN.md §4). Every maximizer of Q − r·C for
+// any r ≥ 0 is on the hull (paper Lemma 3). Graham's scan over the already C-sorted
 // slabs runs in O(k); the stack head is a plain cursor, so pops are a
 // decrement and the hull slices are committed once at the end.
 // Decisions are not copied — see Hull and HullDec.
@@ -381,21 +401,12 @@ func (l *SoAList) AppendHullInto(h *Hull) {
 	h.Q, h.C = hq, hc
 }
 
-// AppendAllInto appends every candidate to h (after destructive pruning the
-// whole list is the hull). HullDec's identity fast path recovers decisions
-// in O(1).
-func (l *SoAList) AppendAllInto(h *Hull) {
-	h.Q = append(h.Q, l.q...)
-	h.C = append(h.C, l.c...)
-}
-
 // HullDec resolves the decision of hull point p by an exact forward search
 // of the strictly increasing C slab from the caller's cursor, returning the
 // advanced cursor. The engines' hull walk visits points in increasing p, so
 // threading the cursor back makes all resolutions of one buffer position
 // O(k) total — cheaper than copying an O(k) third column during every hull
-// scan just to read ≤ b entries of it. When the hull is the whole list
-// (destructive pruning) the very first probe hits.
+// scan just to read ≤ b entries of it.
 func (l *SoAList) HullDec(h *Hull, p, hint int) (DecRef, int) {
 	c := h.C[p]
 	i := hint

@@ -6,247 +6,212 @@ import (
 	"testing"
 )
 
-// soaPair couples one linked list and one SoA list, each arena-backed by its
-// own arena so the decision-record sequences of the two representations stay
-// in lockstep and placements can be compared through Fill.
-type soaPair struct {
-	arL, arS *Arena
-	ll       *List
-	sl       *SoAList
-}
-
-func newSoaPair() *soaPair {
-	p := &soaPair{arL: NewArena(), arS: NewArena()}
-	p.reset()
-	return p
-}
-
-// reset rewinds both arenas and starts both lists empty —
-// the state of a fresh engine run, so iterating reset exercises the
-// recycle/reuse path of both allocators.
-func (p *soaPair) reset() {
-	p.arL.Reset()
-	p.arS.Reset()
-	p.ll = p.arL.NewList()
-	p.sl = p.arS.NewSoAList()
-}
-
-// seed replaces the content of both lists with the same strictly increasing
-// pairs, recording one sink decision per candidate in each arena.
-func (p *soaPair) seed(pairs []Pair) {
-	p.ll.Recycle()
-	p.sl.Recycle()
-	for i, pr := range pairs {
-		p.ll.pushBack(p.ll.newNode(pr.Q, pr.C, p.arL.SinkDec(i)))
-		p.sl.q = append(p.sl.q, pr.Q)
-		p.sl.c = append(p.sl.c, pr.C)
-		p.sl.dec = append(p.sl.dec, p.arS.SinkDec(i))
-	}
-}
-
-// check asserts both lists hold the identical candidate sequence and
-// pass their invariant validators.
-func (p *soaPair) check(t *testing.T, what string) {
-	t.Helper()
-	if err := p.ll.Validate(); err != nil {
-		t.Fatalf("%s: linked: %v", what, err)
-	}
-	if err := p.sl.Validate(); err != nil {
-		t.Fatalf("%s: soa: %v", what, err)
-	}
-	lp, sp := p.ll.Pairs(), p.sl.Pairs()
-	if len(lp) != len(sp) {
-		t.Fatalf("%s: lengths differ %d vs %d\n%v\n%v", what, len(lp), len(sp), lp, sp)
-	}
-	for i := range lp {
-		if lp[i] != sp[i] {
-			t.Fatalf("%s: candidate %d differs: %v vs %v", what, i, lp[i], sp[i])
+// refHull is the brute-force upper envelope of a C-sorted nonredundant
+// list: point i is on the hull iff no j < i < k puts it on or below the
+// segment from j to k. Collinear middles are excluded, matching the
+// strict left turn AppendHullInto keeps. O(k³); exact on dyadic inputs.
+func refHull(ps []Pair) []int {
+	var out []int
+	for i := range ps {
+		on := true
+		for j := 0; j < i && on; j++ {
+			for k := i + 1; k < len(ps); k++ {
+				// (Q_i − Q_j)·(C_k − C_j) ≤ (Q_k − Q_j)·(C_i − C_j): i is on
+				// or below the chord j→k.
+				if (ps[i].Q-ps[j].Q)*(ps[k].C-ps[j].C) <= (ps[k].Q-ps[j].Q)*(ps[i].C-ps[j].C) {
+					on = false
+					break
+				}
+			}
 		}
-	}
-}
-
-// randIncreasing returns 1..maxLen strictly increasing (Q, C) pairs.
-func randIncreasing(rng *rand.Rand, maxLen int) []Pair {
-	k := 1 + rng.Intn(maxLen)
-	out := make([]Pair, k)
-	q, c := rng.Float64()*100-200, rng.Float64()*5
-	for i := range out {
-		out[i] = Pair{q, c}
-		q += 0.01 + rng.Float64()*50
-		c += 0.01 + rng.Float64()*10
+		if on {
+			out = append(out, i)
+		}
 	}
 	return out
 }
 
-// TestSoAListMatchesLinkedList drives SoAList and the reference List through
-// randomized interleavings of the full engine operation set — AddWire,
-// Merge, InsertOne, MergeBetas, ConvexPruneInPlace — across repeated arena
-// Reset cycles, and demands identical candidate sequences, identical prune
-// counts, and identical reconstructed placements at every step.
-func TestSoAListMatchesLinkedList(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	p := newSoaPair()
-	place := make([]int, 64)
-	placeS := make([]int, 64)
-	for iter := 0; iter < 300; iter++ {
-		p.reset() // exercise slab rewind + reuse every iteration
-		p.seed(randIncreasing(rng, 25))
-		for op := 0; op < 14; op++ {
-			switch rng.Intn(5) {
-			case 0:
-				r, c := rng.Float64()*2, rng.Float64()*20
-				if rng.Intn(4) == 0 {
-					r = 0 // exercise the shear-only fast path
-				}
-				p.ll.AddWire(r, c)
-				p.sl.AddWire(r, c)
-			case 1:
-				q, c := rng.Float64()*400-200, rng.Float64()*200
-				okL := p.ll.InsertOne(q, c, p.arL.SinkDec(9))
-				okS := p.sl.InsertOne(q, c, p.arS.SinkDec(9))
-				if okL != okS {
-					t.Fatalf("iter %d op %d: InsertOne disagreement (%v vs %v)", iter, op, okL, okS)
-				}
-			case 2:
-				other := randIncreasing(rng, 10)
-				ll2 := p.arL.NewList()
-				sl2 := p.arS.NewSoAList()
-				for i, pr := range other {
-					ll2.pushBack(ll2.newNode(pr.Q, pr.C, p.arL.SinkDec(32+i)))
-					sl2.q = append(sl2.q, pr.Q)
-					sl2.c = append(sl2.c, pr.C)
-					sl2.dec = append(sl2.dec, p.arS.SinkDec(32+i))
-				}
-				ml := Merge(p.ll, ll2)
-				ms := MergeSoA(p.sl, sl2)
-				p.ll.Free()
-				ll2.Free()
-				p.sl.Free()
-				sl2.Free()
-				p.ll, p.sl = ml, ms
-			case 3:
-				nb := 1 + rng.Intn(6)
-				betasL := make([]Beta, nb)
-				betasS := make([]Beta, nb)
-				c := rng.Float64() * 10
-				q := rng.Float64()*200 - 100
-				for i := range betasL {
-					b := Beta{Q: q, C: c, Buffer: i % 3, Vertex: 40 + i}
-					betasL[i], betasS[i] = b, b
-					c += 0.01 + rng.Float64()*20
-					q += 0.01 + rng.Float64()*40
-				}
-				// Separate beta slices: decisions materialize lazily into
-				// each list's own arena.
-				p.ll.MergeBetas(betasL)
-				p.sl.MergeBetas(betasS)
-			default:
-				prunedL := p.ll.ConvexPruneInPlace()
-				prunedS := p.sl.ConvexPruneInPlace()
-				if prunedL != prunedS {
-					t.Fatalf("iter %d op %d: prune counts differ %d vs %d", iter, op, prunedL, prunedS)
-				}
-			}
-			p.check(t, "after op")
+// refArgmax is the brute-force maximizer of Q − r·C, ties to the smaller
+// C (the paper's best candidate), or -1 on an empty list.
+func refArgmax(ps []Pair, r float64) int {
+	best := -1
+	for i, p := range ps {
+		if best < 0 {
+			best = i
+			continue
 		}
-		// Hull agreement on the final state: the node-pointer HullView
-		// against the packed builder, decisions resolved through HullDec.
-		hl := p.ll.HullView()
-		hs := &Hull{}
-		p.sl.AppendHullInto(hs)
-		if len(hl) != hs.Len() {
-			t.Fatalf("iter %d: hull sizes %d vs %d", iter, len(hl), hs.Len())
+		v, bv := p.Q-r*p.C, ps[best].Q-r*ps[best].C
+		if v > bv || (v == bv && p.C < ps[best].C) {
+			best = i
+		}
+	}
+	return best
+}
+
+// tieList builds an arena-backed nonredundant list from up to maxLen draws
+// of the dyadic tie grid, one sink decision per surviving candidate, so
+// collinear triples, equal slopes and equal Q − r·C values are common and
+// every product the hull and argmax tests compare is exact.
+func tieList(rng *rand.Rand, ar *Arena, maxLen int) (*SoAList, []Pair) {
+	var raw []Pair
+	for k := 1 + rng.Intn(maxLen); k > 0; k-- {
+		raw = append(raw, Pair{tieGrid(rng, 17, 2) - 10, tieGrid(rng, 17, 0.5)})
+	}
+	ps := refNonredundant(raw)
+	l := ar.NewSoAList()
+	for i, p := range ps {
+		l.q = append(l.q, p.Q)
+		l.c = append(l.c, p.C)
+		l.dec = append(l.dec, ar.SinkDec(i))
+	}
+	return l, ps
+}
+
+// TestSoAHullMatchesBruteForce holds both hull builders to refHull on
+// tie-heavy lists, and HullDec to the decision of the candidate each hull
+// point came from.
+func TestSoAHullMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	ar := NewArena()
+	h := &Hull{}
+	for iter := 0; iter < 2000; iter++ {
+		ar.Reset()
+		l, ps := tieList(rng, ar, 12)
+		want := refHull(ps)
+		if got := l.HullIdx(); !equalInts(got, want) {
+			t.Fatalf("iter %d: HullIdx %v, want %v on %v", iter, got, want, ps)
+		}
+		h.Reset()
+		l.AppendHullInto(h)
+		if h.Len() != len(want) {
+			t.Fatalf("iter %d: AppendHullInto kept %d points, want %d (%v) on %v", iter, h.Len(), len(want), want, ps)
 		}
 		cursor := 0
-		for i, nd := range hl {
-			if nd.Q != hs.Q[i] || nd.C != hs.C[i] {
-				t.Fatalf("iter %d: hull point %d differs", iter, i)
+		for p, i := range want {
+			if h.Q[p] != ps[i].Q || h.C[p] != ps[i].C {
+				t.Fatalf("iter %d: hull point %d = (%g,%g), want %v", iter, p, h.Q[p], h.C[p], ps[i])
 			}
-			// The two arenas allocate decisions in lockstep, so the hull
-			// decision references must agree exactly.
-			var ds DecRef
-			ds, cursor = p.sl.HullDec(hs, i, cursor)
-			if nd.Dec != ds {
-				t.Fatalf("iter %d: hull decision %d differs: %d vs %d", iter, i, nd.Dec, ds)
-			}
-		}
-		// Best-candidate and reconstruction agreement for a random R.
-		r := rng.Float64() * 10
-		nd := p.ll.BestForR(r)
-		qs, cs, ds, okS := p.sl.Best(r)
-		if (nd != nil) != okS || (nd != nil && (nd.Q != qs || nd.C != cs)) {
-			t.Fatalf("iter %d: Best(%g) differs: %+v vs (%g,%g,%v)", iter, r, nd, qs, cs, okS)
-		}
-		var dl DecRef
-		if nd != nil {
-			dl = nd.Dec
-		}
-		for i := range place {
-			place[i], placeS[i] = -1, -1
-		}
-		p.arL.Fill(dl, place)
-		p.arS.Fill(ds, placeS)
-		for i := range place {
-			if place[i] != placeS[i] {
-				t.Fatalf("iter %d: reconstructed placements differ at vertex %d: %d vs %d", iter, i, place[i], placeS[i])
+			var dec DecRef
+			dec, cursor = l.HullDec(h, p, cursor)
+			if dec != l.DecAt(i) {
+				t.Fatalf("iter %d: HullDec(%d) = %d, want %d", iter, p, dec, l.DecAt(i))
 			}
 		}
 	}
 }
 
-// TestSoAHullMatchesLinked checks the read-only hull builders agree with
-// the node-pointer HullView on lists neither representation constructed
-// themselves.
-func TestSoAHullMatchesLinked(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	for iter := 0; iter < 200; iter++ {
-		base := randList(rng, 40).Pairs()
-		ll := FromPairs(base)
-		sl := SoAFromPairs(base)
-		hullL := ll.HullView()
-		hullS := sl.HullIdx()
-		if len(hullL) != len(hullS) {
-			t.Fatalf("iter %d: hull sizes %d vs %d", iter, len(hullL), len(hullS))
+// TestSoABestMatchesBruteForce holds BestForR, Best and the monotone hull
+// walk to refArgmax on tie-heavy lists with dyadic resistances, so ties
+// in Q − r·C must break toward the smaller C everywhere.
+func TestSoABestMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	ar := NewArena()
+	h := &Hull{}
+	for iter := 0; iter < 2000; iter++ {
+		ar.Reset()
+		l, ps := tieList(rng, ar, 12)
+		h.Reset()
+		l.AppendHullInto(h)
+		rs := make([]float64, 1+rng.Intn(8))
+		for i := range rs {
+			rs[i] = tieGrid(rng, 17, 0.25)
 		}
-		for i := range hullS {
-			if got := sl.At(hullS[i]); got.Q != hullL[i].Q || got.C != hullL[i].C {
-				t.Fatalf("iter %d: hull point %d differs", iter, i)
+		sort.Sort(sort.Reverse(sort.Float64Slice(rs)))
+		p := 0
+		for _, r := range rs {
+			want := refArgmax(ps, r)
+			if got := l.BestForR(r); got != want {
+				t.Fatalf("iter %d r=%g: BestForR %d, want %d on %v", iter, r, got, want, ps)
 			}
-		}
-		// Destructive pruning must retain exactly the hull on both sides.
-		prunedL := ll.ConvexPruneInPlace()
-		prunedS := sl.ConvexPruneInPlace()
-		if prunedL != prunedS || ll.Len() != sl.Len() || sl.Len() != len(hullS) {
-			t.Fatalf("iter %d: destructive prune diverges (pruned %d vs %d, kept %d vs %d, hull %d)",
-				iter, prunedL, prunedS, ll.Len(), sl.Len(), len(hullS))
+			q, c, dec, ok := l.Best(r)
+			if !ok || q != ps[want].Q || c != ps[want].C || dec != l.DecAt(want) {
+				t.Fatalf("iter %d r=%g: Best (%g,%g,%d,%v), want %v dec %d", iter, r, q, c, dec, ok, ps[want], l.DecAt(want))
+			}
+			p = h.Walk(p, r)
+			if h.Q[p] != ps[want].Q || h.C[p] != ps[want].C {
+				t.Fatalf("iter %d r=%g: hull walk at (%g,%g), want %v on %v", iter, r, h.Q[p], h.C[p], ps[want], ps)
+			}
 		}
 	}
 }
 
+// TestRemoveDominatedMatchesReference: removing the candidates a frontier
+// dominates keeps exactly those not dominated by any frontier candidate
+// (brute force over all pairs), with their decisions.
+func TestRemoveDominatedMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	ar := NewArena()
+	for iter := 0; iter < 2000; iter++ {
+		ar.Reset()
+		l, ps := tieList(rng, ar, 12)
+		f, fs := tieList(rng, ar, 6)
+		if rng.Intn(8) == 0 {
+			f.Recycle()
+			fs = nil
+		}
+		var want []Pair
+		var wantDec []DecRef
+		for i, p := range ps {
+			dominated := false
+			for _, g := range fs {
+				if g.Q >= p.Q && g.C <= p.C {
+					dominated = true
+				}
+			}
+			if !dominated {
+				want = append(want, p)
+				wantDec = append(wantDec, l.DecAt(i))
+			}
+		}
+		l.RemoveDominated(f)
+		if err := l.Validate(); err != nil {
+			t.Fatalf("iter %d: %v", iter, err)
+		}
+		pairsEqual(t, l.Pairs(), want, "RemoveDominated")
+		for i, d := range wantDec {
+			if l.DecAt(i) != d {
+				t.Fatalf("iter %d: decision %d = %d, want %d", iter, i, l.DecAt(i), d)
+			}
+		}
+	}
+}
+
+func equalInts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSoAListBestForRMatches holds BestForR to refArgmax on continuous
+// random lists, where exact ties are rare and the scan order matters.
 func TestSoAListBestForRMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for iter := 0; iter < 200; iter++ {
-		base := randList(rng, 30).Pairs()
-		ll := FromPairs(base)
-		sl := SoAFromPairs(base)
+		l := randList(rng, 30)
+		ps := l.Pairs()
 		for trial := 0; trial < 10; trial++ {
 			r := rng.Float64() * 10
-			nd := ll.BestForR(r)
-			i := sl.BestForR(r)
-			if nd.Q != sl.At(i).Q || nd.C != sl.At(i).C {
-				t.Fatalf("iter %d r=%g: (%g,%g) vs %v", iter, r, nd.Q, nd.C, sl.At(i))
+			if got, want := l.BestForR(r), refArgmax(ps, r); got != want {
+				t.Fatalf("iter %d r=%g: BestForR %d, want %d", iter, r, got, want)
 			}
 		}
 	}
 }
 
-// TestSoAArenaRecycleReuse mirrors TestArenaResetReleasesAndReuses for
-// SoAList: after one cold cycle, a build–wire–merge–beta–prune–fill
-// cycle through a warm arena performs zero heap allocations.
+// TestSoAArenaRecycleReuse: after one cold cycle, the engine's per-position
+// cycle — build, wire, merge, hull, hull walk, beta merge, fill — through a
+// warm arena and hull performs zero heap allocations.
 func TestSoAArenaRecycleReuse(t *testing.T) {
 	ar := NewArena()
 	betas := make([]Beta, 1)
 	p := make([]int, 3)
+	h := &Hull{}
 	run := func() float64 {
 		ar.Reset()
 		a := ar.NewSoASink(50, 1, 1)
@@ -255,9 +220,11 @@ func TestSoAArenaRecycleReuse(t *testing.T) {
 		a.Free()
 		b.Free()
 		m.AddWire(0.1, 2)
-		betas[0] = Beta{Q: 100, C: 0.5, Buffer: 1, Vertex: 0, SrcDec: m.DecAt(0), Dec: 0}
+		h.Reset()
+		m.AppendHullInto(h)
+		src, _ := m.HullDec(h, h.Walk(0, 0.5), 0)
+		betas[0] = Beta{Q: 100, C: 0.5, Buffer: 1, Vertex: 0, SrcDec: src, Dec: 0}
 		m.MergeBetas(betas)
-		m.ConvexPruneInPlace()
 		p[0], p[1], p[2] = -1, -1, -1
 		ar.Fill(m.DecAt(0), p)
 		if p[0] != 1 {
@@ -311,8 +278,7 @@ func tieGrid(rng *rand.Rand, n int, step float64) float64 {
 	return float64(rng.Intn(n)) * step
 }
 
-// TestSoAListTieHeavyMatchesReference is the SoA oracle that does not lean
-// on the linked list: it drives one arena-backed SoAList through random
+// TestSoAListTieHeavyMatchesReference drives one arena-backed SoAList through random
 // AddWire / MergeBetas / InsertOne / MergeSoA steps whose inputs are drawn
 // from a tiny grid, and after every step compares the surviving pairs with
 // refNonredundant applied to the full multiset the step could have produced.

@@ -41,8 +41,6 @@ type Config struct {
 	// Workers caps the per-round solve concurrency; 0 or negative means
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// Prune selects the core engine's convex pruning mode.
-	Prune core.PruneMode
 	// CheckInvariants enables per-operation candidate-list validation in
 	// every oracle run (for tests; roughly doubles runtime).
 	CheckInvariants bool
@@ -189,7 +187,7 @@ type solver struct {
 }
 
 func newSolver(cfg *Config) *solver {
-	s := &solver{opt: core.Options{Prune: cfg.Prune, CheckInvariants: cfg.CheckInvariants}}
+	s := &solver{opt: core.Options{CheckInvariants: cfg.CheckInvariants}}
 	if !cfg.NoSessions {
 		return s
 	}
@@ -318,7 +316,6 @@ func Solve(ctx context.Context, inst *Instance, lib library.Library, cfg Config)
 		if !cfg.NoSessions {
 			sess, err := core.NewSession(st.tr, lib, core.Options{
 				Driver:          net.Driver,
-				Prune:           cfg.Prune,
 				CheckInvariants: cfg.CheckInvariants,
 			})
 			if err != nil {

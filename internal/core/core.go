@@ -21,8 +21,10 @@
 //
 // Beyond the paper, the package supports inverting buffer types and sink
 // polarity requirements by running the dynamic program on a pair of
-// candidate lists (one per required arrival parity), and exposes two
-// pruning modes — see PruneMode and DESIGN.md §4.
+// candidate lists (one per required arrival parity). Convex pruning is a
+// read-only hull view that leaves the list intact, which keeps the
+// algorithm exact on multi-pin nets; DESIGN.md §4 records why the paper's
+// printed in-place pruning is not offered.
 //
 // Candidate lists are candidate.SoAList structure-of-arrays slabs; the
 // paper treats the list structure as a constant-factor detail, and
@@ -40,7 +42,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"bufferkit/internal/candidate"
 	"bufferkit/internal/delay"
@@ -49,38 +50,10 @@ import (
 	"bufferkit/internal/tree"
 )
 
-// PruneMode selects how convex pruning interacts with the candidate list.
-type PruneMode uint8
-
-const (
-	// PruneTransient (default) computes the convex hull as a read-only view
-	// used inside AddBuffer, keeping the full nonredundant list. Exact on
-	// all nets; same O(bn²) bound.
-	PruneTransient PruneMode = iota
-	// PruneDestructive removes non-hull candidates from the list itself,
-	// exactly as the paper's printed Convexpruning C code does. Exact on
-	// 2-pin nets; a fast heuristic on multi-pin nets (the merge operation
-	// can promote interior candidates — see DESIGN.md §4).
-	PruneDestructive
-)
-
-// String implements fmt.Stringer.
-func (m PruneMode) String() string {
-	switch m {
-	case PruneTransient:
-		return "transient"
-	case PruneDestructive:
-		return "destructive"
-	}
-	return fmt.Sprintf("PruneMode(%d)", uint8(m))
-}
-
 // Options configure a run.
 type Options struct {
 	// Driver is the source driver; the zero value is an ideal driver.
 	Driver delay.Driver
-	// Prune selects the convex pruning mode.
-	Prune PruneMode
 	// CheckInvariants validates every candidate list after every operation.
 	// For tests; roughly doubles runtime.
 	CheckInvariants bool
@@ -92,7 +65,8 @@ type Options struct {
 	// the path to that sink — exact pricing on 2-pin nets, a pessimistic
 	// heuristic on multi-sink nets (the min at merges is not additive; see
 	// DESIGN.md §14). nil (the default) is bit-identical to an all-zero
-	// penalty vector at zero cost. Length must be at least the tree size.
+	// penalty vector at zero cost. Length must be at least the tree size,
+	// and every entry finite and nonnegative.
 	SitePenalty []float64
 }
 
@@ -106,8 +80,8 @@ type Stats struct {
 	SumListLen int
 	// SumHullLen accumulates hull size at each buffer position.
 	SumHullLen int
-	// HullPruned counts candidates off the hull (removed from the list in
-	// destructive mode; merely skipped in transient mode).
+	// HullPruned counts candidates off the hull: skipped by the hull walk,
+	// kept in the list.
 	HullPruned int
 	// BetasGenerated counts buffered candidates produced by the hull walk;
 	// BetasKept counts those surviving normalization.
@@ -200,9 +174,10 @@ func (e *Engine) Reset(t *tree.Tree, lib library.Library, opt Options) error {
 	if err := lib.Validate(); err != nil {
 		return err
 	}
-	if opt.SitePenalty != nil && len(opt.SitePenalty) < t.Len() {
-		return solvererr.Validation("core", "site_penalty",
-			"penalty vector length %d < tree size %d", len(opt.SitePenalty), t.Len())
+	if opt.SitePenalty != nil {
+		if err := checkPenalty(opt.SitePenalty, t.Len()); err != nil {
+			return err
+		}
 	}
 	if !lib.HasInverters() {
 		for i := range t.Verts {

@@ -121,62 +121,6 @@ func TestMatchesVanGinnekenOnSingleType(t *testing.T) {
 	}
 }
 
-// TestDestructiveEqualsTransientOnTwoPin: on 2-pin nets the paper's
-// destructive pruning is lossless (DESIGN.md §4), so both modes must agree.
-func TestDestructiveEqualsTransientOnTwoPin(t *testing.T) {
-	drv := delay.Driver{R: 0.3}
-	for _, b := range []int{2, 8, 16} {
-		lib := library.Generate(b)
-		for seed := int64(0); seed < 10; seed++ {
-			length := 3000 + float64(seed)*1500
-			tr := netgen.TwoPin(length, 20+int(seed)*7, 10+float64(b), 1000, netgen.PaperWire())
-			tme, err := Insert(tr, lib, Options{Driver: drv, CheckInvariants: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			des, err := Insert(tr, lib, Options{Driver: drv, Prune: PruneDestructive, CheckInvariants: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !testutil.AlmostEqual(tme.Slack, des.Slack) {
-				t.Fatalf("b=%d seed=%d: transient %.12g vs destructive %.12g", b, seed, tme.Slack, des.Slack)
-			}
-		}
-	}
-}
-
-// TestDestructiveNeverBeatsTransient: destructive pruning only removes
-// candidates, so it can never report better slack than the exact mode; and
-// its reported slack must still be achievable by its own placement.
-func TestDestructiveNeverBeatsTransient(t *testing.T) {
-	lib := library.Generate(8)
-	drv := delay.Driver{R: 0.4}
-	worse := 0
-	for seed := int64(0); seed < 40; seed++ {
-		base := netgen.Random(netgen.Opts{Sinks: 10, Seed: seed})
-		tr, err := segment.Uniform(base, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tme, err := Insert(tr, lib, Options{Driver: drv})
-		if err != nil {
-			t.Fatal(err)
-		}
-		des, err := Insert(tr, lib, Options{Driver: drv, Prune: PruneDestructive})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if des.Slack > tme.Slack+testutil.Tol {
-			t.Fatalf("seed %d: destructive %.12g beats exact %.12g", seed, des.Slack, tme.Slack)
-		}
-		if des.Slack < tme.Slack-testutil.Tol {
-			worse++
-		}
-		testutil.CheckPlacement(t, tr, lib, des.Placement, drv, des.Slack, "destructive placement")
-	}
-	t.Logf("destructive strictly worse on %d/40 multi-pin nets", worse)
-}
-
 func TestPolarityMatchesBruteForce(t *testing.T) {
 	lib := library.Library{
 		{Name: "buf", R: 0.9, Cin: 1.5, K: 9},
@@ -293,14 +237,5 @@ func TestRejectsInvalidLibrary(t *testing.T) {
 	tr := netgen.TwoPin(100, 1, 1, 0, netgen.PaperWire())
 	if _, err := Insert(tr, library.Library{}, Options{}); err == nil {
 		t.Fatal("accepted empty library")
-	}
-}
-
-func TestPruneModeString(t *testing.T) {
-	if PruneTransient.String() != "transient" || PruneDestructive.String() != "destructive" {
-		t.Fatal("PruneMode strings wrong")
-	}
-	if PruneMode(9).String() != "PruneMode(9)" {
-		t.Fatal("unknown PruneMode string wrong")
 	}
 }

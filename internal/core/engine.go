@@ -157,13 +157,8 @@ func (e *Engine) addBuffer(v int, acc *pair, allowed []int) {
 		if l == nil || l.Len() == 0 {
 			continue
 		}
-		if e.opt.Prune == PruneDestructive {
-			e.stats.HullPruned += l.ConvexPruneInPlace()
-			l.AppendAllInto(h)
-		} else {
-			l.AppendHullInto(h)
-			e.stats.HullPruned += l.Len() - h.Len()
-		}
+		l.AppendHullInto(h)
+		e.stats.HullPruned += l.Len() - h.Len()
 		e.stats.SumHullLen += h.Len()
 	}
 
@@ -187,17 +182,10 @@ func (e *Engine) addBuffer(v int, acc *pair, allowed []int) {
 		b := e.lib[ti]
 		for src := 0; src < 2; src++ {
 			h := &e.hull[src]
-			n := h.Len()
-			if n == 0 {
+			if h.Len() == 0 {
 				continue
 			}
-			p := ptr[src]
-			// Advance while the next hull candidate is strictly better for
-			// this resistance; ties keep the smaller C (the paper's best-
-			// candidate definition).
-			for p+1 < n && h.Q[p+1]-b.R*h.C[p+1] > h.Q[p]-b.R*h.C[p] {
-				p++
-			}
+			p := h.Walk(ptr[src], b.R)
 			ptr[src] = p
 			dst := src
 			if b.Inverting {

@@ -12,11 +12,10 @@ import (
 )
 
 // TestEngineInvariantsAcrossInstances runs the engine with every candidate
-// list validated after every operation across topologies, polarities,
-// restricted positions and both prune modes, and checks each result against
-// the Elmore oracle: the reported placement must reproduce the reported
-// slack, destructive pruning may never beat the exact transient mode, and
-// the instrumentation counters must actually be exercised.
+// list validated after every operation across topologies, polarities and
+// restricted positions, and checks each result against the Elmore oracle:
+// the reported placement must reproduce the reported slack, and the
+// instrumentation counters must actually be exercised.
 func TestEngineInvariantsAcrossInstances(t *testing.T) {
 	drv := delay.Driver{R: 0.3, K: 5}
 	type instance struct {
@@ -51,19 +50,11 @@ func TestEngineInvariantsAcrossInstances(t *testing.T) {
 
 	var total Stats
 	for _, inst := range instances {
-		exact, errT := Insert(inst.tr, inst.lib, Options{Driver: drv, CheckInvariants: true})
-		fast, errD := Insert(inst.tr, inst.lib, Options{Driver: drv, Prune: PruneDestructive, CheckInvariants: true})
-		if (errT == nil) != (errD == nil) {
-			t.Fatalf("%s: feasibility diverges across prune modes: %v vs %v", inst.name, errT, errD)
+		exact, err := Insert(inst.tr, inst.lib, Options{Driver: drv, CheckInvariants: true})
+		if err != nil {
+			continue // infeasible polarity instance
 		}
-		if errT != nil {
-			continue // both infeasible — agreement established
-		}
-		testutil.CheckPlacement(t, inst.tr, inst.lib, exact.Placement, drv, exact.Slack, inst.name+"/transient")
-		testutil.CheckPlacement(t, inst.tr, inst.lib, fast.Placement, drv, fast.Slack, inst.name+"/destructive")
-		if fast.Slack > exact.Slack+1e-9 {
-			t.Fatalf("%s: destructive slack %.17g beats exact %.17g", inst.name, fast.Slack, exact.Slack)
-		}
+		testutil.CheckPlacement(t, inst.tr, inst.lib, exact.Placement, drv, exact.Slack, inst.name)
 		total.MaxListLen = max(total.MaxListLen, exact.Stats.MaxListLen)
 		total.HullPruned += exact.Stats.HullPruned
 		total.BetasGenerated += exact.Stats.BetasGenerated

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -117,5 +119,52 @@ func TestSitePenaltyShortVectorRejected(t *testing.T) {
 	var verr *solvererr.ValidationError
 	if !errors.As(err, &verr) {
 		t.Fatalf("want ValidationError, got %v", err)
+	}
+}
+
+// TestSitePenaltyNonFiniteRejected: a NaN, infinite or negative price is a
+// *ValidationError naming the vertex, both on Engine.Reset and on a session
+// PatchPenalty — which leaves the session's verdict unchanged (an all −Inf
+// vector used to resolve to slack +Inf).
+func TestSitePenaltyNonFiniteRejected(t *testing.T) {
+	tr := penaltyChain(3)
+	site := 1 // the first buffer position
+	if !tr.Verts[site].BufferOK {
+		t.Fatal("vertex 1 is not a buffer position")
+	}
+	opt := Options{Driver: delay.Driver{R: 0.4}}
+	sess, err := NewSession(tr, smallLib(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	want := &Result{}
+	if err := sess.Resolve(context.Background(), want); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		p    float64
+	}{{"NaN", math.NaN()}, {"+Inf", math.Inf(1)}, {"-Inf", math.Inf(-1)}, {"negative", -1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			pen := make([]float64, tr.Len())
+			pen[site] = tc.p
+			check := func(what string, err error) {
+				t.Helper()
+				var verr *solvererr.ValidationError
+				if !errors.As(err, &verr) || verr.Field != "site_penalty" || verr.Vertex != site {
+					t.Fatalf("%s: got %v, want a site_penalty ValidationError at vertex %d", what, err, site)
+				}
+			}
+			check("Reset", NewEngine().Reset(tr, smallLib(), Options{SitePenalty: pen}))
+			check("PatchPenalty", sess.PatchPenalty(pen))
+			got := &Result{}
+			if err := sess.Resolve(context.Background(), got); err != nil {
+				t.Fatal(err)
+			}
+			if got.Slack != want.Slack {
+				t.Fatalf("rejected patch changed the verdict: %g != %g", got.Slack, want.Slack)
+			}
+		})
 	}
 }

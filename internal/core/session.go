@@ -57,8 +57,9 @@ type BufferDelta struct {
 // session, so a round that re-prices a handful of sites re-solves only
 // those sites' root paths.
 type PenaltyDelta struct {
-	// Penalty is the full penalty vector, length at least the tree size.
-	// Values are copied into the session's own vector.
+	// Penalty is the full penalty vector, length at least the tree size,
+	// every entry finite and nonnegative. Values are copied into the
+	// session's own vector.
 	Penalty []float64
 }
 
@@ -347,9 +348,19 @@ func (d BufferDelta) apply(s *Session) {
 	s.markDirty(d.Vertex)
 }
 
-func (d PenaltyDelta) validate(s *Session) error {
-	if len(d.Penalty) < s.t.Len() {
-		return solvererr.Validation("core", "delta", "penalty vector length %d < tree size %d", len(d.Penalty), s.t.Len())
+func (d PenaltyDelta) validate(s *Session) error { return checkPenalty(d.Penalty, s.t.Len()) }
+
+// checkPenalty validates a site-penalty vector for a tree of n vertices:
+// at least n entries, each a finite nonnegative price. A NaN or infinite
+// price would otherwise propagate into the slack as a misleading verdict.
+func checkPenalty(pen []float64, n int) error {
+	if len(pen) < n {
+		return solvererr.Validation("core", "site_penalty", "penalty vector length %d < tree size %d", len(pen), n)
+	}
+	for v, p := range pen[:n] {
+		if !(p >= 0) || math.IsInf(p, 1) {
+			return solvererr.Validation("core", "site_penalty", "penalty %g must be finite and nonnegative", p).AtVertex(v)
+		}
 	}
 	return nil
 }

@@ -78,7 +78,7 @@ func ParetoContext(ctx context.Context, t *tree.Tree, lib library.Library, opt O
 }
 
 // levels maps total buffer cost to its nonredundant candidate list.
-type levels map[int]*candidate.List
+type levels map[int]*candidate.SoAList
 
 // sortedCosts returns the cost keys ascending.
 func (lv levels) sortedCosts() []int {
@@ -96,6 +96,7 @@ type engine struct {
 	opt     Options
 	ctx     context.Context
 	arena   *candidate.Arena
+	hull    candidate.Hull // reused across levels and vertices
 	orderR  []int
 	cinRank []int
 }
@@ -108,7 +109,7 @@ func (e *engine) run() ([]Point, error) {
 		}
 		vert := &e.t.Verts[v]
 		if vert.Kind == tree.Sink {
-			lists[v] = levels{0: e.arena.NewSink(vert.RAT, vert.Cap, v)}
+			lists[v] = levels{0: e.arena.NewSoASink(vert.RAT, vert.Cap, v)}
 			continue
 		}
 		var acc levels
@@ -136,13 +137,13 @@ func (e *engine) run() ([]Point, error) {
 	root := lists[0]
 	var out []Point
 	for _, w := range root.sortedCosts() {
-		best := root[w].BestForR(e.opt.Driver.R)
-		slack := best.Q - e.opt.Driver.R*best.C - e.opt.Driver.K
+		q, c, dec, _ := root[w].Best(e.opt.Driver.R)
+		slack := q - e.opt.Driver.R*c - e.opt.Driver.K
 		if len(out) > 0 && slack <= out[len(out)-1].Slack {
 			continue // dominated by a cheaper level
 		}
 		p := delay.NewPlacement(e.t.Len())
-		e.arena.Fill(best.Dec, p)
+		e.arena.Fill(dec, p)
 		out = append(out, Point{Cost: w, Slack: slack, Placement: p})
 	}
 	return out, nil
@@ -153,9 +154,12 @@ func (e *engine) run() ([]Point, error) {
 func (e *engine) addBuffer(v int, acc levels, allowed []int) {
 	type slotKey struct{ level, rank int }
 	slots := map[slotKey]candidate.Beta{}
+	h := &e.hull
 	for _, w := range acc.sortedCosts() {
-		hull := acc[w].HullView()
-		p := 0
+		l := acc[w]
+		h.Reset()
+		l.AppendHullInto(h)
+		p, decPos := 0, 0
 		for _, ti := range e.orderR {
 			if len(allowed) > 0 && !contains(allowed, ti) {
 				continue
@@ -165,16 +169,15 @@ func (e *engine) addBuffer(v int, acc levels, allowed []int) {
 			if e.opt.MaxCost > 0 && nw > e.opt.MaxCost {
 				continue
 			}
-			for p+1 < len(hull) && hull[p+1].Q-b.R*hull[p+1].C > hull[p].Q-b.R*hull[p].C {
-				p++
-			}
-			cand := hull[p]
+			p = h.Walk(p, b.R)
+			var srcDec candidate.DecRef
+			srcDec, decPos = l.HullDec(h, p, decPos)
 			beta := candidate.Beta{
-				Q:      cand.Q - b.R*cand.C - b.K,
+				Q:      h.Q[p] - b.R*h.C[p] - b.K,
 				C:      b.Cin,
 				Buffer: ti,
 				Vertex: v,
-				SrcDec: cand.Dec,
+				SrcDec: srcDec,
 			}
 			key := slotKey{nw, e.cinRank[ti]}
 			if old, ok := slots[key]; !ok || beta.Q > old.Q {
@@ -196,23 +199,26 @@ func (e *engine) addBuffer(v int, acc levels, allowed []int) {
 		})
 		betas = candidate.NormalizeBetas(betas)
 		if acc[nw] == nil {
-			acc[nw] = e.arena.NewList()
+			acc[nw] = e.arena.NewSoAList()
 		}
 		acc[nw].MergeBetas(betas)
 	}
 }
 
 // mergeLevels combines two branch level-sets: every (Wa, Wb) pair merges
-// into level Wa+Wb, with same-level results unioned.
+// into level Wa+Wb, with same-level results unioned. Pairs are visited in
+// ascending cost order because a union keeps the earlier of two equal
+// candidates: map order would make the witness placement vary run to run.
 func mergeLevels(a, b levels, maxCost int) levels {
 	out := levels{}
-	for wa, la := range a {
-		for wb, lb := range b {
+	bCosts := b.sortedCosts()
+	for _, wa := range a.sortedCosts() {
+		for _, wb := range bCosts {
 			w := wa + wb
 			if maxCost > 0 && w > maxCost {
 				continue
 			}
-			m := candidate.Merge(la, lb)
+			m := candidate.MergeSoA(a[wa], b[wb])
 			if cur, ok := out[w]; ok {
 				union(cur, m)
 				m.Free()
@@ -232,10 +238,11 @@ func mergeLevels(a, b levels, maxCost int) levels {
 }
 
 // union inserts every candidate of src into dst, keeping dst nonredundant.
-func union(dst, src *candidate.List) {
-	betas := make([]candidate.Beta, 0, src.Len())
-	for nd := src.Front(); nd != nil; nd = nd.Next() {
-		betas = append(betas, candidate.Beta{Q: nd.Q, C: nd.C, Dec: nd.Dec})
+func union(dst, src *candidate.SoAList) {
+	betas := make([]candidate.Beta, src.Len())
+	for i := range betas {
+		p := src.At(i)
+		betas[i] = candidate.Beta{Q: p.Q, C: p.C, Dec: src.DecAt(i)}
 	}
 	dst.MergeBetas(betas)
 }
@@ -249,10 +256,10 @@ func (e *engine) crossLevelPrune(acc levels) {
 	if len(costs) < 2 {
 		return
 	}
-	frontier := e.arena.NewList()
+	frontier := e.arena.NewSoAList()
 	for _, w := range costs {
 		l := acc[w]
-		pruneAgainst(l, frontier)
+		l.RemoveDominated(frontier)
 		if l.Len() == 0 {
 			acc[w].Free()
 			delete(acc, w)
@@ -261,33 +268,6 @@ func (e *engine) crossLevelPrune(acc levels) {
 		union(frontier, l)
 	}
 	frontier.Free()
-}
-
-// pruneAgainst removes from l every candidate dominated by a frontier
-// candidate (frontier Q ≥ q with C ≤ c). Both lists are C-sorted, so one
-// forward sweep suffices.
-func pruneAgainst(l, frontier *candidate.List) {
-	if frontier.Len() == 0 {
-		return
-	}
-	f := frontier.Front()
-	bestQ := 0.0
-	hasF := false
-	nd := l.Front()
-	for nd != nil {
-		for f != nil && f.C <= nd.C {
-			bestQ = f.Q // frontier Q increases with C
-			hasF = true
-			f = f.Next()
-		}
-		if hasF && bestQ >= nd.Q {
-			nxt := nd.Next()
-			l.Remove(nd)
-			nd = nxt
-		} else {
-			nd = nd.Next()
-		}
-	}
 }
 
 func contains(s []int, x int) bool {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -58,6 +59,40 @@ func FuzzNetRoundTrip(f *testing.F) {
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
 			t.Fatalf("WriteNet is not a fixed point:\n--- first ---\n%s\n--- second ---\n%s",
 				first.String(), second.String())
+		}
+	})
+}
+
+// FuzzParseLibrary asserts ParseLibrary never panics, that every library
+// it accepts passes Validate, and that WriteLibrary→ParseLibrary
+// reproduces an accepted library field for field. Seeded with the
+// repository's testdata library plus the committed corpus under
+// testdata/fuzz/FuzzParseLibrary.
+func FuzzParseLibrary(f *testing.F) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "lib8.buf"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(data))
+
+	f.Fuzz(func(t *testing.T, in string) {
+		lib, err := ParseLibrary(strings.NewReader(in))
+		if err != nil {
+			t.Skip() // invalid inputs are ParseLibrary's to reject, not ours
+		}
+		if err := lib.Validate(); err != nil {
+			t.Fatalf("ParseLibrary accepted a library Validate rejects: %v", err)
+		}
+		var out bytes.Buffer
+		if err := WriteLibrary(&out, lib); err != nil {
+			t.Fatalf("WriteLibrary rejected a parsed library: %v", err)
+		}
+		lib2, err := ParseLibrary(bytes.NewReader(out.Bytes()))
+		if err != nil {
+			t.Fatalf("ParseLibrary rejected WriteLibrary output: %v\n%s", err, out.String())
+		}
+		if !slices.Equal(lib, lib2) {
+			t.Fatalf("round trip changed the library:\n got %+v\nwant %+v\n%s", lib2, lib, out.String())
 		}
 	})
 }

@@ -621,7 +621,10 @@ func (w *trackingWriter) status() int {
 type solveOptions struct {
 	// Algorithm is a registry name; "" means bufferkit.AlgoNew.
 	Algorithm string `json:"algorithm,omitempty"`
-	// Prune is "transient" (default) or "destructive" (AlgoNew only).
+	// Prune is accepted for compatibility with clients that used to pick
+	// a convex pruning mode: "" and "transient" are valid and ignored (the
+	// engines have one, exact, pruning path), any other value is a 400.
+	// It is not part of the cache key.
 	Prune string `json:"prune,omitempty"`
 	// Backend is accepted for compatibility with clients that used to pin
 	// a candidate-list representation: "", "default", "list" and "soa"
@@ -648,34 +651,38 @@ func (o solveOptions) newSolver(lib bufferkit.Library, extra ...bufferkit.Option
 		return nil, badRequestf("algorithm", "unknown algorithm %q (have %s)",
 			algo, strings.Join(bufferkit.Algorithms(), ", "))
 	}
-	var mode bufferkit.PruneMode
-	switch o.Prune {
-	case "", "transient":
-		mode = bufferkit.PruneTransient
-	case "destructive":
-		mode = bufferkit.PruneDestructive
-	default:
-		return nil, badRequestf("prune", "unknown prune mode %q (transient or destructive)", o.Prune)
-	}
 	opts := append([]bufferkit.Option{
 		bufferkit.WithLibrary(lib),
 		bufferkit.WithAlgorithm(algo),
-		bufferkit.WithPruneMode(mode),
 		bufferkit.WithMaxCost(o.MaxCost),
 		bufferkit.WithStats(!o.NoStats),
 	}, extra...)
 	return bufferkit.NewSolver(opts...)
 }
 
-// validate rejects option values that must fail even on a cache hit —
-// fields outside the cache key. decodeBody calls it on every payload that
-// embeds solveOptions.
+// validate rejects option values before any cache lookup: the
+// compatibility no-ops outside the cache key must fail even when the rest
+// of the payload would hit, and out-of-range numbers never reach a key or
+// a solver. decodeBody calls it on every payload that embeds
+// solveOptions.
 func (o solveOptions) validate() error {
 	switch o.Backend {
 	case "", "default", "list", "soa":
-		return nil
+	default:
+		return badRequestf("backend", "unknown backend %q (list or soa; the field is accepted and ignored)", o.Backend)
 	}
-	return badRequestf("backend", "unknown backend %q (list or soa; the field is accepted and ignored)", o.Backend)
+	switch o.Prune {
+	case "", "transient":
+	default:
+		return badRequestf("prune", "prune mode %q is not supported: the destructive mode was removed and pruning is always transient (exact)", o.Prune)
+	}
+	if o.MaxCost < 0 {
+		return badRequestf("max_cost", "max_cost %d must be nonnegative (0 = no cap)", o.MaxCost)
+	}
+	if o.TimeoutMs < 0 {
+		return badRequestf("timeout_ms", "timeout_ms %d must be nonnegative (0 = server default)", o.TimeoutMs)
+	}
+	return nil
 }
 
 // cacheOptions canonicalizes the option fields that affect the result, for
@@ -686,20 +693,20 @@ func (o solveOptions) cacheOptions() string {
 	if algo == "" {
 		algo = bufferkit.AlgoNew
 	}
-	prune := o.Prune
-	if prune == "" {
-		prune = "transient"
-	}
-	return fmt.Sprintf("algo=%s prune=%s maxcost=%d stats=%t", algo, prune, o.MaxCost, !o.NoStats)
+	return fmt.Sprintf("algo=%s maxcost=%d stats=%t", algo, o.MaxCost, !o.NoStats)
 }
 
 // timeout resolves the request's solve budget against the server limits.
+// The cap is applied in milliseconds, before converting to a Duration, so a
+// huge timeout_ms clamps to MaxTimeout instead of overflowing.
 func (s *Server) timeout(o solveOptions) time.Duration {
-	d := s.cfg.DefaultTimeout
-	if o.TimeoutMs > 0 {
-		d = time.Duration(o.TimeoutMs) * time.Millisecond
+	if o.TimeoutMs <= 0 {
+		return min(s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
 	}
-	return min(d, s.cfg.MaxTimeout)
+	if int64(o.TimeoutMs) >= s.cfg.MaxTimeout.Milliseconds() {
+		return s.cfg.MaxTimeout
+	}
+	return time.Duration(o.TimeoutMs) * time.Millisecond
 }
 
 // httpError is an error with a fixed HTTP status, optionally tied to a

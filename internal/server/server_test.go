@@ -232,6 +232,12 @@ func TestSolveMalformedPayloads(t *testing.T) {
 			solveOptions: solveOptions{Algorithm: "nope"}}, status: 400, field: "algorithm"},
 		{name: "unknown prune", body: solveRequest{Net: net, Library: lib,
 			solveOptions: solveOptions{Prune: "nope"}}, status: 400, field: "prune"},
+		{name: "removed destructive prune", body: solveRequest{Net: net, Library: lib,
+			solveOptions: solveOptions{Prune: "destructive"}}, status: 400, field: "prune"},
+		{name: "negative max_cost", body: solveRequest{Net: net, Library: lib,
+			solveOptions: solveOptions{Algorithm: bufferkit.AlgoCostSlack, MaxCost: -3}}, status: 400, field: "max_cost"},
+		{name: "negative timeout", body: solveRequest{Net: net, Library: lib,
+			solveOptions: solveOptions{TimeoutMs: -5}}, status: 400, field: "timeout_ms"},
 		{name: "unknown backend", body: solveRequest{Net: net, Library: lib,
 			solveOptions: solveOptions{Backend: "bogus"}}, status: 400, field: "backend"},
 		{name: "removed core algorithm", body: solveRequest{Net: net, Library: lib,
@@ -311,6 +317,43 @@ func TestSolveDeadline(t *testing.T) {
 	decodeInto(t, rec, &er)
 	if !strings.Contains(er.Error, "canceled") {
 		t.Fatalf("error %q does not mention cancellation", er.Error)
+	}
+}
+
+// TestTimeoutClampsWithoutOverflow: a timeout_ms whose nanosecond value
+// overflows int64 clamps to MaxTimeout and solves (it used to wrap negative
+// and answer an instant 504); a negative one is a 400 naming the field. Both
+// on /v1/solve and /v1/batch.
+func TestTimeoutClampsWithoutOverflow(t *testing.T) {
+	srv := New(Config{})
+	if got := srv.timeout(solveOptions{TimeoutMs: 10_000_000_000_000}); got != srv.cfg.MaxTimeout {
+		t.Fatalf("huge timeout resolved to %v, want MaxTimeout %v", got, srv.cfg.MaxTimeout)
+	}
+	h := srv.Handler()
+	net, lib := readTestdata(t, "line.net"), readTestdata(t, "lib8.buf")
+	for _, tc := range []struct {
+		ms     int
+		status int
+	}{{10_000_000_000_000, http.StatusOK}, {-5, http.StatusBadRequest}} {
+		opts := solveOptions{TimeoutMs: tc.ms}
+		solve := post(t, h, "/v1/solve", solveRequest{Net: net, Library: lib, solveOptions: opts})
+		batch := post(t, h, "/v1/batch", batchRequest{Library: lib, Nets: []string{net}, solveOptions: opts})
+		for _, rec := range []*httptest.ResponseRecorder{solve, batch} {
+			if rec.Code != tc.status {
+				t.Fatalf("timeout_ms=%d: status %d, want %d: %s", tc.ms, rec.Code, tc.status, rec.Body.String())
+			}
+		}
+		if tc.status == http.StatusOK {
+			if lines := decodeBatch(t, batch.Body); len(lines) != 1 || lines[0].Result == nil {
+				t.Fatalf("timeout_ms=%d: batch lines %+v", tc.ms, lines)
+			}
+			continue
+		}
+		var er errorResponse
+		decodeInto(t, batch, &er)
+		if er.Field != "timeout_ms" {
+			t.Fatalf("batch error field %q, want timeout_ms", er.Field)
+		}
 	}
 }
 
@@ -626,13 +669,35 @@ func TestBodyTooLarge(t *testing.T) {
 // request without the field and share its cache entry; any other value is
 // a 400 naming the field, even when the rest of the request is cached.
 func TestSolveBackendField(t *testing.T) {
+	checkIgnoredField(t, "backend", func(o *solveOptions, v string) { o.Backend = v },
+		[]string{"default", "list", "soa"}, []string{"bogus"})
+}
+
+// TestSolvePruneField: "prune" is a validated no-op. "transient" is
+// bit-identical to no field and shares its cache entry; the removed
+// "destructive" mode and unknown values are a 400 even on a cache hit.
+func TestSolvePruneField(t *testing.T) {
+	checkIgnoredField(t, "prune", func(o *solveOptions, v string) { o.Prune = v },
+		[]string{"transient"}, []string{"destructive", "nope"})
+}
+
+// checkIgnoredField asserts the contract of a request field kept only for
+// compatibility: every accepted value yields the response of a request
+// without the field and hits its cache entry, and every rejected value is
+// a 400 naming the field even when the rest of the payload is cached.
+func checkIgnoredField(t *testing.T, field string, set func(*solveOptions, string), accepted, rejected []string) {
+	t.Helper()
 	netT, libT := readTestdata(t, "line.net"), readTestdata(t, "lib8.buf")
-	solve := func(h http.Handler, backend string) solveResponse {
+	request := func(h http.Handler, v string) *httptest.ResponseRecorder {
+		req := solveRequest{Net: netT, Library: libT}
+		set(&req.solveOptions, v)
+		return post(t, h, "/v1/solve", req)
+	}
+	solve := func(h http.Handler, v string) solveResponse {
 		t.Helper()
-		rec := post(t, h, "/v1/solve", solveRequest{Net: netT, Library: libT,
-			solveOptions: solveOptions{Backend: backend}})
+		rec := request(h, v)
 		if rec.Code != http.StatusOK {
-			t.Fatalf("backend=%q: status %d: %s", backend, rec.Code, rec.Body.String())
+			t.Fatalf("%s=%q: status %d: %s", field, v, rec.Code, rec.Body.String())
 		}
 		var resp solveResponse
 		decodeInto(t, rec, &resp)
@@ -642,27 +707,28 @@ func TestSolveBackendField(t *testing.T) {
 
 	uncached := New(Config{CacheEntries: -1}).Handler()
 	want := solve(uncached, "")
-	for _, backend := range []string{"default", "list", "soa"} {
-		if got := solve(uncached, backend); !reflect.DeepEqual(got, want) {
-			t.Fatalf("backend=%q changed the result:\n got %+v\nwant %+v", backend, got, want)
+	for _, v := range accepted {
+		if got := solve(uncached, v); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s=%q changed the result:\n got %+v\nwant %+v", field, v, got, want)
 		}
 	}
 
 	cached := New(Config{}).Handler()
 	solve(cached, "")
-	for _, backend := range []string{"default", "list", "soa"} {
-		if !solve(cached, backend).Cached {
-			t.Fatalf("backend=%q missed the cache entry of the request without it", backend)
+	for _, v := range accepted {
+		if !solve(cached, v).Cached {
+			t.Fatalf("%s=%q missed the cache entry of the request without it", field, v)
 		}
 	}
-	rec := post(t, cached, "/v1/solve", solveRequest{Net: netT, Library: libT,
-		solveOptions: solveOptions{Backend: "bogus"}})
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("unknown backend on a cached request: status %d", rec.Code)
-	}
-	var errResp errorResponse
-	decodeInto(t, rec, &errResp)
-	if errResp.Field != "backend" {
-		t.Fatalf("error field = %q, want backend", errResp.Field)
+	for _, v := range rejected {
+		rec := request(cached, v)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s=%q on a cached request: status %d", field, v, rec.Code)
+		}
+		var errResp errorResponse
+		decodeInto(t, rec, &errResp)
+		if errResp.Field != field {
+			t.Fatalf("%s=%q: error field = %q, want %s", field, v, errResp.Field, field)
+		}
 	}
 }

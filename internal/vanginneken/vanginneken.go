@@ -110,7 +110,7 @@ func InsertContext(ctx context.Context, t *tree.Tree, buf library.Buffer, drv de
 }
 
 // addWire applies the Elmore wire transform and re-prunes dominated
-// candidates (see candidate.List.AddWire for the derivation).
+// candidates (see candidate.SoAList.AddWire for the derivation).
 func addWire(l []cand, r, c float64) []cand {
 	for i := range l {
 		l[i].q -= r*(c/2) + r*l[i].c

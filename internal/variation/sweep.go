@@ -25,8 +25,6 @@ type Config struct {
 	Corners []Corner
 	// Driver is the (nominal) source driver; corners do not perturb it.
 	Driver delay.Driver
-	// Prune selects the core engine's convex pruning mode.
-	Prune core.PruneMode
 	// CheckInvariants enables per-operation candidate-list validation in
 	// every per-corner engine run (for tests; roughly doubles runtime).
 	CheckInvariants bool
@@ -258,7 +256,7 @@ func Sweep(ctx context.Context, t *tree.Tree, lib library.Library, cfg Config) (
 	}
 
 	n := len(cfg.Corners)
-	opt := core.Options{Driver: cfg.Driver, Prune: cfg.Prune, CheckInvariants: cfg.CheckInvariants}
+	opt := core.Options{Driver: cfg.Driver, CheckInvariants: cfg.CheckInvariants}
 	samples := make([]Sample, n)
 	plcs := make([]delay.Placement, n) // per-sample placement (worker-group storage, aliased)
 	errs := make([]error, n)

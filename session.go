@@ -51,8 +51,8 @@ type Session struct {
 
 // NewSession opens an incremental ECO session on net t. Sessions run on
 // the core engine, so the solver's algorithm must be the paper's (the
-// default); the session follows the solver's library, driver, prune mode
-// and invariant-checking configuration.
+// default); the session follows the solver's library, driver and
+// invariant-checking configuration.
 func (s *Solver) NewSession(t *Tree) (*Session, error) {
 	if err := s.requireCore("ECO sessions"); err != nil {
 		return nil, err
@@ -62,7 +62,6 @@ func (s *Solver) NewSession(t *Tree) (*Session, error) {
 	}
 	cs, err := core.NewSession(t, s.cfg.Library, core.Options{
 		Driver:          s.cfg.Driver,
-		Prune:           s.cfg.Prune,
 		CheckInvariants: s.cfg.CheckInvariants,
 	})
 	if err != nil {

@@ -39,8 +39,6 @@ type RunConfig struct {
 	Library Library
 	// Driver is the source driver for this net.
 	Driver Driver
-	// Prune selects the convex pruning mode (AlgoNew only).
-	Prune PruneMode
 	// CollectStats asks the algorithm to fill NetResult.Stats.
 	CollectStats bool
 	// CheckInvariants enables per-operation list validation (AlgoNew
@@ -231,11 +229,6 @@ func WithDrivers(drivers []Driver) Option {
 	return func(s *Solver) error { s.drivers = drivers; return nil }
 }
 
-// WithPruneMode selects the convex pruning mode for AlgoNew.
-func WithPruneMode(m PruneMode) Option {
-	return func(s *Solver) error { s.cfg.Prune = m; return nil }
-}
-
 // WithAlgorithm selects a registered algorithm by name; the default is
 // AlgoNew.
 func WithAlgorithm(name string) Option {
@@ -262,9 +255,15 @@ func WithCheckInvariants(check bool) Option {
 }
 
 // WithMaxCost caps the total buffer cost explored by AlgoCostSlack
-// (0 = unlimited).
+// (0 = unlimited). A negative cap is a *ValidationError.
 func WithMaxCost(max int) Option {
-	return func(s *Solver) error { s.cfg.MaxCost = max; return nil }
+	return func(s *Solver) error {
+		if max < 0 {
+			return solvererr.Validation("bufferkit", "max_cost", "cost cap %d must be nonnegative", max)
+		}
+		s.cfg.MaxCost = max
+		return nil
+	}
 }
 
 // WithLibraryReduction shrinks the library before solving. k < 0 applies
@@ -445,7 +444,7 @@ func (a *coreAlgo) Solve(ctx context.Context, t *Tree, cfg RunConfig) (*NetResul
 	if a.eng == nil {
 		a.eng = enginePool.Get().(*core.Engine)
 	}
-	opt := core.Options{Driver: cfg.Driver, Prune: cfg.Prune, CheckInvariants: cfg.CheckInvariants}
+	opt := core.Options{Driver: cfg.Driver, CheckInvariants: cfg.CheckInvariants}
 	if err := a.eng.Reset(t, cfg.Library, opt); err != nil {
 		return nil, err
 	}

@@ -174,6 +174,14 @@ func TestNewSolverValidation(t *testing.T) {
 	if err == nil {
 		t.Fatal("NewSolver accepted an unknown algorithm")
 	}
+	_, err = bufferkit.NewSolver(
+		bufferkit.WithLibrary(bufferkit.GenerateLibrary(4)),
+		bufferkit.WithAlgorithm(bufferkit.AlgoCostSlack),
+		bufferkit.WithMaxCost(-3),
+	)
+	if !errors.As(err, &verr) || verr.Field != "max_cost" {
+		t.Fatalf("negative max cost: got %v, want a *ValidationError on max_cost", err)
+	}
 }
 
 // echoAlgo is a registry-extension probe: a third-party algorithm that

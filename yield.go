@@ -155,7 +155,6 @@ func (s *Solver) SolveYield(ctx context.Context, t *Tree) (*YieldResult, error) 
 	res, err := variation.Sweep(ctx, t, s.cfg.Library, variation.Config{
 		Corners:         s.yieldCorners(),
 		Driver:          s.cfg.Driver,
-		Prune:           s.cfg.Prune,
 		CheckInvariants: s.cfg.CheckInvariants,
 		Target:          s.yield.target,
 		Robust:          s.yield.robust,
