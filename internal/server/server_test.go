@@ -12,6 +12,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -635,6 +636,37 @@ func TestMetricsShape(t *testing.T) {
 		if _, ok := hist[key]; !ok {
 			t.Fatalf("solve_latency_ms missing %q: %v", key, hist)
 		}
+	}
+	// The full key set is part of the wire contract: dashboards and the
+	// Prometheus mapping key on these names, so a key may not appear,
+	// vanish or be renamed silently.
+	want := []string{
+		"admission_canceled", "admission_wait_ns", "batch_nets", "batch_requests",
+		"cache_evictions", "cache_hits", "cache_len", "cache_misses", "cache_stores",
+		"chip_aborted_rounds", "chip_deadline_aborts", "chip_nets", "chip_requests",
+		"chip_rounds", "draining", "engine_candidates_total", "engine_pruned_total",
+		"engine_runs", "fleet_forward_errors", "fleet_forward_shared", "fleet_forwards",
+		"fleet_hedge_wins", "fleet_hedges", "fleet_local_fallbacks", "fleet_peers",
+		"fleet_read_repairs", "fleet_replicas", "fleet_replicas_stored",
+		"fleet_write_through_errors", "fleet_write_throughs", "go_version",
+		"http_errors", "in_flight_runs", "max_concurrent", "max_queue", "panics_total",
+		"peer_alive", "peer_dead", "peer_probe_failures", "peer_probes", "peer_suspect",
+		"queue_depth", "session_cache_hits", "session_full_rebuilds", "session_patches",
+		"session_recomputed_vertices", "session_requests", "session_resolves",
+		"sessions_active", "sessions_created", "sessions_evicted", "shed_deadline",
+		"shed_queue_full", "shed_queue_timeout", "shed_total", "singleflight_shared",
+		"slow_requests_total", "solve_ewma_ms", "solve_latency_ms", "solve_requests",
+		"tenant_allowed", "tenant_shed_by_tenant", "tenant_shed_total", "traces_total",
+		"uptime_seconds", "yield_aborted_samples", "yield_deadline_aborts",
+		"yield_requests", "yield_samples",
+	}
+	got := make([]string, 0, len(m))
+	for k := range m {
+		got = append(got, k)
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("/metrics keys changed:\n got %q\nwant %q", got, want)
 	}
 }
 
