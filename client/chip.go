@@ -1,12 +1,9 @@
 package client
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 )
 
 // ChipStream iterates a /v1/chip NDJSON response: one ChipRound line per
@@ -14,10 +11,7 @@ import (
 // Close it when done (early Close aborts the server-side allocator via the
 // request context).
 type ChipStream struct {
-	resp   *http.Response
-	sc     *bufio.Scanner
-	cancel context.CancelFunc
-	err    error
+	lines lineStream[ChipLine]
 }
 
 // Chip starts a multi-net chip solve and returns the convergence stream.
@@ -26,50 +20,24 @@ type ChipStream struct {
 // from Next (ErrTruncated for the server's in-band abort record) and
 // resuming is the caller's decision.
 func (c *Client) Chip(ctx context.Context, req ChipRequest) (*ChipStream, error) {
-	body, err := json.Marshal(&req)
+	lines, err := openStream(c, ctx, "/v1/chip", &req, func(line *ChipLine) error {
+		if line.Error != "" {
+			return fmt.Errorf("%w: %s (after %d rounds, %d net solves)",
+				ErrTruncated, line.Error, line.CompletedRounds, line.SolvedNets)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	resp, err := c.do(ctx, http.MethodPost, "/v1/chip", body)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	return &ChipStream{resp: resp, sc: newScanner(resp.Body), cancel: cancel}, nil
+	return &ChipStream{lines: lines}, nil
 }
 
 // Next returns the next stream line — a round record or the terminal
 // summary — or io.EOF after the summary. A terminal error record (deadline
 // or server-side abort mid-run) returns an error wrapping ErrTruncated
 // that carries the server's partial-progress message.
-func (s *ChipStream) Next() (*ChipLine, error) {
-	if s.err != nil {
-		return nil, s.err
-	}
-	for s.sc.Scan() {
-		if len(s.sc.Bytes()) == 0 {
-			continue
-		}
-		var line ChipLine
-		if err := json.Unmarshal(s.sc.Bytes(), &line); err != nil {
-			s.err = fmt.Errorf("bufferkitd: bad NDJSON line: %w", err)
-			return nil, s.err
-		}
-		if line.Error != "" {
-			s.err = fmt.Errorf("%w: %s (after %d rounds, %d net solves)",
-				ErrTruncated, line.Error, line.CompletedRounds, line.SolvedNets)
-			return nil, s.err
-		}
-		return &line, nil
-	}
-	if err := s.sc.Err(); err != nil {
-		s.err = scanErr("/v1/chip", err)
-		return nil, s.err
-	}
-	s.err = io.EOF
-	return nil, io.EOF
-}
+func (s *ChipStream) Next() (*ChipLine, error) { return s.lines.next() }
 
 // Collect drains the stream, returning every round record and the final
 // summary. On truncation it returns the rounds received so far alongside
@@ -99,8 +67,4 @@ func (s *ChipStream) Collect() ([]ChipRound, *ChipSummary, error) {
 
 // Close releases the stream; abandoning it mid-solve cancels the
 // server-side allocator through the request context.
-func (s *ChipStream) Close() error {
-	s.cancel()
-	io.Copy(io.Discard, io.LimitReader(s.resp.Body, 1<<20))
-	return s.resp.Body.Close()
-}
+func (s *ChipStream) Close() error { return s.lines.close() }

@@ -28,6 +28,12 @@ import (
 // NoSite marks a vertex with no site constraint in Net.Site.
 const NoSite = -1
 
+// maxSites bounds a grid's site count. The allocator keeps several
+// per-site vectors, so the bound caps what one instance can make it
+// allocate; it is a thousand times the largest grid the repository
+// generates (32×32).
+const maxSites = 1 << 20
+
 // Grid is a rectangular array of buffer sites. Site IDs are y*W + x.
 type Grid struct {
 	// W and H are the grid dimensions in sites.
@@ -100,14 +106,18 @@ func (inst *Instance) Capacities(capacity int) []int {
 	return caps
 }
 
-// Validate checks the instance shape: positive grid dimensions, nonnegative
-// capacity, blockages inside the grid, and per-net site vectors that match
-// the tree, stay in range, sit only on legal buffer positions, and never
-// visit a site twice. Failures are *solvererr.ValidationError values.
+// Validate checks the instance shape: positive grid dimensions with at
+// most maxSites sites, nonnegative capacity, blockages inside the grid, and
+// per-net site vectors that match the tree, stay in range, sit only on
+// legal buffer positions, and never visit a site twice. Failures are
+// *solvererr.ValidationError values.
 func (inst *Instance) Validate() error {
 	g := inst.Grid
 	if g.W <= 0 || g.H <= 0 {
 		return solvererr.Validation("chip", "grid", "grid %dx%d must have positive dimensions", g.W, g.H)
+	}
+	if g.W > maxSites/g.H { // W*H > maxSites, without overflowing
+		return solvererr.Validation("chip", "grid", "grid %dx%d exceeds %d sites", g.W, g.H, maxSites)
 	}
 	if g.Capacity < 0 {
 		return solvererr.Validation("chip", "capacity", "site capacity %d must be nonnegative", g.Capacity)

@@ -335,4 +335,20 @@ func TestChipValidateRejects(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("out-of-grid blockage accepted")
 	}
+
+	// W*H wraps negative here; the grid must fail validation, not size a
+	// slice. With every vertex unsited the site-range check never runs.
+	var verr *solvererr.ValidationError
+	for _, g := range []Grid{{W: 3037000500, H: 3037000500}, {W: 200000, H: 200000}, {W: maxSites + 1, H: 1}} {
+		bad = mk()
+		bad.Grid = g
+		for i := range bad.Nets {
+			for v := range bad.Nets[i].Site {
+				bad.Nets[i].Site[v] = NoSite
+			}
+		}
+		if err := bad.Validate(); !errors.As(err, &verr) || verr.Field != "grid" {
+			t.Fatalf("grid %dx%d: got %v, want a ValidationError on grid", g.W, g.H, err)
+		}
+	}
 }

@@ -115,47 +115,22 @@ func (s *Server) handleChip(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.solveOptions))
 	defer cancel()
 
-	// One guaranteed engine slot (so chip solves always progress) plus the
-	// idle extras — taken before the header, while shedding is still a
-	// clean 429.
-	if err := s.adm.Acquire(ctx); err != nil {
+	// The admitted slots become each round's parallel re-solve pool; the
+	// first round record starts the stream.
+	slots, err := s.admit(ctx, len(inst.Nets))
+	if err != nil {
 		s.writeError(w, s.asCanceled(err))
 		return
 	}
-	slots := 1 + s.adm.TryExtra(min(len(inst.Nets), s.cfg.MaxConcurrent)-1)
-	s.inFlightRuns.Add(int64(slots))
-	defer func() {
-		s.inFlightRuns.Add(int64(-slots))
-		s.adm.Release(slots)
-	}()
-
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	// The header is written lazily on the first record, so everything that
-	// fails before round 1 completes still gets a real HTTP status.
-	wroteHeader := false
-	emit := func(line *chipLine) bool {
-		if !wroteHeader {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.WriteHeader(http.StatusOK)
-			wroteHeader = true
-		}
-		if err := enc.Encode(line); err != nil {
-			cancel() // client gone; abort the allocator
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
-	}
+	defer s.release(slots)
+	out := &ndjsonWriter[*chipLine]{w: w, cancel: cancel}
 
 	opts := []bufferkit.Option{
 		bufferkit.WithWorkers(slots),
 		bufferkit.WithChipProgress(func(rd bufferkit.ChipRound) {
 			s.chipRounds.Add(1)
 			round := rd
-			emit(&chipLine{Round: &round})
+			out.write(&chipLine{Round: &round})
 		}),
 	}
 	// Zero means "engine default" on every knob; nonzero values — including
@@ -183,10 +158,9 @@ func (s *Server) handleChip(w http.ResponseWriter, r *http.Request) {
 	}
 	defer solver.Close()
 
-	s.engineRuns.Add(1)
-	start := time.Now()
+	run := startRun(ctx)
 	res, err := solver.SolveChip(ctx, inst)
-	elapsed := time.Since(start)
+	elapsed := s.endRun(run, 1, nil, false)
 	if err != nil {
 		var pe *bufferkit.PartialChipError
 		if errors.As(err, &pe) {
@@ -194,7 +168,7 @@ func (s *Server) handleChip(w http.ResponseWriter, r *http.Request) {
 			s.chipAbortedRounds.Add(int64(pe.CompletedRounds))
 		}
 		err = s.asCanceled(err)
-		if !wroteHeader {
+		if out.enc == nil { // no round record yet: a real status
 			s.writeError(w, err)
 			return
 		}
@@ -204,14 +178,14 @@ func (s *Server) handleChip(w http.ResponseWriter, r *http.Request) {
 			line.CompletedRounds = pe.CompletedRounds
 			line.SolvedNets = pe.SolvedNets
 		}
-		emit(line)
+		out.write(line)
 		return
 	}
 	placements := make([]map[string]string, len(inst.Nets))
 	for i := range inst.Nets {
 		placements[i] = placementNames(inst.Nets[i].Tree, lib, res.Placements[i])
 	}
-	emit(&chipLine{Done: &chipSummary{
+	out.write(&chipLine{Done: &chipSummary{
 		Algorithm:  solver.Algorithm(),
 		Feasible:   res.Feasible,
 		Nets:       len(inst.Nets),

@@ -131,6 +131,12 @@ func TestChipValidation(t *testing.T) {
 		// An instance that parses but fails validation surfaces the
 		// instance's own ValidationError field.
 		{"bad instance", Config{}, chipRequest{Instance: json.RawMessage(`{"grid":{}}`), Library: lib}, "grid"},
+		// W*H overflows int; no site is used, so only the grid bound stops
+		// it from sizing the per-site vectors.
+		{"overflowing grid", Config{}, chipRequest{Library: lib, Instance: json.RawMessage(
+			`{"grid":{"w":3037000500,"h":3037000500,"capacity":1},"nets":[{"net":` +
+				`"node n1 parent src res 0.1 cap 5 buffer\nsink s1 parent n1 res 0.1 cap 5 load 10 rat 1000\n",` +
+				`"sites":[-1,-1,-1]}]}`)}, "grid"},
 		{"bad library", Config{}, chipRequest{Instance: inst, Library: "not a library"}, "library"},
 		{"too many nets", Config{MaxChipNets: 2}, chipRequest{Instance: inst, Library: lib}, "instance"},
 		{"negative rounds", Config{}, chipRequest{Instance: inst, Library: lib, Rounds: -1}, "rounds"},

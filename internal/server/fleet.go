@@ -17,7 +17,6 @@ import (
 
 	"bufferkit/internal/fleet"
 	"bufferkit/internal/obs"
-	"bufferkit/internal/resilience"
 	"bufferkit/internal/server/cache"
 )
 
@@ -126,19 +125,13 @@ func (s *Server) handleSolveForward(w http.ResponseWriter, r *http.Request, req 
 	tr.Set("forwarded", true)
 	fwd := tr.StartSpan("peer_forward")
 	defer fwd.End()
-	timeout := s.timeout(req.solveOptions)
-	resp, err, shared := s.forwardFlights.Do(r.Context(), key, func(ctx context.Context) (*solveResponse, error) {
-		ctx, cancel := context.WithTimeout(ctx, timeout)
-		defer cancel()
-		// The creator's trace rides along so the hedge arms span under it
-		// and the outgoing calls carry its traceparent.
-		return s.forwardSolve(obs.ContextWithTrace(ctx, tr), req, key, h, targets)
-	})
+	// The flight's context carries the creator's trace, so the hedge arms
+	// span under it and the outgoing calls carry its traceparent.
+	resp, _, err := coalesce(r.Context(), &s.forwardFlights, key, s.timeout(req.solveOptions), s.fleetForwardShared,
+		func(ctx context.Context) (*solveResponse, error) {
+			return s.forwardSolve(ctx, req, key, h, targets)
+		})
 	if err != nil {
-		var pe *resilience.PanicError
-		if errors.As(err, &pe) {
-			panic(pe)
-		}
 		var relay *relayedError
 		if errors.As(err, &relay) {
 			s.writeRelayed(w, relay)
@@ -155,9 +148,6 @@ func (s *Server) handleSolveForward(w http.ResponseWriter, r *http.Request, req 
 		return true
 	}
 	s.fleetForwards.Add(1)
-	if shared {
-		s.fleetForwardShared.Add(1)
-	}
 	writeJSON(w, http.StatusOK, resp)
 	return true
 }

@@ -92,14 +92,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	key := cache.NewKey([]byte(req.Net), []byte(req.Library), req.solveOptions.cacheOptions())
 	tr.Set("digest", digestAttr(key.Net))
 	lookup := tr.StartSpan("cache_lookup")
-	v, ok := s.cache.Get(key)
+	hit, ok := cacheGet[solveResponse](s, key)
 	lookup.Set("hit", ok)
 	lookup.End()
 	if ok {
-		resp := *v.(*solveResponse) // copy: cached entries are immutable
-		resp.Cached = true
 		tr.Set("cached", true)
-		writeJSON(w, http.StatusOK, &resp)
+		writeJSON(w, http.StatusOK, hit)
 		return
 	}
 	// Fleet routing: a node that does not own this digest forwards it to
@@ -114,67 +112,45 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	timeout := s.timeout(req.solveOptions)
-	// The flight runs detached from any one caller (a disconnect must not
-	// kill the run other waiters share) under its own solve budget;
-	// admission happens inside, so N coalesced requests consume one engine
-	// slot, not N. The trace is captured lexically: the winner (the caller
-	// that created the flight) records the admission and engine spans;
-	// followers see only their own wait.
-	resp, err, shared := s.flights.Do(r.Context(), key, func(ctx context.Context) (*solveResponse, error) {
-		ctx, cancel := context.WithTimeout(ctx, timeout)
-		defer cancel()
-		admit := tr.StartSpan("admission")
-		if err := s.adm.Acquire(ctx); err != nil {
-			admit.End()
-			return nil, err
-		}
-		admit.End()
-		defer s.adm.Release(1)
-		solver, err := req.newSolver(lib, bufferkit.WithDriver(net.Driver))
-		if err != nil {
-			return nil, err
-		}
-		defer solver.Close()
-		s.inFlightRuns.Add(1)
-		s.engineRuns.Add(1)
-		run := tr.StartSpan("engine_run")
-		start := time.Now()
-		res, err := solver.Run(ctx, net.Tree)
-		elapsed := time.Since(start)
-		s.inFlightRuns.Add(-1)
-		s.adm.Observe(elapsed)
-		s.solveLatency.observe(elapsed)
-		if err != nil {
-			run.End()
-			return nil, err
-		}
-		resp := buildResponse(net, lib, solver.Algorithm(), res, elapsed)
-		s.recordEngineStats(resp.Stats, run)
-		run.End()
-		s.cache.Put(key, resp)
-		s.cacheStores.Add(1)
-		s.replicate(key, resp, tr.Traceparent()) // fleet write-through to the other owners
-		return resp, nil
-	})
+	// Admission happens inside the flight, so N coalesced requests consume
+	// one engine slot, not N. The flight's context carries the trace of the
+	// caller that created it: that caller records the admission and engine
+	// spans; followers see only their own wait.
+	resp, shared, err := coalesce(r.Context(), &s.flights, key, s.timeout(req.solveOptions), s.sfShared,
+		func(ctx context.Context) (*solveResponse, error) {
+			slots, err := s.admit(ctx, 1)
+			if err != nil {
+				return nil, err
+			}
+			defer s.release(slots)
+			solver, err := req.newSolver(lib, bufferkit.WithDriver(net.Driver))
+			if err != nil {
+				return nil, err
+			}
+			defer solver.Close()
+			run := startRun(ctx)
+			res, err := solver.Run(ctx, net.Tree)
+			elapsed := s.endRun(run, 1, res, true)
+			if err != nil {
+				return nil, err
+			}
+			resp := buildResponse(net, lib, solver.Algorithm(), res, elapsed)
+			s.cacheStore(key, resp)
+			s.replicate(key, resp, tr.Traceparent()) // fleet write-through to the other owners
+			return resp, nil
+		})
 	if err != nil {
-		var pe *resilience.PanicError
-		if errors.As(err, &pe) {
-			panic(pe) // recovery middleware: 500 + panics_total + original stack
-		}
 		s.writeError(w, s.asCanceled(err))
 		return
 	}
 	enc := tr.StartSpan("encode")
 	if shared {
-		s.sfShared.Add(1)
 		tr.Set("coalesced", true)
 		out := *resp // copy: the shared result is immutable
 		out.Coalesced = true
-		writeJSON(w, http.StatusOK, &out)
-	} else {
-		writeJSON(w, http.StatusOK, resp)
+		resp = &out
 	}
+	writeJSON(w, http.StatusOK, resp)
 	enc.End()
 }
 
@@ -202,11 +178,11 @@ type batchLine struct {
 // handleBatch solves a batch, streaming one NDJSON line per net. Cached
 // nets are answered without an engine run; the rest go through
 // Solver.Stream on as many workers as the admission controller can spare
-// (at least one, so batches never deadlock each other). Admission happens
-// before the response header, so an overloaded server sheds the whole
-// batch with 429 + Retry-After while that is still expressible; once the
-// stream has started, an abort is reported as a terminal NDJSON error
-// record instead of a silent truncation.
+// (at least one, so batches never deadlock each other). Admission and
+// solver construction happen before the first line, so an overloaded
+// server sheds the whole batch with 429 + Retry-After, and a bad option is
+// a 400, while that is still expressible; an abort after that is reported
+// as a terminal NDJSON error record instead of a silent truncation.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.batchReqs.Add(1)
 	var req batchRequest
@@ -239,12 +215,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	jobs := make([]job, len(req.Nets))
 	options := req.solveOptions.cacheOptions()
+	// The cache misses form the engine's sub-batch; origIdx maps its
+	// indices back to the request's.
+	var trees []*bufferkit.Tree
+	var drivers []bufferkit.Driver
+	var origIdx []int
 	for i, text := range req.Nets {
 		jobs[i].key = cache.NewKey([]byte(text), []byte(req.Library), options)
-		if v, ok := s.cache.Get(jobs[i].key); ok {
-			resp := *v.(*solveResponse)
-			resp.Cached = true
-			jobs[i].resp = &resp
+		if hit, ok := cacheGet[solveResponse](s, jobs[i].key); ok {
+			jobs[i].resp = hit
 			continue
 		}
 		net, err := bufferkit.ParseNet(strings.NewReader(text))
@@ -253,61 +232,38 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		jobs[i].net = net
-	}
-
-	// Sub-batch of the cache misses, remembering original indices.
-	var trees []*bufferkit.Tree
-	var drivers []bufferkit.Driver
-	var origIdx []int
-	for i := range jobs {
-		if jobs[i].resp == nil {
-			trees = append(trees, jobs[i].net.Tree)
-			drivers = append(drivers, jobs[i].net.Driver)
-			origIdx = append(origIdx, i)
-		}
+		trees = append(trees, net.Tree)
+		drivers = append(drivers, net.Driver)
+		origIdx = append(origIdx, i)
 	}
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.solveOptions))
 	defer cancel()
 
-	// Take one guaranteed engine slot (so the batch always progresses)
-	// plus whatever extra capacity is idle right now — before the header,
-	// while shedding is still a clean 429.
-	slots := 0
+	// The admitted slots become the solver's worker pool.
+	var solver *bufferkit.Solver
 	if len(trees) > 0 {
-		if err := s.adm.Acquire(ctx); err != nil {
+		slots, err := s.admit(ctx, len(trees))
+		if err != nil {
 			s.writeError(w, s.asCanceled(err))
 			return
 		}
-		slots = 1 + s.adm.TryExtra(min(len(trees), s.cfg.MaxConcurrent)-1)
-		s.inFlightRuns.Add(int64(slots))
-		defer func() {
-			s.inFlightRuns.Add(int64(-slots))
-			s.adm.Release(slots)
-		}()
+		defer s.release(slots)
+		solver, err = req.newSolver(lib, bufferkit.WithDrivers(drivers), bufferkit.WithWorkers(slots))
+		if err != nil {
+			s.writeError(w, err)
+			return
+		}
 	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	emit := func(line *batchLine) bool {
-		if err := enc.Encode(line); err != nil {
-			cancel() // client gone; stop the workers
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
-	}
+	out := &ndjsonWriter[*batchLine]{w: w, cancel: cancel}
 	// deliver reorders lines by original index when Ordered is set;
-	// otherwise it is emit itself.
-	deliver := emit
+	// otherwise it is out.write itself.
+	deliver := out.write
 	if req.Ordered {
 		buf := orderbuf.New[*batchLine](len(jobs))
 		deliver = func(line *batchLine) bool {
-			return buf.Add(line.Index, line, emit)
+			return buf.Add(line.Index, line, out.write)
 		}
 	}
 
@@ -326,34 +282,22 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			delivered++
 		}
 	}
-	if len(trees) > 0 {
-		solver, err := req.newSolver(lib,
-			bufferkit.WithDrivers(drivers),
-			bufferkit.WithWorkers(slots),
-		)
-		if err != nil {
-			emit(&batchLine{Index: -1, Error: errorMessage(err)})
-			return
-		}
+	if solver != nil {
 		for res, err := range solver.Stream(ctx, trees) {
 			if res.Index < 0 {
-				emit(&batchLine{Index: -1, Error: errorMessage(err)})
+				out.write(&batchLine{Index: -1, Error: errorMessage(err)})
 				return
 			}
+			s.recordRun(obs.SpanRef{}, 1, &res)
 			i := origIdx[res.Index]
-			s.engineRuns.Add(1)
+			line := &batchLine{Index: i}
 			if err != nil {
-				if !deliver(&batchLine{Index: i, Error: errorMessage(err)}) {
-					return
-				}
-				delivered++
-				continue
+				line.Error = errorMessage(err)
+			} else {
+				line.Result = buildResponse(jobs[i].net, lib, solver.Algorithm(), &res, 0)
+				s.cacheStore(jobs[i].key, line.Result)
 			}
-			resp := buildResponse(jobs[i].net, lib, solver.Algorithm(), &res, 0)
-			s.recordEngineStats(resp.Stats, obs.SpanRef{})
-			s.cache.Put(jobs[i].key, resp)
-			s.cacheStores.Add(1)
-			if !deliver(&batchLine{Index: i, Result: resp}) {
+			if !deliver(line) {
 				return
 			}
 			delivered++
@@ -367,7 +311,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if err == nil {
 			err = context.Canceled
 		}
-		emit(&batchLine{Index: -1, Error: errorMessage(s.asCanceled(err))})
+		out.write(&batchLine{Index: -1, Error: errorMessage(s.asCanceled(err))})
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"time"
 
-	"bufferkit"
 	"bufferkit/internal/obs"
 	"bufferkit/internal/resilience"
 )
@@ -109,24 +108,6 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 		"count":  len(traces),
 		"traces": traces,
 	})
-}
-
-// recordEngineStats folds one engine run's DP counters into the
-// engine_candidates_total / engine_pruned_total counters and, when a span
-// is supplied, its attributes — the per-request view of the O(bn²)
-// algorithm's actual work.
-func (s *Server) recordEngineStats(st *bufferkit.Stats, sp obs.SpanRef) {
-	if st == nil {
-		return
-	}
-	s.engCandidates.Add(int64(st.BetasGenerated))
-	s.engPruned.Add(int64(st.HullPruned))
-	sp.Set("candidates", st.BetasGenerated)
-	sp.Set("pruned", st.HullPruned)
-	sp.Set("kept", st.BetasKept)
-	if st.ArenaBytes > 0 {
-		sp.Set("arena_bytes", st.ArenaBytes)
-	}
 }
 
 // digestAttr renders the first 8 bytes of the net digest — enough to

@@ -16,7 +16,14 @@
 //	PUT    /internal/v1/cache peer-to-peer result replication (fleet mode)
 //	GET    /healthz           liveness probe
 //	GET    /readyz            readiness probe (503 while draining)
-//	GET    /metrics           expvar counters as JSON
+//	GET    /metrics           expvar counters as JSON (or Prometheus text)
+//	GET    /debug/traces      recent request traces
+//
+// The five engine-running handlers (solve, batch, yield, chip, session
+// PUT) share one request lifecycle, built from the helpers in
+// lifecycle.go: admit/release for engine slots, cacheGet/cacheStore for
+// the result cache, coalesce for singleflight, startRun/endRun/recordRun
+// for engine-run accounting, and ndjsonWriter for the streamed replies.
 //
 // Concurrency model: a deadline-aware admission controller
 // (internal/resilience) bounds the engine runs in flight across all
@@ -47,13 +54,12 @@
 package server
 
 import (
+	"cmp"
 	"expvar"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"runtime"
-	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -194,19 +200,14 @@ type latencyHist struct {
 func newLatencyHist() *latencyHist {
 	h := &latencyHist{
 		bins:  make([]*expvar.Int, len(latencyBucketsMs)+1),
-		count: new(expvar.Int),
 		sumMs: new(expvar.Float),
 		m:     new(expvar.Map).Init(),
 	}
-	for i := range h.bins {
-		h.bins[i] = new(expvar.Int)
-		if i < len(latencyBucketsMs) {
-			h.m.Set(fmt.Sprintf("le_%g", latencyBucketsMs[i]), h.bins[i])
-		} else {
-			h.m.Set("le_inf", h.bins[i])
-		}
+	for i := range latencyBucketsMs {
+		h.bins[i] = newCounter(h.m, fmt.Sprintf("le_%g", latencyBucketsMs[i]))
 	}
-	h.m.Set("count", h.count)
+	h.bins[len(latencyBucketsMs)] = newCounter(h.m, "le_inf")
+	h.count = newCounter(h.m, "count")
 	h.m.Set("sum_ms", h.sumMs)
 	return h
 }
@@ -272,8 +273,9 @@ type Server struct {
 	sfShared     *expvar.Int
 	solveLatency *latencyHist
 
-	// Engine profiling counters: the DP's own work, aggregated across
-	// every engine run (solve, batch, yield, chip, session paths).
+	// Engine profiling counters: the DP's own work, aggregated across the
+	// runs whose result carries Stats — solves, batch nets and session
+	// resolves. Yield sweeps and chip solves report none.
 	engCandidates *expvar.Int
 	engPruned     *expvar.Int
 
@@ -341,61 +343,121 @@ func New(cfg Config) *Server {
 	if cfg.QueueTimeout > 0 {
 		admCfg.QueueTimeout = cfg.QueueTimeout
 	}
+	m := new(expvar.Map).Init()
 	s := &Server{
-		cfg:          cfg,
-		adm:          resilience.NewController(admCfg),
-		cache:        cache.New(cfg.CacheEntries),
-		start:        time.Now(),
-		metrics:      new(expvar.Map).Init(),
-		solveReqs:    new(expvar.Int),
-		batchReqs:    new(expvar.Int),
-		batchNets:    new(expvar.Int),
-		engineRuns:   new(expvar.Int),
-		cacheStores:  new(expvar.Int),
-		httpErrors:   new(expvar.Int),
-		inFlightRuns: new(expvar.Int),
-		panicsTotal:  new(expvar.Int),
-		sfShared:     new(expvar.Int),
-		solveLatency: newLatencyHist(),
-
-		engCandidates: new(expvar.Int),
-		engPruned:     new(expvar.Int),
-
-		yieldReqs:           new(expvar.Int),
-		yieldSamples:        new(expvar.Int),
-		yieldDeadlineAborts: new(expvar.Int),
-		yieldAbortedSamples: new(expvar.Int),
-
-		chipReqs:           new(expvar.Int),
-		chipNets:           new(expvar.Int),
-		chipRounds:         new(expvar.Int),
-		chipDeadlineAborts: new(expvar.Int),
-		chipAbortedRounds:  new(expvar.Int),
-
-		sessions:         make(map[string]*sessionEntry),
-		sessionReqs:      new(expvar.Int),
-		sessionsCreated:  new(expvar.Int),
-		sessionsEvicted:  new(expvar.Int),
-		sessionPatches:   new(expvar.Int),
-		sessionResolves:  new(expvar.Int),
-		sessionCacheHits: new(expvar.Int),
-		sessionRebuilds:  new(expvar.Int),
-		sessionRecomp:    new(expvar.Int),
-
-		quotas:                resilience.NewTenantQuotas(cfg.TenantQuotas),
-		fleetForwards:         new(expvar.Int),
-		fleetForwardShared:    new(expvar.Int),
-		fleetForwardErrors:    new(expvar.Int),
-		fleetHedges:           new(expvar.Int),
-		fleetHedgeWins:        new(expvar.Int),
-		fleetFallbacks:        new(expvar.Int),
-		fleetWriteThroughs:    new(expvar.Int),
-		fleetWriteThroughErrs: new(expvar.Int),
-		fleetReadRepairs:      new(expvar.Int),
-		fleetReplicasStored:   new(expvar.Int),
-		peerProbes:            new(expvar.Int),
-		peerProbeFailures:     new(expvar.Int),
+		cfg:      cfg,
+		adm:      resilience.NewController(admCfg),
+		cache:    cache.New(cfg.CacheEntries),
+		start:    time.Now(),
+		metrics:  m,
+		sessions: make(map[string]*sessionEntry),
+		quotas:   resilience.NewTenantQuotas(cfg.TenantQuotas),
 	}
+	gauge := func(name string, f func() any) { m.Set(name, expvar.Func(f)) }
+
+	s.solveReqs = newCounter(m, "solve_requests")
+	s.batchReqs = newCounter(m, "batch_requests")
+	s.batchNets = newCounter(m, "batch_nets")
+	s.engineRuns = newCounter(m, "engine_runs")
+	s.cacheStores = newCounter(m, "cache_stores")
+	s.httpErrors = newCounter(m, "http_errors")
+	s.inFlightRuns = newCounter(m, "in_flight_runs")
+	s.panicsTotal = newCounter(m, "panics_total")
+	s.sfShared = newCounter(m, "singleflight_shared")
+	s.solveLatency = newLatencyHist()
+	m.Set("solve_latency_ms", s.solveLatency.m)
+	s.engCandidates = newCounter(m, "engine_candidates_total")
+	s.engPruned = newCounter(m, "engine_pruned_total")
+	gauge("traces_total", func() any {
+		total, _ := s.rec.Totals()
+		return total
+	})
+	gauge("slow_requests_total", func() any {
+		_, slow := s.rec.Totals()
+		return slow
+	})
+
+	s.yieldReqs = newCounter(m, "yield_requests")
+	s.yieldSamples = newCounter(m, "yield_samples")
+	s.yieldDeadlineAborts = newCounter(m, "yield_deadline_aborts")
+	s.yieldAbortedSamples = newCounter(m, "yield_aborted_samples")
+
+	s.chipReqs = newCounter(m, "chip_requests")
+	s.chipNets = newCounter(m, "chip_nets")
+	s.chipRounds = newCounter(m, "chip_rounds")
+	s.chipDeadlineAborts = newCounter(m, "chip_deadline_aborts")
+	s.chipAbortedRounds = newCounter(m, "chip_aborted_rounds")
+
+	s.sessionReqs = newCounter(m, "session_requests")
+	s.sessionsCreated = newCounter(m, "sessions_created")
+	s.sessionsEvicted = newCounter(m, "sessions_evicted")
+	s.sessionPatches = newCounter(m, "session_patches")
+	s.sessionResolves = newCounter(m, "session_resolves")
+	s.sessionCacheHits = newCounter(m, "session_cache_hits")
+	s.sessionRebuilds = newCounter(m, "session_full_rebuilds")
+	s.sessionRecomp = newCounter(m, "session_recomputed_vertices")
+	gauge("sessions_active", func() any {
+		s.sessMu.Lock()
+		defer s.sessMu.Unlock()
+		return len(s.sessions)
+	})
+
+	gauge("cache_hits", func() any { return s.cache.Stats().Hits })
+	gauge("cache_misses", func() any { return s.cache.Stats().Misses })
+	gauge("cache_evictions", func() any { return s.cache.Stats().Evictions })
+	gauge("cache_len", func() any { return s.cache.Stats().Len })
+	gauge("max_concurrent", func() any { return s.cfg.MaxConcurrent })
+	gauge("max_queue", func() any { return max(s.cfg.MaxQueue, 0) })
+	gauge("queue_depth", func() any { return s.adm.QueueDepth() })
+	gauge("admission_wait_ns", func() any { return s.adm.Counters().AdmissionWaitNS })
+	gauge("shed_total", func() any { return s.adm.Counters().Total() })
+	gauge("shed_queue_full", func() any { return s.adm.Counters().ShedQueueFull })
+	gauge("shed_deadline", func() any { return s.adm.Counters().ShedDeadline })
+	gauge("shed_queue_timeout", func() any { return s.adm.Counters().ShedQueueTimeout })
+	gauge("admission_canceled", func() any { return s.adm.Counters().CanceledWhileQueued })
+	gauge("solve_ewma_ms", func() any {
+		return float64(s.adm.Estimate()) / float64(time.Millisecond)
+	})
+	gauge("draining", func() any {
+		if s.draining.Load() {
+			return 1
+		}
+		return 0
+	})
+	gauge("uptime_seconds", func() any { return time.Since(s.start).Seconds() })
+	gauge("go_version", func() any { return runtime.Version() })
+
+	s.fleetForwards = newCounter(m, "fleet_forwards")
+	s.fleetForwardShared = newCounter(m, "fleet_forward_shared")
+	s.fleetForwardErrors = newCounter(m, "fleet_forward_errors")
+	s.fleetHedges = newCounter(m, "fleet_hedges")
+	s.fleetHedgeWins = newCounter(m, "fleet_hedge_wins")
+	s.fleetFallbacks = newCounter(m, "fleet_local_fallbacks")
+	s.fleetWriteThroughs = newCounter(m, "fleet_write_throughs")
+	s.fleetWriteThroughErrs = newCounter(m, "fleet_write_through_errors")
+	s.fleetReadRepairs = newCounter(m, "fleet_read_repairs")
+	s.fleetReplicasStored = newCounter(m, "fleet_replicas_stored")
+	s.peerProbes = newCounter(m, "peer_probes")
+	s.peerProbeFailures = newCounter(m, "peer_probe_failures")
+	gauge("fleet_peers", func() any {
+		if s.fleet == nil {
+			return 0
+		}
+		return len(s.fleet.Members())
+	})
+	gauge("fleet_replicas", func() any {
+		if s.fleet == nil {
+			return 0
+		}
+		return s.fleet.Config().Replicas
+	})
+	gauge("peer_alive", func() any { return s.peerCount(0) })
+	gauge("peer_suspect", func() any { return s.peerCount(1) })
+	gauge("peer_dead", func() any { return s.peerCount(2) })
+	gauge("tenant_allowed", func() any { return s.quotas.Counters().Allowed })
+	gauge("tenant_shed_total", func() any { return s.quotas.Counters().Shed })
+	gauge("tenant_shed_by_tenant", func() any { return s.quotas.Counters().ShedByTenant })
+
 	if cfg.TraceRing >= 0 {
 		s.rec = obs.NewRecorder(obs.Options{
 			Logger:        cfg.Logger,
@@ -417,103 +479,6 @@ func New(cfg Config) *Server {
 			}
 		})
 	}
-	s.metrics.Set("solve_requests", s.solveReqs)
-	s.metrics.Set("batch_requests", s.batchReqs)
-	s.metrics.Set("batch_nets", s.batchNets)
-	s.metrics.Set("engine_runs", s.engineRuns)
-	s.metrics.Set("cache_stores", s.cacheStores)
-	s.metrics.Set("http_errors", s.httpErrors)
-	s.metrics.Set("in_flight_runs", s.inFlightRuns)
-	s.metrics.Set("panics_total", s.panicsTotal)
-	s.metrics.Set("singleflight_shared", s.sfShared)
-	s.metrics.Set("solve_latency_ms", s.solveLatency.m)
-	s.metrics.Set("engine_candidates_total", s.engCandidates)
-	s.metrics.Set("engine_pruned_total", s.engPruned)
-	s.metrics.Set("traces_total", expvar.Func(func() any {
-		total, _ := s.rec.Totals()
-		return total
-	}))
-	s.metrics.Set("slow_requests_total", expvar.Func(func() any {
-		_, slow := s.rec.Totals()
-		return slow
-	}))
-	s.metrics.Set("yield_requests", s.yieldReqs)
-	s.metrics.Set("yield_samples", s.yieldSamples)
-	s.metrics.Set("yield_deadline_aborts", s.yieldDeadlineAborts)
-	s.metrics.Set("yield_aborted_samples", s.yieldAbortedSamples)
-	s.metrics.Set("chip_requests", s.chipReqs)
-	s.metrics.Set("chip_nets", s.chipNets)
-	s.metrics.Set("chip_rounds", s.chipRounds)
-	s.metrics.Set("chip_deadline_aborts", s.chipDeadlineAborts)
-	s.metrics.Set("chip_aborted_rounds", s.chipAbortedRounds)
-	s.metrics.Set("session_requests", s.sessionReqs)
-	s.metrics.Set("sessions_created", s.sessionsCreated)
-	s.metrics.Set("sessions_evicted", s.sessionsEvicted)
-	s.metrics.Set("session_patches", s.sessionPatches)
-	s.metrics.Set("session_resolves", s.sessionResolves)
-	s.metrics.Set("session_cache_hits", s.sessionCacheHits)
-	s.metrics.Set("session_full_rebuilds", s.sessionRebuilds)
-	s.metrics.Set("session_recomputed_vertices", s.sessionRecomp)
-	s.metrics.Set("sessions_active", expvar.Func(func() any {
-		s.sessMu.Lock()
-		defer s.sessMu.Unlock()
-		return len(s.sessions)
-	}))
-	s.metrics.Set("cache_hits", expvar.Func(func() any { return s.cache.Stats().Hits }))
-	s.metrics.Set("cache_misses", expvar.Func(func() any { return s.cache.Stats().Misses }))
-	s.metrics.Set("cache_evictions", expvar.Func(func() any { return s.cache.Stats().Evictions }))
-	s.metrics.Set("cache_len", expvar.Func(func() any { return s.cache.Stats().Len }))
-	s.metrics.Set("max_concurrent", expvar.Func(func() any { return s.cfg.MaxConcurrent }))
-	s.metrics.Set("max_queue", expvar.Func(func() any { return max(s.cfg.MaxQueue, 0) }))
-	s.metrics.Set("queue_depth", expvar.Func(func() any { return s.adm.QueueDepth() }))
-	s.metrics.Set("admission_wait_ns", expvar.Func(func() any { return s.adm.Counters().AdmissionWaitNS }))
-	s.metrics.Set("shed_total", expvar.Func(func() any { return s.adm.Counters().Total() }))
-	s.metrics.Set("shed_queue_full", expvar.Func(func() any { return s.adm.Counters().ShedQueueFull }))
-	s.metrics.Set("shed_deadline", expvar.Func(func() any { return s.adm.Counters().ShedDeadline }))
-	s.metrics.Set("shed_queue_timeout", expvar.Func(func() any { return s.adm.Counters().ShedQueueTimeout }))
-	s.metrics.Set("admission_canceled", expvar.Func(func() any { return s.adm.Counters().CanceledWhileQueued }))
-	s.metrics.Set("solve_ewma_ms", expvar.Func(func() any {
-		return float64(s.adm.Estimate()) / float64(time.Millisecond)
-	}))
-	s.metrics.Set("draining", expvar.Func(func() any {
-		if s.draining.Load() {
-			return 1
-		}
-		return 0
-	}))
-	s.metrics.Set("uptime_seconds", expvar.Func(func() any { return time.Since(s.start).Seconds() }))
-	s.metrics.Set("go_version", expvar.Func(func() any { return runtime.Version() }))
-
-	s.metrics.Set("fleet_forwards", s.fleetForwards)
-	s.metrics.Set("fleet_forward_shared", s.fleetForwardShared)
-	s.metrics.Set("fleet_forward_errors", s.fleetForwardErrors)
-	s.metrics.Set("fleet_hedges", s.fleetHedges)
-	s.metrics.Set("fleet_hedge_wins", s.fleetHedgeWins)
-	s.metrics.Set("fleet_local_fallbacks", s.fleetFallbacks)
-	s.metrics.Set("fleet_write_throughs", s.fleetWriteThroughs)
-	s.metrics.Set("fleet_write_through_errors", s.fleetWriteThroughErrs)
-	s.metrics.Set("fleet_read_repairs", s.fleetReadRepairs)
-	s.metrics.Set("fleet_replicas_stored", s.fleetReplicasStored)
-	s.metrics.Set("peer_probes", s.peerProbes)
-	s.metrics.Set("peer_probe_failures", s.peerProbeFailures)
-	s.metrics.Set("fleet_peers", expvar.Func(func() any {
-		if s.fleet == nil {
-			return 0
-		}
-		return len(s.fleet.Members())
-	}))
-	s.metrics.Set("fleet_replicas", expvar.Func(func() any {
-		if s.fleet == nil {
-			return 0
-		}
-		return s.fleet.Config().Replicas
-	}))
-	s.metrics.Set("peer_alive", expvar.Func(func() any { return s.peerCount(0) }))
-	s.metrics.Set("peer_suspect", expvar.Func(func() any { return s.peerCount(1) }))
-	s.metrics.Set("peer_dead", expvar.Func(func() any { return s.peerCount(2) }))
-	s.metrics.Set("tenant_allowed", expvar.Func(func() any { return s.quotas.Counters().Allowed }))
-	s.metrics.Set("tenant_shed_total", expvar.Func(func() any { return s.quotas.Counters().Shed }))
-	s.metrics.Set("tenant_shed_by_tenant", expvar.Func(func() any { return s.quotas.Counters().ShedByTenant }))
 	return s
 }
 
@@ -643,17 +608,9 @@ type solveOptions struct {
 // newSolver assembles a Solver for one request. extra carries per-mode
 // options (WithDriver for solve, WithDrivers/WithWorkers for batch).
 func (o solveOptions) newSolver(lib bufferkit.Library, extra ...bufferkit.Option) (*bufferkit.Solver, error) {
-	algo := o.Algorithm
-	if algo == "" {
-		algo = bufferkit.AlgoNew
-	}
-	if !slices.Contains(bufferkit.Algorithms(), algo) {
-		return nil, badRequestf("algorithm", "unknown algorithm %q (have %s)",
-			algo, strings.Join(bufferkit.Algorithms(), ", "))
-	}
 	opts := append([]bufferkit.Option{
 		bufferkit.WithLibrary(lib),
-		bufferkit.WithAlgorithm(algo),
+		bufferkit.WithAlgorithm(o.algorithm()),
 		bufferkit.WithMaxCost(o.MaxCost),
 		bufferkit.WithStats(!o.NoStats),
 	}, extra...)
@@ -689,12 +646,11 @@ func (o solveOptions) validate() error {
 // the cache key. TimeoutMs is excluded — a timeout changes whether a result
 // exists, never its value.
 func (o solveOptions) cacheOptions() string {
-	algo := o.Algorithm
-	if algo == "" {
-		algo = bufferkit.AlgoNew
-	}
-	return fmt.Sprintf("algo=%s maxcost=%d stats=%t", algo, o.MaxCost, !o.NoStats)
+	return fmt.Sprintf("algo=%s maxcost=%d stats=%t", o.algorithm(), o.MaxCost, !o.NoStats)
 }
+
+// algorithm is the registry name the request selects.
+func (o solveOptions) algorithm() string { return cmp.Or(o.Algorithm, bufferkit.AlgoNew) }
 
 // timeout resolves the request's solve budget against the server limits.
 // The cap is applied in milliseconds, before converting to a Duration, so a

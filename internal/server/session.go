@@ -163,30 +163,24 @@ func (s *Server) handleSessionPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := cache.NewKey(netBuf.Bytes(), []byte(e.libText), e.optsKey)
-	if v, ok := s.cache.Get(key); ok {
+	if hit, ok := cacheGet[solveResponse](s, key); ok {
 		s.sessionCacheHits.Add(1)
-		resp := *v.(*solveResponse) // copy: cached entries are immutable
-		resp.Cached = true
-		writeJSON(w, http.StatusOK, &sessionResponse{solveResponse: resp, Session: e.info(s, id, created)})
+		writeJSON(w, http.StatusOK, &sessionResponse{solveResponse: *hit, Session: e.info(s, id, created)})
 		return
 	}
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(e.opts))
 	defer cancel()
-	if err := s.adm.Acquire(ctx); err != nil {
+	slots, err := s.admit(ctx, 1)
+	if err != nil {
 		s.writeError(w, s.asCanceled(err))
 		return
 	}
-	defer s.adm.Release(1)
-	s.inFlightRuns.Add(1)
-	s.engineRuns.Add(1)
+	defer s.release(slots)
 	s.sessionResolves.Add(1)
-	start := time.Now()
+	run := startRun(ctx)
 	res, err := e.sess.Resolve(ctx)
-	elapsed := time.Since(start)
-	s.inFlightRuns.Add(-1)
-	s.adm.Observe(elapsed)
-	s.solveLatency.observe(elapsed)
+	elapsed := s.endRun(run, 1, res, true)
 	info := e.info(s, id, created)
 	if err != nil {
 		s.writeError(w, s.asCanceled(err))
@@ -194,8 +188,7 @@ func (s *Server) handleSessionPut(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := buildResponse(&bufferkit.Net{Name: e.name, Tree: e.tree, Driver: e.driver},
 		e.lib, e.solver.Algorithm(), res, elapsed)
-	s.cache.Put(key, resp)
-	s.cacheStores.Add(1)
+	s.cacheStore(key, resp)
 	writeJSON(w, http.StatusOK, &sessionResponse{solveResponse: *resp, Session: info})
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"bufferkit"
-	"bufferkit/internal/resilience"
 	"bufferkit/internal/server/cache"
 )
 
@@ -130,10 +129,8 @@ func (s *Server) handleYield(w http.ResponseWriter, r *http.Request) {
 	}
 
 	key := cache.NewKey([]byte(req.Net), []byte(req.Library), req.yieldCacheOptions())
-	if v, ok := s.cache.Get(key); ok {
-		resp := *v.(*yieldResponse) // copy: cached entries are immutable
-		resp.Cached = true
-		writeJSON(w, http.StatusOK, &resp)
+	if hit, ok := cacheGet[yieldResponse](s, key); ok {
+		writeJSON(w, http.StatusOK, hit)
 		return
 	}
 	net, lib, err := parsePayload(req.Net, req.Library)
@@ -142,79 +139,62 @@ func (s *Server) handleYield(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	timeout := s.timeout(req.solveOptions)
-	resp, err, shared := s.yieldFlights.Do(r.Context(), key, func(ctx context.Context) (*yieldResponse, error) {
-		ctx, cancel := context.WithTimeout(ctx, timeout)
-		defer cancel()
-		// One guaranteed engine slot plus whatever is idle, capped by the
-		// number of corners: a sweep is a batch of corner runs, so it widens
-		// like /v1/batch and can never deadlock other requests.
-		corners := 1 + req.Samples
-		if req.ProcessCorners {
-			corners += len(bufferkit.ProcessCorners()) - 1
-		}
-		if err := s.adm.Acquire(ctx); err != nil {
-			return nil, err
-		}
-		slots := 1 + s.adm.TryExtra(min(corners, s.cfg.MaxConcurrent)-1)
-		s.inFlightRuns.Add(int64(slots))
-		defer func() {
-			s.inFlightRuns.Add(int64(-slots))
-			s.adm.Release(slots)
-		}()
-
-		opts := []bufferkit.Option{
-			bufferkit.WithDriver(net.Driver),
-			bufferkit.WithSamples(req.Samples),
-			bufferkit.WithSigma(req.Sigma),
-			bufferkit.WithVariationSeed(req.seed()),
-			bufferkit.WithYieldTarget(req.Target),
-			bufferkit.WithRobustPlacement(req.Robust),
-			bufferkit.WithWorkers(slots),
-		}
-		if req.ProcessCorners {
-			opts = append(opts, bufferkit.WithCorners(bufferkit.ProcessCorners()[1:]))
-		}
-		solver, err := req.newSolver(lib, opts...)
-		if err != nil {
-			return nil, err
-		}
-		defer solver.Close()
-
-		start := time.Now()
-		res, err := solver.SolveYield(ctx, net.Tree)
-		elapsed := time.Since(start)
-		if err != nil {
-			// A deadline abort mid-sweep still carries progress: expose the
-			// completed/total sample counts through /metrics before the 504.
-			var perr *bufferkit.PartialSweepError
-			if errors.As(err, &perr) {
-				s.yieldDeadlineAborts.Add(1)
-				s.yieldAbortedSamples.Add(int64(perr.Completed))
+	resp, _, err := coalesce(r.Context(), &s.yieldFlights, key, s.timeout(req.solveOptions), s.sfShared,
+		func(ctx context.Context) (*yieldResponse, error) {
+			// A sweep is a batch of corner runs, so it widens over idle
+			// slots like /v1/batch, up to one slot per corner.
+			corners := 1 + req.Samples
+			if req.ProcessCorners {
+				corners += len(bufferkit.ProcessCorners()) - 1
 			}
-			return nil, err
-		}
-		s.engineRuns.Add(int64(len(res.Samples)))
-		s.yieldSamples.Add(int64(len(res.Samples)))
+			slots, err := s.admit(ctx, corners)
+			if err != nil {
+				return nil, err
+			}
+			defer s.release(slots)
 
-		resp := buildYieldResponse(net, lib, solver.Algorithm(), res, elapsed)
-		s.cache.Put(key, resp)
-		s.cacheStores.Add(1)
-		return resp, nil
-	})
+			opts := []bufferkit.Option{
+				bufferkit.WithDriver(net.Driver),
+				bufferkit.WithSamples(req.Samples),
+				bufferkit.WithSigma(req.Sigma),
+				bufferkit.WithVariationSeed(req.seed()),
+				bufferkit.WithYieldTarget(req.Target),
+				bufferkit.WithRobustPlacement(req.Robust),
+				bufferkit.WithWorkers(slots),
+			}
+			if req.ProcessCorners {
+				opts = append(opts, bufferkit.WithCorners(bufferkit.ProcessCorners()[1:]))
+			}
+			solver, err := req.newSolver(lib, opts...)
+			if err != nil {
+				return nil, err
+			}
+			defer solver.Close()
+
+			run := startRun(ctx)
+			res, err := solver.SolveYield(ctx, net.Tree)
+			runs := 0
+			if err == nil {
+				runs = len(res.Samples)
+			}
+			elapsed := s.endRun(run, runs, nil, false)
+			if err != nil {
+				// A deadline abort mid-sweep still carries progress: expose
+				// the completed sample count through /metrics before the 504.
+				var perr *bufferkit.PartialSweepError
+				if errors.As(err, &perr) {
+					s.yieldDeadlineAborts.Add(1)
+					s.yieldAbortedSamples.Add(int64(perr.Completed))
+				}
+				return nil, err
+			}
+			s.yieldSamples.Add(int64(len(res.Samples)))
+			resp := buildYieldResponse(net, lib, solver.Algorithm(), res, elapsed)
+			s.cacheStore(key, resp)
+			return resp, nil
+		})
 	if err != nil {
-		var pe *resilience.PanicError
-		if errors.As(err, &pe) {
-			panic(pe) // recovery middleware: 500 + panics_total + original stack
-		}
 		s.writeError(w, s.asCanceled(err))
-		return
-	}
-	if shared {
-		s.sfShared.Add(1)
-		out := *resp // copy: the shared result is immutable
-		out.Cached = false
-		writeJSON(w, http.StatusOK, &out)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -2,7 +2,6 @@ package bufferkit
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"sync"
 
@@ -175,7 +174,7 @@ func lookup(name string) (func() Algorithm, error) {
 	factory, ok := registry[name]
 	registryMu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("bufferkit: unknown algorithm %q (have %v)", name, Algorithms())
+		return nil, solvererr.Validation("bufferkit", "algorithm", "unknown algorithm %q (have %v)", name, Algorithms())
 	}
 	return factory, nil
 }

@@ -171,8 +171,8 @@ func TestNewSolverValidation(t *testing.T) {
 		bufferkit.WithLibrary(bufferkit.GenerateLibrary(4)),
 		bufferkit.WithAlgorithm("does-not-exist"),
 	)
-	if err == nil {
-		t.Fatal("NewSolver accepted an unknown algorithm")
+	if !errors.As(err, &verr) || verr.Field != "algorithm" {
+		t.Fatalf("unknown algorithm: got %v, want a *ValidationError on algorithm", err)
 	}
 	_, err = bufferkit.NewSolver(
 		bufferkit.WithLibrary(bufferkit.GenerateLibrary(4)),
