@@ -1,18 +1,18 @@
 // Benchmarks regenerating the paper's evaluation (one benchmark per table
-// and figure) plus the DESIGN.md §6 ablations. Workload sizes are the
-// paper's divided by benchScale so `go test -bench=.` finishes in minutes;
-// `go run ./cmd/repro` runs the same experiments at full paper scale and
-// EXPERIMENTS.md records those numbers.
+// and figure), the DESIGN.md §6 ablations, and BenchmarkSuite, the engine
+// series behind BENCH_engine.json. Workload sizes are the paper's divided
+// by benchScale so `go test -bench=.` finishes in minutes; `go run
+// ./cmd/repro` runs the same experiments at full paper scale and
+// EXPERIMENTS.md records those numbers. Both build their nets through
+// experiments.Config.Net.
 package bufferkit_test
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
-	"bufferkit"
 	"bufferkit/internal/candidate"
 	"bufferkit/internal/core"
 	"bufferkit/internal/costopt"
@@ -27,6 +27,10 @@ import (
 
 // benchScale divides the paper's m and n for the benchmark suite.
 const benchScale = 4
+
+// benchCfg sizes every benchmark here like `repro -scale 4` with repro's
+// default seed, so both entry points time the same nets.
+var benchCfg = experiments.Config{Scale: benchScale, Seed: experiments.DefaultSeed}
 
 var drv = experiments.Driver
 
@@ -44,7 +48,7 @@ func benchNet(b *testing.B, m, n int) *tree.Tree {
 	if t, ok := netCache[key]; ok {
 		return t
 	}
-	t, err := netgen.Industrial(max(2, m/benchScale), max(2, n/benchScale), 1)
+	t, err := benchCfg.Net(m, n)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -197,205 +201,14 @@ func BenchmarkCostSlack(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineReuse is the tentpole's headline measurement: the same
-// instance run through the single-shot path (a fresh engine and arena per
-// call, as the seed did on every Insert) versus a warm engine that keeps
-// its arena and scratch across runs. The warm series must show ~0 allocs/op
-// and materially lower ns/op.
-func BenchmarkEngineReuse(b *testing.B) {
-	t := benchNet(b, 337, 5729)
-	for _, size := range []int{8, 32} {
-		lib := library.Generate(size)
-		opt := core.Options{Driver: drv}
-		b.Run(fmt.Sprintf("b%d/coldshot", size), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Insert(t, lib, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("b%d/warm", size), func(b *testing.B) {
-			eng := core.NewEngine()
-			if err := eng.Reset(t, lib, opt); err != nil {
-				b.Fatal(err)
-			}
-			res := &core.Result{}
-			if err := eng.Run(res); err != nil { // warm the arena slabs
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := eng.Run(res); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkECOResolve measures the incremental-session win: mode=cold is a
-// full warm-engine re-solve of the net, mode=delta a session resolve after
-// one sink patch, which recomputes only the leaf-to-root path. The case
-// table is shared with repro -bench-json (BENCH_engine.json's eco/ series)
-// through experiments.ECOBenchCases; the acceptance target is ≥10x on the
-// single-sink delta.
-func BenchmarkECOResolve(b *testing.B) {
-	for _, ec := range experiments.ECOBenchCases() {
-		sink := ec.Tree.Sinks()[0]
-		opt := core.Options{Driver: drv}
-		b.Run("regime="+ec.Name+"/mode=cold", func(b *testing.B) {
-			eng := core.NewEngine()
-			if err := eng.Reset(ec.Tree, ec.Lib, opt); err != nil {
-				b.Fatal(err)
-			}
-			res := &core.Result{}
-			if err := eng.Run(res); err != nil { // warm the arena slabs
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := eng.Run(res); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("regime="+ec.Name+"/mode=delta", func(b *testing.B) {
-			sess, err := core.NewSession(ec.Tree, ec.Lib, opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sess.Close()
-			ctx := context.Background()
-			res := &core.Result{}
-			for i := 0; i < 8; i++ { // first resolve is full; warm past it
-				if err := sess.PatchSink(sink, 1200+float64(i%7), 8); err != nil {
-					b.Fatal(err)
-				}
-				if err := sess.Resolve(ctx, res); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := sess.PatchSink(sink, 1200+float64(i%7), 8); err != nil {
-					b.Fatal(err)
-				}
-				if err := sess.Resolve(ctx, res); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkRunBatch measures Solver.RunBatch throughput scaling over a
-// 256-net workload: one warm engine per worker, results identical to
-// sequential runs (asserted by the batch tests). The nets/s metric is the
-// number the acceptance criterion tracks.
-func BenchmarkRunBatch(b *testing.B) {
-	nets := experiments.BatchWorkload(256) // shared with repro -bench-json
-	lib := library.Generate(16)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
-			solver, err := bufferkit.NewSolver(
-				bufferkit.WithLibrary(lib),
-				bufferkit.WithDriver(drv),
-				bufferkit.WithWorkers(workers),
-			)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer solver.Close()
-			ctx := context.Background()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := solver.RunBatch(ctx, nets); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(nets)*b.N)/b.Elapsed().Seconds(), "nets/s")
-		})
-	}
-}
-
-// BenchmarkYieldSweep measures the Monte Carlo corner fan-out of
-// Solver.SolveYield on warm pooled engines: the per-corner cost should
-// track one warm engine run (the sweep's inner loop allocates nothing),
-// and the robust case adds the cross-corner placement re-scoring pass.
-// The case table is shared with repro -bench-json (BENCH_engine.json)
-// through experiments.YieldBenchCases.
-func BenchmarkYieldSweep(b *testing.B) {
-	t := benchNet(b, 337, 5729)
-	lib := library.Generate(16)
-	for _, yb := range experiments.YieldBenchCases() {
-		b.Run(yb.Name, func(b *testing.B) {
-			solver, err := bufferkit.NewSolver(
-				bufferkit.WithLibrary(lib),
-				bufferkit.WithDriver(drv),
-				bufferkit.WithSamples(yb.Samples),
-				bufferkit.WithSigma(yb.Sigma),
-				bufferkit.WithRobustPlacement(yb.Robust),
-			)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer solver.Close()
-			ctx := context.Background()
-			if _, err := solver.SolveYield(ctx, t); err != nil { // warm the pool
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := solver.SolveYield(ctx, t); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64((1+yb.Samples)*b.N)/b.Elapsed().Seconds(), "corners/s")
-		})
-	}
-}
-
-// BenchmarkChipSolve measures multi-net price-and-resolve allocation over
-// a shared site grid: an uncontended instance (the parallel fan-out floor,
-// one solve per net) and a center-contended one driving the full pricing
-// loop. nets/s counts oracle re-solves across all rounds; the rounds
-// metric is the instance's deterministic rounds-to-feasible. The case
-// table is shared with repro -bench-json (BENCH_engine.json) through
-// experiments.ChipBenchCases.
-func BenchmarkChipSolve(b *testing.B) {
-	lib := library.Generate(16)
-	for _, cb := range experiments.ChipBenchCases(1) {
-		b.Run(cb.Name, func(b *testing.B) {
-			solver, err := bufferkit.NewSolver(bufferkit.WithLibrary(lib))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer solver.Close()
-			ctx := context.Background()
-			inst := bufferkit.GenerateChip(cb.Opts)
-			warm, err := solver.SolveChip(ctx, inst) // warm the pool, record rounds
-			if err != nil {
-				b.Fatal(err)
-			}
-			solves := 0
-			for _, r := range warm.Rounds {
-				solves += r.Resolved
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := solver.SolveChip(ctx, inst); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(solves*b.N)/b.Elapsed().Seconds(), "nets/s")
-			b.ReportMetric(float64(len(warm.Rounds)), "rounds")
-		})
+// BenchmarkSuite runs the engine benchmark suite, each series as the
+// sub-benchmark named like its BENCH_engine.json entry, on the same
+// workloads as `repro -bench-json -scale 4`. One series runs with, e.g.,
+// `go test -run xxx -bench 'Suite/eco/regime=bushy/mode=delta' .`. repro
+// times at GOGC 400; set GOGC=400 here to match it.
+func BenchmarkSuite(b *testing.B) {
+	for _, s := range experiments.Suite(benchCfg) {
+		b.Run(s.Name, s.Bench)
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -9,7 +10,11 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
+	"runtime/metrics"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -21,88 +26,262 @@ import (
 	"bufferkit/internal/tree"
 )
 
-// BatchWorkload returns the deterministic mixed batch of n small nets used
-// by both the root BenchmarkRunBatch and repro -bench-json, so the two
-// trajectories measure the same workload under the same name.
-func BatchWorkload(n int) []*tree.Tree {
-	nets := make([]*tree.Tree, n)
-	for i := range nets {
-		nets[i] = netgen.Random(netgen.Opts{Sinks: 4 + i%13, Seed: int64(i) * 31})
+// Series is one named series of the engine benchmark suite. Bench is the
+// series' only definition: repro -bench-json times it with
+// testing.Benchmark, and the root BenchmarkSuite runs it as the
+// sub-benchmark of the same name.
+type Series struct {
+	Name  string
+	Bench func(*testing.B)
+}
+
+// Suite returns the engine benchmark suite at cfg's scale and seed, in the
+// order BENCH_engine.json records it. Every series reports nets/s (for
+// yield/ that counts corners, for chip/ oracle re-solves over all pricing
+// rounds); the chip/ series also report rounds, the instance's
+// deterministic rounds-to-feasible. Each workload is built once per Suite
+// call, on first use.
+func Suite(cfg Config) []Series {
+	cfg = cfg.fill()
+	opt := core.Options{Driver: Driver}
+	lib := library.Generate(16)
+
+	industrial := sync.OnceValues(func() (*tree.Tree, error) { return cfg.Net(337, 5729) })
+	// 2-pin lines scaled like the paper's nets: long candidate lists make
+	// add-wire dominate.
+	line := sync.OnceValues(func() (*tree.Tree, error) {
+		return netgen.TwoPin(50000/float64(cfg.Scale), max(2, 2000/cfg.Scale), 20, 0, netgen.PaperWire()), nil
+	})
+	deepline := sync.OnceValues(func() (*tree.Tree, error) {
+		return netgen.TwoPin(100000/float64(cfg.Scale), max(2, 4000/cfg.Scale), 20, 0, netgen.PaperWire()), nil
+	})
+	// The ECO nets are deliberately bushy: a single-sink delta dirties one
+	// leaf-to-root path, a thin slice of a balanced tree, which is the
+	// regime ECO loops live in (a 2-pin line would dirty everything).
+	bushy := sync.OnceValues(func() (*tree.Tree, error) {
+		return netgen.Balanced(3, 6, 400, 8, 1200, netgen.PaperWire()), nil
+	})
+	wide := sync.OnceValues(func() (*tree.Tree, error) {
+		return netgen.Balanced(4, 5, 400, 8, 1200, netgen.PaperWire()), nil
+	})
+	smallNets := sync.OnceValue(func() []*tree.Tree {
+		nets := make([]*tree.Tree, 256)
+		for i := range nets {
+			nets[i] = netgen.Random(netgen.Opts{Sinks: 4 + i%13, Seed: int64(i) * 31})
+		}
+		return nets
+	})
+	solveBody := sync.OnceValues(func() ([]byte, error) {
+		t, err := industrial()
+		if err != nil {
+			return nil, err
+		}
+		var netBuf, libBuf bytes.Buffer
+		if err := bufferkit.WriteNet(&netBuf, &bufferkit.Net{Name: "obsbench", Tree: t, Driver: Driver}); err != nil {
+			return nil, err
+		}
+		if err := bufferkit.WriteLibrary(&libBuf, lib); err != nil {
+			return nil, err
+		}
+		return json.Marshal(map[string]string{"net": netBuf.String(), "library": libBuf.String()})
+	})
+
+	// coldshot: the single-shot path, a fresh engine and arena per call.
+	coldshot := func(b *testing.B) {
+		t := need(b, industrial)
+		loop(b, 1, func() error {
+			_, err := core.Insert(t, lib, opt)
+			return err
+		})
 	}
-	return nets
-}
+	// warm: a warm engine re-running one net; it keeps its arena and
+	// scratch across runs, so its steady state allocates nothing.
+	warm := func(net func() (*tree.Tree, error), lib library.Library) func(*testing.B) {
+		return func(b *testing.B) {
+			eng := core.NewEngine()
+			if err := eng.Reset(need(b, net), lib, opt); err != nil {
+				b.Fatal(err)
+			}
+			res := &core.Result{}
+			loop(b, 1, func() error { return eng.Run(res) })
+		}
+	}
+	// delta: an ECO session resolve after one sink patch, which recomputes
+	// only the leaf-to-root path; pair it with warm on the same net for the
+	// incremental speedup. The patched RAT changes on every call: a patch
+	// to the current value marks nothing dirty and would time an empty
+	// resolve.
+	delta := func(net func() (*tree.Tree, error)) func(*testing.B) {
+		return func(b *testing.B) {
+			t := need(b, net)
+			sess, err := core.NewSession(t, lib, opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer sess.Close()
+			sink := t.Sinks()[0]
+			ctx := context.Background()
+			res := &core.Result{}
+			k := 0
+			patch := func() error {
+				k = (k + 1) % 7
+				if err := sess.PatchSink(sink, 1200+float64(k), 8); err != nil {
+					return err
+				}
+				return sess.Resolve(ctx, res)
+			}
+			// The first resolve is full and the next few deltas still grow
+			// the session's arena; with loop's warm-up, nine calls pass them.
+			for i := 0; i < 8; i++ {
+				if err := patch(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			loop(b, 1, patch)
+		}
+	}
+	// yield: a Monte Carlo corner sweep over pooled warm engines; robust
+	// adds the cross-corner re-scoring of every distinct placement.
+	yield := func(samples int, robust bool) func(*testing.B) {
+		return func(b *testing.B) {
+			t := need(b, industrial)
+			solver, err := bufferkit.NewSolver(
+				bufferkit.WithLibrary(lib),
+				bufferkit.WithDriver(Driver),
+				bufferkit.WithSamples(samples),
+				bufferkit.WithSigma(0.05),
+				bufferkit.WithRobustPlacement(robust),
+			)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer solver.Close()
+			ctx := context.Background()
+			loop(b, 1+samples, func() error {
+				_, err := solver.SolveYield(ctx, t)
+				return err
+			})
+		}
+	}
+	// chip: price-and-resolve allocation of many nets over a shared site
+	// grid; the net count is divided by the scale like the paper's nets.
+	chip := func(capacity int, contention float64) func(*testing.B) {
+		inst := sync.OnceValue(func() *bufferkit.ChipInstance {
+			return bufferkit.GenerateChip(bufferkit.ChipGenOpts{
+				W: 16, H: 16, Nets: max(16, 256/cfg.Scale),
+				Capacity: capacity, Contention: contention, Seed: 1,
+			})
+		})
+		return func(b *testing.B) {
+			solver, err := bufferkit.NewSolver(bufferkit.WithLibrary(lib))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer solver.Close()
+			ctx := context.Background()
+			first, err := solver.SolveChip(ctx, inst())
+			if err != nil {
+				b.Fatal(err)
+			}
+			solves := 0
+			for _, r := range first.Rounds {
+				solves += r.Resolved
+			}
+			loop(b, solves, func() error {
+				_, err := solver.SolveChip(ctx, inst())
+				return err
+			})
+			b.ReportMetric(float64(len(first.Rounds)), "rounds")
+		}
+	}
+	// obs: the full uncached /v1/solve request through the HTTP handler.
+	// The trace=on/off pair is the trajectory behind the 2% observability
+	// budget.
+	obs := func(sc server.Config) func(*testing.B) {
+		return func(b *testing.B) {
+			body := need(b, solveBody)
+			h := server.New(sc).Handler()
+			loop(b, 1, func() error {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/solve", bytes.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					return fmt.Errorf("solve status %d: %s", rec.Code, rec.Body)
+				}
+				return nil
+			})
+		}
+	}
+	// batch: RunBatch throughput over 256 mixed small nets.
+	batch := func(workers int) func(*testing.B) {
+		return func(b *testing.B) {
+			nets := smallNets()
+			solver, err := bufferkit.NewSolver(
+				bufferkit.WithLibrary(lib),
+				bufferkit.WithDriver(Driver),
+				bufferkit.WithWorkers(workers),
+			)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer solver.Close()
+			ctx := context.Background()
+			loop(b, len(nets), func() error {
+				_, err := solver.RunBatch(ctx, nets)
+				return err
+			})
+		}
+	}
 
-// ECOBenchCase is one workload of the incremental ECO-session benchmark
-// series, shared by the root BenchmarkECOResolve and repro -bench-json so
-// both trajectories measure the same regimes under the same names. Each
-// case is benchmarked twice — mode=cold (a full warm-engine re-solve, the
-// pre-session baseline) and mode=delta (a session resolve after one sink
-// patch) — so the eco/ trajectory records the incremental speedup
-// directly. The trees are deliberately bushy: a single-sink delta
-// dirties one leaf-to-root path, a thin slice of a balanced tree, which is
-// exactly the regime ECO loops live in (a 2-pin line would dirty
-// everything and measure nothing).
-type ECOBenchCase struct {
-	Name string
-	Tree *tree.Tree
-	Lib  library.Library
-}
-
-// ECOBenchCases returns the canonical ECO-session benchmark regimes: a
-// deep ternary clock-tree-like net and a shallow wide one.
-func ECOBenchCases() []ECOBenchCase {
-	return []ECOBenchCase{
-		{"bushy", netgen.Balanced(3, 6, 400, 8, 1200, netgen.PaperWire()), library.Generate(16)},
-		{"wide", netgen.Balanced(4, 5, 400, 8, 1200, netgen.PaperWire()), library.Generate(16)},
+	return []Series{
+		{"insert/coldshot", coldshot},
+		{"insert/warm", warm(industrial, lib)},
+		{"engine/regime=smallb", warm(industrial, library.Generate(8))},
+		{"engine/regime=largeb", warm(industrial, library.Generate(64))},
+		{"engine/regime=line", warm(line, lib)},
+		{"engine/regime=deepline", warm(deepline, library.Generate(8))},
+		{"eco/regime=bushy/mode=cold", warm(bushy, lib)},
+		{"eco/regime=bushy/mode=delta", delta(bushy)},
+		{"eco/regime=wide/mode=cold", warm(wide, lib)},
+		{"eco/regime=wide/mode=delta", delta(wide)},
+		{"yield/samples=16", yield(16, false)},
+		{"yield/samples=64", yield(64, false)},
+		{"yield/samples=64/robust", yield(64, true)},
+		{"chip/uncontended", chip(64, 0)},
+		{"chip/contended", chip(2, 0.7)},
+		{"obs/trace=on", obs(server.Config{CacheEntries: -1, Logger: slog.New(slog.NewJSONHandler(io.Discard, nil))})},
+		{"obs/trace=off", obs(server.Config{CacheEntries: -1, TraceRing: -1})},
+		{"batch/w1", batch(1)},
+		{"batch/w2", batch(2)},
+		{"batch/w4", batch(4)},
+		{"batch/w8", batch(8)},
 	}
 }
 
-// YieldBenchCase is one workload of the yield-sweep benchmark series,
-// shared by the root BenchmarkYieldSweep and repro -bench-json so both
-// trajectories measure the same sweeps under the same names.
-type YieldBenchCase struct {
-	Name    string
-	Samples int
-	Sigma   float64
-	Robust  bool
+// need returns a lazily built workload, failing b if building it failed.
+func need[T any](b *testing.B, build func() (T, error)) T {
+	b.Helper()
+	v, err := build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return v
 }
 
-// YieldBenchCases returns the canonical yield-sweep benchmark series: two
-// Monte Carlo sizes on the nominal-selection path and one robust-selection
-// case that additionally re-scores every distinct placement across all
-// corners.
-func YieldBenchCases() []YieldBenchCase {
-	return []YieldBenchCase{
-		{Name: "yield/samples=16", Samples: 16, Sigma: 0.05},
-		{Name: "yield/samples=64", Samples: 64, Sigma: 0.05},
-		{Name: "yield/samples=64/robust", Samples: 64, Sigma: 0.05, Robust: true},
+// loop times op over b.N iterations and reports nets/s, counting nets nets
+// per op. One untimed call first warms engine slabs and pools.
+func loop(b *testing.B, nets int, op func() error) {
+	b.Helper()
+	if err := op(); err != nil {
+		b.Fatal(err)
 	}
-}
-
-// ChipBenchCase is one workload of the chip price-and-resolve benchmark
-// series, shared by the root BenchmarkChipSolve and repro -bench-json so
-// both trajectories measure the same instances under the same names.
-type ChipBenchCase struct {
-	Name string
-	Opts bufferkit.ChipGenOpts
-}
-
-// ChipBenchCases returns the canonical chip-allocation benchmark series:
-// an uncontended instance (every net solves once, no pricing pressure —
-// the parallel fan-out floor) and a center-contended instance that
-// exercises the full price-and-resolve loop. scale divides the net count
-// the same way Config.Scale divides the paper's nets.
-func ChipBenchCases(scale int) []ChipBenchCase {
-	if scale < 1 {
-		scale = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := op(); err != nil {
+			b.Fatal(err)
+		}
 	}
-	nets := max(16, 256/scale)
-	return []ChipBenchCase{
-		{"chip/uncontended", bufferkit.ChipGenOpts{
-			W: 16, H: 16, Nets: nets, Capacity: 64, Contention: 0, Seed: 1}},
-		{"chip/contended", bufferkit.ChipGenOpts{
-			W: 16, H: 16, Nets: nets, Capacity: 2, Contention: 0.7, Seed: 1}},
-	}
+	b.ReportMetric(float64(nets*b.N)/b.Elapsed().Seconds(), "nets/s")
 }
 
 // BenchResult is one benchmark measurement in the JSON trajectory format
@@ -120,283 +299,80 @@ type BenchResult struct {
 	RoundsToFeasible int `json:"rounds_to_feasible,omitempty"`
 }
 
-// BenchReport is the top-level JSON document emitted by BenchJSON.
+// BenchReport is the top-level JSON document emitted by BenchJSON. GOGC is
+// the collector setting in effect while the series ran, and CPUModel the
+// machine's first /proc/cpuinfo "model name".
 type BenchReport struct {
 	GoVersion  string        `json:"go_version"`
 	GOMAXPROCS int           `json:"gomaxprocs"`
+	GOGC       uint64        `json:"gogc"`
+	CPUModel   string        `json:"cpu_model"`
 	Scale      int           `json:"scale"`
 	Timestamp  string        `json:"timestamp"`
 	Results    []BenchResult `json:"results"`
 }
 
-// BenchJSON measures the allocation-discipline benchmarks — single-shot
-// insertion, warm-engine insertion, and batch throughput at several worker
-// counts — and writes them as one JSON document, so successive revisions
-// can be tracked as BENCH_*.json trajectories without parsing `go test
-// -bench` text output.
+// BenchJSON times every Suite series once with testing.Benchmark and
+// writes them as one JSON document, so successive revisions can be
+// tracked as BENCH_*.json trajectories without parsing `go test -bench`
+// text output.
 func BenchJSON(cfg Config, w io.Writer) error {
 	cfg = cfg.fill()
-	t, err := cfg.net(337, 5729)
-	if err != nil {
-		return fmt.Errorf("bench-json: %w", err)
-	}
-	lib := library.Generate(16)
-	opt := core.Options{Driver: Driver}
-
 	report := BenchReport{
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GOGC:       gogc(),
+		CPUModel:   cpuModel(),
 		Scale:      cfg.Scale,
 		Timestamp:  time.Now().UTC().Format(time.RFC3339),
 	}
-	add := func(name string, nets int, r testing.BenchmarkResult) {
-		br := BenchResult{
-			Name:        name,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.NsPerOp()),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
+	for _, s := range Suite(cfg) {
+		failed := false
+		r := testing.Benchmark(func(b *testing.B) {
+			defer func() { failed = failed || b.Failed() }()
+			s.Bench(b)
+		})
+		if failed {
+			return fmt.Errorf("bench-json: series %s failed", s.Name)
 		}
-		if nets > 0 && r.T > 0 {
-			br.NetsPerSec = float64(nets*r.N) / r.T.Seconds()
-		}
-		report.Results = append(report.Results, br)
+		report.Results = append(report.Results, BenchResult{
+			Name:             s.Name,
+			Iterations:       r.N,
+			NsPerOp:          float64(r.NsPerOp()),
+			AllocsPerOp:      r.AllocsPerOp(),
+			BytesPerOp:       r.AllocedBytesPerOp(),
+			NetsPerSec:       r.Extra["nets/s"],
+			RoundsToFeasible: int(r.Extra["rounds"]),
+		})
 	}
-
-	add("insert/coldshot", 1, testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Insert(t, lib, opt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-	add("insert/warm", 1, testing.Benchmark(func(b *testing.B) {
-		eng := core.NewEngine()
-		if err := eng.Reset(t, lib, opt); err != nil {
-			b.Fatal(err)
-		}
-		res := &core.Result{}
-		if err := eng.Run(res); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := eng.Run(res); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-
-	// Warm-engine series: small and large libraries on the industrial net,
-	// and 2-pin lines (scaled like the paper's nets) whose long candidate
-	// lists make add-wire dominate. The bushy, merge-heavy regime is the
-	// eco/regime=bushy/mode=cold series below, which times the same warm
-	// run.
-	regimes := []struct {
-		Name string
-		Tree *tree.Tree
-		Lib  library.Library
-	}{
-		{"smallb", t, library.Generate(8)},
-		{"largeb", t, library.Generate(64)},
-		{"line", netgen.TwoPin(50000/float64(cfg.Scale), max(2, 2000/cfg.Scale), 20, 0, netgen.PaperWire()), library.Generate(16)},
-		{"deepline", netgen.TwoPin(100000/float64(cfg.Scale), max(2, 4000/cfg.Scale), 20, 0, netgen.PaperWire()), library.Generate(8)},
-	}
-	for _, rg := range regimes {
-		eng := core.NewEngine()
-		if err := eng.Reset(rg.Tree, rg.Lib, opt); err != nil {
-			return fmt.Errorf("bench-json: %w", err)
-		}
-		res := &core.Result{}
-		if err := eng.Run(res); err != nil { // warm the arena slabs
-			return fmt.Errorf("bench-json: %w", err)
-		}
-		add("engine/regime="+rg.Name, 1, testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := eng.Run(res); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}))
-	}
-
-	// ECO-session series: full warm re-solve vs single-sink-delta session
-	// resolve on the same net — the incremental speedup trajectory. The
-	// patched RAT cycles so every delta resolve does real work.
-	for _, ec := range ECOBenchCases() {
-		sink := ec.Tree.Sinks()[0]
-		eng := core.NewEngine()
-		if err := eng.Reset(ec.Tree, ec.Lib, opt); err != nil {
-			return fmt.Errorf("bench-json: %w", err)
-		}
-		res := &core.Result{}
-		if err := eng.Run(res); err != nil { // warm the arena slabs
-			return fmt.Errorf("bench-json: %w", err)
-		}
-		add("eco/regime="+ec.Name+"/mode=cold", 1, testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := eng.Run(res); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}))
-
-		sess, err := core.NewSession(ec.Tree, ec.Lib, opt)
-		if err != nil {
-			return fmt.Errorf("bench-json: %w", err)
-		}
-		ctx := context.Background()
-		for i := 0; i < 8; i++ { // warm: first resolve is full, later ones delta
-			if err := sess.PatchSink(sink, 1200+float64(i%7), 8); err != nil {
-				return fmt.Errorf("bench-json: %w", err)
-			}
-			if err := sess.Resolve(ctx, res); err != nil {
-				return fmt.Errorf("bench-json: %w", err)
-			}
-		}
-		add("eco/regime="+ec.Name+"/mode=delta", 1, testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := sess.PatchSink(sink, 1200+float64(i%7), 8); err != nil {
-					b.Fatal(err)
-				}
-				if err := sess.Resolve(ctx, res); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}))
-		sess.Close()
-	}
-
-	// Yield-sweep series: Monte Carlo corner fan-out over the pooled warm
-	// engines (internal/variation), tracked alongside the engine series so
-	// regressions in the per-corner zero-allocation path show up in the
-	// same trajectory. nets/s here means corners/s.
-	for _, yb := range YieldBenchCases() {
-		solver, err := bufferkit.NewSolver(
-			bufferkit.WithLibrary(lib),
-			bufferkit.WithDriver(Driver),
-			bufferkit.WithSamples(yb.Samples),
-			bufferkit.WithSigma(yb.Sigma),
-			bufferkit.WithRobustPlacement(yb.Robust),
-		)
-		if err != nil {
-			return fmt.Errorf("bench-json: %w", err)
-		}
-		ctx := context.Background()
-		if _, err := solver.SolveYield(ctx, t); err != nil { // warm the pool
-			return fmt.Errorf("bench-json: %w", err)
-		}
-		add(yb.Name, 1+yb.Samples, testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := solver.SolveYield(ctx, t); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}))
-		solver.Close()
-	}
-
-	// Chip price-and-resolve series: multi-net allocation over a shared
-	// site grid. nets/s here means oracle re-solves per second (the sum of
-	// every round's resolved nets), and rounds_to_feasible records the
-	// deterministic convergence of the instance.
-	for _, cb := range ChipBenchCases(cfg.Scale) {
-		solver, err := bufferkit.NewSolver(bufferkit.WithLibrary(lib))
-		if err != nil {
-			return fmt.Errorf("bench-json: %w", err)
-		}
-		ctx := context.Background()
-		inst := bufferkit.GenerateChip(cb.Opts)
-		warm, err := solver.SolveChip(ctx, inst) // warm the pool, record rounds
-		if err != nil {
-			return fmt.Errorf("bench-json: %w", err)
-		}
-		solves := 0
-		for _, r := range warm.Rounds {
-			solves += r.Resolved
-		}
-		add(cb.Name, solves, testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := solver.SolveChip(ctx, inst); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}))
-		report.Results[len(report.Results)-1].RoundsToFeasible = len(warm.Rounds)
-		solver.Close()
-	}
-
-	// Observability-overhead series: the full uncached /v1/solve request
-	// path through the HTTP handler — JSON decode, net/library parse, warm
-	// pooled engine run, JSON encode — once with tracing plus a JSON
-	// request-summary log line (trace=on) and once with the span recorder
-	// disabled entirely (trace=off). This pair is the committed trajectory
-	// behind the 2% observability budget and mirrors the root
-	// BenchmarkServerSolveObs / BenchmarkServerSolveNoObs guard.
-	var netBuf, libBuf bytes.Buffer
-	if err := bufferkit.WriteNet(&netBuf, &bufferkit.Net{Name: "obsbench", Tree: t, Driver: Driver}); err != nil {
-		return fmt.Errorf("bench-json: %w", err)
-	}
-	if err := bufferkit.WriteLibrary(&libBuf, lib); err != nil {
-		return fmt.Errorf("bench-json: %w", err)
-	}
-	solveBody, err := json.Marshal(map[string]string{"net": netBuf.String(), "library": libBuf.String()})
-	if err != nil {
-		return fmt.Errorf("bench-json: %w", err)
-	}
-	for _, oc := range []struct {
-		name string
-		cfg  server.Config
-	}{
-		{"obs/trace=on", server.Config{CacheEntries: -1, Logger: slog.New(slog.NewJSONHandler(io.Discard, nil))}},
-		{"obs/trace=off", server.Config{CacheEntries: -1, TraceRing: -1}},
-	} {
-		h := server.New(oc.cfg).Handler()
-		add(oc.name, 1, testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				req := httptest.NewRequest("POST", "/v1/solve", bytes.NewReader(solveBody))
-				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, req)
-				if rec.Code != http.StatusOK {
-					b.Fatalf("solve status %d: %s", rec.Code, rec.Body.String())
-				}
-			}
-		}))
-	}
-
-	// Batch throughput series: RunBatch over the shared small-net workload
-	// at several worker counts (GOMAXPROCS is recorded in the report).
-	nets := BatchWorkload(256)
-	for _, workers := range []int{1, 2, 4, 8} {
-		solver, err := bufferkit.NewSolver(
-			bufferkit.WithLibrary(lib),
-			bufferkit.WithDriver(Driver),
-			bufferkit.WithWorkers(workers),
-		)
-		if err != nil {
-			return fmt.Errorf("bench-json: %w", err)
-		}
-		ctx := context.Background()
-		add(fmt.Sprintf("batch/w%d", workers), len(nets), testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := solver.RunBatch(ctx, nets); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}))
-		solver.Close()
-	}
-
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(report)
+}
+
+// gogc reads the collector's effective GOGC percent, which reflects
+// debug.SetGCPercent as well as the environment.
+func gogc() uint64 {
+	s := []metrics.Sample{{Name: "/gc/gogc:percent"}}
+	metrics.Read(s)
+	if s[0].Value.Kind() != metrics.KindUint64 {
+		return 0
+	}
+	return s[0].Value.Uint64()
+}
+
+// cpuModel returns the first "model name" of /proc/cpuinfo.
+func cpuModel() string {
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
 }

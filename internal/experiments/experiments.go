@@ -78,7 +78,14 @@ var Table1Cases = []Case{{337, 5729}, {1944, 33133}, {2676, 45492}}
 // LibSizes are the paper's four library sizes.
 var LibSizes = []int{8, 16, 32, 64}
 
-func (c Config) net(m, n int) (*tree.Tree, error) {
+// DefaultSeed is repro's default -seed; the root benchmarks use it too, so
+// both entry points build the same nets.
+const DefaultSeed = 1
+
+// Net builds the synthetic industrial net for the paper case (m sinks, n
+// buffer positions) at c's scale and seed. Every experiment, the benchmark
+// suite and the root paper-figure benchmarks build their nets here.
+func (c Config) Net(m, n int) (*tree.Tree, error) {
 	m, n = max(2, m/c.Scale), max(2, n/c.Scale)
 	return netgen.Industrial(m, n, c.Seed+1)
 }
@@ -111,7 +118,7 @@ func Table1(cfg Config) error {
 	cfg = cfg.fill()
 	tab := harness.NewTable("m", "n", "b", "lillis_ms", "new_ms", "speedup", "slack_ps", "optimal_match")
 	for _, cs := range Table1Cases {
-		t, err := cfg.net(cs.M, cs.N)
+		t, err := cfg.Net(cs.M, cs.N)
 		if err != nil {
 			return fmt.Errorf("table1: %w", err)
 		}
@@ -134,7 +141,7 @@ func Table1(cfg Config) error {
 // the new algorithm ≈ 2×).
 func Fig3(cfg Config) error {
 	cfg = cfg.fill()
-	t, err := cfg.net(1944, 33133)
+	t, err := cfg.Net(1944, 33133)
 	if err != nil {
 		return fmt.Errorf("fig3: %w", err)
 	}
@@ -173,7 +180,7 @@ func Fig4(cfg Config) error {
 		m, n int
 	}
 	for _, n := range ns {
-		t, err := cfg.net(1944, n)
+		t, err := cfg.Net(1944, n)
 		if err != nil {
 			return fmt.Errorf("fig4 n=%d: %w", n, err)
 		}
@@ -202,7 +209,7 @@ func Fig4(cfg Config) error {
 // costs slack, whereas the new algorithm affords the full library.
 func LibReduce(cfg Config) error {
 	cfg = cfg.fill()
-	t, err := cfg.net(337, 5729)
+	t, err := cfg.Net(337, 5729)
 	if err != nil {
 		return fmt.Errorf("libreduce: %w", err)
 	}
@@ -235,7 +242,7 @@ func LibReduce(cfg Config) error {
 // than the bn+1 worst case, and the hull is shorter still.
 func ListLen(cfg Config) error {
 	cfg = cfg.fill()
-	t, err := cfg.net(1944, 8283)
+	t, err := cfg.Net(1944, 8283)
 	if err != nil {
 		return fmt.Errorf("listlen: %w", err)
 	}

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
-	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -54,24 +52,6 @@ func BenchmarkServerSolve(b *testing.B) {
 // LRU lookup, JSON encode — no parsing, no engine run.
 func BenchmarkServerSolveCached(b *testing.B) {
 	benchSolve(b, Config{})
-}
-
-// BenchmarkServerSolveObs is the uncached path with full observability:
-// tracing (on by default) plus the JSON request-summary log line. The
-// acceptance guard compares its p50 against BenchmarkServerSolveNoObs —
-// the overhead budget is 2%.
-func BenchmarkServerSolveObs(b *testing.B) {
-	benchSolve(b, Config{
-		CacheEntries: -1,
-		Logger:       slog.New(slog.NewJSONHandler(io.Discard, nil)),
-	})
-}
-
-// BenchmarkServerSolveNoObs is the same path with the recorder disabled
-// entirely (TraceRing < 0): every trace call no-ops against a nil
-// recorder. This is the baseline the 2% tracing budget is measured from.
-func BenchmarkServerSolveNoObs(b *testing.B) {
-	benchSolve(b, Config{CacheEntries: -1, TraceRing: -1})
 }
 
 // BenchmarkServerOverload drives distinct (cache-busting) solves at a
