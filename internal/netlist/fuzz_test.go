@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -93,6 +94,78 @@ func FuzzParseLibrary(f *testing.F) {
 		}
 		if !slices.Equal(lib, lib2) {
 			t.Fatalf("round trip changed the library:\n got %+v\nwant %+v\n%s", lib2, lib, out.String())
+		}
+	})
+}
+
+// FuzzParseNetMatchesReference holds the in-place tokenizer to the
+// reference parser (reference_test.go): for every input either both fail
+// with the same message, or they return identical nets — every Vertex
+// field, names included, the children order and the post order — that
+// WriteNet serializes to the same bytes. The seeds cover what a byte-level
+// tokenizer can get wrong next to strings.Fields: CR-LF line ends, tabs,
+// \v and \f, the non-ASCII white space U+0085, U+00A0 and U+2028, invalid
+// UTF-8, '#' inside a token, a missing final newline and NUL bytes.
+func FuzzParseNetMatchesReference(f *testing.F) {
+	for _, name := range []string{"line.net", "random12.net"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", "testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(data))
+	}
+	for _, s := range []string{
+		sampleNet,
+		"net a\r\ndriver res 1 k 2\r\nnode n1 parent src res 1 cap 1 buffer\r\nsink s1 parent n1 res 1 cap 1 load 1 rat 1\r\n",
+		"node\tn1\vparent\fsrc res 1 cap 1 buffer allowed 3,1\nsink s1 parent n1 load 1 rat 1",
+		"node n1\u0085parent src\u00a0res 1 cap 1 buffer\nsink s1\u2028parent n1 load 1 rat 1\n",
+		"node n\xc2 parent src res 1 cap 1\nsink s\xe2\x80 parent n\xc2 load 1 rat 1\n",
+		"node n#1 parent src res 1 cap 1\nsink s1 parent n load 1 rat 1 # trailing\n",
+		"net x\x00y\nnode n\x001 parent src res 1 cap 1\nsink s\x00 parent n\x001 load 1 rat 1",
+		"net a\nnet b\nsink s parent src load 1 rat 1\n",
+		"driver res 1\ndriver k 2\nsink s parent src load 1 rat 1\n",
+		"node a parent src rse 0.4 cap 1\nsink s parent a load 1 rat 1\n",
+		"sink s parent src load 1 rat 1 allowed 1,,2\n",
+	} {
+		f.Add(s)
+	}
+
+	f.Fuzz(func(t *testing.T, in string) {
+		got, gerr := ParseNet(strings.NewReader(in))
+		want, werr := referenceParseNet(strings.NewReader(in))
+		if gerr != nil || werr != nil {
+			if gerr == nil || werr == nil || gerr.Error() != werr.Error() {
+				t.Fatalf("errors differ:\n got %v\nwant %v", gerr, werr)
+			}
+			return
+		}
+		if got.Name != want.Name || got.Driver != want.Driver {
+			t.Fatalf("name/driver: got %q %+v, want %q %+v", got.Name, got.Driver, want.Name, want.Driver)
+		}
+		g, w := got.Tree, want.Tree
+		if g.Len() != w.Len() {
+			t.Fatalf("got %d vertices, want %d", g.Len(), w.Len())
+		}
+		for v := range w.Verts {
+			if !reflect.DeepEqual(g.Verts[v], w.Verts[v]) {
+				t.Fatalf("vertex %d: got %+v, want %+v", v, g.Verts[v], w.Verts[v])
+			}
+			if !slices.Equal(g.Children(v), w.Children(v)) {
+				t.Fatalf("children of %d: got %v, want %v", v, g.Children(v), w.Children(v))
+			}
+		}
+		if !slices.Equal(g.PostOrder(), w.PostOrder()) {
+			t.Fatal("post order differs")
+		}
+		var gw, ww bytes.Buffer
+		if err := WriteNet(&gw, got); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteNet(&ww, want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gw.Bytes(), ww.Bytes()) {
+			t.Fatalf("WriteNet differs:\n--- got ---\n%s\n--- want ---\n%s", gw.String(), ww.String())
 		}
 	})
 }

@@ -17,15 +17,23 @@
 //
 //	buffer buf1 res 7 cin 0.7 delay 29 cost 1
 //	buffer inv1 res 3.5 cin 1.5 delay 30 cost 2 inverting
+//
+// Each directive accepts a fixed key set (driver: res k; node: parent res
+// cap; sink: parent res cap load rat; buffer: res cin delay cost) plus its
+// bare flags. An unknown or repeated key, and a second net or driver line,
+// is an error naming the line, so a misspelt key cannot silently default.
 package netlist
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"bufferkit/internal/delay"
 	"bufferkit/internal/library"
@@ -39,122 +47,142 @@ type Net struct {
 	Driver delay.Driver
 }
 
-// ParseNet reads a net file.
+// The keys each directive accepts, in the order their values are read.
+// Any other key, or a key given twice, is an error.
+var (
+	driverKeys = []string{"res", "k"}
+	nodeKeys   = []string{"parent", "res", "cap"}
+	sinkKeys   = []string{"parent", "res", "cap", "load", "rat"}
+	bufferKeys = []string{"res", "cin", "delay", "cost"}
+)
+
+// ParseNet reads a net file. It reads the whole input into one buffer and
+// tokenizes each line in place, so its allocations do not grow with the
+// number of vertices; the vertex names and the net name are copied into
+// one string slab, and no returned string aliases the input.
 func ParseNet(r io.Reader) (*Net, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	text, err := readAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("netlist: read: %w", err)
+	}
+	nverts, nameBytes := census(text, "node", "sink", "net")
+	var names strings.Builder
+	names.Grow(nameBytes)
 	b := tree.NewBuilder()
-	b.SetName(0, "src")
-	ids := map[string]int{"src": 0}
+	b.Grow(nverts)
+	ids := make(map[string]int, nverts+1)
+	ids["src"] = 0
 	net := &Net{}
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		f := strings.Fields(line)
-		if len(f) == 0 {
-			continue
-		}
-		fail := func(format string, args ...any) error {
-			return fmt.Errorf("netlist: line %d: %s", lineNo, fmt.Sprintf(format, args...))
-		}
-		switch f[0] {
+	var (
+		sawNet, sawDriver bool
+		kv                [][]byte // key/value tokens of the current line
+		vals              [5][]byte
+		allowed           []int
+	)
+	sc := scanner{rest: text}
+	for sc.scan() {
+		f := sc.f
+		switch string(f[0]) {
 		case "net":
+			if sawNet {
+				return nil, sc.errorf("repeated net directive")
+			}
+			sawNet = true
 			if len(f) != 2 {
-				return nil, fail("want: net <name>")
+				return nil, sc.errorf("want: net <name>")
 			}
-			net.Name = f[1]
+			net.Name = intern(&names, f[1])
 		case "driver":
-			kv, err := keyVals(f[1:])
-			if err != nil {
-				return nil, fail("%v", err)
+			if sawDriver {
+				return nil, sc.errorf("repeated driver directive")
 			}
-			if net.Driver.R, err = fval(kv, "res", 0); err != nil {
-				return nil, fail("%v", err)
+			sawDriver = true
+			v := vals[:len(driverKeys)]
+			if err := matchKeys(f[1:], driverKeys, v); err != nil {
+				return nil, sc.errorf("%v", err)
 			}
-			if net.Driver.K, err = fval(kv, "k", 0); err != nil {
-				return nil, fail("%v", err)
+			if net.Driver.R, err = number("res", v[0], 0); err != nil {
+				return nil, sc.errorf("%v", err)
+			}
+			if net.Driver.K, err = number("k", v[1], 0); err != nil {
+				return nil, sc.errorf("%v", err)
 			}
 		case "node", "sink":
 			if len(f) < 2 {
-				return nil, fail("missing vertex name")
+				return nil, sc.errorf("missing vertex name")
 			}
 			name := f[1]
-			if _, dup := ids[name]; dup {
-				return nil, fail("duplicate vertex %q", name)
+			if _, dup := ids[string(name)]; dup {
+				return nil, sc.errorf("duplicate vertex %q", name)
 			}
-			// Trailing bare flags ("buffer", "neg") before key/value pairs
-			// are extracted first.
+			// The bare flags ("buffer", "neg", "allowed <list>") are
+			// taken out wherever they stand; the rest are key/value pairs.
 			rest := f[2:]
 			var bufferable, neg bool
-			var allowed []int
-			kvFields := rest[:0:0]
+			allowed, kv = allowed[:0], kv[:0]
 			for i := 0; i < len(rest); i++ {
-				switch rest[i] {
+				switch string(rest[i]) {
 				case "buffer":
 					bufferable = true
 				case "neg":
 					neg = true
 				case "allowed":
 					if i+1 >= len(rest) {
-						return nil, fail("allowed needs a comma-separated index list")
+						return nil, sc.errorf("allowed needs a comma-separated index list")
 					}
 					i++
-					for _, s := range strings.Split(rest[i], ",") {
-						v, err := strconv.Atoi(s)
-						if err != nil || v < 0 {
-							return nil, fail("bad allowed index %q", s)
-						}
-						allowed = append(allowed, v)
+					if allowed, err = appendIndices(allowed, rest[i]); err != nil {
+						return nil, sc.errorf("%v", err)
 					}
 				default:
-					kvFields = append(kvFields, rest[i])
+					kv = append(kv, rest[i])
 				}
 			}
-			kv, err := keyVals(kvFields)
-			if err != nil {
-				return nil, fail("%v", err)
+			sink := string(f[0]) == "sink"
+			keys := nodeKeys
+			if sink {
+				keys = sinkKeys
 			}
-			pname, ok := kv["parent"]
+			v := vals[:len(keys)]
+			if err := matchKeys(kv, keys, v); err != nil {
+				return nil, sc.errorf("%v", err)
+			}
+			if v[0] == nil {
+				return nil, sc.errorf("missing parent")
+			}
+			parent, ok := ids[string(v[0])]
 			if !ok {
-				return nil, fail("missing parent")
+				return nil, sc.errorf("unknown parent %q (parents must be declared first)", v[0])
 			}
-			parent, ok := ids[pname]
-			if !ok {
-				return nil, fail("unknown parent %q (parents must be declared first)", pname)
-			}
-			er, err := fval(kv, "res", 0)
+			er, err := number("res", v[1], 0)
 			if err != nil {
-				return nil, fail("%v", err)
+				return nil, sc.errorf("%v", err)
 			}
-			ec, err := fval(kv, "cap", 0)
+			ec, err := number("cap", v[2], 0)
 			if err != nil {
-				return nil, fail("%v", err)
+				return nil, sc.errorf("%v", err)
 			}
 			var id int
-			if f[0] == "sink" {
-				load, err := fvalRequired(kv, "load")
+			if sink {
+				load, err := required("load", v[3])
 				if err != nil {
-					return nil, fail("%v", err)
+					return nil, sc.errorf("%v", err)
 				}
-				rat, err := fvalRequired(kv, "rat")
+				rat, err := required("rat", v[4])
 				if err != nil {
-					return nil, fail("%v", err)
+					return nil, sc.errorf("%v", err)
 				}
 				pol := tree.Positive
 				if neg {
 					pol = tree.Negative
 				}
 				if bufferable {
-					return nil, fail("a sink cannot be a buffer position")
+					return nil, sc.errorf("a sink cannot be a buffer position")
 				}
 				id = b.AddSinkPol(parent, er, ec, load, rat, pol)
 			} else {
 				if neg {
-					return nil, fail("neg applies to sinks only")
+					return nil, sc.errorf("neg applies to sinks only")
 				}
 				switch {
 				case bufferable && len(allowed) > 0:
@@ -162,7 +190,7 @@ func ParseNet(r io.Reader) (*Net, error) {
 				case bufferable:
 					id = b.AddBufferPos(parent, er, ec)
 				case len(allowed) > 0:
-					return nil, fail("allowed requires buffer")
+					return nil, sc.errorf("allowed requires buffer")
 				default:
 					id = b.AddInternal(parent, er, ec)
 				}
@@ -170,16 +198,14 @@ func ParseNet(r io.Reader) (*Net, error) {
 			if id < 0 {
 				// The builder rejected the vertex; report it on this line
 				// rather than as a missing parent further down.
-				return nil, fmt.Errorf("netlist: line %d: %w", lineNo, b.Err())
+				return nil, fmt.Errorf("netlist: line %d: %w", sc.line, b.Err())
 			}
-			b.SetName(id, name)
-			ids[name] = id
+			s := intern(&names, name)
+			b.SetName(id, s)
+			ids[s] = id
 		default:
-			return nil, fail("unknown directive %q", f[0])
+			return nil, sc.errorf("unknown directive %q", f[0])
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("netlist: read: %w", err)
 	}
 	t, err := b.Build()
 	if err != nil {
@@ -249,65 +275,61 @@ func canonicalNames(t *tree.Tree) []string {
 	return names
 }
 
-// ParseLibrary reads a library file.
+// ParseLibrary reads a library file, on the same in-place tokenizer as
+// ParseNet; the buffer names share one string slab.
 func ParseLibrary(r io.Reader) (library.Library, error) {
-	sc := bufio.NewScanner(r)
-	var lib library.Library
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		f := strings.Fields(line)
-		if len(f) == 0 {
-			continue
-		}
-		fail := func(format string, args ...any) error {
-			return fmt.Errorf("netlist: line %d: %s", lineNo, fmt.Sprintf(format, args...))
-		}
-		if f[0] != "buffer" {
-			return nil, fail("unknown directive %q", f[0])
+	text, err := readAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("netlist: read: %w", err)
+	}
+	nbufs, nameBytes := census(text, "buffer")
+	var names strings.Builder
+	names.Grow(nameBytes)
+	lib := make(library.Library, 0, nbufs)
+	var (
+		kv   [][]byte
+		vals [4][]byte
+	)
+	sc := scanner{rest: text}
+	for sc.scan() {
+		f := sc.f
+		if string(f[0]) != "buffer" {
+			return nil, sc.errorf("unknown directive %q", f[0])
 		}
 		if len(f) < 2 {
-			return nil, fail("missing buffer name")
+			return nil, sc.errorf("missing buffer name")
 		}
-		buf := library.Buffer{Name: f[1]}
-		rest := f[2:]
-		kvFields := rest[:0:0]
-		for _, tok := range rest {
-			if tok == "inverting" {
+		var buf library.Buffer
+		kv = kv[:0]
+		for _, tok := range f[2:] {
+			if string(tok) == "inverting" {
 				buf.Inverting = true
 			} else {
-				kvFields = append(kvFields, tok)
+				kv = append(kv, tok)
 			}
 		}
-		kv, err := keyVals(kvFields)
+		if err := matchKeys(kv, bufferKeys, vals[:]); err != nil {
+			return nil, sc.errorf("%v", err)
+		}
+		if buf.R, err = required("res", vals[0]); err != nil {
+			return nil, sc.errorf("%v", err)
+		}
+		if buf.Cin, err = required("cin", vals[1]); err != nil {
+			return nil, sc.errorf("%v", err)
+		}
+		if buf.K, err = number("delay", vals[2], 0); err != nil {
+			return nil, sc.errorf("%v", err)
+		}
+		cost, err := number("cost", vals[3], 0)
 		if err != nil {
-			return nil, fail("%v", err)
-		}
-		if buf.R, err = fvalRequired(kv, "res"); err != nil {
-			return nil, fail("%v", err)
-		}
-		if buf.Cin, err = fvalRequired(kv, "cin"); err != nil {
-			return nil, fail("%v", err)
-		}
-		if buf.K, err = fval(kv, "delay", 0); err != nil {
-			return nil, fail("%v", err)
-		}
-		cost, err := fval(kv, "cost", 0)
-		if err != nil {
-			return nil, fail("%v", err)
+			return nil, sc.errorf("%v", err)
 		}
 		if cost != float64(int(cost)) || cost < 0 {
-			return nil, fail("cost must be a nonnegative integer, got %v", cost)
+			return nil, sc.errorf("cost must be a nonnegative integer, got %v", cost)
 		}
 		buf.Cost = int(cost)
+		buf.Name = intern(&names, f[1])
 		lib = append(lib, buf)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("netlist: read: %w", err)
 	}
 	if err := lib.Validate(); err != nil {
 		return nil, err
@@ -332,38 +354,217 @@ func WriteLibrary(w io.Writer, lib library.Library) error {
 	return bw.Flush()
 }
 
-// keyVals parses alternating "key value" tokens.
-func keyVals(f []string) (map[string]string, error) {
-	if len(f)%2 != 0 {
-		return nil, fmt.Errorf("dangling token %q", f[len(f)-1])
+// readAll reads r to EOF into one buffer. A reader that reports its
+// remaining length (strings.Reader, bytes.Reader, bytes.Buffer) gets a
+// buffer that holds it all, so reading costs one allocation.
+func readAll(r io.Reader) ([]byte, error) {
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		buf.Grow(l.Len() + bytes.MinRead) // MinRead: ReadFrom's room for the EOF read
 	}
-	kv := make(map[string]string, len(f)/2)
-	for i := 0; i < len(f); i += 2 {
-		if _, dup := kv[f[i]]; dup {
-			return nil, fmt.Errorf("duplicate key %q", f[i])
-		}
-		kv[f[i]] = f[i+1]
-	}
-	return kv, nil
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
-func fval(kv map[string]string, key string, def float64) (float64, error) {
-	s, ok := kv[key]
-	if !ok {
+// scanner walks a text buffer line by line and splits each line into
+// whitespace-separated tokens in place: the tokens are subslices of the
+// buffer, and f is reused from line to line.
+type scanner struct {
+	rest []byte   // text after the current line
+	line int      // 1-based number of the current line
+	f    [][]byte // tokens of the current line
+}
+
+// scan advances to the next line that holds a token after its comment is
+// cut away, and reports whether there was one.
+func (s *scanner) scan() bool {
+	for len(s.rest) > 0 {
+		var line []byte
+		line, s.rest = nextLine(s.rest)
+		s.line++
+		s.f = s.f[:0]
+		for tok, rest := nextField(line); len(tok) > 0; tok, rest = nextField(rest) {
+			s.f = append(s.f, tok)
+		}
+		if len(s.f) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// errorf formats an error for the current line.
+func (s *scanner) errorf(format string, args ...any) error {
+	return fmt.Errorf("netlist: line %d: %s", s.line, fmt.Sprintf(format, args...))
+}
+
+// nextLine splits the first line off text, dropping its newline and any
+// '#' comment.
+func nextLine(text []byte) (line, rest []byte) {
+	line = text
+	if i := bytes.IndexByte(text, '\n'); i >= 0 {
+		line, rest = text[:i], text[i+1:]
+	}
+	if i := bytes.IndexByte(line, '#'); i >= 0 {
+		line = line[:i]
+	}
+	return line, rest
+}
+
+// byteClass sorts the bytes for nextField: a token byte, an ASCII byte
+// strings.Fields treats as white space, or the first byte of a non-ASCII
+// rune, which must be decoded to tell.
+var byteClass = func() (c [256]uint8) {
+	for b := utf8.RuneSelf; b < 256; b++ {
+		c[b] = multiByte
+	}
+	for _, b := range "\t\n\v\f\r " {
+		c[b] = asciiSpace
+	}
+	return c
+}()
+
+const (
+	tokenByte = iota
+	asciiSpace
+	multiByte
+)
+
+// nextField returns the first token of s and the text after it, or an
+// empty token when s holds none. Tokens split exactly where strings.Fields
+// splits. ASCII bytes are classified by table; only a non-ASCII byte falls
+// back on decoding its rune for unicode.IsSpace, which also counts U+0085,
+// U+00A0, U+2028 and the like as separators.
+func nextField(s []byte) (tok, rest []byte) {
+	i := 0
+skip:
+	for i < len(s) {
+		switch byteClass[s[i]] {
+		case tokenByte:
+			break skip
+		case asciiSpace:
+			i++
+		default:
+			r, n := utf8.DecodeRune(s[i:])
+			if !unicode.IsSpace(r) {
+				break skip
+			}
+			i += n
+		}
+	}
+	j := i
+	for j < len(s) {
+		switch byteClass[s[j]] {
+		case tokenByte:
+			j++
+			continue
+		case multiByte:
+			if r, n := utf8.DecodeRune(s[j:]); !unicode.IsSpace(r) {
+				j += n
+				continue
+			}
+		}
+		break
+	}
+	return s[i:j], s[j:]
+}
+
+// census counts the lines that start with one of the directives dirs and
+// name something, and the bytes of those names: an upper bound on the
+// vertices or buffers a parse adds, and the size of its name slab.
+func census(text []byte, dirs ...string) (lines, nameBytes int) {
+	for len(text) > 0 {
+		var line []byte
+		line, text = nextLine(text)
+		dir, rest := nextField(line)
+		name, _ := nextField(rest)
+		if len(name) == 0 {
+			continue
+		}
+		for _, d := range dirs {
+			if string(dir) == d {
+				lines++
+				nameBytes += len(name)
+				break
+			}
+		}
+	}
+	return lines, nameBytes
+}
+
+// intern copies tok into the slab and returns the copy. The slab only
+// grows, so strings handed out earlier stay valid; sized by census, it
+// never reallocates and every name shares one backing array.
+func intern(slab *strings.Builder, tok []byte) string {
+	start := slab.Len()
+	slab.Write(tok)
+	return slab.String()[start:]
+}
+
+// matchKeys reads the alternating key/value tokens kv against the fixed
+// key set keys: vals[i] receives the value token of keys[i], or nil when
+// that key is absent. An odd token count, a key outside keys and a
+// repeated key are errors, reported for the first offending token.
+func matchKeys(kv [][]byte, keys []string, vals [][]byte) error {
+	if len(kv)%2 != 0 {
+		return fmt.Errorf("dangling token %q", kv[len(kv)-1])
+	}
+	clear(vals)
+	for i := 0; i < len(kv); i += 2 {
+		k := 0
+		for k < len(keys) && keys[k] != string(kv[i]) {
+			k++
+		}
+		if k == len(keys) {
+			return fmt.Errorf("unknown key %q", kv[i])
+		}
+		if vals[k] != nil {
+			return fmt.Errorf("duplicate key %q", kv[i])
+		}
+		vals[k] = kv[i+1]
+	}
+	return nil
+}
+
+// number parses the value token of key, or returns def when the key was
+// absent (tok == nil).
+func number(key string, tok []byte, def float64) (float64, error) {
+	if tok == nil {
 		return def, nil
 	}
-	v, err := strconv.ParseFloat(s, 64)
+	v, err := strconv.ParseFloat(string(tok), 64)
 	if err != nil {
-		return 0, fmt.Errorf("bad %s value %q", key, s)
+		return 0, fmt.Errorf("bad %s value %q", key, tok)
 	}
 	return v, nil
 }
 
-func fvalRequired(kv map[string]string, key string) (float64, error) {
-	if _, ok := kv[key]; !ok {
+// required is number for a key that must be present.
+func required(key string, tok []byte) (float64, error) {
+	if tok == nil {
 		return 0, fmt.Errorf("missing %s", key)
 	}
-	return fval(kv, key, 0)
+	return number(key, tok, 0)
+}
+
+// appendIndices appends the comma-separated library type indices of tok
+// to dst.
+func appendIndices(dst []int, tok []byte) ([]int, error) {
+	for {
+		seg := tok
+		i := bytes.IndexByte(tok, ',')
+		if i >= 0 {
+			seg, tok = tok[:i], tok[i+1:]
+		}
+		v, err := strconv.Atoi(string(seg))
+		if err != nil || v < 0 {
+			return dst, fmt.Errorf("bad allowed index %q", seg)
+		}
+		dst = append(dst, v)
+		if i < 0 {
+			return dst, nil
+		}
+	}
 }
 
 // g formats a float with full round-trip precision.

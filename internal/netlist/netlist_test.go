@@ -4,10 +4,16 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
+	"unsafe"
 
 	"bufferkit/internal/delay"
 	"bufferkit/internal/library"
@@ -149,6 +155,12 @@ func TestParseNetErrors(t *testing.T) {
 		{"empty tree", "# nothing\n", "source has no children"},
 		{"leaf internal", "node a parent src res 1 cap 1\n", "is a leaf"},
 		{"duplicate key", "node a parent src res 1 res 2 cap 1\n", "duplicate key"},
+		{"misspelt node key", "node a parent src rse 0.4 cap 1\nsink s parent a load 1 rat 1\n", `line 1: unknown key "rse"`},
+		{"sink key on node", "node a parent src load 1\nsink s parent a load 1 rat 1\n", `line 1: unknown key "load"`},
+		{"misspelt sink key", "sink s parent src load 1 rat 1 lod 2\n", `line 1: unknown key "lod"`},
+		{"misspelt driver key", "driver res 1 kk 2\nsink s parent src load 1 rat 1\n", `line 1: unknown key "kk"`},
+		{"repeated driver", "driver res 1\ndriver k 2\nsink s parent src load 1 rat 1\n", "line 2: repeated driver directive"},
+		{"repeated net", "net a\nsink s parent src load 1 rat 1\nnet b\n", "line 3: repeated net directive"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -261,12 +273,184 @@ func TestParseLibraryErrors(t *testing.T) {
 		{"invalid electrical", "buffer b res -1 cin 1\n", "driving resistance"},
 		{"empty", "\n", "empty"},
 		{"no name", "buffer\n", "missing buffer name"},
+		{"misspelt delay", "buffer b res 1 cin 1 dealy 30\n", `line 1: unknown key "dealy"`},
+		{"duplicate key", "buffer b res 1 cin 1 res 2\n", `line 1: duplicate key "res"`},
+		{"dangling token", "buffer b res 1 cin\n", `line 1: dangling token "cin"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ParseLibrary(strings.NewReader(tc.in))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want substring %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// industrialText returns the net text of a generated net the size of the
+// paper's industrial case: m=337 sinks, n=5729 buffer positions.
+func industrialText(t *testing.T) string {
+	t.Helper()
+	tr, err := netgen.Industrial(337, 5729, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mustWrite(t, &Net{Name: "industrial", Tree: tr, Driver: delay.Driver{R: 0.2, K: 15}})
+}
+
+// TestParseNetAllocsDoNotGrowWithSize pins the point of the in-place
+// tokenizer: parsing allocates a bounded number of times whether the net
+// has 20 vertices or 6,000 (the per-line Fields, map and name copies the
+// reference parser makes cost it ~10 allocations per vertex).
+func TestParseNetAllocsDoNotGrowWithSize(t *testing.T) {
+	line, err := os.ReadFile(filepath.Join("..", "..", "testdata", "line.net"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, text string }{
+		{"line.net", string(line)},
+		{"industrial", industrialText(t)},
+	} {
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := ParseNet(strings.NewReader(tc.text)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocs per parse", tc.name, allocs)
+		if allocs > 64 {
+			t.Errorf("%s: ParseNet allocates %.0f times, want <= 64", tc.name, allocs)
+		}
+	}
+}
+
+// checkSlab asserts that the non-empty strings in names lie back to back
+// in one backing array (the parser's name slab) and that none of them
+// points into in.
+func checkSlab(t *testing.T, in []byte, names []string) {
+	t.Helper()
+	inLo := uintptr(unsafe.Pointer(&in[0]))
+	inHi := inLo + uintptr(len(in))
+	var ptrs []uintptr
+	size := map[uintptr]int{}
+	for _, s := range names {
+		if s == "" {
+			continue
+		}
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		if p >= inLo && p < inHi {
+			t.Fatalf("name %q aliases the input buffer", s)
+		}
+		ptrs = append(ptrs, p)
+		size[p] = len(s)
+	}
+	slices.Sort(ptrs)
+	for i := 1; i < len(ptrs); i++ {
+		if prev := ptrs[i-1]; ptrs[i] != prev+uintptr(size[prev]) {
+			t.Fatalf("names are not one slab: a name ends at %#x, the next starts at %#x", prev+uintptr(size[prev]), ptrs[i])
+		}
+	}
+}
+
+// TestParsedNamesShareOneSlab: the net name, every vertex name and every
+// library buffer name are copies in one slab per parse, never substrings
+// of the input. A cached result holding a name must not pin the whole
+// request body that carried it.
+func TestParsedNamesShareOneSlab(t *testing.T) {
+	in := []byte(sampleNet)
+	net, err := ParseNet(bytes.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{net.Name}
+	for v := 1; v < net.Tree.Len(); v++ {
+		names = append(names, net.Tree.Verts[v].Name)
+	}
+	checkSlab(t, in, names)
+
+	in = []byte(sampleLib)
+	lib, err := ParseLibrary(bytes.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names = names[:0]
+	for _, b := range lib {
+		names = append(names, b.Name)
+	}
+	checkSlab(t, in, names)
+}
+
+// TestParseNetReaderWithoutLen: a reader that does not report its length,
+// read one byte at a time, yields the same net as a strings.Reader.
+func TestParseNetReaderWithoutLen(t *testing.T) {
+	want, err := ParseNet(strings.NewReader(sampleNet))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ParseNet(iotest.OneByteReader(strings.NewReader(sampleNet)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mustWrite(t, got) != mustWrite(t, want) || !reflect.DeepEqual(got.Tree.Verts, want.Tree.Verts) {
+		t.Fatal("nets differ")
+	}
+	if _, err := ParseNet(iotest.ErrReader(errors.New("boom"))); err == nil || !strings.Contains(err.Error(), "netlist: read: boom") {
+		t.Fatalf("err = %v, want the read error", err)
+	}
+}
+
+// TestParseLibraryMatchesReference holds ParseLibrary to the reference
+// parser on the committed library and on inputs that probe the tokenizer.
+func TestParseLibraryMatchesReference(t *testing.T) {
+	lib8, err := os.ReadFile(filepath.Join("..", "..", "testdata", "lib8.buf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []string{
+		string(lib8),
+		sampleLib,
+		"buffer b\tres 1\vcin 2\fdelay 3 cost 4\r\nbuffer c res 1 cin 1 inverting",
+		"buffer b\u00a0res 1 cin 1\nbuffer \xc2 res 1 cin 1\u2028cost 2\n",
+		"buffer b#x res 1 cin 1\nbuffer\x00 res 1 cin 1\n",
+		"buffer b res 1 inverting cin 1 inverting cost 2.5\n",
+		"buffer b res 1 cin 1 cost -1\n",
+		"buffer b res nan cin 1\n",
+	} {
+		got, gerr := ParseLibrary(strings.NewReader(in))
+		want, werr := referenceParseLibrary(strings.NewReader(in))
+		if gerr != nil || werr != nil {
+			if gerr == nil || werr == nil || gerr.Error() != werr.Error() {
+				t.Errorf("%q: errors differ:\n got %v\nwant %v", in, gerr, werr)
+			}
+			continue
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%q: got %+v, want %+v", in, got, want)
+		}
+	}
+}
+
+// BenchmarkParseNet parses the industrial-size net with ParseNet and with
+// the reference parser it replaced.
+func BenchmarkParseNet(b *testing.B) {
+	tr, err := netgen.Industrial(337, 5729, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var text bytes.Buffer
+	if err := WriteNet(&text, &Net{Name: "industrial", Tree: tr}); err != nil {
+		b.Fatal(err)
+	}
+	for _, p := range []struct {
+		name  string
+		parse func(io.Reader) (*Net, error)
+	}{{"tokenizer", ParseNet}, {"reference", referenceParseNet}} {
+		b.Run(p.name, func(b *testing.B) {
+			b.SetBytes(int64(text.Len()))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := p.parse(bytes.NewReader(text.Bytes())); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -224,11 +224,19 @@ func TestSolveMalformedPayloads(t *testing.T) {
 		status    int
 		field     string
 		hasVertex bool
+		errHas    string // a substring of the error message, if set
 	}{
 		{name: "invalid JSON", raw: "{not json", status: 400},
 		{name: "empty net", body: solveRequest{Net: "", Library: lib}, status: 400, field: "net"},
 		{name: "garbage net", body: solveRequest{Net: "frobnicate all", Library: lib}, status: 400, field: "net"},
 		{name: "garbage library", body: solveRequest{Net: net, Library: "buffer oops"}, status: 400, field: "library"},
+		{name: "misspelt net key", status: 400, field: "net", errHas: `line 1: unknown key "rse"`,
+			body: solveRequest{Library: lib,
+				Net: "node n1 parent src rse 0.1 cap 5 buffer\nsink s1 parent n1 res 0.1 cap 5 load 10 rat 1000\n"}},
+		{name: "repeated driver", status: 400, field: "net", errHas: "line 2: repeated driver directive",
+			body: solveRequest{Library: lib, Net: "driver res 1\ndriver k 2\n" + net}},
+		{name: "misspelt library key", status: 400, field: "library", errHas: `line 1: unknown key "dealy"`,
+			body: solveRequest{Net: net, Library: "buffer b res 1 cin 1 dealy 30\n"}},
 		{name: "unknown algorithm", body: solveRequest{Net: net, Library: lib,
 			solveOptions: solveOptions{Algorithm: "nope"}}, status: 400, field: "algorithm"},
 		{name: "unknown prune", body: solveRequest{Net: net, Library: lib,
@@ -275,6 +283,9 @@ func TestSolveMalformedPayloads(t *testing.T) {
 			}
 			if tc.hasVertex && er.Vertex == nil {
 				t.Fatalf("expected vertex detail in %s", rec.Body.String())
+			}
+			if !strings.Contains(er.Error, tc.errHas) {
+				t.Fatalf("error %q, want it to contain %q", er.Error, tc.errHas)
 			}
 		})
 	}

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"bufferkit/internal/solvererr"
 )
@@ -97,9 +98,13 @@ type Vertex struct {
 type Tree struct {
 	Verts []Vertex
 
-	// children[v] lists the child vertex indices of v, derived once by the
-	// Builder so traversals do not rebuild adjacency.
-	children [][]int
+	// kids and off hold the adjacency in CSR form, derived once by the
+	// Builder so traversals do not rebuild it: the children of v are
+	// kids[off[v]:off[v+1]], in increasing index order. Two flat slices
+	// replace one slice per internal vertex; int32 offsets bound a tree
+	// to 2^31 vertices, hundreds of GB of Vertex data.
+	kids []int
+	off  []int32
 	// postorder caches PostOrder.
 	postorder []int
 }
@@ -109,13 +114,16 @@ func (t *Tree) Len() int { return len(t.Verts) }
 
 // Children returns the child indices of vertex v. The returned slice is
 // shared; callers must not modify it.
-func (t *Tree) Children(v int) []int { return t.children[v] }
+func (t *Tree) Children(v int) []int {
+	lo, hi := t.off[v], t.off[v+1]
+	return t.kids[lo:hi:hi]
+}
 
 // Root returns the index of the source vertex (always 0).
 func (t *Tree) Root() int { return 0 }
 
 // IsLeaf reports whether v has no children.
-func (t *Tree) IsLeaf(v int) bool { return len(t.children[v]) == 0 }
+func (t *Tree) IsLeaf(v int) bool { return t.off[v] == t.off[v+1] }
 
 // PostOrder returns the vertex indices in post order (children before
 // parents, root last). The returned slice is shared; callers must not
@@ -177,20 +185,18 @@ func (t *Tree) TotalWireCap() float64 {
 	return c
 }
 
-// Clone returns a deep copy of the tree.
+// Clone returns a copy of the tree whose vertices, Allowed lists included,
+// can be changed without touching the original. The adjacency and post
+// order, which no caller may modify, are shared, so Clone allocates a
+// constant number of times plus one per Allowed list.
 func (t *Tree) Clone() *Tree {
 	nt := &Tree{
 		Verts:     make([]Vertex, len(t.Verts)),
-		children:  make([][]int, len(t.children)),
-		postorder: make([]int, len(t.postorder)),
+		kids:      t.kids,
+		off:       t.off,
+		postorder: t.postorder,
 	}
 	copy(nt.Verts, t.Verts)
-	copy(nt.postorder, t.postorder)
-	for i, cs := range t.children {
-		if cs != nil {
-			nt.children[i] = append([]int(nil), cs...)
-		}
-	}
 	for i := range nt.Verts {
 		if a := nt.Verts[i].Allowed; a != nil {
 			nt.Verts[i].Allowed = append([]int(nil), a...)
@@ -209,6 +215,15 @@ type Builder struct {
 // NewBuilder returns a Builder whose vertex 0 is the source.
 func NewBuilder() *Builder {
 	return &Builder{verts: []Vertex{{Kind: Source, Parent: -1, Name: "src"}}}
+}
+
+// Grow makes room for n more vertices, so a caller that knows the size of
+// the tree, such as a parser that has counted its lines, adds them without
+// reallocating.
+func (b *Builder) Grow(n int) {
+	if n > 0 {
+		b.verts = slices.Grow(b.verts, n)
+	}
 }
 
 func (b *Builder) setErr(err error) int {
@@ -310,7 +325,10 @@ func (t *Tree) finalize() error {
 	if n == 0 || t.Verts[0].Kind != Source || t.Verts[0].Parent != -1 {
 		return errors.New("tree: vertex 0 must be the source with parent -1")
 	}
-	t.children = make([][]int, n)
+	// Count each vertex's children into off[v+1] and prefix-sum, so off[v]
+	// is where v's children start. Placing child i advances off[p]; after
+	// the fill off[v] is v's end, and shifting by one restores the starts.
+	off := make([]int32, n+1)
 	for i := 1; i < n; i++ {
 		p := t.Verts[i].Parent
 		if p < 0 || p >= n {
@@ -319,8 +337,20 @@ func (t *Tree) finalize() error {
 		if p >= i {
 			return fmt.Errorf("tree: vertex %d: parent %d not topologically earlier", i, p)
 		}
-		t.children[p] = append(t.children[p], i)
+		off[p+1]++
 	}
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	kids := make([]int, n-1)
+	for i := 1; i < n; i++ {
+		p := t.Verts[i].Parent
+		kids[off[p]] = i
+		off[p]++
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	t.kids, t.off = kids, off
 	for i := 0; i < n; i++ {
 		v := &t.Verts[i]
 		switch v.Kind {
@@ -329,14 +359,14 @@ func (t *Tree) finalize() error {
 				return fmt.Errorf("tree: vertex %d: extra source", i)
 			}
 		case Sink:
-			if len(t.children[i]) != 0 {
+			if !t.IsLeaf(i) {
 				return fmt.Errorf("tree: sink %d has children", i)
 			}
 			if v.BufferOK {
 				return fmt.Errorf("tree: sink %d cannot be a buffer position", i)
 			}
 		case Internal:
-			if len(t.children[i]) == 0 {
+			if t.IsLeaf(i) {
 				return fmt.Errorf("tree: internal vertex %d is a leaf (leaves must be sinks)", i)
 			}
 		default:
@@ -346,7 +376,7 @@ func (t *Tree) finalize() error {
 			return err
 		}
 	}
-	if len(t.children[0]) == 0 {
+	if t.IsLeaf(0) {
 		return errors.New("tree: source has no children")
 	}
 	t.computePostOrder()
@@ -401,7 +431,7 @@ func (t *Tree) computePostOrder() {
 	stack = append(stack, frame{v: 0})
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
-		cs := t.children[f.v]
+		cs := t.Children(f.v)
 		if f.next < len(cs) {
 			c := cs[f.next]
 			f.next++

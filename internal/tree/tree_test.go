@@ -140,6 +140,54 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// chain returns a tree of n buffer positions in a line ending in a sink.
+func chain(t *testing.T, n int) *Tree {
+	t.Helper()
+	b := NewBuilder()
+	p := 0
+	for range n {
+		p = b.AddBufferPos(p, 0.001, 0.01)
+	}
+	b.AddSink(p, 0, 0, 1, 0)
+	tr, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// TestCloneAllocsConstant: with the adjacency in two flat slices shared
+// by the clone, Clone allocates the same few times for 4 vertices as for
+// 10,000.
+func TestCloneAllocsConstant(t *testing.T) {
+	small, big := buildY(t), chain(t, 10_000)
+	a := testing.AllocsPerRun(10, func() { small.Clone() })
+	b := testing.AllocsPerRun(10, func() { big.Clone() })
+	if a != b || a > 2 {
+		t.Fatalf("Clone allocates %.0f times on 4 vertices and %.0f on 10,001, want the same count <= 2", a, b)
+	}
+}
+
+// TestChildrenCannotOverwriteNeighbors: Children returns a view into the
+// shared CSR slice whose capacity ends with the vertex's own children, so
+// an append by a careless caller copies instead of overwriting the next
+// vertex's children.
+func TestChildrenCannotOverwriteNeighbors(t *testing.T) {
+	b := NewBuilder()
+	u := b.AddBufferPos(0, 1, 1)
+	w := b.AddBufferPos(0, 1, 1)
+	b.AddSink(u, 0, 0, 1, 0)
+	b.AddSink(w, 0, 0, 1, 0)
+	tr := b.MustBuild()
+	_ = append(tr.Children(u), 99)
+	if got := tr.Children(w); len(got) != 1 || got[0] != 4 {
+		t.Fatalf("Children(%d) = %v after an append to Children(%d), want [4]", w, got, u)
+	}
+	if got := tr.Children(0); len(got) != 2 || got[0] != u || got[1] != w {
+		t.Fatalf("Children(0) = %v, want [%d %d]", got, u, w)
+	}
+}
+
 func TestTotalWireCap(t *testing.T) {
 	tr := buildY(t)
 	if got := tr.TotalWireCap(); got != 60 {
@@ -159,16 +207,7 @@ func TestSinksAndPositions(t *testing.T) {
 
 func TestDeepChainPostOrder(t *testing.T) {
 	// 100k-vertex chain: iterative traversal must not overflow.
-	b := NewBuilder()
-	p := 0
-	for i := 0; i < 100_000; i++ {
-		p = b.AddBufferPos(p, 0.001, 0.01)
-	}
-	b.AddSink(p, 0, 0, 1, 0)
-	tr, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := chain(t, 100_000)
 	po := tr.PostOrder()
 	if len(po) != tr.Len() || po[0] != tr.Len()-1 || po[len(po)-1] != 0 {
 		t.Fatal("postorder wrong on deep chain")
