@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"bufferkit/internal/chip"
-	"bufferkit/internal/core"
 	"bufferkit/internal/solvererr"
 )
 
@@ -124,8 +123,10 @@ func WithChipProgress(fn func(ChipRound)) Option {
 
 // SolveChip solves a multi-net instance over the shared site grid by
 // Lagrangian price-and-resolve: every round re-solves the nets whose site
-// prices changed, in parallel over the solver's warm engine pool
-// (WithWorkers), with per-site prices folded into the dynamic program;
+// prices changed, in parallel (WithWorkers), each net on its own incremental
+// ECO session over a warm engine borrowed from the shared engine pool
+// (returned when the solve ends), with per-site prices folded into the
+// dynamic program;
 // prices then rise by a decaying subgradient step on each site's overflow
 // plus a permanent PathFinder-style history increment. When the pricing
 // budget ends with overflow, a deterministic sequential repair pass
@@ -158,8 +159,6 @@ func (s *Solver) SolveChip(ctx context.Context, inst *ChipInstance) (*ChipResult
 		Capacity:        s.chip.capacity,
 		Workers:         s.workers,
 		CheckInvariants: s.cfg.CheckInvariants,
-		GetEngine:       func() *core.Engine { return enginePool.Get().(*core.Engine) },
-		PutEngine:       func(e *core.Engine) { enginePool.Put(e) },
 		OnRound:         s.chip.onRound,
 	})
 	if res != nil {

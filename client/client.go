@@ -44,6 +44,7 @@ import (
 
 	"bufferkit/internal/fleet"
 	"bufferkit/internal/obs"
+	"bufferkit/internal/resilience"
 )
 
 // RetryPolicy shapes the backoff loop. The zero value means defaults:
@@ -80,7 +81,7 @@ type Client struct {
 	// hedges: batch, chip and session requests are streaming or stateful —
 	// replaying one is not idempotent — so they are never raced.
 	hedgeAfter time.Duration
-	budget     *retryBudget
+	budget     *resilience.TokenBudget // nil: every retry allowed
 	// Fleet affinity state (see fleet.go): the member ring mirrors the
 	// servers' consistent hash, so Solve goes straight to a digest's cache
 	// home. peerMu guards it because BootstrapPeers can refresh the list
@@ -250,7 +251,7 @@ func (c *Client) doTargets(ctx context.Context, method, path string, body []byte
 	target := 0
 	for attempt := 0; attempt < c.retry.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			if !c.budget.allow() {
+			if c.budget != nil && !c.budget.Spend() {
 				return nil, fmt.Errorf("%w after %v", ErrBudgetExhausted, lastErr)
 			}
 			var apiErr *APIError
@@ -267,7 +268,9 @@ func (c *Client) doTargets(ctx context.Context, method, path string, body []byte
 		}
 		resp, err := c.attemptAt(ctx, targets[target%len(targets)], method, path, body)
 		if err == nil {
-			c.budget.deposit()
+			if c.budget != nil {
+				c.budget.Earn()
+			}
 			return resp, nil
 		}
 		lastErr = err
@@ -513,46 +516,16 @@ func (c *Client) Metrics(ctx context.Context) (map[string]json.RawMessage, error
 	return m, nil
 }
 
-// retryBudget is the token bucket bounding retry volume.
-type retryBudget struct {
-	mu     sync.Mutex
-	ratio  float64
-	burst  float64
-	tokens float64
-}
-
-func newRetryBudget(ratio float64, burst int) *retryBudget {
+// newRetryBudget returns the retry token bucket, or nil — every retry
+// allowed — when ratio <= 0.
+func newRetryBudget(ratio float64, burst int) *resilience.TokenBudget {
 	if ratio <= 0 {
 		return nil
 	}
 	if burst <= 0 {
 		burst = 10
 	}
-	return &retryBudget{ratio: ratio, burst: float64(burst), tokens: float64(burst)}
-}
-
-// allow spends one token for a retry; false means the budget is dry.
-func (b *retryBudget) allow() bool {
-	if b == nil {
-		return true
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
-}
-
-// deposit credits a successful request.
-func (b *retryBudget) deposit() {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.tokens = min(b.tokens+b.ratio, b.burst)
+	return resilience.NewTokenBudget(ratio, burst)
 }
 
 // sleepCtx sleeps for d or until ctx fires.

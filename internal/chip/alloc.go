@@ -13,7 +13,6 @@ import (
 	"bufferkit/internal/delay"
 	"bufferkit/internal/library"
 	"bufferkit/internal/solvererr"
-	"bufferkit/internal/tree"
 )
 
 // Config parameterizes a Solve.
@@ -44,19 +43,6 @@ type Config struct {
 	// CheckInvariants enables per-operation candidate-list validation in
 	// every oracle run (for tests; roughly doubles runtime).
 	CheckInvariants bool
-	// GetEngine and PutEngine, when both non-nil, borrow warm core engines
-	// from a caller-owned pool — the bufferkit facade wires its shared
-	// engine pool in here. They are used only on the cold-solve path
-	// (NoSessions); ECO sessions own a dedicated engine per net.
-	GetEngine func() *core.Engine
-	PutEngine func(*core.Engine)
-	// NoSessions disables the per-net incremental ECO sessions and re-solves
-	// every price-affected net from scratch each round — the pre-session
-	// cold path, kept as a differential reference (the two paths are
-	// bit-identical round for round, asserted by TestChipSessionsMatchCold)
-	// and as a low-memory fallback: sessions retain each net's candidate
-	// frontiers between rounds.
-	NoSessions bool
 	// OnRound, when non-nil, is called with each round's convergence
 	// record as soon as the round completes, from the coordinating
 	// goroutine — the server streams these as NDJSON.
@@ -165,8 +151,7 @@ type sited struct{ v, s int }
 // netState is the allocator's per-net working state.
 type netState struct {
 	net    *Net
-	tr     *tree.Tree    // scratch clone; zero-capacity sites pre-masked
-	sess   *core.Session // incremental re-solver (nil under NoSessions)
+	sess   *core.Session // incremental re-solver; its tree carries the site masks
 	sites  []sited       // sited buffer positions, in vertex order
 	pen    []float64     // per-vertex penalty of the last solve
 	plc    delay.Placement
@@ -174,73 +159,21 @@ type netState struct {
 	solved bool
 }
 
-// solver is one worker's solving kit: scratch for results and slack
-// evaluation, plus a warm engine on the cold (NoSessions) path — sessions
-// carry their own engines, so session-mode workers skip the engine
-// entirely.
+// solver is one worker's scratch for results and slack evaluation; each
+// net's session carries its own engine.
 type solver struct {
-	eng *core.Engine
-	put func(*core.Engine)
 	res core.Result
 	ev  delay.Evaluator
-	opt core.Options
 }
 
-func newSolver(cfg *Config) *solver {
-	s := &solver{opt: core.Options{CheckInvariants: cfg.CheckInvariants}}
-	if !cfg.NoSessions {
-		return s
-	}
-	if cfg.GetEngine != nil && cfg.PutEngine != nil {
-		s.eng, s.put = cfg.GetEngine(), cfg.PutEngine
-	} else {
-		s.eng = core.NewEngine()
-	}
-	return s
-}
-
-func (s *solver) release() {
-	if s.eng == nil {
-		return
-	}
-	s.eng.Release()
-	if s.put != nil {
-		s.put(s.eng)
-	}
-	s.eng = nil
-}
-
-// solve runs the priced oracle on one net: prices folded in through
-// SitePenalty (nil when every price on the net is zero, which keeps the
-// unpriced round bit-identical to a plain Solver.Run), placement copied
-// out of engine scratch, true slack re-derived without prices.
-func (s *solver) solve(ctx context.Context, st *netState, lib library.Library, priced bool) error {
-	s.opt.Driver = st.net.Driver
-	s.opt.SitePenalty = nil
-	if priced {
-		s.opt.SitePenalty = st.pen
-	}
-	if err := s.eng.Reset(st.tr, lib, s.opt); err != nil {
-		return err
-	}
-	if err := s.eng.RunContext(ctx, &s.res); err != nil {
-		return err
-	}
-	st.plc = st.plc.Reuse(len(s.res.Placement))
-	copy(st.plc, s.res.Placement)
-	s.ev.Slack(st.tr, lib, st.plc, st.net.Driver)
-	st.slack = s.ev.MinSlack
-	st.solved = true
-	return nil
-}
-
-// solveSession is solve over the net's incremental session: the round's
-// price vector lands as a penalty patch (dirtying only re-priced live
-// sites), repair masks have already been patched in by the caller, and
-// Resolve recomputes just the dirty vertex-to-root paths. Bit-identical to
-// solve on the same state — the session contract — so the allocator's
-// convergence trajectory is exactly the cold path's.
-func (s *solver) solveSession(ctx context.Context, st *netState, lib library.Library) error {
+// solve runs the priced oracle on one net over its incremental session: the
+// round's price vector lands as a penalty patch (dirtying only re-priced
+// live sites), repair masks have already been patched in by the caller, and
+// Resolve recomputes just the dirty vertex-to-root paths — bit-identical to
+// a from-scratch run on the same masked tree and prices (the session
+// contract). The placement is copied out of scratch and its true slack
+// re-derived without prices.
+func (s *solver) solve(ctx context.Context, st *netState, lib library.Library) error {
 	if err := st.sess.PatchPenalty(st.pen); err != nil {
 		return err
 	}
@@ -249,7 +182,7 @@ func (s *solver) solveSession(ctx context.Context, st *netState, lib library.Lib
 	}
 	st.plc = st.plc.Reuse(len(s.res.Placement))
 	copy(st.plc, s.res.Placement)
-	s.ev.Slack(st.tr, lib, st.plc, st.net.Driver)
+	s.ev.Slack(st.sess.Tree(), lib, st.plc, st.net.Driver)
 	st.slack = s.ev.MinSlack
 	st.solved = true
 	return nil
@@ -264,7 +197,7 @@ func (s *solver) solveSession(ctx context.Context, st *netState, lib library.Lib
 // parallel, exactly the nets whose prices changed. If the round budget
 // ends with overflow remaining, a deterministic sequential repair pass
 // re-solves every net touching an overfull site with saturated sites
-// masked out of its scratch tree, which either reaches zero overflow or
+// masked out of its session's tree, which either reaches zero overflow or
 // proves a net unplaceable (an error wrapping solvererr.ErrInfeasible —
 // the guaranteed terminal answer for, e.g., nets whose every inverter
 // site is blocked).
@@ -282,14 +215,13 @@ func Solve(ctx context.Context, inst *Instance, lib library.Library, cfg Config)
 	nsites := len(caps)
 	nnets := len(inst.Nets)
 
-	// Per-net working state; zero-capacity sites are masked up front so
-	// the oracle never places a buffer there — and a net that *needs* one
-	// (a polarity-constrained net with every inverter site blocked) fails
-	// fast with a typed infeasibility instead of chasing prices forever.
-	// Unless disabled, every net also gets an incremental ECO session
-	// (opened on the masked scratch tree, so the session's private clone
-	// carries the masks): rounds then patch prices and re-solve only the
-	// re-priced sites' root paths instead of re-running the whole net.
+	// Per-net working state: every net gets an incremental ECO session, so
+	// rounds patch prices and re-solve only the re-priced sites' root paths
+	// instead of re-running the whole net. Zero-capacity sites are masked
+	// in the session's tree up front so the oracle never places a buffer
+	// there — and a net that *needs* one (a polarity-constrained net with
+	// every inverter site blocked) fails fast with a typed infeasibility
+	// instead of chasing prices forever.
 	states := make([]netState, nnets)
 	defer func() {
 		for i := range states {
@@ -302,26 +234,25 @@ func Solve(ctx context.Context, inst *Instance, lib library.Library, cfg Config)
 		st := &states[i]
 		net := &inst.Nets[i]
 		st.net = net
-		st.tr = net.Tree.Clone()
 		st.pen = make([]float64, net.Tree.Len())
+		sess, err := core.NewSession(net.Tree, lib, core.Options{
+			Driver:          net.Driver,
+			CheckInvariants: cfg.CheckInvariants,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("chip: net %d (%q): %w", i, net.Name, err)
+		}
+		st.sess = sess
 		for v, s := range net.Site {
 			if s == NoSite {
 				continue
 			}
 			st.sites = append(st.sites, sited{v, s})
 			if caps[s] == 0 {
-				st.tr.Verts[v].BufferOK = false
+				if err := sess.PatchBufferOK(v, false); err != nil {
+					return nil, fmt.Errorf("chip: net %d (%q): %w", i, net.Name, err)
+				}
 			}
-		}
-		if !cfg.NoSessions {
-			sess, err := core.NewSession(st.tr, lib, core.Options{
-				Driver:          net.Driver,
-				CheckInvariants: cfg.CheckInvariants,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("chip: net %d (%q): %w", i, net.Name, err)
-			}
-			st.sess = sess
 		}
 	}
 
@@ -365,36 +296,25 @@ func Solve(ctx context.Context, inst *Instance, lib library.Library, cfg Config)
 		for w := 0; w < workers; w++ {
 			go func() {
 				defer wg.Done()
-				sv := newSolver(&cfg)
-				defer sv.release()
+				var sv solver
 				for {
 					i := int(next.Add(1)) - 1
 					if i >= nnets || ctx.Err() != nil {
 						return
 					}
 					st := &states[i]
-					changed, priced := !st.solved, false
+					changed := !st.solved
 					for _, vs := range st.sites {
-						p := prices[vs.s]
-						if st.pen[vs.v] != p {
+						if p := prices[vs.s]; st.pen[vs.v] != p {
 							st.pen[vs.v] = p
 							changed = true
-						}
-						if p != 0 {
-							priced = true
 						}
 					}
 					if !changed {
 						continue
 					}
 					resolved.Add(1)
-					var err error
-					if st.sess != nil {
-						err = sv.solveSession(ctx, st, lib)
-					} else {
-						err = sv.solve(ctx, st, lib, priced)
-					}
-					if err != nil {
+					if err := sv.solve(ctx, st, lib); err != nil {
 						errs[i] = err
 						if errors.Is(err, solvererr.ErrCanceled) {
 							return
@@ -513,8 +433,7 @@ func observe(states []netState, caps []int, prices []float64, usage []int) Round
 // every site is within capacity — or some net has no capacity-feasible
 // placement at all, which is a typed infeasibility.
 func repair(ctx context.Context, states []netState, lib library.Library, caps []int, prices []float64, usage []int, cfg *Config) (Round, error) {
-	sv := newSolver(cfg)
-	defer sv.release()
+	var sv solver
 	rec := Round{Repair: true}
 	for i := range states {
 		st := &states[i]
@@ -537,35 +456,21 @@ func repair(ctx context.Context, states []netState, lib library.Library, caps []
 		}
 		// Withdraw this net's buffers, mask sites with no capacity left
 		// for it, and re-solve under the current prices (they still steer
-		// it toward uncontended sites among the unmasked ones). The
-		// session, when present, absorbs the masks through PatchBufferOK —
-		// which preserves each site's Allowed restriction — and the prices
-		// through solveSession's penalty patch; the scratch tree is kept in
-		// sync regardless so both solve paths see one instance.
-		priced := false
+		// it toward uncontended sites among the unmasked ones). The session
+		// absorbs the masks through PatchBufferOK — which preserves each
+		// site's Allowed restriction — and the prices through solve's
+		// penalty patch.
 		for _, vs := range st.sites {
 			if st.plc[vs.v] != delay.NoBuffer {
 				usage[vs.s]--
 			}
-			ok := usage[vs.s] < caps[vs.s]
-			st.tr.Verts[vs.v].BufferOK = ok
-			if st.sess != nil {
-				if perr := st.sess.PatchBufferOK(vs.v, ok); perr != nil {
-					return rec, fmt.Errorf("chip: repair: net %d (%q): %w", i, st.net.Name, perr)
-				}
+			if err := st.sess.PatchBufferOK(vs.v, usage[vs.s] < caps[vs.s]); err != nil {
+				return rec, fmt.Errorf("chip: repair: net %d (%q): %w", i, st.net.Name, err)
 			}
-			if st.pen[vs.v] = prices[vs.s]; st.pen[vs.v] != 0 {
-				priced = true
-			}
+			st.pen[vs.v] = prices[vs.s]
 		}
 		rec.Resolved++
-		var err error
-		if st.sess != nil {
-			err = sv.solveSession(ctx, st, lib)
-		} else {
-			err = sv.solve(ctx, st, lib, priced)
-		}
-		if err != nil {
+		if err := sv.solve(ctx, st, lib); err != nil {
 			if errors.Is(err, solvererr.ErrCanceled) {
 				return rec, &PartialError{
 					CompletedRounds: cfg.Rounds,

@@ -210,24 +210,32 @@ func TestChipZeroCapacityInfeasible(t *testing.T) {
 // TestChipRepairAfterTinyBudget: with a 1-round budget on a contended
 // instance the repair pass must still deliver zero overflow.
 // TestChipSessionsMatchCold is the allocator-level face of the session
-// bit-identity contract: the incremental path (per-net ECO sessions
-// absorbing price and mask patches) must reproduce the cold path
-// (from-scratch re-solves every round) exactly — every round record, every
-// slack, every placement — including through a forced repair pass.
+// bit-identity contract: Solve (per-net ECO sessions absorbing price and
+// mask patches) must reproduce refSolve, the former cold path that
+// re-solves from scratch every round — every round record, every slack,
+// every placement, the final prices and usage — including through forced
+// repair passes.
 func TestChipSessionsMatchCold(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		inst *Instance
-		cfg  Config
+		name   string
+		inst   *Instance
+		cfg    Config
+		repair bool
 	}{
-		{"converges", contended(80, 3), Config{}},
-		{"repair", contended(120, 9), Config{Rounds: 1}},
+		{"converges", contended(80, 3), Config{}, false},
+		{"repair", contended(120, 9), Config{Rounds: 1}, true},
+		{"repair3", contended(200, 11), Config{Rounds: 3}, true},
+		{"dense", Generate(GenOpts{W: 8, H: 8, Nets: 40, Capacity: 1, Contention: 0.8, Seed: 5}), Config{}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cold := tc.cfg
-			cold.NoSessions = true
-			a := solveOK(t, tc.inst, cold)
+			a, err := refSolve(context.Background(), tc.inst, library.Generate(6), tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 			b := solveOK(t, tc.inst, tc.cfg)
+			if got := a.Rounds[len(a.Rounds)-1].Repair; got != tc.repair {
+				t.Fatalf("reference repair pass = %v, want %v", got, tc.repair)
+			}
 			if len(a.Rounds) != len(b.Rounds) {
 				t.Fatalf("round counts differ: cold %d, sessions %d", len(a.Rounds), len(b.Rounds))
 			}
@@ -244,6 +252,12 @@ func TestChipSessionsMatchCold(t *testing.T) {
 					if a.Placements[i][v] != b.Placements[i][v] {
 						t.Fatalf("net %d placement differs at vertex %d", i, v)
 					}
+				}
+			}
+			for s := range a.Prices {
+				if a.Prices[s] != b.Prices[s] || a.Usage[s] != b.Usage[s] {
+					t.Fatalf("site %d differs: cold price %.17g usage %d, sessions price %.17g usage %d",
+						s, a.Prices[s], a.Usage[s], b.Prices[s], b.Usage[s])
 				}
 			}
 		})

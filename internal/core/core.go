@@ -42,6 +42,7 @@ package core
 import (
 	"context"
 	"errors"
+	"sync"
 
 	"bufferkit/internal/candidate"
 	"bufferkit/internal/delay"
@@ -222,6 +223,24 @@ func (e *Engine) Release() {
 	e.t, e.lib, e.opt = nil, nil, Options{}
 	clear(e.lists)
 	e.ready = false
+}
+
+// enginePool recycles warm engines — arena slabs and scratch buffers — across
+// every caller in the process: the bufferkit facade's solves and batch
+// workers, variation sweep workers and ECO sessions all borrow from it, so a
+// service issuing run after run reaches steady state with no per-run engine
+// construction.
+var enginePool = sync.Pool{New: func() any { return NewEngine() }}
+
+// GetEngine borrows a warm engine from the package pool (a fresh one when the
+// pool is empty). Reset it before running; return it with PutEngine.
+func GetEngine() *Engine { return enginePool.Get().(*Engine) }
+
+// PutEngine releases e's instance references (see Release) and returns it to
+// the pool. e must not be used afterwards.
+func PutEngine(e *Engine) {
+	e.Release()
+	enginePool.Put(e)
 }
 
 // Run executes one insertion run on the instance set by Reset, writing the

@@ -75,8 +75,9 @@ type SessionStats struct {
 }
 
 // Session is an incremental ECO re-solver for one net: it owns a private
-// clone of the tree, a dedicated engine whose arena retains every vertex's
-// candidate frontier as a checkpoint, and a dirty-bit vector marking the
+// clone of the tree, an engine borrowed from the package pool (returned on
+// Close) whose arena retains every vertex's candidate frontier as a
+// checkpoint, and a dirty-bit vector marking the
 // vertices whose checkpoints a patch invalidated. Patch applies typed
 // deltas to the clone and marks the perturbed vertex-to-root paths dirty;
 // Resolve recomputes exactly the dirty vertices bottom-up, reusing
@@ -106,25 +107,22 @@ type Session struct {
 }
 
 // NewSession validates the instance and opens a session on a private clone
-// of t. opt.SitePenalty, when non-nil, seeds the session's own penalty
-// vector (later updated through PenaltyDelta).
+// of t, running on an engine borrowed from the package pool until Close.
+// opt.SitePenalty, when non-nil, seeds the session's own penalty vector
+// (later updated through PenaltyDelta).
 func NewSession(t *tree.Tree, lib library.Library, opt Options) (*Session, error) {
-	s := &Session{
-		t:   t.Clone(),
-		lib: lib,
-		eng: NewEngine(),
+	if opt.SitePenalty != nil && len(opt.SitePenalty) < t.Len() {
+		return nil, solvererr.Validation("core", "site_penalty",
+			"penalty vector length %d < tree size %d", len(opt.SitePenalty), t.Len())
 	}
+	s := &Session{t: t.Clone(), lib: lib}
 	s.pen = make([]float64, s.t.Len())
-	if opt.SitePenalty != nil {
-		if len(opt.SitePenalty) < s.t.Len() {
-			return nil, solvererr.Validation("core", "site_penalty",
-				"penalty vector length %d < tree size %d", len(opt.SitePenalty), s.t.Len())
-		}
-		copy(s.pen, opt.SitePenalty)
-	}
+	copy(s.pen, opt.SitePenalty)
 	opt.SitePenalty = s.pen // session-owned; all-zero is bit-identical to nil
 	s.opt = opt
+	s.eng = GetEngine()
 	if err := s.eng.Reset(s.t, lib, opt); err != nil {
+		PutEngine(s.eng)
 		return nil, err
 	}
 	s.dirty = make([]bool, s.t.Len())
@@ -243,14 +241,15 @@ func (s *Session) Resolve(ctx context.Context, res *Result) error {
 	return nil
 }
 
-// Close releases the session's engine state. Further Patch/Resolve calls
-// fail.
+// Close returns the session's engine to the package pool. Further
+// Patch/Resolve calls fail.
 func (s *Session) Close() {
 	if s.closed {
 		return
 	}
 	s.closed = true
-	s.eng.Release()
+	PutEngine(s.eng)
+	s.eng = nil
 }
 
 // markDirty marks v and its ancestors dirty, stopping at the first vertex

@@ -87,10 +87,29 @@ func checkSessionVsCold(t *testing.T, s *Session, drv delay.Driver, lib library.
 	}
 }
 
+// applyDelta patches d into s, half the time (by via) through the unboxed
+// primitive the chip allocator uses instead of Patch: PatchBufferOK for a
+// buffer delta without a type restriction (it keeps the vertex's Allowed
+// set, which such a delta would clear), PatchPenalty for a penalty delta.
+func applyDelta(s *Session, d Delta, via *rand.Rand) error {
+	if via.Intn(2) == 0 {
+		switch d := d.(type) {
+		case BufferDelta:
+			if d.Allowed == nil && s.Tree().Verts[d.Vertex].Allowed == nil {
+				return s.PatchBufferOK(d.Vertex, d.OK)
+			}
+		case PenaltyDelta:
+			return s.PatchPenalty(d.Penalty)
+		}
+	}
+	return s.Patch(d)
+}
+
 func TestSessionMatchesColdRunUnderRandomPatches(t *testing.T) {
 	lib := library.GenerateWithInverters(6)
 	for seed := int64(0); seed < 80; seed++ {
 		rng := rand.New(rand.NewSource(seed))
+		via := rand.New(rand.NewSource(^seed))
 		tr := netgen.RandomSmall(seed, 10, 0.3)
 		drv := delay.Driver{R: 0.3 * rng.Float64(), K: 10 * rng.Float64()}
 		s, err := NewSession(tr, lib, Options{Driver: drv})
@@ -100,7 +119,7 @@ func TestSessionMatchesColdRunUnderRandomPatches(t *testing.T) {
 		checkSessionVsCold(t, s, drv, lib, "initial")
 		for step := 0; step < 8; step++ {
 			d := randomDelta(rng, s.Tree(), len(lib))
-			if err := s.Patch(d); err != nil {
+			if err := applyDelta(s, d, via); err != nil {
 				t.Fatalf("seed %d step %d: patch: %v", seed, step, err)
 			}
 			checkSessionVsCold(t, s, drv, lib, "patched")

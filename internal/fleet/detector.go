@@ -194,27 +194,6 @@ func (d *Detector) Phi(peer string) float64 {
 	return d.phiLocked(h)
 }
 
-// Rank orders peers for routing: Alive first, then Suspect, then Dead,
-// stable within a class — so the ring's preference order survives among
-// equally healthy replicas and the home peer stays the home peer unless
-// it is actually in trouble.
-func (d *Detector) Rank(peers []string) []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]string, 0, len(peers))
-	for want := Alive; want <= Dead; want++ {
-		for _, p := range peers {
-			h, ok := d.peers[p]
-			if ok && d.stateLocked(h) == want {
-				out = append(out, p)
-			} else if !ok && want == Dead {
-				out = append(out, p)
-			}
-		}
-	}
-	return out
-}
-
 // Counts returns how many tracked peers are in each state.
 func (d *Detector) Counts() (alive, suspect, dead int) {
 	d.mu.Lock()

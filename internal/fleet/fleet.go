@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"bufferkit/internal/resilience"
 )
 
 // Config parameterizes a Fleet. Self and Peers are required; everything
@@ -31,8 +33,8 @@ type Config struct {
 	// (0 = 5 s). The actual sub-deadline is the smaller of this and most
 	// of the request's remaining budget.
 	ForwardTimeout time.Duration
-	// HedgeRatio/HedgeBurst bound hedge volume like the client's retry
-	// budget: each forward earns HedgeRatio hedge tokens (capped at
+	// HedgeRatio/HedgeBurst bound hedge volume with the same
+	// resilience.TokenBudget as the client's retry budget: each forward earns HedgeRatio hedge tokens (capped at
 	// HedgeBurst) and each hedge spends one, so a uniformly slow fleet
 	// degrades to plain forwarding instead of doubling its own load
 	// (ratio 0 = default 0.1; ratio < 0 disables hedging).
@@ -100,8 +102,7 @@ type Fleet struct {
 	ring *Ring
 	det  *Detector
 
-	hedgeMu     sync.Mutex
-	hedgeTokens float64
+	hedge *resilience.TokenBudget
 
 	stop   chan struct{}
 	wg     sync.WaitGroup
@@ -121,11 +122,11 @@ func New(cfg Config) (*Fleet, error) {
 		}
 	}
 	return &Fleet{
-		cfg:         cfg,
-		ring:        NewRing(cfg.Peers),
-		det:         NewDetector(others, cfg.Detector),
-		hedgeTokens: float64(cfg.HedgeBurst),
-		stop:        make(chan struct{}),
+		cfg:   cfg,
+		ring:  NewRing(cfg.Peers),
+		det:   NewDetector(others, cfg.Detector),
+		hedge: resilience.NewTokenBudget(cfg.HedgeRatio, cfg.HedgeBurst),
+		stop:  make(chan struct{}),
 	}, nil
 }
 
@@ -181,13 +182,7 @@ func (f *Fleet) AllowHedge() bool {
 	if f.cfg.HedgeRatio < 0 {
 		return false
 	}
-	f.hedgeMu.Lock()
-	defer f.hedgeMu.Unlock()
-	if f.hedgeTokens < 1 {
-		return false
-	}
-	f.hedgeTokens--
-	return true
+	return f.hedge.Spend()
 }
 
 // EarnHedge credits the hedge budget for one completed forward.
@@ -195,9 +190,7 @@ func (f *Fleet) EarnHedge() {
 	if f.cfg.HedgeRatio <= 0 {
 		return
 	}
-	f.hedgeMu.Lock()
-	f.hedgeTokens = min(f.hedgeTokens+f.cfg.HedgeRatio, float64(f.cfg.HedgeBurst))
-	f.hedgeMu.Unlock()
+	f.hedge.Earn()
 }
 
 // Start launches the probe loop: every ProbeInterval, probe is invoked

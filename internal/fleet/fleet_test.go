@@ -118,22 +118,6 @@ func TestDetectorConsecutiveFailures(t *testing.T) {
 	}
 }
 
-func TestRankDemotesUnhealthy(t *testing.T) {
-	now := time.Unix(1000, 0)
-	d := NewDetector([]string{"a", "b", "c"}, DetectorConfig{Now: func() time.Time { return now }})
-	for i := 0; i < 3; i++ {
-		d.ReportFailure("a") // dead
-	}
-	d.ReportFailure("b") // suspect
-	got := d.Rank([]string{"a", "b", "c"})
-	want := []string{"c", "b", "a"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Rank = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestFleetRouting(t *testing.T) {
 	f, err := New(Config{
 		Self:  "http://b",

@@ -175,9 +175,3 @@ func GenerateWithInverters(size int) Library {
 func geom(a, b, f float64) float64 {
 	return a * math.Pow(b/a, f)
 }
-
-// PaperLibraries returns the four libraries used in the paper's evaluation
-// (sizes 8, 16, 32, 64).
-func PaperLibraries() []Library {
-	return []Library{Generate(8), Generate(16), Generate(32), Generate(64)}
-}

@@ -190,19 +190,3 @@ func TestMaxCost(t *testing.T) {
 		t.Fatalf("MaxCost = %d, want 9", got)
 	}
 }
-
-func TestPaperLibraries(t *testing.T) {
-	libs := PaperLibraries()
-	sizes := []int{8, 16, 32, 64}
-	if len(libs) != len(sizes) {
-		t.Fatalf("got %d libraries", len(libs))
-	}
-	for i, lib := range libs {
-		if len(lib) != sizes[i] {
-			t.Fatalf("library %d has %d types, want %d", i, len(lib), sizes[i])
-		}
-		if err := lib.Validate(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}

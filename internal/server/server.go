@@ -31,7 +31,7 @@
 // bounded queue; arrivals beyond the queue bound, requests whose remaining
 // deadline cannot cover the observed solve-time EWMA, and waits exceeding
 // Config.QueueTimeout are shed with 429 + Retry-After instead of piling
-// up. The engines themselves come from bufferkit's shared sync.Pool, so a
+// up. The engines themselves come from internal/core's shared pool, so a
 // loaded server reaches steady state with zero per-request engine
 // construction. Each request's context (with its deadline) propagates into
 // the per-vertex cancellation polls of RunContext, so a hung client or an
@@ -533,9 +533,6 @@ func (s *Server) Handler() http.Handler {
 // to completion. bufferkitd sets it on SIGTERM before closing the
 // listener.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
-
-// Draining reports whether the server is in drain mode.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // trackingWriter records whether a response header was written (so the
 // instrument middleware knows if a panic 500 can still be delivered) and

@@ -119,9 +119,6 @@ func (t *Tree) Children(v int) []int {
 	return t.kids[lo:hi:hi]
 }
 
-// Root returns the index of the source vertex (always 0).
-func (t *Tree) Root() int { return 0 }
-
 // IsLeaf reports whether v has no children.
 func (t *Tree) IsLeaf(v int) bool { return t.off[v] == t.off[v+1] }
 

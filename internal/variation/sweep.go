@@ -37,11 +37,6 @@ type Config struct {
 	// Workers caps the sweep's concurrency; 0 or negative means
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// GetEngine and PutEngine, when both non-nil, borrow warm core engines
-	// from a caller-owned pool instead of constructing fresh ones — the
-	// bufferkit facade wires its shared engine pool in here.
-	GetEngine func() *core.Engine
-	PutEngine func(*core.Engine)
 	// Completed, when non-nil, is incremented once per finished sample
 	// while the sweep runs, so callers (the server's partial-progress
 	// counters) can observe progress across a deadline abort.
@@ -142,17 +137,16 @@ func (e *PartialError) Error() string {
 // Unwrap exposes the cancellation cause to errors.Is / errors.As.
 func (e *PartialError) Unwrap() error { return e.Err }
 
-// SweepEngine is the per-worker unit of a sweep: one warm core engine plus
-// the scratch instance (scaled tree and library) and evaluator it rewrites
-// per corner. After its first RunCorner on an instance, further corners of
-// the same instance allocate nothing on the steady-state path.
+// SweepEngine is the per-worker unit of a sweep: one warm core engine,
+// borrowed from core's pool by the first RunCorner, plus the scratch
+// instance (scaled tree and library) and evaluator it rewrites per corner.
+// After its first RunCorner on an instance, further corners of the same
+// instance allocate nothing on the steady-state path.
 //
 // A SweepEngine is not safe for concurrent use; Sweep gives each worker its
 // own.
 type SweepEngine struct {
-	eng    *core.Engine
-	owned  bool // engine constructed here (vs borrowed from a pool)
-	put    func(*core.Engine)
+	eng    *core.Engine // nil until the first RunCorner
 	base   *tree.Tree
 	lib    library.Library // original library, never mutated
 	scaled *tree.Tree      // scratch: base with corner-scaled edges
@@ -163,28 +157,18 @@ type SweepEngine struct {
 }
 
 // NewSweepEngine prepares a sweep engine for one (tree, library) instance.
-// get/put may be nil, in which case a fresh core engine is constructed.
-func NewSweepEngine(t *tree.Tree, lib library.Library, opt core.Options, get func() *core.Engine, put func(*core.Engine)) *SweepEngine {
-	e := &SweepEngine{base: t, lib: lib, opt: opt, put: put}
-	if get != nil {
-		e.eng = get()
-	} else {
-		e.eng = core.NewEngine()
-		e.owned = true
-	}
+func NewSweepEngine(t *tree.Tree, lib library.Library, opt core.Options) *SweepEngine {
+	e := &SweepEngine{base: t, lib: lib, opt: opt}
 	e.scaled = t.Clone()
 	e.slib = append(library.Library(nil), lib...)
 	return e
 }
 
-// Release returns a borrowed engine to its pool (or drops an owned one) and
-// clears instance references. The SweepEngine is spent afterwards.
+// Release returns the borrowed engine, if any, to core's pool and clears
+// instance references. The SweepEngine is spent afterwards.
 func (e *SweepEngine) Release() {
 	if e.eng != nil {
-		e.eng.Release()
-		if e.put != nil && !e.owned {
-			e.put(e.eng)
-		}
+		core.PutEngine(e.eng)
 		e.eng = nil
 	}
 	e.base, e.lib, e.scaled, e.slib = nil, nil, nil, nil
@@ -213,6 +197,9 @@ func (e *SweepEngine) apply(c Corner) {
 // the next RunCorner and must be copied to be retained.
 func (e *SweepEngine) RunCorner(ctx context.Context, c Corner) (slack float64, critical int, plc delay.Placement, err error) {
 	e.apply(c)
+	if e.eng == nil {
+		e.eng = core.GetEngine()
+	}
 	if err := e.eng.Reset(e.scaled, e.slib, e.opt); err != nil {
 		return 0, -1, nil, err
 	}
@@ -268,7 +255,7 @@ func Sweep(ctx context.Context, t *tree.Tree, lib library.Library, cfg Config) (
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			eng := NewSweepEngine(t, lib, opt, cfg.GetEngine, cfg.PutEngine)
+			eng := NewSweepEngine(t, lib, opt)
 			defer eng.Release()
 			var groups []delay.Placement // worker-local distinct placements
 			for {
@@ -346,9 +333,8 @@ func Sweep(ctx context.Context, t *tree.Tree, lib library.Library, cfg Config) (
 
 	// Score every distinct placement as a fixed choice across all corners.
 	// FixedSlack only touches the scratch instance and the evaluator, so
-	// the scorer deliberately skips the engine pool hooks — no point
-	// checking a warm engine out just to hold it idle.
-	scorer := NewSweepEngine(t, lib, opt, nil, nil)
+	// the scorer never borrows an engine.
+	scorer := NewSweepEngine(t, lib, opt)
 	defer scorer.Release()
 	for g := range res.Placements {
 		grp := &res.Placements[g]

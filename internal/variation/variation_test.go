@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"os"
-	"sync"
 	"testing"
 
 	"bufferkit/internal/core"
@@ -171,7 +170,7 @@ func TestSweepZeroAllocPerSample(t *testing.T) {
 	lib := library.Generate(8)
 	corners := append([]Corner{Nominal()}, Sampler{Params: Uniform(0.08), Seed: 1}.Corners(255)...)
 
-	eng := NewSweepEngine(tr, lib, core.Options{Driver: drv}, nil, nil)
+	eng := NewSweepEngine(tr, lib, core.Options{Driver: drv})
 	ctx := context.Background()
 	// Warm pass: grow the arena and scratch to the sweep's high-water mark.
 	for _, c := range corners {
@@ -200,26 +199,9 @@ func TestSweepWholeRunAllocBudget(t *testing.T) {
 	tr, drv := random12(t)
 	lib := library.Generate(8)
 	corners := append([]Corner{Nominal()}, Sampler{Params: Uniform(0.08), Seed: 1}.Corners(255)...)
-	// Reuse warm engines across sweeps the way the bufferkit facade does,
-	// so the measurement sees the steady state of a long-lived service.
-	var mu sync.Mutex
-	var pool []*core.Engine
-	get := func() *core.Engine {
-		mu.Lock()
-		defer mu.Unlock()
-		if len(pool) > 0 {
-			e := pool[len(pool)-1]
-			pool = pool[:len(pool)-1]
-			return e
-		}
-		return core.NewEngine()
-	}
-	put := func(e *core.Engine) {
-		mu.Lock()
-		defer mu.Unlock()
-		pool = append(pool, e)
-	}
-	cfg := Config{Corners: corners, Driver: drv, Workers: 1, GetEngine: get, PutEngine: put}
+	// Sweep workers reuse warm engines from core's pool across sweeps, so
+	// the measurement sees the steady state of a long-lived service.
+	cfg := Config{Corners: corners, Driver: drv, Workers: 1}
 	if _, err := Sweep(context.Background(), tr, lib, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +309,7 @@ func TestSweepValidation(t *testing.T) {
 func TestFixedSlackMatchesOracle(t *testing.T) {
 	tr, drv := random12(t)
 	lib := library.Generate(8)
-	eng := NewSweepEngine(tr, lib, core.Options{Driver: drv}, nil, nil)
+	eng := NewSweepEngine(tr, lib, core.Options{Driver: drv})
 	defer eng.Release()
 	corners := append(ProcessCorners(), Sampler{Params: Uniform(0.2), Seed: 8}.Corners(16)...)
 	for _, c := range corners {

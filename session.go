@@ -29,8 +29,9 @@ type PenaltyDelta = core.PenaltyDelta
 type SessionStats = core.SessionStats
 
 // Session is an incremental ECO re-solver for one net. It owns a private
-// clone of the tree and a dedicated warm engine whose arena retains every
-// vertex's candidate frontier; Patch applies typed deltas and marks the
+// clone of the tree and a warm engine — borrowed from the shared engine
+// pool, returned on Close — whose arena retains every vertex's candidate
+// frontier; Patch applies typed deltas and marks the
 // perturbed vertex-to-root paths dirty, and Resolve recomputes exactly
 // those paths, reusing checkpointed sibling frontiers at every merge. The
 // result of every Resolve is bit-identical — slack, placement, cost — to a
@@ -52,7 +53,8 @@ type Session struct {
 // NewSession opens an incremental ECO session on net t. Sessions run on
 // the core engine, so the solver's algorithm must be the paper's (the
 // default); the session follows the solver's library, driver and
-// invariant-checking configuration.
+// invariant-checking configuration. Its engine is borrowed from the shared
+// engine pool and returned on Close.
 func (s *Solver) NewSession(t *Tree) (*Session, error) {
 	if err := s.requireCore("ECO sessions"); err != nil {
 		return nil, err
@@ -131,5 +133,7 @@ func (ss *Session) Stats() SessionStats { return ss.cs.Stats() }
 // it as read-only; all mutation goes through Patch.
 func (ss *Session) Tree() *Tree { return ss.cs.Tree() }
 
-// Close releases the session's engine state. Further use fails.
+// Close returns the session's engine to the shared pool. Further use
+// fails. A session dropped without Close is reclaimed by the garbage
+// collector, engine included.
 func (ss *Session) Close() { ss.cs.Close() }

@@ -422,13 +422,8 @@ func (s *Solver) Close() {
 	s.algo = nil
 }
 
-// enginePool recycles warm O(bn²) engines (and their arenas) across solvers
-// and batch runs, so a service issuing run after run reaches steady state
-// with no per-run engine construction at all.
-var enginePool = sync.Pool{New: func() any { return core.NewEngine() }}
-
 // coreAlgo adapts internal/core (the paper's O(bn²) algorithm) to the
-// Algorithm interface, holding one pooled warm engine.
+// Algorithm interface, holding one warm engine borrowed from core's pool.
 type coreAlgo struct {
 	eng *core.Engine
 }
@@ -441,7 +436,7 @@ func (a *coreAlgo) Description() string {
 
 func (a *coreAlgo) Solve(ctx context.Context, t *Tree, cfg RunConfig) (*NetResult, error) {
 	if a.eng == nil {
-		a.eng = enginePool.Get().(*core.Engine)
+		a.eng = core.GetEngine()
 	}
 	opt := core.Options{Driver: cfg.Driver, CheckInvariants: cfg.CheckInvariants}
 	if err := a.eng.Reset(t, cfg.Library, opt); err != nil {
@@ -462,8 +457,7 @@ func (a *coreAlgo) release() {
 	if a.eng == nil {
 		return
 	}
-	a.eng.Release() // don't let pooled engines pin whole designs
-	enginePool.Put(a.eng)
+	core.PutEngine(a.eng)
 	a.eng = nil
 }
 

@@ -3,7 +3,6 @@ package bufferkit
 import (
 	"context"
 
-	"bufferkit/internal/core"
 	"bufferkit/internal/solvererr"
 	"bufferkit/internal/variation"
 )
@@ -136,8 +135,9 @@ func (s *Solver) yieldCorners() []Corner {
 // SolveYield evaluates the net across process/interconnect variation: it
 // re-optimizes the net under the nominal corner, every corner set with
 // WithCorners, and WithSamples seeded Monte Carlo corners (WithSigma,
-// WithVariationSeed), fanning the corners out over a worker pool of warm
-// engines (WithWorkers). The result carries the slack distribution, the
+// WithVariationSeed), fanning the corners out over a worker pool
+// (WithWorkers) whose engines are borrowed from the shared engine pool and
+// returned when the sweep ends. The result carries the slack distribution, the
 // yield at the target (WithYieldTarget), the distinct optimal placements
 // observed, and the chosen placement — the nominal optimum, or the
 // fixed-placement yield maximizer under WithRobustPlacement.
@@ -159,8 +159,6 @@ func (s *Solver) SolveYield(ctx context.Context, t *Tree) (*YieldResult, error) 
 		Target:          s.yield.target,
 		Robust:          s.yield.robust,
 		Workers:         s.workers,
-		GetEngine:       func() *core.Engine { return enginePool.Get().(*core.Engine) },
-		PutEngine:       func(e *core.Engine) { enginePool.Put(e) },
 	})
 	if res != nil {
 		// Report placements in the original library's index space (see
