@@ -79,7 +79,7 @@ func TestInsertBatchMatchesSequential(t *testing.T) {
 						workers, i, v, got[i].Placement[v], want[i].Placement[v])
 				}
 			}
-			if got[i].Candidates != want[i].Candidates || !got[i].Stats.SameCounters(want[i].Stats) {
+			if got[i].Candidates != want[i].Candidates || !sameCounters(got[i].Stats, want[i].Stats) {
 				t.Fatalf("workers=%d net %d: stats diverged", workers, i)
 			}
 		}

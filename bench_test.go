@@ -1,6 +1,7 @@
 // Benchmarks regenerating the paper's evaluation (one benchmark per table
-// and figure), the DESIGN.md §6 ablations, and BenchmarkSuite, the engine
-// series behind BENCH_engine.json. Workload sizes are the paper's divided
+// and figure), the cost–slack benchmark of DESIGN.md §6 (its ablations run
+// in internal/candidate), and BenchmarkSuite, the engine series behind
+// BENCH_engine.json. Workload sizes are the paper's divided
 // by benchScale so `go test -bench=.` finishes in minutes; `go run
 // ./cmd/repro` runs the same experiments at full paper scale and
 // EXPERIMENTS.md records those numbers. Both build their nets through
@@ -9,11 +10,9 @@ package bufferkit_test
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 
-	"bufferkit/internal/candidate"
 	"bufferkit/internal/core"
 	"bufferkit/internal/costopt"
 	"bufferkit/internal/delay"
@@ -117,70 +116,6 @@ func BenchmarkFig4(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationAddBuffer isolates the paper's core claim at the data-
-// structure level: finding the best candidate for every one of b buffer
-// types via b full linear scans (Lillis) versus one Graham scan plus a
-// monotone pointer walk (the paper). List lengths span the range the
-// industrial nets produce.
-func BenchmarkAblationAddBuffer(b *testing.B) {
-	lib := library.Generate(64)
-	orderR := lib.ByRDesc()
-	for _, k := range []int{64, 256, 1024, 4096} {
-		pairs := syntheticList(k)
-		b.Run(fmt.Sprintf("k%d/linearscan", k), func(b *testing.B) {
-			l := candidate.SoAFromPairs(pairs)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for ti := range lib {
-					if l.BestForR(lib[ti].R) < 0 {
-						b.Fatal("empty list")
-					}
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("k%d/hullwalk", k), func(b *testing.B) {
-			l := candidate.SoAFromPairs(pairs)
-			h := &candidate.Hull{}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.Reset()
-				l.AppendHullInto(h)
-				p := 0
-				for _, ti := range orderR {
-					p = h.Walk(p, lib[ti].R)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationBetaInsert compares the paper's single-pass O(k+b) beta
-// merge (Theorem 2) with Lillis-style per-beta O(k) insertion.
-func BenchmarkAblationBetaInsert(b *testing.B) {
-	for _, k := range []int{256, 4096} {
-		pairs := syntheticList(k)
-		betas := syntheticBetas(64, pairs[k-1].C)
-		b.Run(fmt.Sprintf("k%d/mergebetas", k), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				l := candidate.SoAFromPairs(pairs)
-				l.MergeBetas(betas)
-			}
-		})
-		b.Run(fmt.Sprintf("k%d/insertone", k), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				l := candidate.SoAFromPairs(pairs)
-				for j := range betas {
-					l.InsertOne(betas[j].Q, betas[j].C, 0)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkCostSlack measures the cost–slack Pareto extension
 // (internal/costopt): one candidate list per reachable cost level, the
 // paper's hull walk within each level, on a random 16-sink net with a
@@ -228,33 +163,4 @@ func BenchmarkEvaluate(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// syntheticList builds a deterministic strictly increasing (Q, C) set with
-// a mildly concave profile plus noise, so hulls are nontrivial.
-func syntheticList(k int) []candidate.Pair {
-	rng := rand.New(rand.NewSource(int64(k)))
-	pairs := make([]candidate.Pair, k)
-	q, c := 0.0, 0.0
-	for i := range pairs {
-		q += 0.1 + rng.Float64()*10/float64(1+i/8)
-		c += 0.1 + rng.Float64()
-		pairs[i] = candidate.Pair{Q: q, C: c}
-	}
-	return pairs
-}
-
-// syntheticBetas spreads nb buffered candidates across the list's full
-// capacitance range (cmax), so per-beta insertion depth matches a library
-// whose input capacitances interleave with the whole candidate set.
-func syntheticBetas(nb int, cmax float64) []candidate.Beta {
-	rng := rand.New(rand.NewSource(int64(nb) * 7))
-	betas := make([]candidate.Beta, nb)
-	q, c := 5.0, 0.5
-	for i := range betas {
-		betas[i] = candidate.Beta{Q: q, C: c}
-		q += 0.2 + rng.Float64()*8
-		c += cmax / float64(nb) * (0.5 + rng.Float64())
-	}
-	return betas
 }

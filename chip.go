@@ -152,14 +152,13 @@ func (s *Solver) SolveChip(ctx context.Context, inst *ChipInstance) (*ChipResult
 		}
 	}
 	res, err := chip.Solve(ctx, inst, s.cfg.Library, chip.Config{
-		Rounds:          s.chip.rounds,
-		Step:            s.chip.step,
-		StepDecay:       s.chip.decay,
-		HistoryStep:     s.chip.history,
-		Capacity:        s.chip.capacity,
-		Workers:         s.workers,
-		CheckInvariants: s.cfg.CheckInvariants,
-		OnRound:         s.chip.onRound,
+		Rounds:      s.chip.rounds,
+		Step:        s.chip.step,
+		StepDecay:   s.chip.decay,
+		HistoryStep: s.chip.history,
+		Capacity:    s.chip.capacity,
+		Workers:     s.workers,
+		OnRound:     s.chip.onRound,
 	})
 	if res != nil {
 		for i := range res.Placements {

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"bufferkit/internal/bruteforce"
+	"bufferkit/internal/core"
 	"bufferkit/internal/netgen"
 	"bufferkit/internal/testutil"
 	"bufferkit/internal/tree"
@@ -73,12 +74,7 @@ func TestDifferentialCorpus(t *testing.T) {
 					t.Fatalf("seed %d: bruteforce: %v", seed, err)
 				}
 
-				solver, err := NewSolver(WithLibrary(cfg.lib), WithDriver(drv), WithCheckInvariants(true))
-				if err != nil {
-					t.Fatalf("seed %d: NewSolver: %v", seed, err)
-				}
-				res, err := solver.Run(context.Background(), tr)
-				solver.Close()
+				res, err := core.Insert(tr, cfg.lib, core.Options{Driver: drv, CheckInvariants: true})
 
 				if !brute.Feasible {
 					infeasible++

@@ -54,11 +54,13 @@ func pairsEqual(t *testing.T, got, want []Pair, what string) {
 	}
 }
 
-// hullPairs returns the concave majorant of l as pairs, via HullIdx.
+// hullPairs returns the concave majorant of l as pairs, via AppendHullInto.
 func hullPairs(l *SoAList) []Pair {
-	var out []Pair
-	for _, i := range l.HullIdx() {
-		out = append(out, l.At(i))
+	h := &Hull{}
+	l.AppendHullInto(h)
+	out := make([]Pair, h.Len())
+	for i := range out {
+		out[i] = Pair{h.Q[i], h.C[i]}
 	}
 	return out
 }
@@ -254,15 +256,15 @@ func TestHullKeepsBestForAnyR(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for iter := 0; iter < 200; iter++ {
 		l := randList(rng, 40)
-		inHull := map[int]bool{}
-		for _, i := range l.HullIdx() {
-			inHull[i] = true
+		inHull := map[Pair]bool{}
+		for _, p := range hullPairs(l) {
+			inHull[p] = true
 		}
 		for trial := 0; trial < 20; trial++ {
 			r := rng.Float64() * 20
-			best := l.BestForR(r)
-			if !inHull[best] {
-				t.Fatalf("iter %d: best for R=%g at %v was convex-pruned", iter, r, l.At(best))
+			q, c, _, _ := l.Best(r)
+			if best := (Pair{q, c}); !inHull[best] {
+				t.Fatalf("iter %d: best for R=%g at %v was convex-pruned", iter, r, best)
 			}
 		}
 	}
@@ -288,8 +290,8 @@ func TestHullWalkMatchesLinearScan(t *testing.T) {
 		prevC := math.Inf(-1)
 		for _, r := range rs {
 			p = h.Walk(p, r)
-			want := l.At(l.BestForR(r))
-			if h.Q[p] != want.Q || h.C[p] != want.C {
+			q, c, _, _ := l.Best(r)
+			if want := (Pair{q, c}); h.Q[p] != want.Q || h.C[p] != want.C {
 				t.Fatalf("iter %d: walk found (%g,%g) for R=%g, scan found %v",
 					iter, h.Q[p], h.C[p], r, want)
 			}

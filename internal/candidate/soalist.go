@@ -70,13 +70,6 @@ func (h *Hull) Walk(p int, r float64) int {
 	return p
 }
 
-// leftTurnQC reports whether the middle point b lies strictly above the
-// chord a→c in the (C, Q) plane, i.e. slope(a→b) > slope(b→c). Points
-// violating this (Eq. 2 of the paper) are off the concave majorant.
-func leftTurnQC(aq, ac, bq, bc, cq, cc float64) bool {
-	return (bq-aq)*(cc-bc) > (cq-bq)*(bc-ac)
-}
-
 // NewSoASink returns a single-candidate SoA list for a sink with RAT q and
 // load c, recording its base-case decision in the arena.
 func (ar *Arena) NewSoASink(q, c float64, vertex int) *SoAList {
@@ -84,24 +77,6 @@ func (ar *Arena) NewSoASink(q, c float64, vertex int) *SoAList {
 	l.q = append(l.q, q)
 	l.c = append(l.c, c)
 	l.dec = append(l.dec, ar.SinkDec(vertex))
-	return l
-}
-
-// SoAFromPairs builds an arena-less SoA list from pairs that must already be
-// strictly increasing in Q and C (panics otherwise); primarily for tests and
-// the data-structure benchmarks.
-func SoAFromPairs(ps []Pair) *SoAList {
-	l := &SoAList{
-		q:   make([]float64, len(ps)),
-		c:   make([]float64, len(ps)),
-		dec: make([]DecRef, len(ps)),
-	}
-	for i, p := range ps {
-		if i > 0 && (p.Q <= ps[i-1].Q || p.C <= ps[i-1].C) {
-			panic("candidate: SoAFromPairs input not strictly increasing")
-		}
-		l.q[i], l.c[i] = p.Q, p.C
-	}
 	return l
 }
 
@@ -116,15 +91,6 @@ func (l *SoAList) At(i int) Pair { return Pair{l.q[i], l.c[i]} }
 
 // DecAt returns the decision reference of candidate i.
 func (l *SoAList) DecAt(i int) DecRef { return l.dec[i] }
-
-// Pairs returns the candidates as a slice of pairs, front to back.
-func (l *SoAList) Pairs() []Pair {
-	out := make([]Pair, len(l.q))
-	for i := range out {
-		out[i] = Pair{l.q[i], l.c[i]}
-	}
-	return out
-}
 
 // Recycle empties the list, keeping its slab capacity for reuse.
 func (l *SoAList) Recycle() {
@@ -348,11 +314,11 @@ func (l *SoAList) swap(nq, nc []float64, nd []DecRef) {
 	l.dec, l.dec2 = nd, l.dec[:0]
 }
 
-// BestForR returns the index of the candidate maximizing Q − r·C by full
-// linear scan, breaking ties toward minimum C, or -1 on an empty list.
-func (l *SoAList) BestForR(r float64) int {
+// Best returns the candidate maximizing Q − r·C by full linear scan,
+// breaking ties toward minimum C. ok is false on an empty list.
+func (l *SoAList) Best(r float64) (q, c float64, dec DecRef, ok bool) {
 	if len(l.q) == 0 {
-		return -1
+		return 0, 0, 0, false
 	}
 	best, bv := 0, l.q[0]-r*l.c[0]
 	for i := 1; i < len(l.q); i++ {
@@ -360,17 +326,7 @@ func (l *SoAList) BestForR(r float64) int {
 			best, bv = i, v
 		}
 	}
-	return best
-}
-
-// Best is BestForR returning the candidate's values. ok is false on an
-// empty list.
-func (l *SoAList) Best(r float64) (q, c float64, dec DecRef, ok bool) {
-	i := l.BestForR(r)
-	if i < 0 {
-		return 0, 0, 0, false
-	}
-	return l.q[i], l.c[i], l.dec[i], true
+	return l.q[best], l.c[best], l.dec[best], true
 }
 
 // AppendHullInto appends the concave majorant to h without modifying the
@@ -417,23 +373,6 @@ func (l *SoAList) HullDec(h *Hull, p, hint int) (DecRef, int) {
 		i++
 	}
 	return l.dec[i], i
-}
-
-// HullIdx returns the indices of the concave majorant (Graham's scan);
-// primarily for tests.
-func (l *SoAList) HullIdx() []int {
-	hull := make([]int, 0, len(l.q))
-	for i := range l.q {
-		for len(hull) >= 2 {
-			a, b := hull[len(hull)-2], hull[len(hull)-1]
-			if leftTurnQC(l.q[a], l.c[a], l.q[b], l.c[b], l.q[i], l.c[i]) {
-				break
-			}
-			hull = hull[:len(hull)-1]
-		}
-		hull = append(hull, i)
-	}
-	return hull
 }
 
 // Validate checks the list invariants: strictly increasing Q and C, finite

@@ -67,7 +67,7 @@ func tieList(rng *rand.Rand, ar *Arena, maxLen int) (*SoAList, []Pair) {
 	return l, ps
 }
 
-// TestSoAHullMatchesBruteForce holds both hull builders to refHull on
+// TestSoAHullMatchesBruteForce holds AppendHullInto to refHull on
 // tie-heavy lists, and HullDec to the decision of the candidate each hull
 // point came from.
 func TestSoAHullMatchesBruteForce(t *testing.T) {
@@ -78,9 +78,6 @@ func TestSoAHullMatchesBruteForce(t *testing.T) {
 		ar.Reset()
 		l, ps := tieList(rng, ar, 12)
 		want := refHull(ps)
-		if got := l.HullIdx(); !equalInts(got, want) {
-			t.Fatalf("iter %d: HullIdx %v, want %v on %v", iter, got, want, ps)
-		}
 		h.Reset()
 		l.AppendHullInto(h)
 		if h.Len() != len(want) {
@@ -100,7 +97,7 @@ func TestSoAHullMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestSoABestMatchesBruteForce holds BestForR, Best and the monotone hull
+// TestSoABestMatchesBruteForce holds Best and the monotone hull
 // walk to refArgmax on tie-heavy lists with dyadic resistances, so ties
 // in Q − r·C must break toward the smaller C everywhere.
 func TestSoABestMatchesBruteForce(t *testing.T) {
@@ -120,9 +117,6 @@ func TestSoABestMatchesBruteForce(t *testing.T) {
 		p := 0
 		for _, r := range rs {
 			want := refArgmax(ps, r)
-			if got := l.BestForR(r); got != want {
-				t.Fatalf("iter %d r=%g: BestForR %d, want %d on %v", iter, r, got, want, ps)
-			}
 			q, c, dec, ok := l.Best(r)
 			if !ok || q != ps[want].Q || c != ps[want].C || dec != l.DecAt(want) {
 				t.Fatalf("iter %d r=%g: Best (%g,%g,%d,%v), want %v dec %d", iter, r, q, c, dec, ok, ps[want], l.DecAt(want))
@@ -176,20 +170,9 @@ func TestRemoveDominatedMatchesReference(t *testing.T) {
 	}
 }
 
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestSoAListBestForRMatches holds BestForR to refArgmax on continuous
-// random lists, where exact ties are rare and the scan order matters.
+// TestSoAListBestForRMatches holds Best, for each driving resistance r, to
+// refArgmax on continuous random lists, where exact ties are rare and the
+// scan order matters.
 func TestSoAListBestForRMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for iter := 0; iter < 200; iter++ {
@@ -197,8 +180,9 @@ func TestSoAListBestForRMatches(t *testing.T) {
 		ps := l.Pairs()
 		for trial := 0; trial < 10; trial++ {
 			r := rng.Float64() * 10
-			if got, want := l.BestForR(r), refArgmax(ps, r); got != want {
-				t.Fatalf("iter %d r=%g: BestForR %d, want %d", iter, r, got, want)
+			want := ps[refArgmax(ps, r)]
+			if q, c, _, ok := l.Best(r); !ok || q != want.Q || c != want.C {
+				t.Fatalf("iter %d r=%g: Best (%g,%g,%v), want %v", iter, r, q, c, ok, want)
 			}
 		}
 	}
@@ -253,9 +237,6 @@ func TestSoAListBasics(t *testing.T) {
 	}
 	if dec := ar.Decision(s.DecAt(0)); dec.Vertex != 3 || dec.Kind != DecSink {
 		t.Fatalf("decision wrong: %+v", dec)
-	}
-	if (&SoAList{}).BestForR(1) != -1 {
-		t.Fatal("empty BestForR must return -1")
 	}
 	if _, _, _, ok := (&SoAList{}).Best(1); ok {
 		t.Fatal("empty Best must report !ok")
@@ -355,4 +336,30 @@ func TestSoAListTieHeavyMatchesReference(t *testing.T) {
 			pairsEqual(t, l.Pairs(), want, what)
 		}
 	}
+}
+
+// SoAFromPairs builds an arena-less SoA list from pairs that must already be
+// strictly increasing in Q and C (panics otherwise).
+func SoAFromPairs(ps []Pair) *SoAList {
+	l := &SoAList{
+		q:   make([]float64, len(ps)),
+		c:   make([]float64, len(ps)),
+		dec: make([]DecRef, len(ps)),
+	}
+	for i, p := range ps {
+		if i > 0 && (p.Q <= ps[i-1].Q || p.C <= ps[i-1].C) {
+			panic("candidate: SoAFromPairs input not strictly increasing")
+		}
+		l.q[i], l.c[i] = p.Q, p.C
+	}
+	return l
+}
+
+// Pairs returns the candidates as a slice of pairs, front to back.
+func (l *SoAList) Pairs() []Pair {
+	out := make([]Pair, len(l.q))
+	for i := range out {
+		out[i] = Pair{l.q[i], l.c[i]}
+	}
+	return out
 }

@@ -40,9 +40,6 @@ type Config struct {
 	// Workers caps the per-round solve concurrency; 0 or negative means
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// CheckInvariants enables per-operation candidate-list validation in
-	// every oracle run (for tests; roughly doubles runtime).
-	CheckInvariants bool
 	// OnRound, when non-nil, is called with each round's convergence
 	// record as soon as the round completes, from the coordinating
 	// goroutine — the server streams these as NDJSON.
@@ -235,10 +232,7 @@ func Solve(ctx context.Context, inst *Instance, lib library.Library, cfg Config)
 		net := &inst.Nets[i]
 		st.net = net
 		st.pen = make([]float64, net.Tree.Len())
-		sess, err := core.NewSession(net.Tree, lib, core.Options{
-			Driver:          net.Driver,
-			CheckInvariants: cfg.CheckInvariants,
-		})
+		sess, err := core.NewSession(net.Tree, lib, core.Options{Driver: net.Driver})
 		if err != nil {
 			return nil, fmt.Errorf("chip: net %d (%q): %w", i, net.Name, err)
 		}

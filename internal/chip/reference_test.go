@@ -44,8 +44,8 @@ type refSolver struct {
 	opt core.Options
 }
 
-func newRefSolver(cfg *Config) *refSolver {
-	return &refSolver{eng: core.NewEngine(), opt: core.Options{CheckInvariants: cfg.CheckInvariants}}
+func newRefSolver() *refSolver {
+	return &refSolver{eng: core.NewEngine()}
 }
 
 // solve runs the priced oracle on one net: prices folded in through
@@ -143,7 +143,7 @@ func refSolve(ctx context.Context, inst *Instance, lib library.Library, cfg Conf
 		for w := 0; w < workers; w++ {
 			go func() {
 				defer wg.Done()
-				sv := newRefSolver(&cfg)
+				sv := newRefSolver()
 				for {
 					i := int(next.Add(1)) - 1
 					if i >= nnets || ctx.Err() != nil {
@@ -266,7 +266,7 @@ func refObserve(states []refState, caps []int, prices []float64, usage []int) Ro
 // re-solve every net occupying an overfull site from scratch, with the
 // sites saturated by the other nets masked out of its scratch tree.
 func refRepair(ctx context.Context, states []refState, lib library.Library, caps []int, prices []float64, usage []int, cfg *Config) (Round, error) {
-	sv := newRefSolver(cfg)
+	sv := newRefSolver()
 	rec := Round{Repair: true}
 	for i := range states {
 		st := &states[i]

@@ -95,14 +95,6 @@ type Stats struct {
 	ArenaBytes int
 }
 
-// SameCounters reports whether two runs performed identical DP work:
-// every counter equal, ignoring ArenaBytes — the footprint depends on slab
-// warmth, not on the work performed.
-func (s Stats) SameCounters(o Stats) bool {
-	s.ArenaBytes, o.ArenaBytes = 0, 0
-	return s == o
-}
-
 // Result is the outcome of a run.
 type Result struct {
 	// Slack is the optimal slack at the driver input, in ps.

@@ -42,7 +42,8 @@ type EdgeDelta struct {
 // optionally, restricts the library types allowed there (nil Allowed =
 // every type).
 type BufferDelta struct {
-	// Vertex indexes a non-sink vertex in the session's tree.
+	// Vertex indexes an internal vertex in the session's tree: neither a
+	// sink nor the source, which is the driver.
 	Vertex int
 	// OK is the new BufferOK flag.
 	OK bool
@@ -184,13 +185,10 @@ func (s *Session) PatchBufferOK(vertex int, ok bool) error {
 	if s.closed {
 		return solvererr.Validation("core", "session", "session is closed")
 	}
-	if vertex < 0 || vertex >= s.t.Len() {
-		return solvererr.Validation("core", "delta", "buffer delta vertex %d out of range [0, %d)", vertex, s.t.Len())
+	if err := (BufferDelta{Vertex: vertex}).validate(s); err != nil {
+		return err
 	}
 	v := &s.t.Verts[vertex]
-	if v.Kind == tree.Sink {
-		return solvererr.Validation("core", "delta", "buffer delta targets a sink").AtVertex(vertex)
-	}
 	if v.BufferOK == ok {
 		return nil
 	}
@@ -313,8 +311,12 @@ func (d BufferDelta) validate(s *Session) error {
 	if d.Vertex < 0 || d.Vertex >= s.t.Len() {
 		return solvererr.Validation("core", "delta", "buffer delta vertex %d out of range [0, %d)", d.Vertex, s.t.Len())
 	}
-	if s.t.Verts[d.Vertex].Kind == tree.Sink {
+	// In the paper the source is the driver, not a buffer position.
+	switch s.t.Verts[d.Vertex].Kind {
+	case tree.Sink:
 		return solvererr.Validation("core", "delta", "buffer delta targets a sink").AtVertex(d.Vertex)
+	case tree.Source:
+		return solvererr.Validation("core", "delta", "buffer delta targets the source, which is the driver, not a buffer position").AtVertex(d.Vertex)
 	}
 	for _, ti := range d.Allowed {
 		if ti < 0 || ti >= len(s.lib) {

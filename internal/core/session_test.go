@@ -10,30 +10,33 @@ import (
 	"bufferkit/internal/library"
 	"bufferkit/internal/netgen"
 	"bufferkit/internal/solvererr"
+	"bufferkit/internal/testutil"
 	"bufferkit/internal/tree"
 )
 
-// randomDelta draws one typed delta against tr; deltas are valid by
-// construction (values in range) though they may make the instance
-// infeasible, which the session must report exactly like a cold run.
+// randomDelta draws one typed delta against tr. Values are in range, so
+// every delta is valid except a buffer delta on the source (vertex 0, drawn
+// with the other non-sink vertices), which the session must reject. Valid
+// deltas may still make the instance infeasible, which the session must
+// report exactly like a cold run.
 func randomDelta(rng *rand.Rand, tr *tree.Tree, libSize int) Delta {
-	var sinks, inner []int
+	var sinks, nonSinks []int
 	for v := range tr.Verts {
 		if tr.Verts[v].Kind == tree.Sink {
 			sinks = append(sinks, v)
-		} else if v != 0 {
-			inner = append(inner, v)
+		} else {
+			nonSinks = append(nonSinks, v)
 		}
 	}
-	switch k := rng.Intn(4); {
-	case k == 0 || len(inner) == 0:
+	switch k := rng.Intn(4); k {
+	case 0:
 		v := sinks[rng.Intn(len(sinks))]
 		return SinkDelta{Vertex: v, RAT: 40 * rng.Float64(), Cap: 0.5 + 4*rng.Float64()}
-	case k == 1:
+	case 1:
 		v := 1 + rng.Intn(tr.Len()-1)
 		return EdgeDelta{Vertex: v, R: 0.5 * rng.Float64(), C: 5 * rng.Float64()}
-	case k == 2:
-		v := inner[rng.Intn(len(inner))]
+	case 2:
+		v := nonSinks[rng.Intn(len(nonSinks))]
 		var allowed []int
 		if rng.Intn(3) == 0 {
 			allowed = []int{rng.Intn(libSize)}
@@ -85,6 +88,18 @@ func checkSessionVsCold(t *testing.T, s *Session, drv delay.Driver, lib library.
 				label, v, got.Placement[v], want.Placement[v])
 		}
 	}
+	// The cold run shares the engine, so it cannot catch a placement the
+	// engine scores wrongly; the Elmore oracle can. Site penalties only
+	// lower the reported slack below the placement's true slack.
+	for _, p := range s.Penalty() {
+		if p != 0 {
+			if r, err := delay.Evaluate(s.Tree(), lib, got.Placement, drv); err != nil || r.Slack < got.Slack-testutil.Tol {
+				t.Fatalf("%s: penalized slack %.12g above the oracle's %+v (err %v)", label, got.Slack, r, err)
+			}
+			return
+		}
+	}
+	testutil.CheckPlacement(t, s.Tree(), lib, got.Placement, drv, got.Slack, label)
 }
 
 // applyDelta patches d into s, half the time (by via) through the unboxed
@@ -119,7 +134,13 @@ func TestSessionMatchesColdRunUnderRandomPatches(t *testing.T) {
 		checkSessionVsCold(t, s, drv, lib, "initial")
 		for step := 0; step < 8; step++ {
 			d := randomDelta(rng, s.Tree(), len(lib))
-			if err := applyDelta(s, d, via); err != nil {
+			err := applyDelta(s, d, via)
+			if bd, ok := d.(BufferDelta); ok && bd.Vertex == 0 {
+				var verr *solvererr.ValidationError
+				if !errors.As(err, &verr) || verr.Field != "delta" || verr.Vertex != 0 {
+					t.Fatalf("seed %d step %d: buffer delta on the source: got %v, want a delta ValidationError at vertex 0", seed, step, err)
+				}
+			} else if err != nil {
 				t.Fatalf("seed %d step %d: patch: %v", seed, step, err)
 			}
 			checkSessionVsCold(t, s, drv, lib, "patched")

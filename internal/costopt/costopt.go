@@ -29,9 +29,6 @@ type Options struct {
 	Driver delay.Driver
 	// MaxCost caps the total buffer cost considered; 0 means unlimited.
 	MaxCost int
-	// NoCrossLevelPrune disables pruning candidates dominated by cheaper
-	// levels. Pruning is exact; the switch exists for tests and ablation.
-	NoCrossLevelPrune bool
 }
 
 // Point is one nondominated (cost, slack) solution.
@@ -128,9 +125,7 @@ func (e *engine) run() ([]Point, error) {
 		if vert.BufferOK {
 			e.addBuffer(v, acc, vert.Allowed)
 		}
-		if !e.opt.NoCrossLevelPrune {
-			e.crossLevelPrune(acc)
-		}
+		e.crossLevelPrune(acc)
 		lists[v] = acc
 	}
 

@@ -42,52 +42,31 @@ func checkFrontier(t *testing.T, pts []Point, tr *tree.Tree, lib library.Library
 	}
 }
 
+// TestMatchesBruteForceParetoOnRandomSmallNets holds the pruned DP,
+// cross-level pruning included, to the exhaustive frontier.
 func TestMatchesBruteForceParetoOnRandomSmallNets(t *testing.T) {
 	lib := costLib()
-	drv := delay.Driver{R: 0.4, K: 3}
-	for seed := int64(0); seed < 40; seed++ {
-		tr := netgen.RandomSmall(seed, 4, 0)
-		want, err := bruteforce.Pareto(tr, lib, drv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Pareto(tr, lib, Options{Driver: drv})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: frontier sizes %d vs %d\ngot %+v\nwant %+v", seed, len(got), len(want), got, want)
-		}
-		for i := range want {
-			if got[i].Cost != want[i].Cost || !testutil.AlmostEqual(got[i].Slack, want[i].Slack) {
-				t.Fatalf("seed %d point %d: got (%d, %.12g), want (%d, %.12g)",
-					seed, i, got[i].Cost, got[i].Slack, want[i].Cost, want[i].Slack)
+	for _, drv := range []delay.Driver{{R: 0.4, K: 3}, {R: 0.5}} {
+		for seed := int64(0); seed < 40; seed++ {
+			tr := netgen.RandomSmall(seed, 4, 0)
+			want, err := bruteforce.Pareto(tr, lib, drv)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		checkFrontier(t, got, tr, lib, drv, "pareto")
-	}
-}
-
-func TestCrossLevelPruneDoesNotChangeFrontier(t *testing.T) {
-	lib := costLib()
-	drv := delay.Driver{R: 0.5}
-	for seed := int64(0); seed < 20; seed++ {
-		tr := netgen.RandomSmall(seed, 4, 0)
-		a, err := Pareto(tr, lib, Options{Driver: drv})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Pareto(tr, lib, Options{Driver: drv, NoCrossLevelPrune: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a) != len(b) {
-			t.Fatalf("seed %d: %d vs %d points", seed, len(a), len(b))
-		}
-		for i := range a {
-			if a[i].Cost != b[i].Cost || !testutil.AlmostEqual(a[i].Slack, b[i].Slack) {
-				t.Fatalf("seed %d point %d differs: %+v vs %+v", seed, i, a[i], b[i])
+			got, err := Pareto(tr, lib, Options{Driver: drv})
+			if err != nil {
+				t.Fatal(err)
 			}
+			if len(got) != len(want) {
+				t.Fatalf("driver %+v seed %d: frontier sizes %d vs %d\ngot %+v\nwant %+v", drv, seed, len(got), len(want), got, want)
+			}
+			for i := range want {
+				if got[i].Cost != want[i].Cost || !testutil.AlmostEqual(got[i].Slack, want[i].Slack) {
+					t.Fatalf("driver %+v seed %d point %d: got (%d, %.12g), want (%d, %.12g)",
+						drv, seed, i, got[i].Cost, got[i].Slack, want[i].Cost, want[i].Slack)
+				}
+			}
+			checkFrontier(t, got, tr, lib, drv, "pareto")
 		}
 	}
 }

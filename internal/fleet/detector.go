@@ -35,38 +35,18 @@ func (s State) String() string {
 	return "unknown"
 }
 
-// DetectorConfig tunes the failure detector. Zero values take defaults.
-type DetectorConfig struct {
-	// SuspectPhi and DeadPhi are the suspicion thresholds (defaults 2, 8).
-	SuspectPhi float64
-	DeadPhi    float64
-	// FailuresToDead marks a peer dead after this many consecutive
-	// reported failures regardless of timing (default 3).
-	FailuresToDead int
-	// MinInterval floors the expected heartbeat interval so one fast
-	// probe burst cannot make the detector hair-triggered (default 100ms).
-	MinInterval time.Duration
-	// Now is the clock (tests inject a fake; default time.Now).
-	Now func() time.Time
-}
-
-func (c *DetectorConfig) fill() {
-	if c.SuspectPhi <= 0 {
-		c.SuspectPhi = 2
-	}
-	if c.DeadPhi <= c.SuspectPhi {
-		c.DeadPhi = max(8, c.SuspectPhi*2)
-	}
-	if c.FailuresToDead <= 0 {
-		c.FailuresToDead = 3
-	}
-	if c.MinInterval <= 0 {
-		c.MinInterval = 100 * time.Millisecond
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-}
+// Failure-detector thresholds.
+const (
+	// suspectPhi and deadPhi are the suspicion thresholds.
+	suspectPhi = 2
+	deadPhi    = 8
+	// failuresToDead marks a peer dead after this many consecutive
+	// reported failures regardless of timing.
+	failuresToDead = 3
+	// minInterval floors the expected heartbeat interval so one fast
+	// probe burst cannot make the detector hair-triggered.
+	minInterval = 100 * time.Millisecond
+)
 
 // Detector is a phi-accrual-style failure detector: rather than a binary
 // timeout, it accrues a continuous suspicion level per peer from the
@@ -77,16 +57,16 @@ func (c *DetectorConfig) fill() {
 //
 //	phi = elapsed / (mean + 4*stddev)
 //
-// phi < SuspectPhi is Alive, phi >= DeadPhi is Dead, in between is
+// phi < suspectPhi is Alive, phi >= deadPhi is Dead, in between is
 // Suspect. Reported request failures bias the verdict immediately: one
-// failure demotes to at least Suspect, FailuresToDead consecutive ones to
+// failure demotes to at least Suspect, failuresToDead consecutive ones to
 // Dead — a refused connection should not wait out a probe interval. Any
 // success resurrects the peer instantly; there is no quarantine, because
 // the caller re-probes on its own schedule.
 //
 // All methods are safe for concurrent use.
 type Detector struct {
-	cfg DetectorConfig
+	now func() time.Time // the clock; tests inject a fake
 
 	mu    sync.Mutex
 	peers map[string]*peerHealth
@@ -101,16 +81,16 @@ type peerHealth struct {
 	fails      int // consecutive failures since the last success
 }
 
-// NewDetector builds a detector for the given peers.
-func NewDetector(peers []string, cfg DetectorConfig) *Detector {
-	cfg.fill()
-	d := &Detector{cfg: cfg, peers: make(map[string]*peerHealth, len(peers))}
-	now := cfg.Now()
+// NewDetector builds a detector for the given peers, reading time from now
+// (time.Now in production).
+func NewDetector(peers []string, now func() time.Time) *Detector {
+	d := &Detector{now: now, peers: make(map[string]*peerHealth, len(peers))}
+	start := now()
 	for _, p := range peers {
 		// Start optimistic: a fresh peer is Alive with "last success now",
 		// so a cold fleet routes normally and the first probe round settles
 		// the truth.
-		d.peers[p] = &peerHealth{lastOK: now}
+		d.peers[p] = &peerHealth{lastOK: start}
 	}
 	return d
 }
@@ -124,7 +104,7 @@ func (d *Detector) ReportSuccess(peer string) {
 	if !ok {
 		return
 	}
-	now := d.cfg.Now()
+	now := d.now()
 	dt := float64(now.Sub(h.lastOK))
 	if h.seen == 0 {
 		h.mean = dt
@@ -162,14 +142,14 @@ func (d *Detector) State(peer string) State {
 }
 
 func (d *Detector) stateLocked(h *peerHealth) State {
-	if h.fails >= d.cfg.FailuresToDead {
+	if h.fails >= failuresToDead {
 		return Dead
 	}
 	phi := d.phiLocked(h)
 	switch {
-	case phi >= d.cfg.DeadPhi:
+	case phi >= deadPhi:
 		return Dead
-	case phi >= d.cfg.SuspectPhi || h.fails > 0:
+	case phi >= suspectPhi || h.fails > 0:
 		return Suspect
 	}
 	return Alive
@@ -177,9 +157,9 @@ func (d *Detector) stateLocked(h *peerHealth) State {
 
 // phiLocked computes the suspicion level for h.
 func (d *Detector) phiLocked(h *peerHealth) float64 {
-	elapsed := float64(d.cfg.Now().Sub(h.lastOK))
+	elapsed := float64(d.now().Sub(h.lastOK))
 	expected := h.mean + 4*math.Sqrt(h.vari)
-	expected = math.Max(expected, float64(d.cfg.MinInterval))
+	expected = math.Max(expected, float64(minInterval))
 	return elapsed / expected
 }
 

@@ -11,6 +11,15 @@ import (
 	"bufferkit/internal/resilience"
 )
 
+// The hedge budget is the same resilience.TokenBudget as the client's retry
+// budget: each forward earns hedgeRatio hedge tokens (capped at hedgeBurst)
+// and each hedge spends one, so a uniformly slow fleet degrades to plain
+// forwarding instead of doubling its own load.
+const (
+	hedgeRatio = 0.1
+	hedgeBurst = 10
+)
+
 // Config parameterizes a Fleet. Self and Peers are required; everything
 // else has production defaults.
 type Config struct {
@@ -33,15 +42,6 @@ type Config struct {
 	// (0 = 5 s). The actual sub-deadline is the smaller of this and most
 	// of the request's remaining budget.
 	ForwardTimeout time.Duration
-	// HedgeRatio/HedgeBurst bound hedge volume with the same
-	// resilience.TokenBudget as the client's retry budget: each forward earns HedgeRatio hedge tokens (capped at
-	// HedgeBurst) and each hedge spends one, so a uniformly slow fleet
-	// degrades to plain forwarding instead of doubling its own load
-	// (ratio 0 = default 0.1; ratio < 0 disables hedging).
-	HedgeRatio float64
-	HedgeBurst int
-	// Detector tunes the failure detector.
-	Detector DetectorConfig
 	// Transport is the HTTP transport for probes and forwards (nil =
 	// http.DefaultTransport). Chaos tests inject partitions here.
 	Transport http.RoundTripper
@@ -64,12 +64,6 @@ func (c *Config) fill() {
 	}
 	if c.ForwardTimeout <= 0 {
 		c.ForwardTimeout = 5 * time.Second
-	}
-	if c.HedgeRatio == 0 {
-		c.HedgeRatio = 0.1
-	}
-	if c.HedgeBurst <= 0 {
-		c.HedgeBurst = 10
 	}
 }
 
@@ -124,8 +118,8 @@ func New(cfg Config) (*Fleet, error) {
 	return &Fleet{
 		cfg:   cfg,
 		ring:  NewRing(cfg.Peers),
-		det:   NewDetector(others, cfg.Detector),
-		hedge: resilience.NewTokenBudget(cfg.HedgeRatio, cfg.HedgeBurst),
+		det:   NewDetector(others, time.Now),
+		hedge: resilience.NewTokenBudget(hedgeRatio, hedgeBurst),
 		stop:  make(chan struct{}),
 	}, nil
 }
@@ -178,20 +172,10 @@ func (f *Fleet) Route(key uint64) []string {
 
 // AllowHedge spends one hedge token; false means the budget is dry and
 // the caller should wait out the primary instead of racing it.
-func (f *Fleet) AllowHedge() bool {
-	if f.cfg.HedgeRatio < 0 {
-		return false
-	}
-	return f.hedge.Spend()
-}
+func (f *Fleet) AllowHedge() bool { return f.hedge.Spend() }
 
 // EarnHedge credits the hedge budget for one completed forward.
-func (f *Fleet) EarnHedge() {
-	if f.cfg.HedgeRatio <= 0 {
-		return
-	}
-	f.hedge.Earn()
-}
+func (f *Fleet) EarnHedge() { f.hedge.Earn() }
 
 // Start launches the probe loop: every ProbeInterval, probe is invoked
 // for each other member and its verdict feeds the failure detector. The

@@ -74,7 +74,7 @@ func TestRingBalanceAndMinimalMovement(t *testing.T) {
 func TestDetectorLifecycle(t *testing.T) {
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }
-	d := NewDetector([]string{"p"}, DetectorConfig{Now: clock})
+	d := NewDetector([]string{"p"}, clock)
 	// Steady heartbeats at 1 s: alive.
 	for i := 0; i < 10; i++ {
 		now = now.Add(time.Second)
@@ -101,7 +101,7 @@ func TestDetectorLifecycle(t *testing.T) {
 
 func TestDetectorConsecutiveFailures(t *testing.T) {
 	now := time.Unix(1000, 0)
-	d := NewDetector([]string{"p"}, DetectorConfig{Now: func() time.Time { return now }})
+	d := NewDetector([]string{"p"}, func() time.Time { return now })
 	d.ReportSuccess("p")
 	d.ReportFailure("p")
 	if got := d.State("p"); got != Suspect {
@@ -238,25 +238,27 @@ func TestHedgedAllFail(t *testing.T) {
 
 func TestHedgeBudget(t *testing.T) {
 	f, err := New(Config{
-		Self:       "http://a",
-		Peers:      []string{"http://a", "http://b"},
-		HedgeRatio: 0.5, HedgeBurst: 2,
+		Self:  "http://a",
+		Peers: []string{"http://a", "http://b"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 	got := 0
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 2*hedgeBurst; i++ {
 		if f.AllowHedge() {
 			got++
 		}
 	}
-	if got != 2 {
-		t.Fatalf("burst grants = %d, want 2", got)
+	if got != hedgeBurst {
+		t.Fatalf("burst grants = %d, want %d", got, hedgeBurst)
 	}
-	f.EarnHedge()
-	f.EarnHedge() // 2 forwards x 0.5 = 1 token
+	// 1/hedgeRatio forwards earn one token; one more absorbs the rounding
+	// of the repeated float sum.
+	for i := 0; i < int(1/hedgeRatio)+1; i++ {
+		f.EarnHedge()
+	}
 	if !f.AllowHedge() {
 		t.Fatal("earned token not granted")
 	}

@@ -66,20 +66,16 @@ func NewEngine() *Engine {
 // baseline (matching the paper's experimental setup); use internal/core for
 // polarity-aware insertion.
 func Insert(t *tree.Tree, lib library.Library, drv delay.Driver) (*Result, error) {
-	return NewEngine().Insert(t, lib, drv)
-}
-
-// Insert runs the baseline, reusing the engine's arena and scratch state.
-func (e *Engine) Insert(t *tree.Tree, lib library.Library, drv delay.Driver) (*Result, error) {
 	res := &Result{}
-	if err := e.Run(t, lib, drv, res); err != nil {
+	if err := NewEngine().Run(t, lib, drv, res); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// Run is Insert writing into a caller-owned Result, reusing res.Placement
-// when its capacity suffices. A warm engine runs allocation-free.
+// Run is Insert on a reused engine, writing into a caller-owned Result and
+// reusing res.Placement when its capacity suffices. A warm engine runs
+// allocation-free.
 func (e *Engine) Run(t *tree.Tree, lib library.Library, drv delay.Driver, res *Result) error {
 	return e.RunContext(context.Background(), t, lib, drv, res)
 }

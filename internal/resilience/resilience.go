@@ -42,14 +42,8 @@ type EWMA struct {
 	seen  bool
 }
 
-// NewEWMA returns an EWMA with the given smoothing factor in (0, 1];
-// alpha <= 0 defaults to 0.2 (each new sample contributes 20%).
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.2
-	}
-	return &EWMA{alpha: alpha}
-}
+// NewEWMA returns an EWMA with the given smoothing factor in (0, 1].
+func NewEWMA(alpha float64) *EWMA { return &EWMA{alpha: alpha} }
 
 // Observe folds one duration into the average.
 func (e *EWMA) Observe(d time.Duration) {
@@ -127,6 +121,10 @@ func (e *CanceledError) Error() string {
 
 func (e *CanceledError) Unwrap() error { return e.Err }
 
+// ewmaAlpha is the admission-latency average's smoothing factor: each new
+// sample contributes 20%.
+const ewmaAlpha = 0.2
+
 // Config parameterizes a Controller.
 type Config struct {
 	// Slots is the number of concurrently admitted requests (required > 0).
@@ -138,8 +136,6 @@ type Config struct {
 	// QueueTimeout caps the time one request may wait for admission;
 	// 0 = wait until the request's own context fires.
 	QueueTimeout time.Duration
-	// EWMAAlpha is the latency-average smoothing factor (0 = 0.2).
-	EWMAAlpha float64
 }
 
 // Counters is a point-in-time snapshot of the controller's statistics.
@@ -188,7 +184,7 @@ func NewController(cfg Config) *Controller {
 	return &Controller{
 		cfg:   cfg,
 		slots: make(chan struct{}, cfg.Slots),
-		ewma:  NewEWMA(cfg.EWMAAlpha),
+		ewma:  NewEWMA(ewmaAlpha),
 	}
 }
 

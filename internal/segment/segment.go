@@ -7,7 +7,6 @@ package segment
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"bufferkit/internal/tree"
@@ -60,20 +59,6 @@ func Split(t *tree.Tree, segs func(v int) int) (*tree.Tree, error) {
 // Uniform splits every edge into k segments.
 func Uniform(t *tree.Tree, k int) (*tree.Tree, error) {
 	return Split(t, func(int) int { return k })
-}
-
-// ByMaxCap splits every edge into the fewest equal segments whose
-// individual capacitance does not exceed capLimit (fF) — the Alpert–Devgan
-// style rule of bounding per-segment RC so that a buffer position exists
-// wherever one could profitably go. Edges already below the limit are
-// untouched.
-func ByMaxCap(t *tree.Tree, capLimit float64) (*tree.Tree, error) {
-	if capLimit <= 0 {
-		return nil, fmt.Errorf("segment: capLimit %g must be positive", capLimit)
-	}
-	return Split(t, func(v int) int {
-		return int(math.Ceil(t.Verts[v].EdgeC / capLimit))
-	})
 }
 
 // ToPositions segments edges proportionally to their capacitance (a proxy

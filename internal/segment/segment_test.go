@@ -177,61 +177,29 @@ func TestQuickToPositionsAlwaysValid(t *testing.T) {
 	}
 }
 
-func TestByMaxCapBoundsEverySegment(t *testing.T) {
-	base := netgen.Random(netgen.Opts{Sinks: 15, Seed: 4})
-	for _, limit := range []float64{5, 20, 1e9} {
-		seg, err := segment.ByMaxCap(base, limit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := seg.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		for i := 1; i < seg.Len(); i++ {
-			if seg.Verts[i].EdgeC > limit+1e-9 {
-				t.Fatalf("limit %g: segment cap %g exceeds it", limit, seg.Verts[i].EdgeC)
-			}
-		}
-		if math.Abs(seg.TotalWireCap()-base.TotalWireCap()) > 1e-9 {
-			t.Fatalf("limit %g: total wire cap changed", limit)
-		}
-	}
-	// A huge limit must be the identity shape.
-	seg, err := segment.ByMaxCap(base, 1e9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seg.Len() != base.Len() {
-		t.Fatalf("huge limit changed vertex count %d -> %d", base.Len(), seg.Len())
-	}
-}
-
-func TestByMaxCapRejectsNonPositive(t *testing.T) {
-	base := netgen.Random(netgen.Opts{Sinks: 3, Seed: 1})
-	if _, err := segment.ByMaxCap(base, 0); err == nil {
-		t.Fatal("accepted zero limit")
-	}
-}
-
-// TestByMaxCapImprovesSolution: finer buffer-position granularity can only
-// help the optimizer (more choices), never hurt.
-func TestByMaxCapImprovesSolution(t *testing.T) {
+// TestUniformMorePositionsNeverLowerSlack: finer buffer-position
+// granularity can only help the optimizer (more choices), never hurt. Each
+// split count refines the previous one, so every coarser position survives.
+func TestUniformMorePositionsNeverLowerSlack(t *testing.T) {
 	lib := library.Generate(8)
 	drv := delay.Driver{R: 0.3}
 	base := netgen.Random(netgen.Opts{Sinks: 8, Seed: 6})
-	coarse, err := core.Insert(base, lib, core.Options{Driver: drv})
+	prev, err := core.Insert(base, lib, core.Options{Driver: drv})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg, err := segment.ByMaxCap(base, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fine, err := core.Insert(seg, lib, core.Options{Driver: drv})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fine.Slack < coarse.Slack-1e-9 {
-		t.Fatalf("more positions reduced slack: %g -> %g", coarse.Slack, fine.Slack)
+	for _, k := range []int{2, 4, 8} {
+		seg, err := segment.Uniform(base, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fine, err := core.Insert(seg, lib, core.Options{Driver: drv})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fine.Slack < prev.Slack-1e-9 {
+			t.Fatalf("k=%d: more positions reduced slack: %g -> %g", k, prev.Slack, fine.Slack)
+		}
+		prev = fine
 	}
 }

@@ -271,6 +271,51 @@ func TestSessionErrors(t *testing.T) {
 	}
 }
 
+// TestSessionRejectsBufferPatchOnSource: the source is the driver, not a
+// buffer position. A buffer patch on it gets the typed 400 of the other
+// rejected buffer patches and writes no cache entry, and the net the
+// session then resolves has no buffer at the source. The strong driver
+// makes a buffer at the source attractive to an engine that would take it.
+func TestSessionRejectsBufferPatchOnSource(t *testing.T) {
+	defer checkNoGoroutineLeak(t)()
+	net := strings.Replace(readTestdata(t, "line.net"), "driver res 0.2 k 15", "driver res 2 k 15", 1)
+	lib := readTestdata(t, "lib8.buf")
+	h := New(Config{}).Handler()
+	rec := request(t, h, "PUT", "/v1/sessions/src", sessionRequest{Net: net, Library: lib})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("create: %d %s", rec.Code, rec.Body.String())
+	}
+	var created sessionResponse
+	decodeInto(t, rec, &created)
+
+	stores := metric(t, h, "cache_stores")
+	ok := true
+	rec = request(t, h, "PUT", "/v1/sessions/src", sessionRequest{Patches: []sessionPatch{
+		{Kind: "buffer", Vertex: "src", OK: &ok},
+	}})
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("buffer patch on source: %d %s", rec.Code, rec.Body.String())
+	}
+	var e errorResponse
+	decodeInto(t, rec, &e)
+	if e.Field != "delta" || e.Vertex == nil || *e.Vertex != 0 {
+		t.Fatalf("buffer patch on source: error %+v, want field delta at vertex 0", e)
+	}
+	if got := metric(t, h, "cache_stores"); got != stores {
+		t.Fatalf("rejected patch stored %d cache entries", got-stores)
+	}
+
+	rec = request(t, h, "PUT", "/v1/sessions/src", sessionRequest{})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("resolve after rejected patch: %d %s", rec.Code, rec.Body.String())
+	}
+	var after sessionResponse
+	decodeInto(t, rec, &after)
+	if _, buffered := after.Placement["src"]; buffered || after.Slack != created.Slack {
+		t.Fatalf("after rejected patch: slack %v placement %v, want the unpatched %v", after.Slack, after.Placement, created.Slack)
+	}
+}
+
 func TestSessionDelete(t *testing.T) {
 	defer checkNoGoroutineLeak(t)()
 	_, net, lib := sessionFixture(t)

@@ -355,6 +355,9 @@ func (t *Tree) finalize() error {
 			if i != 0 {
 				return fmt.Errorf("tree: vertex %d: extra source", i)
 			}
+			if v.BufferOK {
+				return errors.New("tree: the source is the driver and cannot be a buffer position")
+			}
 		case Sink:
 			if !t.IsLeaf(i) {
 				return fmt.Errorf("tree: sink %d has children", i)

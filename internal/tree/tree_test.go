@@ -81,6 +81,10 @@ func TestBuilderErrors(t *testing.T) {
 		{"negative cap", func(b *Builder) { b.AddSink(0, 0, 0, -2, 0) }, "negative capacitance"},
 		{"internal leaf", func(b *Builder) { b.AddInternal(0, 1, 1) }, "is a leaf"},
 		{"bare source", func(b *Builder) {}, "source has no children"},
+		{"buffered source", func(b *Builder) {
+			b.AddSink(0, 0, 0, 1, 0)
+			b.verts[0].BufferOK = true
+		}, "source is the driver"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -25,9 +25,6 @@ type Config struct {
 	Corners []Corner
 	// Driver is the (nominal) source driver; corners do not perturb it.
 	Driver delay.Driver
-	// CheckInvariants enables per-operation candidate-list validation in
-	// every per-corner engine run (for tests; roughly doubles runtime).
-	CheckInvariants bool
 	// Target is the slack threshold (ps) a sample must meet to count as
 	// yielding; 0 means "meets every sink's RAT exactly".
 	Target float64
@@ -243,7 +240,7 @@ func Sweep(ctx context.Context, t *tree.Tree, lib library.Library, cfg Config) (
 	}
 
 	n := len(cfg.Corners)
-	opt := core.Options{Driver: cfg.Driver, CheckInvariants: cfg.CheckInvariants}
+	opt := core.Options{Driver: cfg.Driver}
 	samples := make([]Sample, n)
 	plcs := make([]delay.Placement, n) // per-sample placement (worker-group storage, aliased)
 	errs := make([]error, n)

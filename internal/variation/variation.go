@@ -59,11 +59,6 @@ func Nominal() Corner {
 	return Corner{Name: "nominal", LibR: 1, LibK: 1, LibCin: 1, WireR: 1, WireC: 1}
 }
 
-// IsNominal reports whether every factor is exactly 1.
-func (c Corner) IsNominal() bool {
-	return c.LibR == 1 && c.LibK == 1 && c.LibCin == 1 && c.WireR == 1 && c.WireC == 1
-}
-
 // Validate checks that every factor is positive and finite. Failures are
 // *solvererr.ValidationError values naming the offending factor.
 func (c Corner) Validate() error {
@@ -144,14 +139,6 @@ type Sampler struct {
 	Params Params
 	// Seed seeds the generator.
 	Seed int64
-}
-
-// Corners draws the first n corners of the sampler's sequence, named
-// "mc0" … "mc<n-1>".
-func (s Sampler) Corners(n int) []Corner {
-	out := make([]Corner, n)
-	s.CornersInto(out)
-	return out
 }
 
 // CornersInto fills dst with the first len(dst) corners of the sequence.

@@ -347,3 +347,16 @@ func TestFixedSlackMatchesOracle(t *testing.T) {
 		}
 	}
 }
+
+// IsNominal reports whether every factor is exactly 1.
+func (c Corner) IsNominal() bool {
+	return c.LibR == 1 && c.LibK == 1 && c.LibCin == 1 && c.WireR == 1 && c.WireC == 1
+}
+
+// Corners draws the first n corners of the sampler's sequence, named
+// "mc0" … "mc<n-1>".
+func (s Sampler) Corners(n int) []Corner {
+	out := make([]Corner, n)
+	s.CornersInto(out)
+	return out
+}

@@ -18,7 +18,8 @@ type SinkDelta = core.SinkDelta
 type EdgeDelta = core.EdgeDelta
 
 // BufferDelta sets a vertex's buffer-position flag and optional per-vertex
-// allowed-type restriction.
+// allowed-type restriction. Only internal vertices take it: a sink or the
+// source (the driver) is a *ValidationError with Field "delta".
 type BufferDelta = core.BufferDelta
 
 // PenaltyDelta sets the per-vertex site-penalty vector (the chip
@@ -52,9 +53,8 @@ type Session struct {
 
 // NewSession opens an incremental ECO session on net t. Sessions run on
 // the core engine, so the solver's algorithm must be the paper's (the
-// default); the session follows the solver's library, driver and
-// invariant-checking configuration. Its engine is borrowed from the shared
-// engine pool and returned on Close.
+// default); the session follows the solver's library and driver. Its
+// engine is borrowed from the shared engine pool and returned on Close.
 func (s *Solver) NewSession(t *Tree) (*Session, error) {
 	if err := s.requireCore("ECO sessions"); err != nil {
 		return nil, err
@@ -62,10 +62,7 @@ func (s *Solver) NewSession(t *Tree) (*Session, error) {
 	if err := s.checkReducible(t); err != nil {
 		return nil, err
 	}
-	cs, err := core.NewSession(t, s.cfg.Library, core.Options{
-		Driver:          s.cfg.Driver,
-		CheckInvariants: s.cfg.CheckInvariants,
-	})
+	cs, err := core.NewSession(t, s.cfg.Library, core.Options{Driver: s.cfg.Driver})
 	if err != nil {
 		return nil, err
 	}

@@ -40,9 +40,6 @@ type RunConfig struct {
 	Driver Driver
 	// CollectStats asks the algorithm to fill NetResult.Stats.
 	CollectStats bool
-	// CheckInvariants enables per-operation list validation (AlgoNew
-	// only; for tests, roughly doubles runtime).
-	CheckInvariants bool
 	// MaxCost caps the total buffer cost (AlgoCostSlack only; 0 = no cap).
 	MaxCost int
 }
@@ -247,12 +244,6 @@ func WithStats(collect bool) Option {
 	return func(s *Solver) error { s.cfg.CollectStats = collect; return nil }
 }
 
-// WithCheckInvariants enables per-operation candidate-list validation in
-// AlgoNew (for tests; roughly doubles runtime).
-func WithCheckInvariants(check bool) Option {
-	return func(s *Solver) error { s.cfg.CheckInvariants = check; return nil }
-}
-
 // WithMaxCost caps the total buffer cost explored by AlgoCostSlack
 // (0 = unlimited). A negative cap is a *ValidationError.
 func WithMaxCost(max int) Option {
@@ -438,7 +429,7 @@ func (a *coreAlgo) Solve(ctx context.Context, t *Tree, cfg RunConfig) (*NetResul
 	if a.eng == nil {
 		a.eng = core.GetEngine()
 	}
-	opt := core.Options{Driver: cfg.Driver, CheckInvariants: cfg.CheckInvariants}
+	opt := core.Options{Driver: cfg.Driver}
 	if err := a.eng.Reset(t, cfg.Library, opt); err != nil {
 		return nil, err
 	}

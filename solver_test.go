@@ -28,6 +28,14 @@ func equalBits(t *testing.T, label string, got, want float64) {
 	}
 }
 
+// sameCounters reports whether two runs performed identical DP work:
+// every counter equal, ignoring ArenaBytes — the footprint depends on slab
+// warmth, not on the work performed.
+func sameCounters(a, b bufferkit.Stats) bool {
+	a.ArenaBytes, b.ArenaBytes = 0, 0
+	return a == b
+}
+
 func equalPlacement(t *testing.T, label string, got, want bufferkit.Placement) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -69,7 +77,7 @@ func TestSolverEquivalence(t *testing.T) {
 			}
 			equalBits(t, "new", got.Slack, want.Slack)
 			equalPlacement(t, "new", got.Placement, want.Placement)
-			if got.Candidates != want.Candidates || !got.Stats.SameCounters(want.Stats) {
+			if got.Candidates != want.Candidates || !sameCounters(got.Stats, want.Stats) {
 				t.Fatalf("stats diverged: %+v vs %+v", got.Stats, want.Stats)
 			}
 		})

@@ -10,9 +10,8 @@ import (
 // Variation and yield types, re-exported from internal/variation.
 type (
 	// Corner is one multiplicative perturbation of the instance's
-	// electrical parameters (library R/K/Cin, wire r/c). Construct corners
-	// from NominalCorner, ProcessCorners or SampleCorners — the zero value
-	// is invalid.
+	// electrical parameters (library R/K/Cin, wire r/c). Take corners from
+	// ProcessCorners; the zero value is invalid.
 	Corner = variation.Corner
 	// YieldResult is the outcome of SolveYield: per-corner samples, the
 	// slack distribution, yield at the target, the distinct optimal
@@ -31,19 +30,9 @@ type (
 	PartialSweepError = variation.PartialError
 )
 
-// NominalCorner returns the identity corner (every factor exactly 1).
-func NominalCorner() Corner { return variation.Nominal() }
-
 // ProcessCorners returns the deterministic sign-off corner set: nominal,
 // fast, slow and the two device/wire cross corners.
 func ProcessCorners() []Corner { return variation.ProcessCorners() }
-
-// SampleCorners draws n seeded Monte Carlo corners whose five factors are
-// independent Gaussians 1 + sigma·N(0,1) (floored at a small positive
-// value). The sequence is deterministic for a fixed seed.
-func SampleCorners(n int, sigma float64, seed int64) []Corner {
-	return variation.Sampler{Params: variation.Uniform(sigma), Seed: seed}.Corners(n)
-}
 
 // yieldConfig collects the SolveYield options on a Solver.
 type yieldConfig struct {
@@ -153,12 +142,11 @@ func (s *Solver) SolveYield(ctx context.Context, t *Tree) (*YieldResult, error) 
 		return nil, err
 	}
 	res, err := variation.Sweep(ctx, t, s.cfg.Library, variation.Config{
-		Corners:         s.yieldCorners(),
-		Driver:          s.cfg.Driver,
-		CheckInvariants: s.cfg.CheckInvariants,
-		Target:          s.yield.target,
-		Robust:          s.yield.robust,
-		Workers:         s.workers,
+		Corners: s.yieldCorners(),
+		Driver:  s.cfg.Driver,
+		Target:  s.yield.target,
+		Robust:  s.yield.robust,
+		Workers: s.workers,
 	})
 	if res != nil {
 		// Report placements in the original library's index space (see
