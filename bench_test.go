@@ -9,8 +9,6 @@
 package bufferkit_test
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 
 	"bufferkit/internal/core"
@@ -18,10 +16,8 @@ import (
 	"bufferkit/internal/delay"
 	"bufferkit/internal/experiments"
 	"bufferkit/internal/library"
-	"bufferkit/internal/lillis"
 	"bufferkit/internal/netgen"
 	"bufferkit/internal/segment"
-	"bufferkit/internal/tree"
 )
 
 // benchScale divides the paper's m and n for the benchmark suite.
@@ -33,86 +29,46 @@ var benchCfg = experiments.Config{Scale: benchScale, Seed: experiments.DefaultSe
 
 var drv = experiments.Driver
 
-var (
-	netCache   = map[[2]int]*tree.Tree{}
-	netCacheMu sync.Mutex
-)
-
-// benchNet returns the (cached) scaled industrial net for a paper case.
-func benchNet(b *testing.B, m, n int) *tree.Tree {
-	b.Helper()
-	netCacheMu.Lock()
-	defer netCacheMu.Unlock()
-	key := [2]int{m, n}
-	if t, ok := netCache[key]; ok {
-		return t
-	}
-	t, err := benchCfg.Net(m, n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	netCache[key] = t
-	return t
-}
-
-func runLillis(b *testing.B, t *tree.Tree, lib library.Library) {
-	b.Helper()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := lillis.Insert(t, lib, drv); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func runNew(b *testing.B, t *tree.Tree, lib library.Library) {
-	b.Helper()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Insert(t, lib, core.Options{Driver: drv}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkTable1 regenerates Table 1: the three industrial cases × four
 // library sizes × both algorithms. The paper reports the new algorithm up
 // to ~11× faster at b = 64.
-func BenchmarkTable1(b *testing.B) {
-	for _, cs := range experiments.Table1Cases {
-		t := benchNet(b, cs.M, cs.N)
-		for _, size := range experiments.LibSizes {
-			lib := library.Generate(size)
-			name := fmt.Sprintf("m%d_n%d/b%d", cs.M, cs.N, size)
-			b.Run(name+"/lillis", func(b *testing.B) { runLillis(b, t, lib) })
-			b.Run(name+"/new", func(b *testing.B) { runNew(b, t, lib) })
-		}
-	}
-}
+func BenchmarkTable1(b *testing.B) { benchCells(b, "table1") }
 
 // BenchmarkFig3 regenerates Figure 3: runtime versus library size b on the
 // 1944-sink net. Normalize each series to its b=8 entry to compare slopes
 // with the paper's plot (Lillis ≈ 11×, new ≈ 2× at b = 64).
-func BenchmarkFig3(b *testing.B) {
-	t := benchNet(b, 1944, 33133)
-	for _, size := range []int{8, 16, 24, 32, 40, 48, 56, 64} {
-		lib := library.Generate(size)
-		b.Run(fmt.Sprintf("b%d/lillis", size), func(b *testing.B) { runLillis(b, t, lib) })
-		b.Run(fmt.Sprintf("b%d/new", size), func(b *testing.B) { runNew(b, t, lib) })
-	}
-}
+func BenchmarkFig3(b *testing.B) { benchCells(b, "fig3") }
 
 // BenchmarkFig4 regenerates Figure 4: runtime versus buffer positions n at
 // b = 32. Both series grow superlinearly; the new algorithm's growth is
 // much slower.
-func BenchmarkFig4(b *testing.B) {
-	lib := library.Generate(32)
-	for _, n := range []int{1943, 4142, 8283, 16566, 33133, 66266} {
-		t := benchNet(b, 1944, n)
-		b.Run(fmt.Sprintf("n%d/lillis", n), func(b *testing.B) { runLillis(b, t, lib) })
-		b.Run(fmt.Sprintf("n%d/new", n), func(b *testing.B) { runNew(b, t, lib) })
+func BenchmarkFig4(b *testing.B) { benchCells(b, "fig4") }
+
+// benchCells runs table's cells of the paper evaluation (experiments.Cells,
+// the runs repro's tables time), each as the sub-benchmark of its name: one
+// cold run per iteration.
+func benchCells(b *testing.B, table string) {
+	cells, err := experiments.Cells(benchCfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range cells {
+		if c.Table != table {
+			continue
+		}
+		b.Run(c.Name, func(b *testing.B) {
+			t, err := c.Net()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Run(t); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -150,7 +106,10 @@ func BenchmarkSuite(b *testing.B) {
 // BenchmarkEvaluate measures the exact Elmore oracle, the substrate all
 // verification rests on.
 func BenchmarkEvaluate(b *testing.B) {
-	t := benchNet(b, 1944, 33133)
+	t, err := benchCfg.Net(1944, 33133)
+	if err != nil {
+		b.Fatal(err)
+	}
 	lib := library.Generate(16)
 	res, err := core.Insert(t, lib, core.Options{Driver: drv})
 	if err != nil {

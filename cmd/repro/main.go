@@ -53,7 +53,7 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		exp       = fs.String("exp", "all", "experiment: table1, fig3, fig4, libreduce, listlen, all")
 		scale     = fs.Int("scale", 1, "divide the paper's m and n by this factor (1 = full scale)")
-		reps      = fs.Int("reps", 2, "timing repetitions per measurement (fastest wins)")
+		reps      = fs.Int("reps", 5, "timed samples per cell, interleaved across the table (tables report medians)")
 		seed      = fs.Int64("seed", experiments.DefaultSeed, "workload seed")
 		csv       = fs.Bool("csv", false, "emit CSV instead of aligned text")
 		benchJSON = fs.String("bench-json", "", "run the engine/batch benchmarks and write them as JSON to this file ('-' for stdout), instead of -exp")

@@ -1,6 +1,6 @@
 package bufferkit
 
-// The differential test harness: a seeded corpus of small random nets on
+// The differential test: a seeded corpus of small random nets on
 // which every dynamic program must agree exactly with the exponential
 // brute-force oracle. This is the strongest correctness net in the
 // repository — any systematic pruning bug, polarity mishandling, or

@@ -1,6 +1,6 @@
 package bufferkit
 
-// The ECO differential harness: every session resolve must be bit-identical
+// The ECO differential test: every session resolve must be bit-identical
 // to a cold Solver.Run on the identically patched net. The test maintains
 // its own mirror tree, applies each random delta to both the session and
 // the mirror, and compares slack, placement and candidate counts exactly.

@@ -21,7 +21,7 @@ import (
 // industrial nets produce.
 func BenchmarkAblationAddBuffer(b *testing.B) {
 	lib := library.Generate(64)
-	orderR := lib.ByRDesc()
+	orderR := lib.ByRDesc(nil)
 	for _, k := range []int{64, 256, 1024, 4096} {
 		pairs := syntheticList(k)
 		b.Run(fmt.Sprintf("k%d/linearscan", k), func(b *testing.B) {

@@ -182,24 +182,24 @@ func (e *Engine) Reset(t *tree.Tree, lib library.Library, opt Options) error {
 	}
 	e.t, e.opt = t, opt
 
-	// Library orderings are recomputed only when the library changes
-	// (compared by backing array identity), keeping warm resets free; the
-	// change path may allocate, which is fine — it is paid once per
-	// library, not per run.
-	if !sameLibrary(e.lib, lib) {
-		e.lib = lib
-		b := len(lib)
-		e.orderR = lib.ByRDesc()
-		e.cinRank = candidate.Resize(e.cinRank, b)
-		for rank, ti := range lib.ByCinAsc() {
-			e.cinRank[ti] = rank
-		}
-		for s := 0; s < 2; s++ {
-			e.betaSlot[s] = candidate.Resize(e.betaSlot[s], b)
-			e.betaHas[s] = candidate.Resize(e.betaHas[s], b)
-			clear(e.betaHas[s])
-			e.betaOrd[s] = candidate.Resize(e.betaOrd[s], b)[:0]
-		}
+	// The library orderings are rebuilt on every Reset, in place and
+	// without allocating: O(b log b) next to an O(bn²) run. So no cache can
+	// miss — after Release, for an equal library in another array (every
+	// request parses its own), or for a library rewritten in place (each
+	// variation corner) — and none can go stale.
+	e.lib = lib
+	b := len(lib)
+	e.orderR = lib.ByCinAsc(e.orderR) // scratch for the cin ranks
+	e.cinRank = candidate.Resize(e.cinRank, b)
+	for rank, ti := range e.orderR {
+		e.cinRank[ti] = rank
+	}
+	e.orderR = lib.ByRDesc(e.orderR)
+	for s := 0; s < 2; s++ {
+		e.betaSlot[s] = candidate.Resize(e.betaSlot[s], b)
+		e.betaHas[s] = candidate.Resize(e.betaHas[s], b)
+		clear(e.betaHas[s])
+		e.betaOrd[s] = candidate.Resize(e.betaOrd[s], b)[:0]
 	}
 
 	e.lists = candidate.Resize(e.lists, t.Len())

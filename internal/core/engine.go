@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"bufferkit/internal/candidate"
-	"bufferkit/internal/library"
 	"bufferkit/internal/solvererr"
 	"bufferkit/internal/tree"
 )
@@ -251,13 +250,6 @@ func (e *Engine) check(acc *pair) error {
 		}
 	}
 	return nil
-}
-
-// sameLibrary reports whether two libraries share the same backing array —
-// the immutability contract on Library makes identity equivalent to
-// equality here, and it keeps warm resets free of sorting work.
-func sameLibrary(a, b library.Library) bool {
-	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
 }
 
 // mergeNil merges two branch lists of the same parity; if either branch

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"bufferkit/internal/delay"
@@ -90,5 +92,52 @@ func TestWarmEngineZeroAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("warm Run allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestResetAfterRelease: a pooled engine's Reset after Release with an
+// equal library in another array (every request parses its own) allocates
+// nothing, and a changed library of the same length solves exactly as on a
+// fresh engine.
+func TestResetAfterRelease(t *testing.T) {
+	lib := library.Generate(16)
+	tr := netgen.TwoPin(8000, 40, 12, 1000, netgen.PaperWire())
+	opt := Options{Driver: delay.Driver{R: 0.25}}
+	eng := NewEngine()
+	if err := eng.Reset(tr, lib, opt); err != nil {
+		t.Fatal(err)
+	}
+	same := slices.Clone(lib)
+	allocs := testing.AllocsPerRun(20, func() {
+		eng.Release()
+		if err := eng.Reset(tr, same, opt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("Release + Reset with an equal library allocates %.1f times, want 0", allocs)
+	}
+
+	changed := slices.Clone(lib)
+	slices.Reverse(changed)
+	changed[0].K += 3
+	eng.Release()
+	if err := eng.Reset(tr, changed, opt); err != nil {
+		t.Fatal(err)
+	}
+	got := &Result{}
+	if err := eng.Run(got); err != nil {
+		t.Fatal(err)
+	}
+	want, err := Insert(tr, changed, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(want.Placement, func(ti int) bool { return ti != delay.NoBuffer }) {
+		t.Fatal("check is vacuous: the optimum places no buffer")
+	}
+	if math.Float64bits(got.Slack) != math.Float64bits(want.Slack) || !slices.Equal(got.Placement, want.Placement) {
+		t.Fatalf("reused engine: slack %g placement %v; fresh engine: slack %g placement %v",
+			got.Slack, got.Placement, want.Slack, want.Placement)
 	}
 }

@@ -65,10 +65,10 @@ func ParetoContext(ctx context.Context, t *tree.Tree, lib library.Library, opt O
 	e := &engine{
 		t: t, lib: lib, opt: opt, ctx: ctx,
 		arena:   candidate.NewArena(),
-		orderR:  lib.ByRDesc(),
+		orderR:  lib.ByRDesc(nil),
 		cinRank: make([]int, len(lib)),
 	}
-	for rank, ti := range lib.ByCinAsc() {
+	for rank, ti := range lib.ByCinAsc(nil) {
 		e.cinRank[ti] = rank
 	}
 	return e.run()

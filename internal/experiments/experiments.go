@@ -13,13 +13,18 @@
 package experiments
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"strings"
+	"sync"
+	"text/tabwriter"
+	"time"
 
 	"bufferkit/internal/core"
 	"bufferkit/internal/delay"
-	"bufferkit/internal/harness"
 	"bufferkit/internal/library"
 	"bufferkit/internal/libreduce"
 	"bufferkit/internal/lillis"
@@ -35,7 +40,8 @@ var Driver = delay.Driver{R: 0.2, K: 15}
 type Config struct {
 	// Scale divides the paper's m and n (minimum 1 = full paper scale).
 	Scale int
-	// Reps is the number of timing repetitions (fastest wins); default 2.
+	// Reps is the number of timed samples per cell, reported as a median;
+	// default 5.
 	Reps int
 	// Seed varies the synthetic topologies.
 	Seed int64
@@ -50,7 +56,7 @@ func (c Config) fill() Config {
 		c.Scale = 1
 	}
 	if c.Reps < 1 {
-		c.Reps = 2
+		c.Reps = 5
 	}
 	if c.Out == nil {
 		c.Out = io.Discard
@@ -58,11 +64,33 @@ func (c Config) fill() Config {
 	return c
 }
 
-func (c Config) emit(t *harness.Table) error {
-	if c.CSV {
-		return t.CSV(c.Out)
+// emit writes a titled table as CSV or, aligned by text/tabwriter, as a
+// header, a dash rule and the rows. float64 cells print with %.4g.
+func (c Config) emit(title string, header []string, rows [][]any) error {
+	fmt.Fprintln(c.Out, title)
+	records := [][]string{header}
+	for _, row := range rows {
+		rec := make([]string, len(row))
+		for i, v := range row {
+			rec[i] = fmt.Sprint(v)
+			if f, ok := v.(float64); ok {
+				rec[i] = fmt.Sprintf("%.4g", f)
+			}
+		}
+		records = append(records, rec)
 	}
-	return t.Render(c.Out)
+	if c.CSV {
+		return csv.NewWriter(c.Out).WriteAll(records)
+	}
+	rule := make([]string, len(header))
+	for i, h := range header {
+		rule[i] = strings.Repeat("-", len(h))
+	}
+	w := tabwriter.NewWriter(c.Out, 0, 0, 2, ' ', 0)
+	for _, rec := range slices.Insert(records, 1, rule) {
+		fmt.Fprintln(w, strings.Join(rec, "\t"))
+	}
+	return w.Flush()
 }
 
 // Case is one industrial test case of Table 1.
@@ -90,24 +118,189 @@ func (c Config) Net(m, n int) (*tree.Tree, error) {
 	return netgen.Industrial(m, n, c.Seed+1)
 }
 
-// timeBoth measures both algorithms on one instance and verifies they agree
-// on the optimal slack.
-func timeBoth(cfg Config, t *tree.Tree, lib library.Library) (tLillis, tNew float64, slack float64, agree bool, err error) {
-	var rl *lillis.Result
-	var rc *core.Result
-	tLillis = harness.TimeBest(cfg.Reps, func() {
-		rl, err = lillis.Insert(t, lib, Driver)
-	})
-	if err != nil {
-		return 0, 0, 0, false, err
+// Cell is one timed run of the paper evaluation: a cold lillis.Insert (if
+// Lillis is set) or core.Insert of one net and library. Table is the repro
+// experiment it belongs to and Name its sub-benchmark name under the root
+// BenchmarkTable1/Fig3/Fig4, e.g. Table "table1", Name
+// "m337_n5729/b8/lillis".
+type Cell struct {
+	Table, Name string
+	// Net returns the cell's net, built on first use.
+	Net    func() (*tree.Tree, error)
+	Lib    library.Library
+	Lillis bool
+}
+
+// Run makes the cell's cold run on t, its built net, and returns the
+// optimal slack.
+func (c Cell) Run(t *tree.Tree) (float64, error) {
+	if c.Lillis {
+		r, err := lillis.Insert(t, c.Lib, Driver)
+		if err != nil {
+			return 0, err
+		}
+		return r.Slack, nil
 	}
-	tNew = harness.TimeBest(cfg.Reps, func() {
-		rc, err = core.Insert(t, lib, core.Options{Driver: Driver})
-	})
+	r, err := core.Insert(t, c.Lib, core.Options{Driver: Driver})
 	if err != nil {
-		return 0, 0, 0, false, err
+		return 0, err
 	}
-	return tLillis, tNew, rc.Slack, almostEqual(rl.Slack, rc.Slack), nil
+	return r.Slack, nil
+}
+
+// Cells returns every timed run of the paper evaluation at cfg's scale and
+// seed, table by table: Table 1 (every industrial case at every library
+// size), Fig 3 (b = 8…64 on the 1944-sink net) and Fig 4 (growing n at
+// b = 32), each instance as its Lillis cell then its new cell, and the
+// library reduction (the full 64-type library under the new algorithm,
+// then clustered libraries under Lillis). repro's tables and the root
+// paper benchmarks both time these cells. A table's cells on one net share
+// it, built on first use.
+func Cells(cfg Config) ([]Cell, error) {
+	cfg = cfg.fill()
+	net := func(m, n int) func() (*tree.Tree, error) {
+		return sync.OnceValues(func() (*tree.Tree, error) { return cfg.Net(m, n) })
+	}
+	var cells []Cell
+	both := func(table, name string, t func() (*tree.Tree, error), lib library.Library) {
+		cells = append(cells,
+			Cell{table, name + "/lillis", t, lib, true},
+			Cell{table, name + "/new", t, lib, false})
+	}
+	for _, cs := range Table1Cases {
+		t := net(cs.M, cs.N)
+		for _, b := range LibSizes {
+			both("table1", fmt.Sprintf("m%d_n%d/b%d", cs.M, cs.N, b), t, library.Generate(b))
+		}
+	}
+	t := net(1944, 33133)
+	for _, b := range []int{8, 16, 24, 32, 40, 48, 56, 64} {
+		both("fig3", fmt.Sprintf("b%d", b), t, library.Generate(b))
+	}
+	for _, n := range []int{1943, 4142, 8283, 16566, 33133, 66266} {
+		both("fig4", fmt.Sprintf("n%d", n), net(1944, n), library.Generate(32))
+	}
+	t, full := net(337, 5729), library.Generate(64)
+	cells = append(cells, Cell{"libreduce", "full/new", t, full, false})
+	for _, k := range []int{4, 8, 16} {
+		red, _, err := libreduce.Reduce(full, k)
+		if err != nil {
+			return nil, fmt.Errorf("libreduce k=%d: %w", k, err)
+		}
+		cells = append(cells, Cell{"libreduce", fmt.Sprintf("reduced-%d/lillis", k), t, red, true})
+	}
+	return cells, nil
+}
+
+// sampled is one cell's outcome under sample.
+type sampled struct {
+	ms    []float64 // wall-clock milliseconds, one per rep
+	slack float64
+}
+
+// timeTable times table's cells of Cells(cfg) with sample. Every net is
+// built once it returns.
+func timeTable(cfg Config, table string) ([]Cell, []sampled, error) {
+	all, err := Cells(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	cells := slices.DeleteFunc(all, func(c Cell) bool { return c.Table != table })
+	s, err := sample(cells, cfg.Reps)
+	return cells, s, err
+}
+
+// sample is the interleaved sampler that times the paper evaluation: rep
+// r = 1…reps runs every cell once, in order, so each instance's new run
+// follows its Lillis run immediately and slow machine drift lands on both
+// alike. Building a net is not timed.
+func sample(cells []Cell, reps int) ([]sampled, error) {
+	out := make([]sampled, len(cells))
+	for range reps {
+		for i, c := range cells {
+			t, err := c.Net()
+			if err != nil {
+				return nil, fmt.Errorf("%s %s: %w", c.Table, c.Name, err)
+			}
+			start := time.Now()
+			slack, err := c.Run(t)
+			ms := float64(time.Since(start)) / float64(time.Millisecond)
+			if err != nil {
+				return nil, fmt.Errorf("%s %s: %w", c.Table, c.Name, err)
+			}
+			out[i].ms = append(out[i].ms, ms)
+			out[i].slack = slack
+		}
+	}
+	return out, nil
+}
+
+// pair is one instance timed as a Lillis cell then a new cell.
+type pair struct {
+	cell            Cell // the Lillis cell
+	lillisMs, newMs float64
+	speedup, slack  float64
+}
+
+// pairs reads cells — Lillis, new, Lillis, new, … — and their samples as
+// one pair per instance: per-cell median times, the median of the per-rep
+// paired ratios as the speedup, and the new algorithm's slack. The two
+// algorithms must agree on every optimal slack.
+func pairs(cells []Cell, s []sampled) ([]pair, error) {
+	var out []pair
+	for i := 0; i+1 < len(cells); i += 2 {
+		l, n := s[i], s[i+1]
+		if !almostEqual(l.slack, n.slack) {
+			return nil, fmt.Errorf("%s %s: algorithms disagree on optimal slack (lillis %g, new %g)",
+				cells[i].Table, strings.TrimSuffix(cells[i].Name, "/lillis"), l.slack, n.slack)
+		}
+		out = append(out, pair{cells[i], median(l.ms), median(n.ms), pairedRatio(l.ms, n.ms), n.slack})
+	}
+	return out, nil
+}
+
+// timePairs times table's cells and pairs them.
+func timePairs(cfg Config, table string) ([]pair, error) {
+	cells, s, err := timeTable(cfg, table)
+	if err != nil {
+		return nil, err
+	}
+	return pairs(cells, s)
+}
+
+// median returns the middle value of xs, or the mean of the middle two; xs
+// is left unsorted.
+func median(xs []float64) float64 {
+	s := slices.Sorted(slices.Values(xs))
+	if len(s)%2 == 1 {
+		return s[len(s)/2]
+	}
+	return (s[len(s)/2-1] + s[len(s)/2]) / 2
+}
+
+// pairedRatio returns the median over reps of num[r]/den[r]. Each ratio
+// compares two runs made back to back, so drift slower than one rep
+// cancels.
+func pairedRatio(num, den []float64) float64 {
+	r := make([]float64, len(num))
+	for i := range num {
+		r[i] = num[i] / den[i]
+	}
+	return median(r)
+}
+
+// normalize divides every element by the first, reproducing the paper's
+// "normalized running time" axes. An empty or zero-leading series is
+// returned unchanged.
+func normalize(xs []float64) []float64 {
+	out := slices.Clone(xs)
+	if len(xs) == 0 || xs[0] == 0 {
+		return out
+	}
+	for i := range out {
+		out[i] /= xs[0]
+	}
+	return out
 }
 
 // Table1 reproduces the paper's Table 1: runtime of the Lillis O(b²n²)
@@ -116,23 +309,33 @@ func timeBoth(cfg Config, t *tree.Tree, lib library.Library) (tLillis, tNew floa
 // at b = 64 on its largest cases).
 func Table1(cfg Config) error {
 	cfg = cfg.fill()
-	tab := harness.NewTable("m", "n", "b", "lillis_ms", "new_ms", "speedup", "slack_ps", "optimal_match")
-	for _, cs := range Table1Cases {
-		t, err := cfg.Net(cs.M, cs.N)
-		if err != nil {
-			return fmt.Errorf("table1: %w", err)
-		}
-		for _, b := range LibSizes {
-			tl, tn, slack, agree, err := timeBoth(cfg, t, library.Generate(b))
-			if err != nil {
-				return fmt.Errorf("table1 m=%d b=%d: %w", cs.M, b, err)
-			}
-			tab.Addf(t.NumSinks(), t.NumBufferPositions(), b,
-				tl*1e3, tn*1e3, tl/tn, slack, mark(agree))
-		}
+	ps, err := timePairs(cfg, "table1")
+	if err != nil {
+		return err
 	}
-	fmt.Fprintln(cfg.Out, "# Table 1 — industrial cases: Lillis (O(b²n²)) vs new algorithm (O(bn²))")
-	return cfg.emit(tab)
+	var rows [][]any
+	for _, p := range ps {
+		t, _ := p.cell.Net() // built without error by the sampler
+		rows = append(rows, []any{t.NumSinks(), t.NumBufferPositions(), len(p.cell.Lib),
+			p.lillisMs, p.newMs, p.speedup, p.slack})
+	}
+	return cfg.emit("# Table 1 — industrial cases: Lillis (O(b²n²)) vs new algorithm (O(bn²))",
+		[]string{"m", "n", "b", "lillis_ms", "new_ms", "speedup", "slack_ps"}, rows)
+}
+
+// curve is Fig 3 and Fig 4's table: each instance's median times and both
+// series normalized to the first instance. x labels the instance.
+func curve(ps []pair, x func(pair) int) [][]any {
+	var tl, tn []float64
+	for _, p := range ps {
+		tl, tn = append(tl, p.lillisMs), append(tn, p.newMs)
+	}
+	nl, nn := normalize(tl), normalize(tn)
+	var rows [][]any
+	for i, p := range ps {
+		rows = append(rows, []any{x(p), tl[i], tn[i], nl[i], nn[i]})
+	}
+	return rows
 }
 
 // Fig3 reproduces Figure 3: normalized running time versus buffer library
@@ -141,30 +344,15 @@ func Table1(cfg Config) error {
 // the new algorithm ≈ 2×).
 func Fig3(cfg Config) error {
 	cfg = cfg.fill()
-	t, err := cfg.Net(1944, 33133)
+	ps, err := timePairs(cfg, "fig3")
 	if err != nil {
-		return fmt.Errorf("fig3: %w", err)
+		return err
 	}
-	bs := []int{8, 16, 24, 32, 40, 48, 56, 64}
-	var tl, tn []float64
-	for _, b := range bs {
-		l, n, _, agree, err := timeBoth(cfg, t, library.Generate(b))
-		if err != nil {
-			return fmt.Errorf("fig3 b=%d: %w", b, err)
-		}
-		if !agree {
-			return fmt.Errorf("fig3 b=%d: algorithms disagree on optimal slack", b)
-		}
-		tl, tn = append(tl, l), append(tn, n)
-	}
-	nl, nn := harness.Normalize(tl), harness.Normalize(tn)
-	tab := harness.NewTable("b", "lillis_ms", "new_ms", "lillis_norm", "new_norm")
-	for i, b := range bs {
-		tab.Addf(b, tl[i]*1e3, tn[i]*1e3, nl[i], nn[i])
-	}
-	fmt.Fprintf(cfg.Out, "# Fig 3 — normalized runtime vs library size b (m=%d, n=%d; normalized to b=%d)\n",
-		t.NumSinks(), t.NumBufferPositions(), bs[0])
-	return cfg.emit(tab)
+	t, _ := ps[0].cell.Net()
+	return cfg.emit(fmt.Sprintf("# Fig 3 — normalized runtime vs library size b (m=%d, n=%d; normalized to b=%d)",
+		t.NumSinks(), t.NumBufferPositions(), len(ps[0].cell.Lib)),
+		[]string{"b", "lillis_ms", "new_ms", "lillis_norm", "new_norm"},
+		curve(ps, func(p pair) int { return len(p.cell.Lib) }))
 }
 
 // Fig4 reproduces Figure 4: normalized running time versus the number of
@@ -173,35 +361,19 @@ func Fig3(cfg Config) error {
 // buffer dominates as n increases.
 func Fig4(cfg Config) error {
 	cfg = cfg.fill()
-	lib := library.Generate(32)
-	ns := []int{1943, 4142, 8283, 16566, 33133, 66266}
-	var tl, tn []float64
-	var rows []struct {
-		m, n int
+	ps, err := timePairs(cfg, "fig4")
+	if err != nil {
+		return err
 	}
-	for _, n := range ns {
-		t, err := cfg.Net(1944, n)
-		if err != nil {
-			return fmt.Errorf("fig4 n=%d: %w", n, err)
-		}
-		l, nw, _, agree, err := timeBoth(cfg, t, lib)
-		if err != nil {
-			return fmt.Errorf("fig4 n=%d: %w", n, err)
-		}
-		if !agree {
-			return fmt.Errorf("fig4 n=%d: algorithms disagree on optimal slack", n)
-		}
-		tl, tn = append(tl, l), append(tn, nw)
-		rows = append(rows, struct{ m, n int }{t.NumSinks(), t.NumBufferPositions()})
+	positions := func(p pair) int {
+		t, _ := p.cell.Net()
+		return t.NumBufferPositions()
 	}
-	nl, nn := harness.Normalize(tl), harness.Normalize(tn)
-	tab := harness.NewTable("n", "lillis_ms", "new_ms", "lillis_norm", "new_norm")
-	for i := range ns {
-		tab.Addf(rows[i].n, tl[i]*1e3, tn[i]*1e3, nl[i], nn[i])
-	}
-	fmt.Fprintf(cfg.Out, "# Fig 4 — normalized runtime vs buffer positions n (m=%d, b=32; normalized to n=%d)\n",
-		rows[0].m, rows[0].n)
-	return cfg.emit(tab)
+	t, _ := ps[0].cell.Net()
+	return cfg.emit(fmt.Sprintf("# Fig 4 — normalized runtime vs buffer positions n (m=%d, b=32; normalized to n=%d)",
+		t.NumSinks(), positions(ps[0])),
+		[]string{"n", "lillis_ms", "new_ms", "lillis_norm", "new_norm"},
+		curve(ps, positions))
 }
 
 // LibReduce quantifies the paper's motivation (§1): clustering the library
@@ -209,32 +381,18 @@ func Fig4(cfg Config) error {
 // costs slack, whereas the new algorithm affords the full library.
 func LibReduce(cfg Config) error {
 	cfg = cfg.fill()
-	t, err := cfg.Net(337, 5729)
+	cells, s, err := timeTable(cfg, "libreduce")
 	if err != nil {
-		return fmt.Errorf("libreduce: %w", err)
+		return err
 	}
-	full := library.Generate(64)
-	opt, err := core.Insert(t, full, core.Options{Driver: Driver})
-	if err != nil {
-		return fmt.Errorf("libreduce: %w", err)
+	opt := s[0].slack // the full library under the new algorithm
+	var rows [][]any
+	for i, c := range cells {
+		label, algo, _ := strings.Cut(c.Name, "/")
+		rows = append(rows, []any{label, len(c.Lib), algo, median(s[i].ms), s[i].slack, opt - s[i].slack})
 	}
-	tab := harness.NewTable("library", "b", "algo", "time_ms", "slack_ps", "loss_ps")
-	tNew := harness.TimeBest(cfg.Reps, func() { core.Insert(t, full, core.Options{Driver: Driver}) })
-	tab.Addf("full", 64, "new", tNew*1e3, opt.Slack, 0.0)
-	for _, k := range []int{4, 8, 16} {
-		red, _, err := libreduce.Reduce(full, k)
-		if err != nil {
-			return fmt.Errorf("libreduce k=%d: %w", k, err)
-		}
-		var rl *lillis.Result
-		tl := harness.TimeBest(cfg.Reps, func() { rl, err = lillis.Insert(t, red, Driver) })
-		if err != nil {
-			return fmt.Errorf("libreduce k=%d: %w", k, err)
-		}
-		tab.Addf(fmt.Sprintf("reduced-%d", k), k, "lillis", tl*1e3, rl.Slack, opt.Slack-rl.Slack)
-	}
-	fmt.Fprintln(cfg.Out, "# Library reduction — full library + new algorithm vs clustered library + Lillis")
-	return cfg.emit(tab)
+	return cfg.emit("# Library reduction — full library + new algorithm vs clustered library + Lillis",
+		[]string{"library", "b", "algo", "time_ms", "slack_ps", "loss_ps"}, rows)
 }
 
 // ListLen explains why the Lillis baseline "behaves more like a linear
@@ -246,7 +404,7 @@ func ListLen(cfg Config) error {
 	if err != nil {
 		return fmt.Errorf("listlen: %w", err)
 	}
-	tab := harness.NewTable("b", "max_list", "avg_list", "avg_hull", "bn+1", "betas_kept_frac")
+	var rows [][]any
 	for _, b := range LibSizes {
 		res, err := core.Insert(t, library.Generate(b), core.Options{Driver: Driver})
 		if err != nil {
@@ -254,12 +412,12 @@ func ListLen(cfg Config) error {
 		}
 		s := res.Stats
 		pos := float64(s.Positions)
-		tab.Addf(b, s.MaxListLen, float64(s.SumListLen)/pos, float64(s.SumHullLen)/pos,
-			b*t.NumBufferPositions()+1, float64(s.BetasKept)/float64(s.BetasGenerated))
+		rows = append(rows, []any{b, s.MaxListLen, float64(s.SumListLen) / pos, float64(s.SumHullLen) / pos,
+			b*t.NumBufferPositions() + 1, float64(s.BetasKept) / float64(s.BetasGenerated)})
 	}
-	fmt.Fprintf(cfg.Out, "# List lengths — why practice beats the bn+1 bound (m=%d, n=%d)\n",
-		t.NumSinks(), t.NumBufferPositions())
-	return cfg.emit(tab)
+	return cfg.emit(fmt.Sprintf("# List lengths — why practice beats the bn+1 bound (m=%d, n=%d)",
+		t.NumSinks(), t.NumBufferPositions()),
+		[]string{"b", "max_list", "avg_list", "avg_hull", "bn+1", "betas_kept_frac"}, rows)
 }
 
 // All runs every experiment in order.
@@ -272,13 +430,6 @@ func All(cfg Config) error {
 		fmt.Fprintln(cfg.Out)
 	}
 	return nil
-}
-
-func mark(ok bool) string {
-	if ok {
-		return "yes"
-	}
-	return "NO"
 }
 
 // almostEqual mirrors testutil's slack tolerance without importing the

@@ -9,9 +9,10 @@
 package library
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"bufferkit/internal/solvererr"
 )
@@ -75,27 +76,28 @@ func (l Library) HasInverters() bool {
 	return false
 }
 
-// ByRDesc returns the type indices sorted by non-increasing driving
-// resistance, the order required by the paper's AddBuffer hull walk
-// (R_{B1} ≥ R_{B2} ≥ … ≥ R_{Bb}). Ties are broken by index for determinism.
-func (l Library) ByRDesc() []int {
-	idx := make([]int, len(l))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return l[idx[a]].R > l[idx[b]].R })
-	return idx
+// ByRDesc writes into idx the type indices sorted by non-increasing
+// driving resistance, the order required by the paper's AddBuffer hull walk
+// (R_{B1} ≥ R_{B2} ≥ … ≥ R_{Bb}), and returns it; idx (nil is fine) grows
+// only when it is too short. Ties are broken by index for determinism.
+func (l Library) ByRDesc(idx []int) []int {
+	return l.order(idx, func(a, b Buffer) int { return cmp.Compare(b.R, a.R) })
 }
 
-// ByCinAsc returns the type indices sorted by non-decreasing input
-// capacitance, the order in which new buffered candidates merge back into a
-// candidate list in O(k + b). Ties are broken by index for determinism.
-func (l Library) ByCinAsc() []int {
-	idx := make([]int, len(l))
+// ByCinAsc writes into idx, like ByRDesc, the type indices sorted by
+// non-decreasing input capacitance, the order in which new buffered
+// candidates merge back into a candidate list in O(k + b). Ties are broken
+// by index for determinism.
+func (l Library) ByCinAsc(idx []int) []int {
+	return l.order(idx, func(a, b Buffer) int { return cmp.Compare(a.Cin, b.Cin) })
+}
+
+func (l Library) order(idx []int, compare func(a, b Buffer) int) []int {
+	idx = slices.Grow(idx[:0], len(l))[:len(l)]
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return l[idx[a]].Cin < l[idx[b]].Cin })
+	slices.SortStableFunc(idx, func(i, j int) int { return compare(l[i], l[j]) })
 	return idx
 }
 

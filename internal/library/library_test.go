@@ -126,14 +126,14 @@ func TestSortOrders(t *testing.T) {
 		{Name: "c", R: 2, Cin: 3},
 		{Name: "d", R: 9, Cin: 3},
 	}
-	rd := lib.ByRDesc()
+	rd := lib.ByRDesc(nil)
 	want := []int{3, 1, 0, 2} // 9, 7, 2(a before c: stable), 2
 	for i := range want {
 		if rd[i] != want[i] {
 			t.Fatalf("ByRDesc = %v, want %v", rd, want)
 		}
 	}
-	ca := lib.ByCinAsc()
+	ca := lib.ByCinAsc(nil)
 	wantC := []int{1, 2, 3, 0} // 1, 3(c before d: stable), 3, 5
 	for i := range wantC {
 		if ca[i] != wantC[i] {
@@ -155,13 +155,13 @@ func TestSortOrdersQuick(t *testing.T) {
 		if len(lib) == 0 {
 			return true
 		}
-		rd := lib.ByRDesc()
+		rd := lib.ByRDesc(nil)
 		for i := 1; i < len(rd); i++ {
 			if lib[rd[i]].R > lib[rd[i-1]].R {
 				return false
 			}
 		}
-		ca := lib.ByCinAsc()
+		ca := lib.ByCinAsc(nil)
 		for i := 1; i < len(ca); i++ {
 			if lib[ca[i]].Cin < lib[ca[i-1]].Cin {
 				return false

@@ -171,10 +171,7 @@ func (e *SweepEngine) Release() {
 	e.base, e.lib, e.scaled, e.slib = nil, nil, nil, nil
 }
 
-// apply rewrites the scratch instance in place to corner c. Uniform scaling
-// preserves both library orderings (see the package comment), so the core
-// engine's cached orderR/cinRank — keyed on the scratch library's identity,
-// which never changes — remain valid across corners.
+// apply rewrites the scratch instance in place to corner c.
 func (e *SweepEngine) apply(c Corner) {
 	bv, sv := e.base.Verts, e.scaled.Verts
 	for i := range sv {

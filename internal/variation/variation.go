@@ -12,16 +12,11 @@
 // model sign-off style multi-corner analysis; a seeded Sampler draws Monte
 // Carlo corners with configurable per-parameter sigma for yield estimation.
 //
-// Uniform scaling is what makes the sweep cheap: multiplying every library
-// R by one positive factor preserves the non-increasing-R order the
-// AddBuffer hull walk requires, and multiplying every Cin preserves the
-// input-capacitance order the beta merge requires (multiplication by a
-// positive factor is monotone, also in floating point, where ties can only
-// be created, never inverted — and both orders break ties by index). A
-// SweepEngine therefore rewrites one scratch library and one scratch tree
-// in place per corner and re-runs a warm core engine on them: after the
-// first corner, each additional sample performs zero steady-state heap
-// allocations (asserted by the package tests).
+// A SweepEngine rewrites one scratch library and one scratch tree in place
+// per corner and re-runs a warm core engine on them (its Reset re-derives
+// the library orderings without allocating): after the first corner, each
+// additional sample performs zero steady-state heap allocations (asserted
+// by the package tests).
 //
 // Determinism: a Sampler with a fixed seed always yields the same corner
 // sequence, and a sweep's result is independent of the worker count —
