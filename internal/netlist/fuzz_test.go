@@ -8,6 +8,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"bufferkit/internal/tree"
 )
 
 // FuzzNetRoundTrip asserts WriteNet is a canonicalizing inverse of
@@ -167,5 +169,83 @@ func FuzzParseNetMatchesReference(f *testing.F) {
 		if !bytes.Equal(gw.Bytes(), ww.Bytes()) {
 			t.Fatalf("WriteNet differs:\n--- got ---\n%s\n--- want ---\n%s", gw.String(), ww.String())
 		}
+	})
+}
+
+// FuzzWriteNetMatchesReference holds the line renderer to the reference
+// writer (reference_test.go) byte for byte on every net ParseNet accepts:
+// WriteNet, a fresh Lines, and a Lines whose changed vertices were
+// re-rendered must all write what referenceWriteNet writes. The bits of
+// mask pick vertices to strip of their names (bit v%64), so the "v<i>"
+// fallback and its "x" prefix on a clash are exercised, and vertices to
+// change after the Lines is made (bit (v+32)%64): new wire and sink values,
+// a flipped buffer flag and a reversed allowed list.
+func FuzzWriteNetMatchesReference(f *testing.F) {
+	for _, name := range []string{"line.net", "random12.net"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", "testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(data), uint64(0))
+		f.Add(string(data), uint64(0x5a5a5a5a5a5a5a5a))
+	}
+	f.Add(sampleNet, uint64(0))
+	f.Add(sampleNet, ^uint64(0))
+	clash := "net clash\n" +
+		"node v2 parent src res 0.4 cap 12 buffer allowed 3,1,2,1\n" +
+		"node n2 parent v2 res 0.1 cap 3 buffer allowed 7,0\n" +
+		"node v1 parent n2 res 0 cap 0\n" +
+		"sink xv2 parent v1 res 0.2 cap 8 load 14 rat -950.125 neg\n" +
+		"sink s2 parent v2 res 0.3 cap 9 load 21 rat 1e21\n"
+	f.Add(clash, uint64(0))
+	f.Add(clash, uint64(1<<2|1<<3|1<<4))
+	f.Add(clash, uint64(1<<33|1<<34|1<<36))
+
+	f.Fuzz(func(t *testing.T, in string, mask uint64) {
+		net, err := ParseNet(strings.NewReader(in))
+		if err != nil {
+			t.Skip() // invalid inputs are ParseNet's to reject
+		}
+		tr := net.Tree
+		for v := 1; v < tr.Len(); v++ {
+			if mask>>(v%64)&1 != 0 {
+				tr.Verts[v].Name = ""
+			}
+		}
+		check := func(what string, write func(*bytes.Buffer)) {
+			t.Helper()
+			var got, want bytes.Buffer
+			write(&got)
+			if err := referenceWriteNet(&want, net); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("%s differs from the reference:\n--- got ---\n%s\n--- want ---\n%s", what, got.String(), want.String())
+			}
+		}
+		check("WriteNet", func(b *bytes.Buffer) {
+			if err := WriteNet(b, net); err != nil {
+				t.Fatal(err)
+			}
+		})
+		lines := NewLines(net)
+		check("NewLines", func(b *bytes.Buffer) { lines.WriteTo(b) })
+
+		for v := 1; v < tr.Len(); v++ {
+			if mask>>((v+32)%64)&1 == 0 {
+				continue
+			}
+			vert := &tr.Verts[v]
+			vert.EdgeR, vert.EdgeC = vert.EdgeR*0.7+1e-9, vert.EdgeC+1.0/3
+			if vert.Kind == tree.Sink {
+				vert.RAT, vert.Cap = -1.5*vert.RAT+0.1, vert.Cap/3
+			} else {
+				vert.BufferOK = !vert.BufferOK
+				vert.Allowed = slices.Clone(vert.Allowed)
+				slices.Reverse(vert.Allowed)
+			}
+			lines.Render(v)
+		}
+		check("re-rendered Lines", func(b *bytes.Buffer) { lines.WriteTo(b) })
 	})
 }

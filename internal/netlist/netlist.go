@@ -29,7 +29,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
@@ -215,45 +215,135 @@ func ParseNet(r io.Reader) (*Net, error) {
 	return net, nil
 }
 
-// WriteNet writes a net file that ParseNet reproduces exactly.
+// WriteNet writes a net file that ParseNet reproduces exactly: the header
+// lines, then each vertex's line in index order. Lines renders with the
+// same functions, so the two write the same bytes.
 func WriteNet(w io.Writer, net *Net) error {
 	bw := bufio.NewWriter(w)
-	if net.Name != "" {
-		fmt.Fprintf(bw, "net %s\n", net.Name)
-	}
-	if net.Driver != (delay.Driver{}) {
-		fmt.Fprintf(bw, "driver res %s k %s\n", g(net.Driver.R), g(net.Driver.K))
-	}
-	t := net.Tree
-	names := canonicalNames(t)
-	for v := 1; v < t.Len(); v++ {
-		vert := &t.Verts[v]
-		if vert.Kind == tree.Sink {
-			fmt.Fprintf(bw, "sink %s parent %s res %s cap %s load %s rat %s",
-				names[v], names[vert.Parent], g(vert.EdgeR), g(vert.EdgeC), g(vert.Cap), g(vert.RAT))
-			if vert.Pol == tree.Negative {
-				bw.WriteString(" neg")
-			}
-		} else {
-			fmt.Fprintf(bw, "node %s parent %s res %s cap %s",
-				names[v], names[vert.Parent], g(vert.EdgeR), g(vert.EdgeC))
-			if vert.BufferOK {
-				bw.WriteString(" buffer")
-				if len(vert.Allowed) > 0 {
-					a := append([]int(nil), vert.Allowed...)
-					sort.Ints(a)
-					parts := make([]string, len(a))
-					for i, x := range a {
-						parts[i] = strconv.Itoa(x)
-					}
-					fmt.Fprintf(bw, " allowed %s", strings.Join(parts, ","))
-				}
-			}
-		}
-		bw.WriteByte('\n')
+	line := appendHeader(nil, net)
+	bw.Write(line)
+	names := canonicalNames(net.Tree)
+	for v := 1; v < net.Tree.Len(); v++ {
+		line = appendVertex(line[:0], net.Tree, v, names)
+		bw.Write(line)
 	}
 	return bw.Flush()
 }
+
+// Lines is a net's canonical text, the bytes WriteNet writes, kept as one
+// rendered line per vertex so that a change to a few vertices' values
+// re-renders only their lines. The vertex names are fixed when the Lines
+// is made: changes may not rename vertices or reshape the tree.
+type Lines struct {
+	t     *tree.Tree
+	names []string
+	// lines[0] holds the net and driver lines (the source has no line of
+	// its own); lines[v] is vertex v's line, newline included.
+	lines [][]byte
+}
+
+// NewLines renders net's canonical text. The Lines reads net.Tree on every
+// Render, so it sees the values the tree holds then.
+func NewLines(net *Net) *Lines {
+	t := net.Tree
+	l := &Lines{t: t, names: canonicalNames(t), lines: make([][]byte, t.Len())}
+	ends := make([]int, t.Len())
+	slab := appendHeader(nil, net)
+	ends[0] = len(slab)
+	for v := 1; v < t.Len(); v++ {
+		slab = appendVertex(slab, t, v, l.names)
+		ends[v] = len(slab)
+	}
+	// Each line's capacity ends where it does, so a re-rendered line that
+	// grows moves out of the slab instead of running into its neighbour.
+	start := 0
+	for v, end := range ends {
+		l.lines[v] = slab[start:end:end]
+		start = end
+	}
+	return l
+}
+
+// Render re-renders vertex v's line from the tree's current values.
+func (l *Lines) Render(v int) {
+	l.lines[v] = appendVertex(l.lines[v][:0], l.t, v, l.names)
+}
+
+// WriteTo writes the text, header first, then each vertex's line.
+func (l *Lines) WriteTo(w io.Writer) (int64, error) {
+	var n int64
+	for _, line := range l.lines {
+		m, err := w.Write(line)
+		n += int64(m)
+		if err != nil {
+			return n, err
+		}
+	}
+	return n, nil
+}
+
+// appendHeader appends the net's "net" and "driver" lines, each only when
+// it says something.
+func appendHeader(dst []byte, net *Net) []byte {
+	if net.Name != "" {
+		dst = append(dst, "net "...)
+		dst = append(dst, net.Name...)
+		dst = append(dst, '\n')
+	}
+	if net.Driver != (delay.Driver{}) {
+		dst = appendFloat(append(dst, "driver res "...), net.Driver.R)
+		dst = appendFloat(append(dst, " k "...), net.Driver.K)
+		dst = append(dst, '\n')
+	}
+	return dst
+}
+
+// appendVertex appends the line of vertex v (v > 0), newline included;
+// names are the tree's canonical names.
+func appendVertex(dst []byte, t *tree.Tree, v int, names []string) []byte {
+	vert := &t.Verts[v]
+	if vert.Kind == tree.Sink {
+		dst = append(dst, "sink "...)
+	} else {
+		dst = append(dst, "node "...)
+	}
+	dst = append(dst, names[v]...)
+	dst = append(dst, " parent "...)
+	dst = append(dst, names[vert.Parent]...)
+	dst = appendFloat(append(dst, " res "...), vert.EdgeR)
+	dst = appendFloat(append(dst, " cap "...), vert.EdgeC)
+	switch {
+	case vert.Kind == tree.Sink:
+		dst = appendFloat(append(dst, " load "...), vert.Cap)
+		dst = appendFloat(append(dst, " rat "...), vert.RAT)
+		if vert.Pol == tree.Negative {
+			dst = append(dst, " neg"...)
+		}
+	case vert.BufferOK:
+		dst = append(dst, " buffer"...)
+		if len(vert.Allowed) > 0 {
+			dst = appendSorted(append(dst, " allowed "...), vert.Allowed)
+		}
+	}
+	return append(dst, '\n')
+}
+
+// appendSorted appends xs in ascending order, duplicates kept, joined by
+// commas, leaving xs as it is. A list of up to 16 types sorts on the stack.
+func appendSorted(dst []byte, xs []int) []byte {
+	sorted := append(make([]int, 0, 16), xs...)
+	slices.Sort(sorted)
+	for i, x := range sorted {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, int64(x), 10)
+	}
+	return dst
+}
+
+// appendFloat appends v with full round-trip precision, as g formats it.
+func appendFloat(dst []byte, v float64) []byte { return strconv.AppendFloat(dst, v, 'g', -1, 64) }
 
 // canonicalNames returns unique vertex names: the stored name when present
 // and unique, otherwise "v<i>". Vertex 0 is always "src".
@@ -264,7 +354,7 @@ func canonicalNames(t *tree.Tree) []string {
 	for v := 1; v < t.Len(); v++ {
 		n := t.Verts[v].Name
 		if n == "" || used[n] {
-			n = fmt.Sprintf("v%d", v)
+			n = "v" + strconv.Itoa(v)
 		}
 		for used[n] {
 			n = "x" + n

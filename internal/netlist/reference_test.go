@@ -6,15 +6,21 @@ package netlist
 // tokenizer brought: a key outside the directive's key set and a repeated
 // net or driver line are errors. FuzzParseNetMatchesReference holds the
 // production parser to them.
+//
+// The reference writer: WriteNet as it stood before the line renderer,
+// built on fmt.Fprintf. FuzzWriteNetMatchesReference holds WriteNet and
+// Lines to it byte for byte.
 
 import (
 	"bufio"
 	"fmt"
 	"io"
 	"slices"
+	"sort"
 	"strconv"
 	"strings"
 
+	"bufferkit/internal/delay"
 	"bufferkit/internal/library"
 	"bufferkit/internal/tree"
 )
@@ -282,4 +288,61 @@ func fvalRequired(kv map[string]string, key string) (float64, error) {
 		return 0, fmt.Errorf("missing %s", key)
 	}
 	return fval(kv, key, 0)
+}
+
+func referenceWriteNet(w io.Writer, net *Net) error {
+	bw := bufio.NewWriter(w)
+	if net.Name != "" {
+		fmt.Fprintf(bw, "net %s\n", net.Name)
+	}
+	if net.Driver != (delay.Driver{}) {
+		fmt.Fprintf(bw, "driver res %s k %s\n", g(net.Driver.R), g(net.Driver.K))
+	}
+	t := net.Tree
+	names := referenceCanonicalNames(t)
+	for v := 1; v < t.Len(); v++ {
+		vert := &t.Verts[v]
+		if vert.Kind == tree.Sink {
+			fmt.Fprintf(bw, "sink %s parent %s res %s cap %s load %s rat %s",
+				names[v], names[vert.Parent], g(vert.EdgeR), g(vert.EdgeC), g(vert.Cap), g(vert.RAT))
+			if vert.Pol == tree.Negative {
+				bw.WriteString(" neg")
+			}
+		} else {
+			fmt.Fprintf(bw, "node %s parent %s res %s cap %s",
+				names[v], names[vert.Parent], g(vert.EdgeR), g(vert.EdgeC))
+			if vert.BufferOK {
+				bw.WriteString(" buffer")
+				if len(vert.Allowed) > 0 {
+					a := append([]int(nil), vert.Allowed...)
+					sort.Ints(a)
+					parts := make([]string, len(a))
+					for i, x := range a {
+						parts[i] = strconv.Itoa(x)
+					}
+					fmt.Fprintf(bw, " allowed %s", strings.Join(parts, ","))
+				}
+			}
+		}
+		bw.WriteByte('\n')
+	}
+	return bw.Flush()
+}
+
+func referenceCanonicalNames(t *tree.Tree) []string {
+	names := make([]string, t.Len())
+	used := map[string]bool{"src": true}
+	names[0] = "src"
+	for v := 1; v < t.Len(); v++ {
+		n := t.Verts[v].Name
+		if n == "" || used[n] {
+			n = fmt.Sprintf("v%d", v)
+		}
+		for used[n] {
+			n = "x" + n
+		}
+		used[n] = true
+		names[v] = n
+	}
+	return names
 }

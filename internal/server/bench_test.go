@@ -108,3 +108,73 @@ func BenchmarkServerOverload(b *testing.B) {
 	b.ReportMetric(float64(sheds.Load())/float64(b.N), "sheds/op")
 	b.ReportMetric(float64(solved.Load())/float64(b.N), "solved/op")
 }
+
+// sessionPatchBench opens an ECO session on the 729-sink ternary bushy net
+// under the b=16 library, as the eco perfbench workload does, and returns
+// the handler and n request bodies: body i is a sink patch with a RAT
+// never used before, so every PUT misses the cache and re-solves.
+func sessionPatchBench(tb testing.TB, n int) (http.Handler, [][]byte) {
+	tb.Helper()
+	tr := bufferkit.BalancedNet(3, 6, 400, 8, 1200, bufferkit.PaperWire())
+	var lib strings.Builder
+	if err := bufferkit.WriteLibrary(&lib, bufferkit.GenerateLibrary(16)); err != nil {
+		tb.Fatal(err)
+	}
+	h := New(Config{}).Handler()
+	create := sessionRequest{Net: netText(tb, tr, "bushy", bufferkit.Driver{R: 0.2, K: 15}), Library: lib.String()}
+	if rec := request(tb, h, "PUT", "/v1/sessions/bench", create); rec.Code != http.StatusOK {
+		tb.Fatalf("create: %d %s", rec.Code, rec.Body.String())
+	}
+	sinks := tr.Sinks()
+	bodies := make([][]byte, n)
+	for i := range bodies {
+		rat, cap := 1000+float64(i)/8, 4+float64(i%97)/8
+		body, err := json.Marshal(sessionRequest{Patches: []sessionPatch{
+			{Kind: "sink", Vertex: vertexName(tr, sinks[i%len(sinks)]), RAT: &rat, Cap: &cap},
+		}})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		bodies[i] = body
+	}
+	return h, bodies
+}
+
+// putSession sends one PUT to the bench session.
+func putSession(tb testing.TB, h http.Handler, body []byte) {
+	req := httptest.NewRequest("PUT", "/v1/sessions/bench", bytes.NewReader(body))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		tb.Fatalf("patch: %d %s", rec.Code, rec.Body.String())
+	}
+}
+
+// BenchmarkServerSessionPatch measures one ECO patch end to end in the
+// handler: decode, patch, the cache key over the kept net text, the
+// incremental re-solve and the JSON encode. Every op is a distinct sink
+// patch, so none is a cache hit.
+func BenchmarkServerSessionPatch(b *testing.B) {
+	h, bodies := sessionPatchBench(b, b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		putSession(b, h, bodies[i])
+	}
+}
+
+// TestSessionPatchAllocs bounds one ECO patch PUT on the bushy net at
+// 1,500 allocations. Rendering the whole 1,093-vertex net to text for the
+// cache key, as each patch once did, costs ~13,000 and fails it.
+func TestSessionPatchAllocs(t *testing.T) {
+	const runs = 20
+	h, bodies := sessionPatchBench(t, runs+1)
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		putSession(t, h, bodies[i])
+		i++
+	})
+	if allocs > 1500 {
+		t.Fatalf("one session patch PUT allocates %.0f times, want at most 1,500", allocs)
+	}
+}

@@ -1,13 +1,16 @@
 package server
 
 import (
-	"bytes"
 	"context"
+	"crypto/sha256"
+	"hash"
 	"net/http"
 	"sync"
 	"time"
 
 	"bufferkit"
+	"bufferkit/internal/netlist"
+	"bufferkit/internal/obs"
 	"bufferkit/internal/server/cache"
 )
 
@@ -17,10 +20,13 @@ import (
 // its deltas instead of whole re-solves. The session table is LRU + TTL
 // evicted; a client whose session expired gets a 404 and recreates it by
 // resending net and library under the same id (the client package does this
-// transparently). Results are cache-coherent with /v1/solve: the patched
-// tree is serialized back to canonical .net text and keyed into the same
-// LRU, so a session resolve can be answered by an earlier plain solve of
-// the identical net — and vice versa.
+// transparently). Results are cache-coherent with /v1/solve: the session
+// keeps its net's canonical .net text as one rendered line per vertex
+// (netlist.Lines), re-renders only the lines of the vertices a patch
+// touches, and keys the same LRU by sha256 over exactly the bytes
+// WriteNet writes for the patched tree. So a session resolve can be
+// answered by an earlier plain solve of the identical net, and vice versa,
+// while a patch pays for hashing the text but not for rendering it.
 
 // sessionRequest is the PUT /v1/sessions/{id} payload. Net and Library are
 // required when the id is new (they define the session) and optional
@@ -80,18 +86,22 @@ type sessionEntry struct {
 	netText string // original .net payload, for idempotent-create matching
 	libText string
 	lib     bufferkit.Library
-	name    string           // net name, for response building
-	driver  bufferkit.Driver // net driver, for cache-key serialization
-	names   map[string]int   // vertex name → index, for patch addressing
-	tree    *bufferkit.Tree  // the session's patched tree (read-only view)
-	opts    solveOptions     // pinned at create; later requests must not conflict
-	optsKey string           // opts.cacheOptions(), pinned at create
+	libSum  [sha256.Size]byte // sha256 of libText, the library half of every key
+	name    string            // net name, for response building
+	names   map[string]int    // vertex name → index, for patch addressing
+	tree    *bufferkit.Tree   // the session's patched tree (read-only view)
+	opts    solveOptions      // pinned at create; later requests must not conflict
+	optsKey string            // opts.cacheOptions(), pinned at create
 
 	mu     sync.Mutex
 	solver *bufferkit.Solver
 	sess   *bufferkit.Session
 	last   bufferkit.SessionStats // stats at last observation, for counter deltas
 	closed bool
+	// lines is the patched tree's canonical .net text, one line per
+	// vertex, kept current by the PUT handler; netHash digests it.
+	lines   *netlist.Lines
+	netHash hash.Hash
 
 	lastUsed time.Time // guarded by Server.sessMu
 }
@@ -99,6 +109,7 @@ type sessionEntry struct {
 // handleSessionPut creates/patches/re-solves one session.
 func (s *Server) handleSessionPut(w http.ResponseWriter, r *http.Request) {
 	s.sessionReqs.Add(1)
+	tr := obs.TraceFromContext(r.Context())
 	if s.cfg.MaxSessions < 0 {
 		s.writeError(w, &httpError{status: http.StatusNotFound, msg: "sessions are disabled on this server"})
 		return
@@ -151,21 +162,29 @@ func (s *Server) handleSessionPut(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, err)
 			return
 		}
+		// A patch changes only its own vertex's line: values, never names
+		// or shape.
+		for _, p := range req.Patches {
+			e.lines.Render(e.names[p.Vertex])
+		}
 		s.sessionPatches.Add(int64(len(req.Patches)))
 	}
 
-	// Cache coherence: the patched tree serializes back to canonical .net
-	// text, keyed exactly like /v1/solve — so identical patched nets share
-	// results across both endpoints, in both directions.
-	var netBuf bytes.Buffer
-	if err := bufferkit.WriteNet(&netBuf, &bufferkit.Net{Name: e.name, Tree: e.tree, Driver: e.driver}); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	key := cache.NewKey(netBuf.Bytes(), []byte(e.libText), e.optsKey)
-	if hit, ok := cacheGet[solveResponse](s, key); ok {
+	// Cache coherence: the key is the one /v1/solve computes for the
+	// patched net's canonical text, so identical patched nets share results
+	// across both endpoints, in both directions.
+	lookup := tr.StartSpan("cache_lookup")
+	key := e.cacheKey()
+	tr.Set("digest", digestAttr(key.Net))
+	hit, ok := cacheGet[solveResponse](s, key)
+	lookup.Set("hit", ok)
+	lookup.End()
+	if ok {
 		s.sessionCacheHits.Add(1)
+		tr.Set("cached", true)
+		enc := tr.StartSpan("encode")
 		writeJSON(w, http.StatusOK, &sessionResponse{solveResponse: *hit, Session: e.info(s, id, created)})
+		enc.End()
 		return
 	}
 
@@ -186,10 +205,24 @@ func (s *Server) handleSessionPut(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, s.asCanceled(err))
 		return
 	}
-	resp := buildResponse(&bufferkit.Net{Name: e.name, Tree: e.tree, Driver: e.driver},
+	resp := buildResponse(&bufferkit.Net{Name: e.name, Tree: e.tree},
 		e.lib, e.solver.Algorithm(), res, elapsed)
 	s.cacheStore(key, resp)
+	enc := tr.StartSpan("encode")
 	writeJSON(w, http.StatusOK, &sessionResponse{solveResponse: *resp, Session: info})
+	enc.End()
+}
+
+// cacheKey is cache.NewKey(WriteNet(patched net), libText, optsKey),
+// computed from the kept lines: one sha256 pass over the same bytes, no
+// rendering (and no error: a hash.Hash write never fails). Callers hold
+// e.mu.
+func (e *sessionEntry) cacheKey() cache.Key {
+	e.netHash.Reset()
+	e.lines.WriteTo(e.netHash)
+	key := cache.Key{Library: e.libSum, Options: e.optsKey}
+	e.netHash.Sum(key.Net[:0])
+	return key
 }
 
 // handleSessionDelete closes and forgets a session.
@@ -255,19 +288,22 @@ func (s *Server) getOrCreateSession(id string, req *sessionRequest) (*sessionEnt
 	for v := range net.Tree.Verts {
 		names[vertexName(net.Tree, v)] = v
 	}
+	tree := sess.Tree()
 	e := &sessionEntry{
 		id:      id,
 		netText: req.Net,
 		libText: req.Library,
+		libSum:  sha256.Sum256([]byte(req.Library)),
 		lib:     lib,
 		name:    net.Name,
-		driver:  net.Driver,
 		names:   names,
-		tree:    sess.Tree(),
+		tree:    tree,
 		opts:    req.solveOptions,
 		optsKey: req.solveOptions.cacheOptions(),
 		solver:  solver,
 		sess:    sess,
+		lines:   netlist.NewLines(&netlist.Net{Name: net.Name, Tree: tree, Driver: net.Driver}),
+		netHash: sha256.New(),
 	}
 	for len(s.sessions) >= s.cfg.MaxSessions {
 		s.evictOldestLocked()

@@ -15,6 +15,8 @@ import (
 
 	"bufferkit"
 	"bufferkit/internal/netgen"
+	"bufferkit/internal/obs"
+	"bufferkit/internal/server/cache"
 )
 
 // request is post with an explicit method, for the PUT/DELETE session routes.
@@ -482,5 +484,207 @@ func TestSessionTTLEviction(t *testing.T) {
 	}
 	if n := metric(t, h, "sessions_active"); n != 0 {
 		t.Fatalf("sessions_active = %d, want 0", n)
+	}
+}
+
+// TestSessionTraceSpans: a session PUT is traced like /v1/solve. The
+// create, a missing patch and a patch that returns to an earlier net each
+// archive a cache_lookup span with its hit attribute and an encode span,
+// the trace carries the key's digest, and only the hit is marked cached.
+// The hit's digest is the earlier net's.
+func TestSessionTraceSpans(t *testing.T) {
+	tr, net, lib := sessionFixture(t)
+	h := New(Config{}).Handler()
+	sink := vertexName(tr, tr.Sinks()[0])
+	patch := func(rat float64) sessionRequest {
+		cap := 5.0
+		return sessionRequest{Patches: []sessionPatch{{Kind: "sink", Vertex: sink, RAT: &rat, Cap: &cap}}}
+	}
+	steps := []struct {
+		name string
+		req  sessionRequest
+		hit  bool
+	}{
+		{"create", sessionRequest{Net: net, Library: lib}, false},
+		{"patch", patch(600.5), false},
+		{"second patch", patch(700.25), false},
+		{"patch back", patch(600.5), true},
+	}
+	digests := make([]string, len(steps))
+	for i, st := range steps {
+		rec := request(t, h, "PUT", "/v1/sessions/traced", st.req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", st.name, rec.Code, rec.Body.String())
+		}
+		id := rec.Header().Get(traceHeader)
+		var ring struct {
+			Traces []obs.TraceJSON `json:"traces"`
+		}
+		decodeInto(t, get(t, h, "/debug/traces"), &ring)
+		var found *obs.TraceJSON
+		for k := range ring.Traces {
+			if ring.Traces[k].Trace == id {
+				found = &ring.Traces[k]
+			}
+		}
+		if found == nil {
+			t.Fatalf("%s: trace %q not in /debug/traces", st.name, id)
+		}
+		spans := map[string]obs.SpanJSON{}
+		for _, sp := range found.Spans {
+			spans[sp.Name] = sp
+		}
+		lookup, ok := spans["cache_lookup"]
+		if !ok || lookup.Attrs["hit"] != st.hit {
+			t.Fatalf("%s: cache_lookup span %+v (present %v), want hit=%v", st.name, lookup, ok, st.hit)
+		}
+		if _, ok := spans["encode"]; !ok {
+			t.Fatalf("%s: no encode span in %+v", st.name, found.Spans)
+		}
+		digests[i], _ = found.Attrs["digest"].(string)
+		if len(digests[i]) != 16 {
+			t.Fatalf("%s: digest attribute %v, want 16 hex digits", st.name, found.Attrs["digest"])
+		}
+		if cached, _ := found.Attrs["cached"].(bool); cached != st.hit {
+			t.Fatalf("%s: cached attribute %v, want %v", st.name, found.Attrs["cached"], st.hit)
+		}
+	}
+	if digests[3] != digests[1] || digests[2] == digests[1] || digests[1] == digests[0] {
+		t.Fatalf("digests %v: want patch back == patch, all others distinct", digests)
+	}
+}
+
+// TestSessionKeyProperty: after random batches of sink, edge and buffer
+// patches, the session's cache key is the one /v1/solve computes for
+// WriteNet of a mirror tree the test patches itself. After every accepted
+// PUT a plain solve of the mirror's text is a cache hit with the session's
+// slack; a rejected batch (a bad patch after valid ones) leaves the key,
+// and the next resolve's answer, unchanged.
+func TestSessionKeyProperty(t *testing.T) {
+	_, net, lib := sessionFixture(t)
+	parsed, err := bufferkit.ParseNet(strings.NewReader(net))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirror := parsed.Tree.Clone()
+	var sinks, nodes []string
+	isSink := map[int]bool{}
+	for _, v := range mirror.Sinks() {
+		isSink[v] = true
+		sinks = append(sinks, mirror.Verts[v].Name)
+	}
+	for v := 1; v < mirror.Len(); v++ {
+		if !isSink[v] {
+			nodes = append(nodes, mirror.Verts[v].Name)
+		}
+	}
+	verts := append(append([]string(nil), sinks...), nodes...)
+	ids := map[string]int{}
+	for v := range mirror.Verts {
+		ids[vertexName(mirror, v)] = v
+	}
+	mirrorText := func() string {
+		var b bytes.Buffer
+		if err := bufferkit.WriteNet(&b, &bufferkit.Net{Name: parsed.Name, Tree: mirror, Driver: parsed.Driver}); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+
+	srv := New(Config{})
+	h := srv.Handler()
+	if rec := request(t, h, "PUT", "/v1/sessions/prop", sessionRequest{Net: net, Library: lib}); rec.Code != http.StatusOK {
+		t.Fatalf("create: %d %s", rec.Code, rec.Body.String())
+	}
+	srv.sessMu.Lock()
+	e := srv.sessions["prop"]
+	srv.sessMu.Unlock()
+	sessionKey := func() cache.Key {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return e.cacheKey()
+	}
+	wantKey := func() cache.Key {
+		return cache.NewKey([]byte(mirrorText()), []byte(lib), solveOptions{}.cacheOptions())
+	}
+
+	rng := rand.New(rand.NewSource(23))
+	num := func(lo, hi float64) *float64 { x := lo + (hi-lo)*rng.Float64(); return &x }
+	bad := []sessionPatch{
+		{Kind: "sink", Vertex: "nope", RAT: num(500, 1500), Cap: num(1, 20)},
+		{Kind: "buffer", Vertex: "src", OK: new(bool)},
+		{Kind: "wire", Vertex: nodes[0]},
+	}
+	var accepted, rejected int
+	for round := 0; round < 80; round++ {
+		var batch []sessionPatch
+		for n := 1 + rng.Intn(4); n > 0; n-- {
+			switch rng.Intn(3) {
+			case 0:
+				batch = append(batch, sessionPatch{Kind: "sink", Vertex: sinks[rng.Intn(len(sinks))],
+					RAT: num(500, 1500), Cap: num(1, 20)})
+			case 1:
+				batch = append(batch, sessionPatch{Kind: "edge", Vertex: verts[rng.Intn(len(verts))],
+					Res: num(0, 1), Cap: num(0, 10)})
+			default:
+				ok := rng.Intn(2) == 0
+				var allowed []int
+				if rng.Intn(2) == 0 {
+					allowed = rng.Perm(8)[:1+rng.Intn(8)] // unsorted, indices of lib8
+				}
+				batch = append(batch, sessionPatch{Kind: "buffer", Vertex: nodes[rng.Intn(len(nodes))],
+					OK: &ok, Allowed: allowed})
+			}
+		}
+		if rng.Intn(4) == 0 {
+			before := sessionKey()
+			batch = append(batch, bad[rng.Intn(len(bad))])
+			if rec := request(t, h, "PUT", "/v1/sessions/prop", sessionRequest{Patches: batch}); rec.Code != http.StatusBadRequest {
+				t.Fatalf("round %d: rejected batch: %d %s", round, rec.Code, rec.Body.String())
+			}
+			if sessionKey() != before {
+				t.Fatalf("round %d: a rejected batch changed the session key", round)
+			}
+			rec := request(t, h, "PUT", "/v1/sessions/prop", sessionRequest{})
+			var again sessionResponse
+			decodeInto(t, rec, &again)
+			if rec.Code != http.StatusOK || !again.Cached {
+				t.Fatalf("round %d: resolve after a rejected batch: %d cached=%v", round, rec.Code, again.Cached)
+			}
+			rejected++
+			continue
+		}
+
+		for _, p := range batch {
+			v := &mirror.Verts[ids[p.Vertex]]
+			switch p.Kind {
+			case "sink":
+				v.RAT, v.Cap = *p.RAT, *p.Cap
+			case "edge":
+				v.EdgeR, v.EdgeC = *p.Res, *p.Cap
+			case "buffer":
+				v.BufferOK, v.Allowed = *p.OK, append([]int(nil), p.Allowed...)
+			}
+		}
+		rec := request(t, h, "PUT", "/v1/sessions/prop", sessionRequest{Patches: batch})
+		if rec.Code != http.StatusOK {
+			t.Fatalf("round %d: %d %s", round, rec.Code, rec.Body.String())
+		}
+		var got sessionResponse
+		decodeInto(t, rec, &got)
+		if sessionKey() != wantKey() {
+			t.Fatalf("round %d: session key differs from the mirror's WriteNet key", round)
+		}
+		solveRec := post(t, h, "/v1/solve", solveRequest{Net: mirrorText(), Library: lib})
+		var solved solveResponse
+		decodeInto(t, solveRec, &solved)
+		if solveRec.Code != http.StatusOK || !solved.Cached || solved.Slack != got.Slack {
+			t.Fatalf("round %d: solve of the mirror: %d cached=%v slack %v, session slack %v",
+				round, solveRec.Code, solved.Cached, solved.Slack, got.Slack)
+		}
+		accepted++
+	}
+	if accepted < 40 || rejected < 10 {
+		t.Fatalf("%d accepted and %d rejected batches; the mix is too thin", accepted, rejected)
 	}
 }
