@@ -42,6 +42,7 @@ import (
 	"sync"
 	"time"
 
+	"bufferkit/internal/api"
 	"bufferkit/internal/fleet"
 	"bufferkit/internal/obs"
 	"bufferkit/internal/resilience"
@@ -317,12 +318,7 @@ func (c *Client) attemptAt(ctx context.Context, base *url.URL, method, path stri
 	}
 	defer resp.Body.Close()
 	apiErr := &APIError{Status: resp.StatusCode}
-	var eb struct {
-		Error string `json:"error"`
-		Field string `json:"field"`
-		Peer  string `json:"peer"`
-		Trace string `json:"trace"`
-	}
+	var eb api.ErrorBody
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if json.Unmarshal(raw, &eb) == nil && eb.Error != "" {
 		apiErr.Message, apiErr.Field, apiErr.Peer, apiErr.Trace = eb.Error, eb.Field, eb.Peer, eb.Trace

@@ -67,6 +67,9 @@ func TestSolveRoundTrip(t *testing.T) {
 	if res.Net != "line" || res.Buffers <= 0 || res.Slack == 0 {
 		t.Fatalf("result = %+v", res)
 	}
+	if res.Stats == nil || res.Stats.Positions == 0 || res.Stats.BetasGenerated == 0 {
+		t.Fatalf("stats = %+v, want the engine's counters", res.Stats)
+	}
 	if ft.Requests() != 1 {
 		t.Fatalf("transport saw %d requests, want 1", ft.Requests())
 	}

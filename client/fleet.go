@@ -69,23 +69,6 @@ func WithPeers(peerURLs ...string) Option {
 	}
 }
 
-// PeerStatus is one fleet member's health as reported by GET /v1/fleet.
-type PeerStatus struct {
-	URL   string  `json:"url"`
-	Self  bool    `json:"self,omitempty"`
-	State string  `json:"state"`
-	Phi   float64 `json:"phi"`
-}
-
-// FleetInfo is the GET /v1/fleet reply: the contacted node's fleet
-// topology and its view of every member's health.
-type FleetInfo struct {
-	Enabled  bool         `json:"enabled"`
-	Self     string       `json:"self,omitempty"`
-	Replicas int          `json:"replicas,omitempty"`
-	Peers    []PeerStatus `json:"peers,omitempty"`
-}
-
 // Fleet fetches the contacted node's fleet topology.
 func (c *Client) Fleet(ctx context.Context) (*FleetInfo, error) {
 	var info FleetInfo

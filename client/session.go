@@ -14,21 +14,6 @@ import (
 // transparently recreating + replaying on a 404. Patches set absolute
 // values, so the replay — and any retried PUT — is idempotent.
 
-// SessionPatch is one typed delta of a session PUT. Kind is "sink" (rat +
-// cap), "edge" (res + cap) or "buffer" (ok + optional allowed library type
-// indices). Vertices are named as in net files and placements: the file
-// name when set, otherwise "v<i>" ("src" for the source). Use the
-// SinkPatch/EdgePatch/BufferPatch constructors.
-type SessionPatch struct {
-	Kind    string   `json:"kind"`
-	Vertex  string   `json:"vertex"`
-	RAT     *float64 `json:"rat,omitempty"`
-	Cap     *float64 `json:"cap,omitempty"`
-	Res     *float64 `json:"res,omitempty"`
-	OK      *bool    `json:"ok,omitempty"`
-	Allowed []int    `json:"allowed,omitempty"`
-}
-
 // SinkPatch sets a sink's required arrival time and load capacitance.
 func SinkPatch(vertex string, rat, cap float64) SessionPatch {
 	return SessionPatch{Kind: "sink", Vertex: vertex, RAT: &rat, Cap: &cap}
@@ -43,35 +28,6 @@ func EdgePatch(vertex string, res, cap float64) SessionPatch {
 // library types allowed there (none = every type).
 func BufferPatch(vertex string, ok bool, allowed ...int) SessionPatch {
 	return SessionPatch{Kind: "buffer", Vertex: vertex, OK: &ok, Allowed: allowed}
-}
-
-// SessionRequest is the PUT /v1/sessions/{id} payload. Net and Library
-// are required on the PUT that creates the session and optional
-// afterwards; resending them must match byte for byte.
-type SessionRequest struct {
-	Net     string         `json:"net,omitempty"`
-	Library string         `json:"library,omitempty"`
-	Patches []SessionPatch `json:"patches,omitempty"`
-	SolveOptions
-}
-
-// SessionInfo is the session block of a PUT reply.
-type SessionInfo struct {
-	ID      string `json:"id"`
-	Created bool   `json:"created,omitempty"`
-	// Resolves, FullRebuilds and Recomputed expose the incremental-work
-	// story: Recomputed is the number of vertices the last resolve actually
-	// recomputed (0 when the reply came from the server's result cache).
-	Resolves     int `json:"resolves"`
-	FullRebuilds int `json:"full_rebuilds"`
-	Recomputed   int `json:"recomputed"`
-}
-
-// SessionResult is the PUT /v1/sessions/{id} reply: a solve result plus
-// the session block.
-type SessionResult struct {
-	SolveResult
-	Session SessionInfo `json:"session"`
 }
 
 // SessionPut issues one raw PUT /v1/sessions/{id}. Most callers want the

@@ -44,12 +44,6 @@ type Config struct {
 	// record as soon as the round completes, from the coordinating
 	// goroutine — the server streams these as NDJSON.
 	OnRound func(Round)
-	// CompletedRounds and SolvedNets, when non-nil, are incremented as
-	// rounds finish and as individual oracle solves finish within the
-	// current round, so callers (the server's partial-progress counters)
-	// can observe progress across a deadline abort.
-	CompletedRounds *atomic.Int64
-	SolvedNets      *atomic.Int64
 }
 
 func (c *Config) fill() {
@@ -316,9 +310,6 @@ func Solve(ctx context.Context, inst *Instance, lib library.Library, cfg Config)
 						continue
 					}
 					solvedNow.Add(1)
-					if cfg.SolvedNets != nil {
-						cfg.SolvedNets.Add(1)
-					}
 				}
 			}()
 		}
@@ -341,9 +332,6 @@ func Solve(ctx context.Context, inst *Instance, lib library.Library, cfg Config)
 		rec.Round = round
 		rec.Resolved = int(resolved.Load())
 		res.Rounds = append(res.Rounds, rec)
-		if cfg.CompletedRounds != nil {
-			cfg.CompletedRounds.Add(1)
-		}
 		if cfg.OnRound != nil {
 			cfg.OnRound(rec)
 		}
@@ -359,9 +347,6 @@ func Solve(ctx context.Context, inst *Instance, lib library.Library, cfg Config)
 		}
 		rec.Round = len(res.Rounds) + 1
 		res.Rounds = append(res.Rounds, rec)
-		if cfg.CompletedRounds != nil {
-			cfg.CompletedRounds.Add(1)
-		}
 		if cfg.OnRound != nil {
 			cfg.OnRound(rec)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"bufferkit/internal/candidate"
 	"bufferkit/internal/solvererr"
@@ -175,7 +176,7 @@ func (e *Engine) addBuffer(v int, acc *pair, allowed []int) {
 	// decision-resolution cursor through HullDec (monotone alongside ptr).
 	var ptr, decPos [2]int
 	for _, ti := range e.orderR {
-		if len(allowed) > 0 && !contains(allowed, ti) {
+		if len(allowed) > 0 && !slices.Contains(allowed, ti) {
 			continue
 		}
 		b := e.lib[ti]
@@ -273,13 +274,4 @@ func freeNil(l *candidate.SoAList) {
 	if l != nil {
 		l.Free()
 	}
-}
-
-func contains(s []int, x int) bool {
-	for _, v := range s {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

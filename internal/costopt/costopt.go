@@ -14,6 +14,7 @@ package costopt
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"bufferkit/internal/candidate"
@@ -156,7 +157,7 @@ func (e *engine) addBuffer(v int, acc levels, allowed []int) {
 		l.AppendHullInto(h)
 		p, decPos := 0, 0
 		for _, ti := range e.orderR {
-			if len(allowed) > 0 && !contains(allowed, ti) {
+			if len(allowed) > 0 && !slices.Contains(allowed, ti) {
 				continue
 			}
 			b := e.lib[ti]
@@ -263,13 +264,4 @@ func (e *engine) crossLevelPrune(acc levels) {
 		union(frontier, l)
 	}
 	frontier.Free()
-}
-
-func contains(s []int, x int) bool {
-	for _, v := range s {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

@@ -11,6 +11,7 @@ package delay
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"bufferkit/internal/library"
 	"bufferkit/internal/tree"
@@ -119,7 +120,7 @@ func Evaluate(t *tree.Tree, lib library.Library, p Placement, drv Driver) (*Resu
 		if !vert.BufferOK {
 			return nil, fmt.Errorf("delay: vertex %d is not a legal buffer position", v)
 		}
-		if len(vert.Allowed) > 0 && !contains(vert.Allowed, b) {
+		if len(vert.Allowed) > 0 && !slices.Contains(vert.Allowed, b) {
 			return nil, fmt.Errorf("delay: vertex %d: buffer type %d not allowed here", v, b)
 		}
 	}
@@ -205,13 +206,4 @@ func (r *Result) CriticalPath(t *tree.Tree) []int {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return rev
-}
-
-func contains(s []int, x int) bool {
-	for _, v := range s {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

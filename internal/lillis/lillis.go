@@ -15,6 +15,7 @@ package lillis
 
 import (
 	"context"
+	"slices"
 
 	"bufferkit/internal/candidate"
 	"bufferkit/internal/delay"
@@ -157,7 +158,7 @@ func (e *Engine) RunContext(ctx context.Context, t *tree.Tree, lib library.Libra
 // linear scan of the list — the O(b·k) step.
 func addBuffer(ar *candidate.Arena, l *candidate.SoAList, lib library.Library, allowed []int, vertex int, out []candidate.Beta) []candidate.Beta {
 	for ti := range lib {
-		if len(allowed) > 0 && !contains(allowed, ti) {
+		if len(allowed) > 0 && !slices.Contains(allowed, ti) {
 			continue
 		}
 		b := lib[ti]
@@ -173,13 +174,4 @@ func addBuffer(ar *candidate.Arena, l *candidate.SoAList, lib library.Library, a
 		})
 	}
 	return out
-}
-
-func contains(s []int, x int) bool {
-	for _, v := range s {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

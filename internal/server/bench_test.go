@@ -12,11 +12,12 @@ import (
 	"time"
 
 	"bufferkit"
+	"bufferkit/internal/api"
 )
 
 // benchBody builds the /v1/solve payload once.
 func benchBody(b *testing.B) []byte {
-	body, err := json.Marshal(solveRequest{
+	body, err := json.Marshal(api.SolveRequest{
 		Net:     readTestdata(b, "line.net"),
 		Library: readTestdata(b, "lib8.buf"),
 	})
@@ -72,7 +73,7 @@ func BenchmarkServerOverload(b *testing.B) {
 	// key without rebuilding the net text per iteration.
 	const placeholder = "PLACEHOLDER"
 	tr := bufferkit.TwoPinNet(50000, 2000, 10, 1e6, bufferkit.PaperWire())
-	body, err := json.Marshal(solveRequest{
+	body, err := json.Marshal(api.SolveRequest{
 		Net:     netText(b, tr, placeholder, bufferkit.Driver{R: 0.2, K: 15}),
 		Library: readTestdata(b, "lib8.buf"),
 	})
@@ -121,7 +122,7 @@ func sessionPatchBench(tb testing.TB, n int) (http.Handler, [][]byte) {
 		tb.Fatal(err)
 	}
 	h := New(Config{}).Handler()
-	create := sessionRequest{Net: netText(tb, tr, "bushy", bufferkit.Driver{R: 0.2, K: 15}), Library: lib.String()}
+	create := api.SessionRequest{Net: netText(tb, tr, "bushy", bufferkit.Driver{R: 0.2, K: 15}), Library: lib.String()}
 	if rec := request(tb, h, "PUT", "/v1/sessions/bench", create); rec.Code != http.StatusOK {
 		tb.Fatalf("create: %d %s", rec.Code, rec.Body.String())
 	}
@@ -129,7 +130,7 @@ func sessionPatchBench(tb testing.TB, n int) (http.Handler, [][]byte) {
 	bodies := make([][]byte, n)
 	for i := range bodies {
 		rat, cap := 1000+float64(i)/8, 4+float64(i%97)/8
-		body, err := json.Marshal(sessionRequest{Patches: []sessionPatch{
+		body, err := json.Marshal(api.SessionRequest{Patches: []api.SessionPatch{
 			{Kind: "sink", Vertex: vertexName(tr, sinks[i%len(sinks)]), RAT: &rat, Cap: &cap},
 		}})
 		if err != nil {

@@ -3,75 +3,14 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"strings"
 	"time"
 
 	"bufferkit"
+	"bufferkit/internal/api"
 )
-
-// chipRequest is the POST /v1/chip payload.
-type chipRequest struct {
-	// Instance is the multi-net chip instance in the JSON format
-	// cmd/netgen -chip emits: a site grid with blockages plus nets carrying
-	// embedded .net text and vertex→site maps.
-	Instance json.RawMessage `json:"instance"`
-	// Library is the .buf text shared by every net of the instance.
-	Library string `json:"library"`
-	// Rounds caps the pricing rounds (0 = engine default; the repair pass
-	// still runs after the budget when needed).
-	Rounds int `json:"rounds,omitempty"`
-	// Step is the initial subgradient price step in ps per unit of site
-	// overflow (0 = engine default).
-	Step float64 `json:"step,omitempty"`
-	// StepDecay is the per-round multiplicative step decay in (0, 1]
-	// (0 = engine default).
-	StepDecay float64 `json:"step_decay,omitempty"`
-	// HistoryStep is the PathFinder-style permanent price increment per
-	// unit of overflow per round (0 = engine default, negative disables).
-	HistoryStep float64 `json:"history_step,omitempty"`
-	// Capacity overrides the instance's default per-site capacity
-	// (0 keeps the instance's own).
-	Capacity int `json:"capacity,omitempty"`
-	solveOptions
-}
-
-// chipLine is one NDJSON line of the chip response. Exactly one of Round,
-// Done and Error is set: every pricing (and repair) round streams as a
-// Round record the moment it completes, and the stream ends with either a
-// Done summary or an Error record. An Error record after Round records
-// means the solve aborted mid-run; CompletedRounds/SolvedNets then carry
-// the partial progress made before the abort.
-type chipLine struct {
-	Round *bufferkit.ChipRound `json:"round,omitempty"`
-	Done  *chipSummary         `json:"done,omitempty"`
-	Error string               `json:"error,omitempty"`
-	// CompletedRounds counts fully finished pricing rounds and SolvedNets
-	// the oracle solves completed inside the aborted round (Error records
-	// from a deadline or disconnect abort only).
-	CompletedRounds int `json:"completed_rounds,omitempty"`
-	SolvedNets      int `json:"solved_nets,omitempty"`
-}
-
-// chipSummary is the terminal record of a successful chip stream.
-type chipSummary struct {
-	Algorithm string `json:"algorithm"`
-	Feasible  bool   `json:"feasible"`
-	Nets      int    `json:"nets"`
-	Rounds    int    `json:"rounds"`
-	Buffers   int    `json:"buffers"`
-	// TotalSlack sums the true (unpriced) per-net slacks; WorstSlack and
-	// WorstNet identify the minimum.
-	TotalSlack float64 `json:"total_slack"`
-	WorstSlack float64 `json:"worst_slack"`
-	WorstNet   int     `json:"worst_net"`
-	// Slacks and Placements are indexed like the instance's nets.
-	Slacks     []float64           `json:"slacks"`
-	Placements []map[string]string `json:"placements"`
-	ElapsedMs  float64             `json:"elapsed_ms"`
-}
 
 // handleChip solves a multi-net chip instance by Lagrangian
 // price-and-resolve, streaming one NDJSON convergence record per round.
@@ -112,7 +51,7 @@ func (s *Server) handleChip(w http.ResponseWriter, r *http.Request) {
 	}
 	s.chipNets.Add(int64(len(inst.Nets)))
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.solveOptions))
+	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.SolveOptions))
 	defer cancel()
 
 	// The admitted slots become each round's parallel re-solve pool; the
@@ -123,14 +62,14 @@ func (s *Server) handleChip(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release(slots)
-	out := &ndjsonWriter[*chipLine]{w: w, cancel: cancel}
+	out := &ndjsonWriter[*api.ChipLine]{w: w, cancel: cancel}
 
 	opts := []bufferkit.Option{
 		bufferkit.WithWorkers(slots),
 		bufferkit.WithChipProgress(func(rd bufferkit.ChipRound) {
 			s.chipRounds.Add(1)
 			round := rd
-			out.write(&chipLine{Round: &round})
+			out.write(&api.ChipLine{Round: &round})
 		}),
 	}
 	// Zero means "engine default" on every knob; nonzero values — including
@@ -151,7 +90,7 @@ func (s *Server) handleChip(w http.ResponseWriter, r *http.Request) {
 	if req.Capacity != 0 {
 		opts = append(opts, bufferkit.WithChipCapacity(req.Capacity))
 	}
-	solver, err := req.newSolver(lib, opts...)
+	solver, err := newSolver(req.SolveOptions, lib, opts...)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -173,7 +112,7 @@ func (s *Server) handleChip(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.httpErrors.Add(1)
-		line := &chipLine{Error: errorMessage(err)}
+		line := &api.ChipLine{Error: errorMessage(err)}
 		if pe != nil {
 			line.CompletedRounds = pe.CompletedRounds
 			line.SolvedNets = pe.SolvedNets
@@ -185,7 +124,7 @@ func (s *Server) handleChip(w http.ResponseWriter, r *http.Request) {
 	for i := range inst.Nets {
 		placements[i] = placementNames(inst.Nets[i].Tree, lib, res.Placements[i])
 	}
-	out.write(&chipLine{Done: &chipSummary{
+	out.write(&api.ChipLine{Done: &api.ChipSummary{
 		Algorithm:  solver.Algorithm(),
 		Feasible:   res.Feasible,
 		Nets:       len(inst.Nets),

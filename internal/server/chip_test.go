@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"bufferkit"
+	"bufferkit/internal/api"
 	"bufferkit/internal/chaoskit"
 )
 
@@ -34,16 +35,16 @@ func libText(t testing.TB, lib bufferkit.Library) string {
 }
 
 // chipLines splits a recorded NDJSON chip response into decoded lines.
-func chipLines(t testing.TB, body *bytes.Buffer) []chipLine {
+func chipLines(t testing.TB, body *bytes.Buffer) []api.ChipLine {
 	t.Helper()
-	var lines []chipLine
+	var lines []api.ChipLine
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	for sc.Scan() {
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		var line chipLine
+		var line api.ChipLine
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
 		}
@@ -61,7 +62,7 @@ func chipLines(t testing.TB, body *bytes.Buffer) []chipLine {
 func TestChipHappyPath(t *testing.T) {
 	h := New(Config{}).Handler()
 	const nets = 40
-	req := chipRequest{
+	req := api.ChipRequest{
 		Instance: chipInstanceJSON(t, bufferkit.ChipGenOpts{
 			W: 10, H: 10, Nets: nets, Capacity: 2, Contention: 0.7, Seed: 3}),
 		Library: libText(t, bufferkit.GenerateLibrary(8)),
@@ -124,25 +125,25 @@ func TestChipValidation(t *testing.T) {
 	cases := []struct {
 		name  string
 		cfg   Config
-		req   chipRequest
+		req   api.ChipRequest
 		field string
 	}{
-		{"no instance", Config{}, chipRequest{Library: lib}, "instance"},
+		{"no instance", Config{}, api.ChipRequest{Library: lib}, "instance"},
 		// An instance that parses but fails validation surfaces the
 		// instance's own ValidationError field.
-		{"bad instance", Config{}, chipRequest{Instance: json.RawMessage(`{"grid":{}}`), Library: lib}, "grid"},
+		{"bad instance", Config{}, api.ChipRequest{Instance: json.RawMessage(`{"grid":{}}`), Library: lib}, "grid"},
 		// W*H overflows int; no site is used, so only the grid bound stops
 		// it from sizing the per-site vectors.
-		{"overflowing grid", Config{}, chipRequest{Library: lib, Instance: json.RawMessage(
+		{"overflowing grid", Config{}, api.ChipRequest{Library: lib, Instance: json.RawMessage(
 			`{"grid":{"w":3037000500,"h":3037000500,"capacity":1},"nets":[{"net":` +
 				`"node n1 parent src res 0.1 cap 5 buffer\nsink s1 parent n1 res 0.1 cap 5 load 10 rat 1000\n",` +
 				`"sites":[-1,-1,-1]}]}`)}, "grid"},
-		{"bad library", Config{}, chipRequest{Instance: inst, Library: "not a library"}, "library"},
-		{"too many nets", Config{MaxChipNets: 2}, chipRequest{Instance: inst, Library: lib}, "instance"},
-		{"negative rounds", Config{}, chipRequest{Instance: inst, Library: lib, Rounds: -1}, "rounds"},
-		{"bad decay", Config{}, chipRequest{Instance: inst, Library: lib, StepDecay: 1.5}, "step_decay"},
-		{"wrong algorithm", Config{}, chipRequest{Instance: inst, Library: lib,
-			solveOptions: solveOptions{Algorithm: "lillis"}}, "algorithm"},
+		{"bad library", Config{}, api.ChipRequest{Instance: inst, Library: "not a library"}, "library"},
+		{"too many nets", Config{MaxChipNets: 2}, api.ChipRequest{Instance: inst, Library: lib}, "instance"},
+		{"negative rounds", Config{}, api.ChipRequest{Instance: inst, Library: lib, Rounds: -1}, "rounds"},
+		{"bad decay", Config{}, api.ChipRequest{Instance: inst, Library: lib, StepDecay: 1.5}, "step_decay"},
+		{"wrong algorithm", Config{}, api.ChipRequest{Instance: inst, Library: lib,
+			SolveOptions: api.SolveOptions{Algorithm: "lillis"}}, "algorithm"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -150,7 +151,7 @@ func TestChipValidation(t *testing.T) {
 			if rec.Code != http.StatusBadRequest {
 				t.Fatalf("code = %d, want 400: %s", rec.Code, rec.Body.String())
 			}
-			var er errorResponse
+			var er api.ErrorBody
 			decodeInto(t, rec, &er)
 			if er.Field != tc.field {
 				t.Fatalf("field = %q (%s), want %q", er.Field, er.Error, tc.field)
@@ -178,7 +179,7 @@ func TestChipInfeasible(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := New(Config{}).Handler()
-	rec := post(t, h, "/v1/chip", chipRequest{
+	rec := post(t, h, "/v1/chip", api.ChipRequest{
 		Instance: buf.Bytes(),
 		Library:  libText(t, bufferkit.GenerateLibraryWithInverters(4)),
 	})
@@ -195,11 +196,11 @@ func TestChipInfeasible(t *testing.T) {
 // answers 504 with the abort counters advanced.
 func TestChipDeadline(t *testing.T) {
 	h := New(Config{}).Handler()
-	rec := post(t, h, "/v1/chip", chipRequest{
+	rec := post(t, h, "/v1/chip", api.ChipRequest{
 		Instance: chipInstanceJSON(t, bufferkit.ChipGenOpts{
 			W: 24, H: 24, Nets: 800, Capacity: 2, Contention: 0.8, Seed: 2}),
 		Library:      libText(t, bufferkit.GenerateLibrary(8)),
-		solveOptions: solveOptions{TimeoutMs: 1},
+		SolveOptions: api.SolveOptions{TimeoutMs: 1},
 	})
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("deadline chip = %d, want 504: %s", rec.Code, rec.Body.String())
@@ -216,12 +217,12 @@ func TestChipOverloadSheds(t *testing.T) {
 	h := s.Handler()
 	release := chaoskit.HoldGate()
 	defer release()
-	blocked := gatedSolve(t, h, solveRequest{
+	blocked := gatedSolve(t, h, api.SolveRequest{
 		Net: readTestdata(t, "line.net"), Library: readTestdata(t, "lib8.buf"),
-		solveOptions: solveOptions{Algorithm: chaoskit.AlgoGate}})
+		SolveOptions: api.SolveOptions{Algorithm: chaoskit.AlgoGate}})
 	waitForMetric(t, h, "in_flight_runs", 1)
 
-	rec := post(t, h, "/v1/chip", chipRequest{
+	rec := post(t, h, "/v1/chip", api.ChipRequest{
 		Instance: chipInstanceJSON(t, bufferkit.ChipGenOpts{
 			W: 4, H: 4, Nets: 3, Capacity: 2, Seed: 1}),
 		Library: libText(t, bufferkit.GenerateLibrary(4)),
@@ -247,7 +248,7 @@ func TestChipSingleNetMatchesSolve(t *testing.T) {
 	inst := chipInstanceJSON(t, bufferkit.ChipGenOpts{
 		W: 8, H: 8, Nets: 1, Capacity: 1000, Seed: 9})
 
-	rec := post(t, h, "/v1/chip", chipRequest{Instance: inst, Library: lib})
+	rec := post(t, h, "/v1/chip", api.ChipRequest{Instance: inst, Library: lib})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("chip = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -266,11 +267,11 @@ func TestChipSingleNetMatchesSolve(t *testing.T) {
 	if err := json.Unmarshal(inst, &parsed); err != nil {
 		t.Fatal(err)
 	}
-	srec := post(t, h, "/v1/solve", solveRequest{Net: parsed.Nets[0].Net, Library: lib})
+	srec := post(t, h, "/v1/solve", api.SolveRequest{Net: parsed.Nets[0].Net, Library: lib})
 	if srec.Code != http.StatusOK {
 		t.Fatalf("solve = %d: %s", srec.Code, srec.Body.String())
 	}
-	var sres solveResponse
+	var sres api.SolveResult
 	decodeInto(t, srec, &sres)
 	if sres.Slack != done.Slacks[0] {
 		t.Fatalf("chip slack %v != solve slack %v", done.Slacks[0], sres.Slack)

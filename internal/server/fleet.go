@@ -15,6 +15,7 @@ import (
 	"strings"
 	"time"
 
+	"bufferkit/internal/api"
 	"bufferkit/internal/fleet"
 	"bufferkit/internal/obs"
 	"bufferkit/internal/server/cache"
@@ -84,7 +85,7 @@ func (e *forwardError) Unwrap() error { return e.err }
 type relayedError struct {
 	peer       string
 	status     int
-	body       errorResponse
+	body       api.ErrorBody
 	retryAfter string
 }
 
@@ -96,7 +97,7 @@ func (e *relayedError) Error() string {
 // authoritative error to relay (which must stop hedged failover — the
 // replica would only repeat the verdict).
 type forwardOutcome struct {
-	resp  *solveResponse
+	resp  *api.SolveResult
 	relay *relayedError
 }
 
@@ -127,8 +128,8 @@ func (s *Server) handleSolveForward(w http.ResponseWriter, r *http.Request, req 
 	defer fwd.End()
 	// The flight's context carries the creator's trace, so the hedge arms
 	// span under it and the outgoing calls carry its traceparent.
-	resp, _, err := coalesce(r.Context(), &s.forwardFlights, key, s.timeout(req.solveOptions), s.fleetForwardShared,
-		func(ctx context.Context) (*solveResponse, error) {
+	resp, _, err := coalesce(r.Context(), &s.forwardFlights, key, s.timeout(req.SolveOptions), s.fleetForwardShared,
+		func(ctx context.Context) (*api.SolveResult, error) {
 			return s.forwardSolve(ctx, req, key, h, targets)
 		})
 	if err != nil {
@@ -157,7 +158,7 @@ func (s *Server) handleSolveForward(w http.ResponseWriter, r *http.Request, req 
 // permitting) or immediately on failure. On success the result is
 // near-cached locally and the ring-preferred owner read-repaired when a
 // replica served.
-func (s *Server) forwardSolve(ctx context.Context, req *solveRequest, key cache.Key, h uint64, targets []string) (*solveResponse, error) {
+func (s *Server) forwardSolve(ctx context.Context, req *solveRequest, key cache.Key, h uint64, targets []string) (*api.SolveResult, error) {
 	fcfg := s.fleet.Config()
 	tr := obs.TraceFromContext(ctx)
 	// Each arm's span opens at launch, on Hedged's own goroutine, so an arm
@@ -251,13 +252,13 @@ func (s *Server) callPeerSolve(ctx context.Context, peer string, req *solveReque
 	// Any HTTP reply means the peer process is alive, whatever the status.
 	s.fleet.Detector().ReportSuccess(peer)
 	if hresp.StatusCode == http.StatusOK {
-		var resp solveResponse
+		var resp api.SolveResult
 		if err := json.NewDecoder(hresp.Body).Decode(&resp); err != nil {
 			return forwardOutcome{}, &forwardError{peer: peer, err: err}
 		}
 		return forwardOutcome{resp: &resp}, nil
 	}
-	var eb errorResponse
+	var eb api.ErrorBody
 	_ = json.NewDecoder(io.LimitReader(hresp.Body, 1<<20)).Decode(&eb)
 	if eb.Error == "" {
 		eb.Error = hresp.Status
@@ -311,24 +312,16 @@ func annotatePeerErr(err error) error {
 // No-op when this node is not an owner: a local-fallback solve on a
 // partitioned non-owner has no replica responsibility — and no reachable
 // peers anyway.
-func (s *Server) replicate(key cache.Key, resp *solveResponse, traceparent string) {
+func (s *Server) replicate(key cache.Key, resp *api.SolveResult, traceparent string) {
 	if s.fleet == nil {
 		return
 	}
 	h := fleet.RouteKey(key.Net, key.Library)
-	owners := s.fleet.Owners(h)
-	self := s.fleet.Self()
-	isOwner := false
-	for _, o := range owners {
-		if o == self {
-			isOwner = true
-			break
-		}
-	}
-	if !isOwner {
+	if !s.fleet.IsOwner(h) {
 		return
 	}
-	for _, o := range owners {
+	self := s.fleet.Self()
+	for _, o := range s.fleet.Owners(h) {
 		if o != self && s.fleet.Detector().State(o) != fleet.Dead {
 			s.sendReplica(o, key, resp, s.fleetWriteThroughs, traceparent)
 		}
@@ -338,10 +331,10 @@ func (s *Server) replicate(key cache.Key, resp *solveResponse, traceparent strin
 // cacheReplica is the PUT /internal/v1/cache payload: the cache key's
 // raw digests (hex) plus the immutable response to store.
 type cacheReplica struct {
-	NetSHA   string         `json:"net_sha"`
-	LibSHA   string         `json:"lib_sha"`
-	Options  string         `json:"options"`
-	Response *solveResponse `json:"response"`
+	NetSHA   string           `json:"net_sha"`
+	LibSHA   string           `json:"lib_sha"`
+	Options  string           `json:"options"`
+	Response *api.SolveResult `json:"response"`
 }
 
 // sendReplica pushes one cached result to peer in the background,
@@ -349,7 +342,7 @@ type cacheReplica struct {
 // goroutine is fleet-tracked, so Server.Close waits it out. The
 // originating request's traceparent rides along so the receiver's
 // replica_write span joins the same trace.
-func (s *Server) sendReplica(peer string, key cache.Key, resp *solveResponse, okCounter *expvar.Int, traceparent string) {
+func (s *Server) sendReplica(peer string, key cache.Key, resp *api.SolveResult, okCounter *expvar.Int, traceparent string) {
 	payload := &cacheReplica{
 		NetSHA:   hex.EncodeToString(key.Net[:]),
 		LibSHA:   hex.EncodeToString(key.Library[:]),
@@ -432,14 +425,14 @@ func (s *Server) handleCacheReplica(w http.ResponseWriter, r *http.Request) {
 // client's peer-list bootstrap and an operator's split-brain view.
 func (s *Server) handleFleet(w http.ResponseWriter, _ *http.Request) {
 	if s.fleet == nil {
-		writeJSON(w, http.StatusOK, map[string]any{"enabled": false})
+		writeJSON(w, http.StatusOK, &api.FleetInfo{})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"enabled":  true,
-		"self":     s.fleet.Self(),
-		"replicas": s.fleet.Config().Replicas,
-		"peers":    s.fleet.Snapshot(),
+	writeJSON(w, http.StatusOK, &api.FleetInfo{
+		Enabled:  true,
+		Self:     s.fleet.Self(),
+		Replicas: s.fleet.Config().Replicas,
+		Peers:    s.fleet.Snapshot(),
 	})
 }
 
@@ -485,7 +478,7 @@ func (s *Server) tenantLimit(next http.Handler) http.Handler {
 		if !ok {
 			s.httpErrors.Add(1)
 			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(retry)))
-			writeJSON(w, http.StatusTooManyRequests, &errorResponse{
+			writeJSON(w, http.StatusTooManyRequests, &api.ErrorBody{
 				Error: fmt.Sprintf("tenant %q over quota (retry after %s)", tenant, retry.Round(time.Millisecond)),
 				Trace: tr.TraceID(),
 			})

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bufferkit/internal/api"
+
 	"bytes"
 	"encoding/hex"
 	"encoding/json"
@@ -145,8 +147,8 @@ func (tf *testFleet) metricAt(t testing.TB, i int, name string) float64 {
 
 // roles resolves the fleet roles for one solve request: the ring-preferred
 // home, the replica, and a node that owns nothing of this digest.
-func (tf *testFleet) roles(req solveRequest) (home, replica, non int) {
-	key := cache.NewKey([]byte(req.Net), []byte(req.Library), req.solveOptions.cacheOptions())
+func (tf *testFleet) roles(req api.SolveRequest) (home, replica, non int) {
+	key := cache.NewKey([]byte(req.Net), []byte(req.Library), cacheOptions(req.SolveOptions))
 	h := fleet.RouteKey(key.Net, key.Library)
 	owners := tf.servers[0].fleet.Owners(h)
 	home, replica, non = -1, -1, -1
@@ -163,8 +165,8 @@ func (tf *testFleet) roles(req solveRequest) (home, replica, non int) {
 	return home, replica, non
 }
 
-func testSolveRequest(t testing.TB) solveRequest {
-	return solveRequest{Net: readTestdata(t, "line.net"), Library: readTestdata(t, "lib8.buf")}
+func testSolveRequest(t testing.TB) api.SolveRequest {
+	return api.SolveRequest{Net: readTestdata(t, "line.net"), Library: readTestdata(t, "lib8.buf")}
 }
 
 // TestFleetForwardToOwner: a non-owner forwards the solve to its cache
@@ -180,7 +182,7 @@ func TestFleetForwardToOwner(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("forwarded solve = %d: %s", status, b)
 	}
-	var resp solveResponse
+	var resp api.SolveResult
 	if err := json.Unmarshal(b, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +204,7 @@ func TestFleetForwardToOwner(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("repeat solve = %d: %s", status, b)
 	}
-	var again solveResponse
+	var again api.SolveResult
 	if err := json.Unmarshal(b, &again); err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +228,7 @@ func TestFleetForwardToOwner(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("solve at replica = %d: %s", status, b)
 	}
-	var rep solveResponse
+	var rep api.SolveResult
 	if err := json.Unmarshal(b, &rep); err != nil {
 		t.Fatal(err)
 	}
@@ -301,14 +303,14 @@ func TestFleetHopGuard(t *testing.T) {
 func TestFleetRelayedErrorNamesPeer(t *testing.T) {
 	tf := startTestFleet(t, 3, nil, nil)
 	defer tf.stop()
-	req := solveRequest{Net: "this is not a netlist", Library: readTestdata(t, "lib8.buf")}
+	req := api.SolveRequest{Net: "this is not a netlist", Library: readTestdata(t, "lib8.buf")}
 	home, _, non := tf.roles(req)
 
 	status, b := tf.do(t, "POST", non, "/v1/solve", req, nil)
 	if status != http.StatusBadRequest {
 		t.Fatalf("relayed parse error = %d: %s", status, b)
 	}
-	var er errorResponse
+	var er api.ErrorBody
 	if err := json.Unmarshal(b, &er); err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +323,7 @@ func TestFleetRelayedErrorNamesPeer(t *testing.T) {
 	if status != http.StatusBadRequest {
 		t.Fatalf("local parse error = %d: %s", status, b)
 	}
-	var local errorResponse
+	var local api.ErrorBody
 	if err := json.Unmarshal(b, &local); err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +346,7 @@ func TestFleetFailoverOnDeadHome(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("solve with dead home = %d: %s", status, b)
 	}
-	var resp solveResponse
+	var resp api.SolveResult
 	if err := json.Unmarshal(b, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +370,7 @@ func TestFleetPartitionFallback(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("partitioned solve = %d: %s", status, b)
 	}
-	var resp solveResponse
+	var resp api.SolveResult
 	if err := json.Unmarshal(b, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +387,7 @@ func TestFleetPartitionFallback(t *testing.T) {
 	// Heal, wait for the probe loop to resurrect the peers, then confirm a
 	// fresh digest forwards again.
 	part.HealAll()
-	req2 := solveRequest{Net: readTestdata(t, "random12.net"), Library: readTestdata(t, "lib8.buf")}
+	req2 := api.SolveRequest{Net: readTestdata(t, "random12.net"), Library: readTestdata(t, "lib8.buf")}
 	_, _, non2 := tf.roles(req2)
 	deadline := time.Now().Add(5 * time.Second)
 	for tf.metricAt(t, non2, "peer_dead") > 0 || tf.metricAt(t, non2, "peer_suspect") > 0 {
@@ -430,7 +432,7 @@ func TestFleetEndpointAndReplicaPut(t *testing.T) {
 		NetSHA:   hex.EncodeToString(key.Net[:]),
 		LibSHA:   hex.EncodeToString(key.Library[:]),
 		Options:  key.Options,
-		Response: &solveResponse{Net: "replica-net", Algorithm: "new"},
+		Response: &api.SolveResult{Net: "replica-net", Algorithm: "new"},
 	}
 	status, b = tf.do(t, "PUT", 1, "/internal/v1/cache", put, nil)
 	if status != http.StatusOK {

@@ -12,69 +12,12 @@ import (
 	"time"
 
 	"bufferkit"
+	"bufferkit/internal/api"
 	"bufferkit/internal/obs"
 	"bufferkit/internal/orderbuf"
 	"bufferkit/internal/resilience"
 	"bufferkit/internal/server/cache"
 )
-
-// solveRequest is the POST /v1/solve payload.
-type solveRequest struct {
-	// Net is the net in the repository's .net text format.
-	Net string `json:"net"`
-	// Library is the buffer library in the .buf text format.
-	Library string `json:"library"`
-	solveOptions
-}
-
-// solveResponse is the POST /v1/solve reply and the per-net body of a
-// batch NDJSON line.
-type solveResponse struct {
-	Net        string            `json:"net,omitempty"`
-	Algorithm  string            `json:"algorithm"`
-	Slack      float64           `json:"slack"`
-	Buffers    int               `json:"buffers"`
-	Cost       int               `json:"cost"`
-	Candidates int               `json:"candidates,omitempty"`
-	Placement  map[string]string `json:"placement"`
-	Stats      *bufferkit.Stats  `json:"stats,omitempty"`
-	Frontier   []frontierPoint   `json:"frontier,omitempty"`
-	// Cached reports whether the result came from the LRU cache without an
-	// engine run.
-	Cached bool `json:"cached"`
-	// Coalesced reports that the result was shared from another request's
-	// in-flight engine run (singleflight) — like Cached, no engine ran for
-	// this request.
-	Coalesced bool `json:"coalesced,omitempty"`
-	// ElapsedMs is the engine runtime of the (original) solve. It is
-	// reported for /v1/solve runs only: batch workers overlap, so per-net
-	// wall time is not measurable there and the field is omitted.
-	ElapsedMs float64 `json:"elapsed_ms,omitempty"`
-}
-
-// frontierPoint is one cost–slack Pareto point (AlgoCostSlack).
-type frontierPoint struct {
-	Cost    int     `json:"cost"`
-	Slack   float64 `json:"slack"`
-	Buffers int     `json:"buffers"`
-}
-
-// errorResponse is the JSON body of every non-2xx reply.
-type errorResponse struct {
-	Error string `json:"error"`
-	// Field/Vertex/Type carry ValidationError detail when present.
-	Field  string `json:"field,omitempty"`
-	Vertex *int   `json:"vertex,omitempty"`
-	Type   *int   `json:"type,omitempty"`
-	// Peer names the fleet member whose verdict this is, when the error
-	// was relayed from a forwarded request — a peer's 504 is
-	// distinguishable from the receiving node's own deadline.
-	Peer string `json:"peer,omitempty"`
-	// Trace is the request's trace id — the same value as the
-	// X-Bufferkit-Trace response header — so a failed request is
-	// correlatable with /debug/traces and the server logs.
-	Trace string `json:"trace,omitempty"`
-}
 
 // handleSolve solves one net: cache lookup on the raw payload digests,
 // then parse, and run under the request deadline — collapsing onto an
@@ -89,14 +32,15 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	key := cache.NewKey([]byte(req.Net), []byte(req.Library), req.solveOptions.cacheOptions())
+	key := cache.NewKey([]byte(req.Net), []byte(req.Library), cacheOptions(req.SolveOptions))
 	tr.Set("digest", digestAttr(key.Net))
 	lookup := tr.StartSpan("cache_lookup")
-	hit, ok := cacheGet[solveResponse](s, key)
+	hit, ok := cacheGet[api.SolveResult](s, key)
 	lookup.Set("hit", ok)
 	lookup.End()
 	if ok {
 		tr.Set("cached", true)
+		hit.Cached = true
 		writeJSON(w, http.StatusOK, hit)
 		return
 	}
@@ -116,14 +60,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// one engine slot, not N. The flight's context carries the trace of the
 	// caller that created it: that caller records the admission and engine
 	// spans; followers see only their own wait.
-	resp, shared, err := coalesce(r.Context(), &s.flights, key, s.timeout(req.solveOptions), s.sfShared,
-		func(ctx context.Context) (*solveResponse, error) {
+	resp, shared, err := coalesce(r.Context(), &s.flights, key, s.timeout(req.SolveOptions), s.sfShared,
+		func(ctx context.Context) (*api.SolveResult, error) {
 			slots, err := s.admit(ctx, 1)
 			if err != nil {
 				return nil, err
 			}
 			defer s.release(slots)
-			solver, err := req.newSolver(lib, bufferkit.WithDriver(net.Driver))
+			solver, err := newSolver(req.SolveOptions, lib, bufferkit.WithDriver(net.Driver))
 			if err != nil {
 				return nil, err
 			}
@@ -152,27 +96,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, resp)
 	enc.End()
-}
-
-// batchRequest is the POST /v1/batch payload.
-type batchRequest struct {
-	// Library is shared by every net of the batch.
-	Library string `json:"library"`
-	// Nets are the .net texts to solve.
-	Nets []string `json:"nets"`
-	// Ordered asks for input-order NDJSON lines instead of completion
-	// order.
-	Ordered bool `json:"ordered,omitempty"`
-	solveOptions
-}
-
-// batchLine is one NDJSON line of the batch response. Exactly one of
-// Result and Error is set per net; a trailing line with Index = -1 and
-// Error set reports a batch-level abort (deadline, client disconnect).
-type batchLine struct {
-	Index  int            `json:"index"`
-	Result *solveResponse `json:"result,omitempty"`
-	Error  string         `json:"error,omitempty"`
 }
 
 // handleBatch solves a batch, streaming one NDJSON line per net. Cached
@@ -211,10 +134,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	type job struct {
 		key  cache.Key
 		net  *bufferkit.Net
-		resp *solveResponse // non-nil = cache hit
+		resp *api.SolveResult // non-nil = cache hit
 	}
 	jobs := make([]job, len(req.Nets))
-	options := req.solveOptions.cacheOptions()
+	options := cacheOptions(req.SolveOptions)
 	// The cache misses form the engine's sub-batch; origIdx maps its
 	// indices back to the request's.
 	var trees []*bufferkit.Tree
@@ -222,7 +145,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var origIdx []int
 	for i, text := range req.Nets {
 		jobs[i].key = cache.NewKey([]byte(text), []byte(req.Library), options)
-		if hit, ok := cacheGet[solveResponse](s, jobs[i].key); ok {
+		if hit, ok := cacheGet[api.SolveResult](s, jobs[i].key); ok {
+			hit.Cached = true
 			jobs[i].resp = hit
 			continue
 		}
@@ -237,7 +161,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		origIdx = append(origIdx, i)
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.solveOptions))
+	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.SolveOptions))
 	defer cancel()
 
 	// The admitted slots become the solver's worker pool.
@@ -249,20 +173,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		defer s.release(slots)
-		solver, err = req.newSolver(lib, bufferkit.WithDrivers(drivers), bufferkit.WithWorkers(slots))
+		solver, err = newSolver(req.SolveOptions, lib, bufferkit.WithDrivers(drivers), bufferkit.WithWorkers(slots))
 		if err != nil {
 			s.writeError(w, err)
 			return
 		}
 	}
 
-	out := &ndjsonWriter[*batchLine]{w: w, cancel: cancel}
+	out := &ndjsonWriter[*api.BatchLine]{w: w, cancel: cancel}
 	// deliver reorders lines by original index when Ordered is set;
 	// otherwise it is out.write itself.
 	deliver := out.write
 	if req.Ordered {
-		buf := orderbuf.New[*batchLine](len(jobs))
-		deliver = func(line *batchLine) bool {
+		buf := orderbuf.New[*api.BatchLine](len(jobs))
+		deliver = func(line *api.BatchLine) bool {
 			return buf.Add(line.Index, line, out.write)
 		}
 	}
@@ -276,7 +200,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// turn inside deliver).
 	for i := range jobs {
 		if jobs[i].resp != nil {
-			if !deliver(&batchLine{Index: i, Result: jobs[i].resp}) {
+			if !deliver(&api.BatchLine{Index: i, Result: jobs[i].resp}) {
 				return
 			}
 			delivered++
@@ -285,12 +209,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if solver != nil {
 		for res, err := range solver.Stream(ctx, trees) {
 			if res.Index < 0 {
-				out.write(&batchLine{Index: -1, Error: errorMessage(err)})
+				out.write(&api.BatchLine{Index: -1, Error: errorMessage(err)})
 				return
 			}
 			s.recordRun(obs.SpanRef{}, 1, &res)
 			i := origIdx[res.Index]
-			line := &batchLine{Index: i}
+			line := &api.BatchLine{Index: i}
 			if err != nil {
 				line.Error = errorMessage(err)
 			} else {
@@ -311,7 +235,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if err == nil {
 			err = context.Canceled
 		}
-		out.write(&batchLine{Index: -1, Error: errorMessage(s.asCanceled(err))})
+		out.write(&api.BatchLine{Index: -1, Error: errorMessage(s.asCanceled(err))})
 	}
 }
 
@@ -353,7 +277,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // decodeBody JSON-decodes a size-limited request body into dst. A body
 // exceeding Config.MaxBodyBytes maps to 413 Request Entity Too Large, not
-// a generic decode-error 400. Payloads embedding solveOptions are then
+// a generic decode-error 400. The engine request wrappers are then
 // validated, before any cache lookup.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
@@ -397,8 +321,8 @@ func wrapParseError(field string, err error) error {
 }
 
 // buildResponse converts a NetResult into the wire shape.
-func buildResponse(net *bufferkit.Net, lib bufferkit.Library, algo string, res *bufferkit.NetResult, elapsed time.Duration) *solveResponse {
-	resp := &solveResponse{
+func buildResponse(net *bufferkit.Net, lib bufferkit.Library, algo string, res *bufferkit.NetResult, elapsed time.Duration) *api.SolveResult {
+	resp := &api.SolveResult{
 		Net:        net.Name,
 		Algorithm:  algo,
 		Slack:      res.Slack,
@@ -413,7 +337,7 @@ func buildResponse(net *bufferkit.Net, lib bufferkit.Library, algo string, res *
 		resp.Stats = &stats
 	}
 	for _, p := range res.Frontier {
-		resp.Frontier = append(resp.Frontier, frontierPoint{Cost: p.Cost, Slack: p.Slack, Buffers: p.Placement.Count()})
+		resp.Frontier = append(resp.Frontier, api.FrontierPoint{Cost: p.Cost, Slack: p.Slack, Buffers: p.Placement.Count()})
 	}
 	return resp
 }
@@ -442,7 +366,7 @@ func errorMessage(err error) string {
 // else → 500.
 func (s *Server) writeError(w http.ResponseWriter, err error) {
 	s.httpErrors.Add(1)
-	resp := errorResponse{Error: err.Error(), Trace: requestTrace(w).TraceID()}
+	resp := api.ErrorBody{Error: err.Error(), Trace: requestTrace(w).TraceID()}
 	status := http.StatusInternalServerError
 	var herr *httpError
 	var verr *bufferkit.ValidationError
@@ -481,11 +405,10 @@ func retryAfterSeconds(d time.Duration) int {
 	return max(int(math.Ceil(d.Seconds())), 1)
 }
 
-// writeJSON writes v as the complete response body.
+// writeJSON writes v as the complete response body: compact JSON and a
+// newline, encoded once.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }

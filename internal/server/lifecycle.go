@@ -47,24 +47,15 @@ func (s *Server) release(slots int) {
 	s.adm.Release(slots)
 }
 
-// cachedResponse is a reply type the result cache stores.
-type cachedResponse[T any] interface {
-	*T
-	markCached()
-}
-
-func (r *solveResponse) markCached() { r.Cached = true }
-func (r *yieldResponse) markCached() { r.Cached = true }
-
-// cacheGet returns a copy of key's cache entry marked Cached. Entries are
-// shared and immutable, so every hit gets its own copy.
-func cacheGet[T any, P cachedResponse[T]](s *Server, key cache.Key) (P, bool) {
+// cacheGet returns a copy of key's cache entry, a *T. Entries are shared
+// and immutable, so every hit gets its own copy, which the caller marks
+// Cached.
+func cacheGet[T any](s *Server, key cache.Key) (*T, bool) {
 	v, ok := s.cache.Get(key)
 	if !ok {
 		return nil, false
 	}
-	out := *v.(P)
-	P(&out).markCached()
+	out := *v.(*T)
 	return &out, true
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bufferkit"
+	"bufferkit/internal/api"
 )
 
 // TestBadOptionsRejectedEverywhere: every engine-running endpoint rejects
@@ -18,27 +19,28 @@ func TestBadOptionsRejectedEverywhere(t *testing.T) {
 	net := readTestdata(t, "line.net")
 	inst := chipInstanceJSON(t, bufferkit.ChipGenOpts{W: 4, H: 4, Nets: 3, Capacity: 2, Seed: 1})
 	cases := []struct {
-		name  string
-		opts  solveOptions
-		field string
+		name   string
+		opts   api.SolveOptions
+		legacy legacyOptions
+		field  string
 	}{
-		{"unknown algorithm", solveOptions{Algorithm: "nope"}, "algorithm"},
-		{"vanginneken multi-type library", solveOptions{Algorithm: bufferkit.AlgoVanGinneken}, "library"},
-		{"destructive prune", solveOptions{Prune: "destructive"}, "prune"},
-		{"negative timeout", solveOptions{TimeoutMs: -5}, "timeout_ms"},
-		{"negative max_cost", solveOptions{MaxCost: -3}, "max_cost"},
-		{"unknown backend", solveOptions{Backend: "bogus"}, "backend"},
+		{"unknown algorithm", api.SolveOptions{Algorithm: "nope"}, legacyOptions{}, "algorithm"},
+		{"vanginneken multi-type library", api.SolveOptions{Algorithm: bufferkit.AlgoVanGinneken}, legacyOptions{}, "library"},
+		{"destructive prune", api.SolveOptions{}, legacyOptions{Prune: "destructive"}, "prune"},
+		{"negative timeout", api.SolveOptions{TimeoutMs: -5}, legacyOptions{}, "timeout_ms"},
+		{"negative max_cost", api.SolveOptions{MaxCost: -3}, legacyOptions{}, "max_cost"},
+		{"unknown backend", api.SolveOptions{}, legacyOptions{Backend: "bogus"}, "backend"},
 	}
 	for i, tc := range cases {
 		endpoints := []struct {
 			method, path string
 			body         any
 		}{
-			{"POST", "/v1/solve", solveRequest{Net: net, Library: lib, solveOptions: tc.opts}},
-			{"POST", "/v1/batch", batchRequest{Nets: []string{net}, Library: lib, solveOptions: tc.opts}},
-			{"POST", "/v1/yield", yieldRequest{Net: net, Library: lib, Samples: 2, Sigma: 0.05, solveOptions: tc.opts}},
-			{"POST", "/v1/chip", chipRequest{Instance: inst, Library: lib, solveOptions: tc.opts}},
-			{"PUT", fmt.Sprintf("/v1/sessions/bad-%d", i), sessionRequest{Net: net, Library: lib, solveOptions: tc.opts}},
+			{"POST", "/v1/solve", solveRequest{api.SolveRequest{Net: net, Library: lib, SolveOptions: tc.opts}, tc.legacy}},
+			{"POST", "/v1/batch", batchRequest{api.BatchRequest{Nets: []string{net}, Library: lib, SolveOptions: tc.opts}, tc.legacy}},
+			{"POST", "/v1/yield", yieldRequest{api.YieldRequest{Net: net, Library: lib, Samples: 2, Sigma: 0.05, SolveOptions: tc.opts}, tc.legacy}},
+			{"POST", "/v1/chip", chipRequest{api.ChipRequest{Instance: inst, Library: lib, SolveOptions: tc.opts}, tc.legacy}},
+			{"PUT", fmt.Sprintf("/v1/sessions/bad-%d", i), sessionRequest{api.SessionRequest{Net: net, Library: lib, SolveOptions: tc.opts}, tc.legacy}},
 		}
 		for _, ep := range endpoints {
 			t.Run(tc.name+" "+ep.path, func(t *testing.T) {
@@ -46,7 +48,7 @@ func TestBadOptionsRejectedEverywhere(t *testing.T) {
 				if rec.Code != http.StatusBadRequest {
 					t.Fatalf("status %d, want 400: %s", rec.Code, rec.Body.String())
 				}
-				var er errorResponse
+				var er api.ErrorBody
 				decodeInto(t, rec, &er)
 				if er.Field != tc.field {
 					t.Fatalf("field %q, want %q (%s)", er.Field, tc.field, er.Error)
@@ -65,11 +67,11 @@ func TestSessionResolveCountsEngineWork(t *testing.T) {
 	h := New(Config{}).Handler()
 	_, net, lib := sessionFixture(t)
 	before := metric(t, h, "engine_candidates_total")
-	rec := request(t, h, "PUT", "/v1/sessions/work", sessionRequest{Net: net, Library: lib})
+	rec := request(t, h, "PUT", "/v1/sessions/work", api.SessionRequest{Net: net, Library: lib})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
-	var resp sessionResponse
+	var resp api.SessionResult
 	decodeInto(t, rec, &resp)
 	if resp.Stats == nil || resp.Stats.BetasGenerated == 0 {
 		t.Fatalf("session resolve reported no engine stats: %+v", resp.Stats)

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"bufferkit/internal/api"
 	"bufferkit/internal/obs"
 	"bufferkit/internal/resilience"
 )
@@ -79,7 +80,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 			if !tw.wroteHeader {
 				s.httpErrors.Add(1)
 				writeJSON(tw, http.StatusInternalServerError,
-					&errorResponse{Error: fmt.Sprintf("internal error: %v", val), Trace: tr.TraceID()})
+					&api.ErrorBody{Error: fmt.Sprintf("internal error: %v", val), Trace: tr.TraceID()})
 			}
 			tr.Finish(tw.status())
 		}()

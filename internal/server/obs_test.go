@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bufferkit/internal/api"
+
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -127,7 +129,7 @@ func TestErrorTraceDisabled(t *testing.T) {
 func TestMetricsPromNegotiation(t *testing.T) {
 	h := New(Config{}).Handler()
 	solve := func() {
-		body, err := json.Marshal(solveRequest{
+		body, err := json.Marshal(api.SolveRequest{
 			Net:     readTestdata(t, "line.net"),
 			Library: readTestdata(t, "lib8.buf"),
 		})

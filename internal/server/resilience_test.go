@@ -7,6 +7,8 @@ package server
 // exercises the real HTTP surface.
 
 import (
+	"bufferkit/internal/api"
+
 	"encoding/json"
 	"fmt"
 	"io"
@@ -55,7 +57,7 @@ func TestReadyzDrain(t *testing.T) {
 		t.Fatalf("healthz while draining = %d, want 200 (liveness is not readiness)", rec.Code)
 	}
 	// Already-accepted work still completes during the drain window.
-	rec := post(t, h, "/v1/solve", solveRequest{
+	rec := post(t, h, "/v1/solve", api.SolveRequest{
 		Net: readTestdata(t, "line.net"), Library: readTestdata(t, "lib8.buf")})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("solve while draining = %d, want 200", rec.Code)
@@ -72,16 +74,16 @@ func TestPanicRecovery(t *testing.T) {
 	log.SetOutput(io.Discard) // silence the expected panic stack
 	defer log.SetOutput(os.Stderr)
 	h := New(Config{}).Handler()
-	req := solveRequest{
+	req := api.SolveRequest{
 		Net:          readTestdata(t, "line.net"),
 		Library:      readTestdata(t, "lib8.buf"),
-		solveOptions: solveOptions{Algorithm: chaoskit.AlgoPanic},
+		SolveOptions: api.SolveOptions{Algorithm: chaoskit.AlgoPanic},
 	}
 	rec := post(t, h, "/v1/solve", req)
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("panicking solve = %d, want 500: %s", rec.Code, rec.Body.String())
 	}
-	var er errorResponse
+	var er api.ErrorBody
 	decodeInto(t, rec, &er)
 	if !strings.Contains(er.Error, "internal error") {
 		t.Fatalf("500 body %q does not say internal error", er.Error)
@@ -101,7 +103,7 @@ func TestPanicRecovery(t *testing.T) {
 
 // gatedSolve posts a chaos-gate solve in a goroutine and returns a channel
 // with the recorder. The caller must release the gate.
-func gatedSolve(t *testing.T, h http.Handler, req solveRequest) <-chan int {
+func gatedSolve(t *testing.T, h http.Handler, req api.SolveRequest) <-chan int {
 	t.Helper()
 	done := make(chan int, 1)
 	go func() { done <- post(t, h, "/v1/solve", req).Code }()
@@ -116,12 +118,12 @@ func TestShedQueueFull(t *testing.T) {
 	release := chaoskit.HoldGate()
 	defer release()
 	lib := readTestdata(t, "lib8.buf")
-	blocked := gatedSolve(t, h, solveRequest{
+	blocked := gatedSolve(t, h, api.SolveRequest{
 		Net: readTestdata(t, "line.net"), Library: lib,
-		solveOptions: solveOptions{Algorithm: chaoskit.AlgoGate}})
+		SolveOptions: api.SolveOptions{Algorithm: chaoskit.AlgoGate}})
 	waitForMetric(t, h, "in_flight_runs", 1)
 
-	rec := post(t, h, "/v1/solve", solveRequest{
+	rec := post(t, h, "/v1/solve", api.SolveRequest{
 		Net: readTestdata(t, "random12.net"), Library: lib})
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("overload solve = %d, want 429: %s", rec.Code, rec.Body.String())
@@ -151,16 +153,16 @@ func TestCanceledWhileQueuedMaps504(t *testing.T) {
 	release := chaoskit.HoldGate()
 	defer release()
 	lib := readTestdata(t, "lib8.buf")
-	blocked := gatedSolve(t, h, solveRequest{
+	blocked := gatedSolve(t, h, api.SolveRequest{
 		Net: readTestdata(t, "line.net"), Library: lib,
-		solveOptions: solveOptions{Algorithm: chaoskit.AlgoGate}})
+		SolveOptions: api.SolveOptions{Algorithm: chaoskit.AlgoGate}})
 	waitForMetric(t, h, "in_flight_runs", 1)
 
 	// No EWMA observation yet, so deadline shedding stays out of the way:
 	// the request queues and its 5ms budget expires there.
-	rec := post(t, h, "/v1/solve", solveRequest{
+	rec := post(t, h, "/v1/solve", api.SolveRequest{
 		Net: readTestdata(t, "random12.net"), Library: lib,
-		solveOptions: solveOptions{TimeoutMs: 5}})
+		SolveOptions: api.SolveOptions{TimeoutMs: 5}})
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("canceled-in-queue solve = %d, want 504: %s", rec.Code, rec.Body.String())
 	}
@@ -188,9 +190,9 @@ func TestShedDeadline(t *testing.T) {
 	// Warm the EWMA with a ~60ms solve.
 	chaoskit.SetSlowDelay(60 * time.Millisecond)
 	defer chaoskit.SetSlowDelay(50 * time.Millisecond)
-	rec := post(t, h, "/v1/solve", solveRequest{
+	rec := post(t, h, "/v1/solve", api.SolveRequest{
 		Net: readTestdata(t, "line.net"), Library: lib,
-		solveOptions: solveOptions{Algorithm: chaoskit.AlgoSlow}})
+		SolveOptions: api.SolveOptions{Algorithm: chaoskit.AlgoSlow}})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("warmup solve = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -199,14 +201,14 @@ func TestShedDeadline(t *testing.T) {
 	// that cannot finish in time.
 	release := chaoskit.HoldGate()
 	defer release()
-	blocked := gatedSolve(t, h, solveRequest{
+	blocked := gatedSolve(t, h, api.SolveRequest{
 		Net: readTestdata(t, "random12.net"), Library: lib,
-		solveOptions: solveOptions{Algorithm: chaoskit.AlgoGate}})
+		SolveOptions: api.SolveOptions{Algorithm: chaoskit.AlgoGate}})
 	waitForMetric(t, h, "in_flight_runs", 1)
 
-	rec = post(t, h, "/v1/solve", solveRequest{
+	rec = post(t, h, "/v1/solve", api.SolveRequest{
 		Net: readTestdata(t, "line.net"), Library: lib,
-		solveOptions: solveOptions{TimeoutMs: 1}})
+		SolveOptions: api.SolveOptions{TimeoutMs: 1}})
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("doomed solve = %d, want 429: %s", rec.Code, rec.Body.String())
 	}
@@ -230,12 +232,12 @@ func TestShedQueueTimeout(t *testing.T) {
 	lib := readTestdata(t, "lib8.buf")
 	release := chaoskit.HoldGate()
 	defer release()
-	blocked := gatedSolve(t, h, solveRequest{
+	blocked := gatedSolve(t, h, api.SolveRequest{
 		Net: readTestdata(t, "line.net"), Library: lib,
-		solveOptions: solveOptions{Algorithm: chaoskit.AlgoGate}})
+		SolveOptions: api.SolveOptions{Algorithm: chaoskit.AlgoGate}})
 	waitForMetric(t, h, "in_flight_runs", 1)
 
-	rec := post(t, h, "/v1/solve", solveRequest{
+	rec := post(t, h, "/v1/solve", api.SolveRequest{
 		Net: readTestdata(t, "random12.net"), Library: lib})
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("queued solve = %d, want 429 after the queue timeout: %s", rec.Code, rec.Body.String())
@@ -259,15 +261,15 @@ func TestSolveSingleflight(t *testing.T) {
 	check := checkNoGoroutineLeak(t)
 	s := New(Config{MaxConcurrent: 4})
 	h := s.Handler()
-	req := solveRequest{
+	req := api.SolveRequest{
 		Net: readTestdata(t, "line.net"), Library: readTestdata(t, "lib8.buf"),
-		solveOptions: solveOptions{Algorithm: chaoskit.AlgoGate}}
+		SolveOptions: api.SolveOptions{Algorithm: chaoskit.AlgoGate}}
 	release := chaoskit.HoldGate()
 	defer release()
 
 	const n = 16
 	var wg sync.WaitGroup
-	resps := make(chan solveResponse, n)
+	resps := make(chan api.SolveResult, n)
 	errc := make(chan error, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -278,7 +280,7 @@ func TestSolveSingleflight(t *testing.T) {
 				errc <- fmt.Errorf("status %d: %s", rec.Code, rec.Body.String())
 				return
 			}
-			var resp solveResponse
+			var resp api.SolveResult
 			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 				errc <- err
 				return
@@ -333,11 +335,11 @@ func TestBatchTerminalErrorRecord(t *testing.T) {
 	defer chaoskit.SetSlowDelay(50 * time.Millisecond)
 	// Distinct nets so nothing is cached; a 50ms budget over 3×200ms of
 	// engine time guarantees the deadline fires mid-stream.
-	rec := post(t, h, "/v1/batch", batchRequest{
+	rec := post(t, h, "/v1/batch", api.BatchRequest{
 		Library: lib,
 		Nets: []string{readTestdata(t, "line.net"), readTestdata(t, "random12.net"),
 			readTestdata(t, "line.net") + "# distinct\n"},
-		solveOptions: solveOptions{Algorithm: chaoskit.AlgoSlow, TimeoutMs: 50},
+		SolveOptions: api.SolveOptions{Algorithm: chaoskit.AlgoSlow, TimeoutMs: 50},
 	})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d (the stream had already started; aborts are in-band)", rec.Code)
@@ -376,7 +378,7 @@ func TestBatchTerminalErrorRecord(t *testing.T) {
 	}
 
 	// A complete batch never emits the terminal record.
-	rec = post(t, h, "/v1/batch", batchRequest{
+	rec = post(t, h, "/v1/batch", api.BatchRequest{
 		Library: lib,
 		Nets:    []string{readTestdata(t, "line.net"), readTestdata(t, "random12.net")},
 	})
@@ -398,12 +400,12 @@ func TestBatchOverloadSheds(t *testing.T) {
 	lib := readTestdata(t, "lib8.buf")
 	release := chaoskit.HoldGate()
 	defer release()
-	blocked := gatedSolve(t, h, solveRequest{
+	blocked := gatedSolve(t, h, api.SolveRequest{
 		Net: readTestdata(t, "line.net"), Library: lib,
-		solveOptions: solveOptions{Algorithm: chaoskit.AlgoGate}})
+		SolveOptions: api.SolveOptions{Algorithm: chaoskit.AlgoGate}})
 	waitForMetric(t, h, "in_flight_runs", 1)
 
-	rec := post(t, h, "/v1/batch", batchRequest{
+	rec := post(t, h, "/v1/batch", api.BatchRequest{
 		Library: lib, Nets: []string{readTestdata(t, "random12.net")}})
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("batch under overload = %d, want 429: %s", rec.Code, rec.Body.String())

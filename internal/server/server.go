@@ -65,6 +65,7 @@ import (
 	"time"
 
 	"bufferkit"
+	"bufferkit/internal/api"
 	"bufferkit/internal/fleet"
 	"bufferkit/internal/obs"
 	"bufferkit/internal/resilience"
@@ -244,8 +245,8 @@ type Server struct {
 
 	// flights collapse duplicate in-flight solve/yield requests onto one
 	// engine run each, keyed by the same digests as the cache.
-	flights      resilience.Group[cache.Key, *solveResponse]
-	yieldFlights resilience.Group[cache.Key, *yieldResponse]
+	flights      resilience.Group[cache.Key, *api.SolveResult]
+	yieldFlights resilience.Group[cache.Key, *api.YieldResult]
 
 	// Fleet state (nil on a single node): the peer tier, its HTTP client,
 	// per-tenant quotas, and the singleflight collapsing duplicate
@@ -256,7 +257,7 @@ type Server struct {
 	fleet          *fleet.Fleet
 	fleetHTTP      *http.Client
 	quotas         *resilience.TenantQuotas
-	forwardFlights resilience.Group[cache.Key, *solveResponse]
+	forwardFlights resilience.Group[cache.Key, *api.SolveResult]
 
 	// Counters are kept on a private expvar.Map (not Publish-ed globally)
 	// so tests can run many Servers in one process; /metrics renders the
@@ -578,57 +579,64 @@ func (w *trackingWriter) status() int {
 	return http.StatusOK
 }
 
-// solveOptions are the request fields that select and configure an
-// algorithm, shared by the solve and batch payloads.
-type solveOptions struct {
-	// Algorithm is a registry name; "" means bufferkit.AlgoNew.
-	Algorithm string `json:"algorithm,omitempty"`
-	// Prune is accepted for compatibility with clients that used to pick
-	// a convex pruning mode: "" and "transient" are valid and ignored (the
-	// engines have one, exact, pruning path), any other value is a 400.
-	// It is not part of the cache key.
-	Prune string `json:"prune,omitempty"`
-	// Backend is accepted for compatibility with clients that used to pin
-	// a candidate-list representation: "", "default", "list" and "soa"
-	// are valid and ignored (the engines have one representation), any
-	// other value is a 400. It is not part of the cache key.
+// legacyOptions are the request fields kept for clients that still send
+// them. Prune used to pick a convex pruning mode: "" and "transient" are
+// valid and ignored (the engines have one, exact, pruning path). Backend
+// used to pin a candidate-list representation: "", "default", "list" and
+// "soa" are valid and ignored (the engines have one representation). Any
+// other value is a 400. Neither is part of the cache key, and neither is
+// part of the shared schema in internal/api.
+type legacyOptions struct {
+	Prune   string `json:"prune,omitempty"`
 	Backend string `json:"backend,omitempty"`
-	// MaxCost caps total buffer cost (AlgoCostSlack only; 0 = no cap).
-	MaxCost int `json:"max_cost,omitempty"`
-	// NoStats skips the Stats copy on the response.
-	NoStats bool `json:"no_stats,omitempty"`
-	// TimeoutMs overrides the server's default solve budget, capped at
-	// Config.MaxTimeout.
-	TimeoutMs int `json:"timeout_ms,omitempty"`
 }
 
-// newSolver assembles a Solver for one request. extra carries per-mode
-// options (WithDriver for solve, WithDrivers/WithWorkers for batch).
-func (o solveOptions) newSolver(lib bufferkit.Library, extra ...bufferkit.Option) (*bufferkit.Solver, error) {
-	opts := append([]bufferkit.Option{
-		bufferkit.WithLibrary(lib),
-		bufferkit.WithAlgorithm(o.algorithm()),
-		bufferkit.WithMaxCost(o.MaxCost),
-		bufferkit.WithStats(!o.NoStats),
-	}, extra...)
-	return bufferkit.NewSolver(opts...)
-}
+// The five engine endpoints decode into their shared api body plus
+// legacyOptions, and validate both before any cache lookup (see
+// decodeBody).
+type (
+	solveRequest struct {
+		api.SolveRequest
+		legacyOptions
+	}
+	batchRequest struct {
+		api.BatchRequest
+		legacyOptions
+	}
+	yieldRequest struct {
+		api.YieldRequest
+		legacyOptions
+	}
+	chipRequest struct {
+		api.ChipRequest
+		legacyOptions
+	}
+	sessionRequest struct {
+		api.SessionRequest
+		legacyOptions
+	}
+)
 
-// validate rejects option values before any cache lookup: the
+func (r *solveRequest) validate() error   { return validateOptions(r.SolveOptions, r.legacyOptions) }
+func (r *batchRequest) validate() error   { return validateOptions(r.SolveOptions, r.legacyOptions) }
+func (r *yieldRequest) validate() error   { return validateOptions(r.SolveOptions, r.legacyOptions) }
+func (r *chipRequest) validate() error    { return validateOptions(r.SolveOptions, r.legacyOptions) }
+func (r *sessionRequest) validate() error { return validateOptions(r.SolveOptions, r.legacyOptions) }
+
+// validateOptions rejects option values before any cache lookup: the
 // compatibility no-ops outside the cache key must fail even when the rest
 // of the payload would hit, and out-of-range numbers never reach a key or
-// a solver. decodeBody calls it on every payload that embeds
-// solveOptions.
-func (o solveOptions) validate() error {
-	switch o.Backend {
+// a solver.
+func validateOptions(o api.SolveOptions, l legacyOptions) error {
+	switch l.Backend {
 	case "", "default", "list", "soa":
 	default:
-		return badRequestf("backend", "unknown backend %q (list or soa; the field is accepted and ignored)", o.Backend)
+		return badRequestf("backend", "unknown backend %q (list or soa; the field is accepted and ignored)", l.Backend)
 	}
-	switch o.Prune {
+	switch l.Prune {
 	case "", "transient":
 	default:
-		return badRequestf("prune", "prune mode %q is not supported: the destructive mode was removed and pruning is always transient (exact)", o.Prune)
+		return badRequestf("prune", "prune mode %q is not supported: the destructive mode was removed and pruning is always transient (exact)", l.Prune)
 	}
 	if o.MaxCost < 0 {
 		return badRequestf("max_cost", "max_cost %d must be nonnegative (0 = no cap)", o.MaxCost)
@@ -639,20 +647,32 @@ func (o solveOptions) validate() error {
 	return nil
 }
 
+// newSolver assembles a Solver for one request. extra carries per-mode
+// options (WithDriver for solve, WithDrivers/WithWorkers for batch).
+func newSolver(o api.SolveOptions, lib bufferkit.Library, extra ...bufferkit.Option) (*bufferkit.Solver, error) {
+	opts := append([]bufferkit.Option{
+		bufferkit.WithLibrary(lib),
+		bufferkit.WithAlgorithm(algorithm(o)),
+		bufferkit.WithMaxCost(o.MaxCost),
+		bufferkit.WithStats(!o.NoStats),
+	}, extra...)
+	return bufferkit.NewSolver(opts...)
+}
+
 // cacheOptions canonicalizes the option fields that affect the result, for
 // the cache key. TimeoutMs is excluded — a timeout changes whether a result
 // exists, never its value.
-func (o solveOptions) cacheOptions() string {
-	return fmt.Sprintf("algo=%s maxcost=%d stats=%t", o.algorithm(), o.MaxCost, !o.NoStats)
+func cacheOptions(o api.SolveOptions) string {
+	return fmt.Sprintf("algo=%s maxcost=%d stats=%t", algorithm(o), o.MaxCost, !o.NoStats)
 }
 
 // algorithm is the registry name the request selects.
-func (o solveOptions) algorithm() string { return cmp.Or(o.Algorithm, bufferkit.AlgoNew) }
+func algorithm(o api.SolveOptions) string { return cmp.Or(o.Algorithm, bufferkit.AlgoNew) }
 
 // timeout resolves the request's solve budget against the server limits.
 // The cap is applied in milliseconds, before converting to a Duration, so a
 // huge timeout_ms clamps to MaxTimeout instead of overflowing.
-func (s *Server) timeout(o solveOptions) time.Duration {
+func (s *Server) timeout(o api.SolveOptions) time.Duration {
 	if o.TimeoutMs <= 0 {
 		return min(s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
 	}

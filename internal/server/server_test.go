@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"bufferkit"
+	"bufferkit/internal/api"
 )
 
 // readTestdata loads a repository testdata file as a string payload.
@@ -129,12 +130,12 @@ func checkNoGoroutineLeak(t *testing.T) func() {
 
 func TestSolveHappyPath(t *testing.T) {
 	h := New(Config{}).Handler()
-	req := solveRequest{Net: readTestdata(t, "line.net"), Library: readTestdata(t, "lib8.buf")}
+	req := api.SolveRequest{Net: readTestdata(t, "line.net"), Library: readTestdata(t, "lib8.buf")}
 	rec := post(t, h, "/v1/solve", req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
-	var resp solveResponse
+	var resp api.SolveResult
 	decodeInto(t, rec, &resp)
 	if resp.Net != "line" || resp.Algorithm != "new" || resp.Cached {
 		t.Fatalf("resp = %+v", resp)
@@ -172,7 +173,7 @@ func TestSolveHappyPath(t *testing.T) {
 // cache with no engine run — asserted through the expvar counters.
 func TestSolveCacheHit(t *testing.T) {
 	h := New(Config{}).Handler()
-	req := solveRequest{Net: readTestdata(t, "line.net"), Library: readTestdata(t, "lib8.buf")}
+	req := api.SolveRequest{Net: readTestdata(t, "line.net"), Library: readTestdata(t, "lib8.buf")}
 
 	first := post(t, h, "/v1/solve", req)
 	if first.Code != http.StatusOK {
@@ -186,7 +187,7 @@ func TestSolveCacheHit(t *testing.T) {
 	if second.Code != http.StatusOK {
 		t.Fatalf("second solve: %d %s", second.Code, second.Body.String())
 	}
-	var warm, cold solveResponse
+	var warm, cold api.SolveResult
 	decodeInto(t, first, &cold)
 	decodeInto(t, second, &warm)
 	if !warm.Cached || cold.Cached {
@@ -227,37 +228,37 @@ func TestSolveMalformedPayloads(t *testing.T) {
 		errHas    string // a substring of the error message, if set
 	}{
 		{name: "invalid JSON", raw: "{not json", status: 400},
-		{name: "empty net", body: solveRequest{Net: "", Library: lib}, status: 400, field: "net"},
-		{name: "garbage net", body: solveRequest{Net: "frobnicate all", Library: lib}, status: 400, field: "net"},
-		{name: "garbage library", body: solveRequest{Net: net, Library: "buffer oops"}, status: 400, field: "library"},
+		{name: "empty net", body: api.SolveRequest{Net: "", Library: lib}, status: 400, field: "net"},
+		{name: "garbage net", body: api.SolveRequest{Net: "frobnicate all", Library: lib}, status: 400, field: "net"},
+		{name: "garbage library", body: api.SolveRequest{Net: net, Library: "buffer oops"}, status: 400, field: "library"},
 		{name: "misspelt net key", status: 400, field: "net", errHas: `line 1: unknown key "rse"`,
-			body: solveRequest{Library: lib,
+			body: api.SolveRequest{Library: lib,
 				Net: "node n1 parent src rse 0.1 cap 5 buffer\nsink s1 parent n1 res 0.1 cap 5 load 10 rat 1000\n"}},
 		{name: "repeated driver", status: 400, field: "net", errHas: "line 2: repeated driver directive",
-			body: solveRequest{Library: lib, Net: "driver res 1\ndriver k 2\n" + net}},
+			body: api.SolveRequest{Library: lib, Net: "driver res 1\ndriver k 2\n" + net}},
 		{name: "misspelt library key", status: 400, field: "library", errHas: `line 1: unknown key "dealy"`,
-			body: solveRequest{Net: net, Library: "buffer b res 1 cin 1 dealy 30\n"}},
-		{name: "unknown algorithm", body: solveRequest{Net: net, Library: lib,
-			solveOptions: solveOptions{Algorithm: "nope"}}, status: 400, field: "algorithm"},
-		{name: "unknown prune", body: solveRequest{Net: net, Library: lib,
-			solveOptions: solveOptions{Prune: "nope"}}, status: 400, field: "prune"},
-		{name: "removed destructive prune", body: solveRequest{Net: net, Library: lib,
-			solveOptions: solveOptions{Prune: "destructive"}}, status: 400, field: "prune"},
-		{name: "negative max_cost", body: solveRequest{Net: net, Library: lib,
-			solveOptions: solveOptions{Algorithm: bufferkit.AlgoCostSlack, MaxCost: -3}}, status: 400, field: "max_cost"},
-		{name: "negative timeout", body: solveRequest{Net: net, Library: lib,
-			solveOptions: solveOptions{TimeoutMs: -5}}, status: 400, field: "timeout_ms"},
-		{name: "unknown backend", body: solveRequest{Net: net, Library: lib,
-			solveOptions: solveOptions{Backend: "bogus"}}, status: 400, field: "backend"},
-		{name: "removed core algorithm", body: solveRequest{Net: net, Library: lib,
-			solveOptions: solveOptions{Algorithm: "core"}}, status: 400, field: "algorithm"},
-		{name: "vanginneken multi-type library", body: solveRequest{Net: net, Library: lib,
-			solveOptions: solveOptions{Algorithm: bufferkit.AlgoVanGinneken}}, status: 400, field: "library"},
+			body: api.SolveRequest{Net: net, Library: "buffer b res 1 cin 1 dealy 30\n"}},
+		{name: "unknown algorithm", body: api.SolveRequest{Net: net, Library: lib,
+			SolveOptions: api.SolveOptions{Algorithm: "nope"}}, status: 400, field: "algorithm"},
+		{name: "unknown prune", body: solveRequest{api.SolveRequest{Net: net, Library: lib},
+			legacyOptions{Prune: "nope"}}, status: 400, field: "prune"},
+		{name: "removed destructive prune", body: solveRequest{api.SolveRequest{Net: net, Library: lib},
+			legacyOptions{Prune: "destructive"}}, status: 400, field: "prune"},
+		{name: "negative max_cost", body: api.SolveRequest{Net: net, Library: lib,
+			SolveOptions: api.SolveOptions{Algorithm: bufferkit.AlgoCostSlack, MaxCost: -3}}, status: 400, field: "max_cost"},
+		{name: "negative timeout", body: api.SolveRequest{Net: net, Library: lib,
+			SolveOptions: api.SolveOptions{TimeoutMs: -5}}, status: 400, field: "timeout_ms"},
+		{name: "unknown backend", body: solveRequest{api.SolveRequest{Net: net, Library: lib},
+			legacyOptions{Backend: "bogus"}}, status: 400, field: "backend"},
+		{name: "removed core algorithm", body: api.SolveRequest{Net: net, Library: lib,
+			SolveOptions: api.SolveOptions{Algorithm: "core"}}, status: 400, field: "algorithm"},
+		{name: "vanginneken multi-type library", body: api.SolveRequest{Net: net, Library: lib,
+			SolveOptions: api.SolveOptions{Algorithm: bufferkit.AlgoVanGinneken}}, status: 400, field: "library"},
 		{name: "non-finite rat", status: 400, field: "RAT", hasVertex: true,
-			body: solveRequest{Library: lib,
+			body: api.SolveRequest{Library: lib,
 				Net: "node n1 parent src res 0.1 cap 5 buffer\nsink s1 parent n1 res 0.1 cap 5 load 10 rat NaN\n"}},
 		{name: "negative sink without inverters", status: 400, field: "polarity", hasVertex: true,
-			body: solveRequest{Library: lib,
+			body: api.SolveRequest{Library: lib,
 				Net: "node n1 parent src res 0.1 cap 5 buffer\nsink s1 parent n1 res 0.1 cap 5 load 10 rat 1000 neg\n"}},
 	}
 	for _, tc := range cases {
@@ -273,7 +274,7 @@ func TestSolveMalformedPayloads(t *testing.T) {
 			if rec.Code != tc.status {
 				t.Fatalf("status %d, want %d: %s", rec.Code, tc.status, rec.Body.String())
 			}
-			var er errorResponse
+			var er api.ErrorBody
 			decodeInto(t, rec, &er)
 			if er.Error == "" {
 				t.Fatal("error body missing the error message")
@@ -299,7 +300,7 @@ func TestSolveInfeasible(t *testing.T) {
 	if err := bufferkit.WriteLibrary(&lb, bufferkit.GenerateLibraryWithInverters(4)); err != nil {
 		t.Fatal(err)
 	}
-	rec := post(t, h, "/v1/solve", solveRequest{
+	rec := post(t, h, "/v1/solve", api.SolveRequest{
 		Net:     "sink s1 parent src res 0.1 cap 5 load 10 rat 1000 neg\n",
 		Library: lb.String(),
 	})
@@ -317,15 +318,15 @@ func TestSolveDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := post(t, h, "/v1/solve", solveRequest{
+	rec := post(t, h, "/v1/solve", api.SolveRequest{
 		Net:          netText(t, tr, "huge", bufferkit.Driver{R: 0.2, K: 15}),
 		Library:      readTestdata(t, "lib8.buf"),
-		solveOptions: solveOptions{TimeoutMs: 1},
+		SolveOptions: api.SolveOptions{TimeoutMs: 1},
 	})
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504: %s", rec.Code, rec.Body.String())
 	}
-	var er errorResponse
+	var er api.ErrorBody
 	decodeInto(t, rec, &er)
 	if !strings.Contains(er.Error, "canceled") {
 		t.Fatalf("error %q does not mention cancellation", er.Error)
@@ -338,7 +339,7 @@ func TestSolveDeadline(t *testing.T) {
 // on /v1/solve and /v1/batch.
 func TestTimeoutClampsWithoutOverflow(t *testing.T) {
 	srv := New(Config{})
-	if got := srv.timeout(solveOptions{TimeoutMs: 10_000_000_000_000}); got != srv.cfg.MaxTimeout {
+	if got := srv.timeout(api.SolveOptions{TimeoutMs: 10_000_000_000_000}); got != srv.cfg.MaxTimeout {
 		t.Fatalf("huge timeout resolved to %v, want MaxTimeout %v", got, srv.cfg.MaxTimeout)
 	}
 	h := srv.Handler()
@@ -347,9 +348,9 @@ func TestTimeoutClampsWithoutOverflow(t *testing.T) {
 		ms     int
 		status int
 	}{{10_000_000_000_000, http.StatusOK}, {-5, http.StatusBadRequest}} {
-		opts := solveOptions{TimeoutMs: tc.ms}
-		solve := post(t, h, "/v1/solve", solveRequest{Net: net, Library: lib, solveOptions: opts})
-		batch := post(t, h, "/v1/batch", batchRequest{Library: lib, Nets: []string{net}, solveOptions: opts})
+		opts := api.SolveOptions{TimeoutMs: tc.ms}
+		solve := post(t, h, "/v1/solve", api.SolveRequest{Net: net, Library: lib, SolveOptions: opts})
+		batch := post(t, h, "/v1/batch", api.BatchRequest{Library: lib, Nets: []string{net}, SolveOptions: opts})
 		for _, rec := range []*httptest.ResponseRecorder{solve, batch} {
 			if rec.Code != tc.status {
 				t.Fatalf("timeout_ms=%d: status %d, want %d: %s", tc.ms, rec.Code, tc.status, rec.Body.String())
@@ -361,7 +362,7 @@ func TestTimeoutClampsWithoutOverflow(t *testing.T) {
 			}
 			continue
 		}
-		var er errorResponse
+		var er api.ErrorBody
 		decodeInto(t, batch, &er)
 		if er.Field != "timeout_ms" {
 			t.Fatalf("batch error field %q, want timeout_ms", er.Field)
@@ -370,16 +371,16 @@ func TestTimeoutClampsWithoutOverflow(t *testing.T) {
 }
 
 // decodeBatch splits an NDJSON body into lines.
-func decodeBatch(t testing.TB, body io.Reader) []batchLine {
+func decodeBatch(t testing.TB, body io.Reader) []api.BatchLine {
 	t.Helper()
-	var lines []batchLine
+	var lines []api.BatchLine
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	for sc.Scan() {
 		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
 			continue
 		}
-		var l batchLine
+		var l api.BatchLine
 		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
 		}
@@ -395,7 +396,7 @@ func TestBatchOrdered(t *testing.T) {
 	h := New(Config{}).Handler()
 	line := readTestdata(t, "line.net")
 	random12 := readTestdata(t, "random12.net")
-	req := batchRequest{
+	req := api.BatchRequest{
 		Library: readTestdata(t, "lib8.buf"),
 		Nets:    []string{line, random12, line},
 		Ordered: true,
@@ -433,7 +434,7 @@ func TestBatchOrdered(t *testing.T) {
 // cache — engine_runs does not move.
 func TestBatchCacheHits(t *testing.T) {
 	h := New(Config{}).Handler()
-	req := batchRequest{
+	req := api.BatchRequest{
 		Library: readTestdata(t, "lib8.buf"),
 		Nets:    []string{readTestdata(t, "line.net"), readTestdata(t, "random12.net")},
 	}
@@ -459,20 +460,20 @@ func TestBatchMalformed(t *testing.T) {
 	h := New(Config{}).Handler()
 	lib := readTestdata(t, "lib8.buf")
 	t.Run("empty nets", func(t *testing.T) {
-		rec := post(t, h, "/v1/batch", batchRequest{Library: lib})
+		rec := post(t, h, "/v1/batch", api.BatchRequest{Library: lib})
 		if rec.Code != http.StatusBadRequest {
 			t.Fatalf("status %d, want 400", rec.Code)
 		}
 	})
 	t.Run("bad net names its index", func(t *testing.T) {
-		rec := post(t, h, "/v1/batch", batchRequest{
+		rec := post(t, h, "/v1/batch", api.BatchRequest{
 			Library: lib,
 			Nets:    []string{readTestdata(t, "line.net"), "garbage here"},
 		})
 		if rec.Code != http.StatusBadRequest {
 			t.Fatalf("status %d, want 400: %s", rec.Code, rec.Body.String())
 		}
-		var er errorResponse
+		var er api.ErrorBody
 		decodeInto(t, rec, &er)
 		if !strings.Contains(er.Error, "net 1") {
 			t.Fatalf("error %q does not name the offending net index", er.Error)
@@ -480,7 +481,7 @@ func TestBatchMalformed(t *testing.T) {
 	})
 	t.Run("over batch limit", func(t *testing.T) {
 		small := New(Config{MaxBatchNets: 2}).Handler()
-		rec := post(t, small, "/v1/batch", batchRequest{Library: lib, Nets: []string{"a", "b", "c"}})
+		rec := post(t, small, "/v1/batch", api.BatchRequest{Library: lib, Nets: []string{"a", "b", "c"}})
 		if rec.Code != http.StatusBadRequest {
 			t.Fatalf("status %d, want 400", rec.Code)
 		}
@@ -501,7 +502,7 @@ func TestBatchStreamNoGoroutineLeak(t *testing.T) {
 		tr := bufferkit.TwoPinNet(50000, 600+i, 10, 1e6, bufferkit.PaperWire())
 		nets[i] = netText(t, tr, fmt.Sprintf("n%d", i), bufferkit.Driver{R: 0.2, K: 15})
 	}
-	body, err := json.Marshal(batchRequest{Library: readTestdata(t, "lib8.buf"), Nets: nets})
+	body, err := json.Marshal(api.BatchRequest{Library: readTestdata(t, "lib8.buf"), Nets: nets})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,10 +549,10 @@ func TestConcurrentSolves64(t *testing.T) {
 	const n = 64
 	// Distinct nets (different RATs) so every request takes the full
 	// parse+solve path under contention for the 8 engine slots.
-	reqs := make([]solveRequest, n)
+	reqs := make([]api.SolveRequest, n)
 	for i := range reqs {
 		tr := bufferkit.TwoPinNet(10000, 24, 10, 1000+float64(i), bufferkit.PaperWire())
-		reqs[i] = solveRequest{
+		reqs[i] = api.SolveRequest{
 			Net:     netText(t, tr, fmt.Sprintf("net%d", i), bufferkit.Driver{R: 0.2, K: 15}),
 			Library: lib,
 		}
@@ -567,7 +568,7 @@ func TestConcurrentSolves64(t *testing.T) {
 				errs <- fmt.Errorf("req %d: status %d: %s", i, rec.Code, rec.Body.String())
 				return
 			}
-			var resp solveResponse
+			var resp api.SolveResult
 			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 				errs <- fmt.Errorf("req %d: %v", i, err)
 				return
@@ -691,17 +692,17 @@ func TestMethodNotAllowed(t *testing.T) {
 
 func TestBodyTooLarge(t *testing.T) {
 	h := New(Config{MaxBodyBytes: 128}).Handler()
-	rec := post(t, h, "/v1/solve", solveRequest{Net: strings.Repeat("x", 1024)})
+	rec := post(t, h, "/v1/solve", api.SolveRequest{Net: strings.Repeat("x", 1024)})
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413", rec.Code)
 	}
-	var er errorResponse
+	var er api.ErrorBody
 	decodeInto(t, rec, &er)
 	if !strings.Contains(er.Error, "128") {
 		t.Fatalf("413 body %q does not name the limit", er.Error)
 	}
 	// The batch endpoint shares the limiter.
-	rec = post(t, h, "/v1/batch", batchRequest{Library: strings.Repeat("x", 1024)})
+	rec = post(t, h, "/v1/batch", api.BatchRequest{Library: strings.Repeat("x", 1024)})
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("batch status %d, want 413", rec.Code)
 	}
@@ -712,7 +713,7 @@ func TestBodyTooLarge(t *testing.T) {
 // request without the field and share its cache entry; any other value is
 // a 400 naming the field, even when the rest of the request is cached.
 func TestSolveBackendField(t *testing.T) {
-	checkIgnoredField(t, "backend", func(o *solveOptions, v string) { o.Backend = v },
+	checkIgnoredField(t, "backend", func(o *legacyOptions, v string) { o.Backend = v },
 		[]string{"default", "list", "soa"}, []string{"bogus"})
 }
 
@@ -720,7 +721,7 @@ func TestSolveBackendField(t *testing.T) {
 // bit-identical to no field and shares its cache entry; the removed
 // "destructive" mode and unknown values are a 400 even on a cache hit.
 func TestSolvePruneField(t *testing.T) {
-	checkIgnoredField(t, "prune", func(o *solveOptions, v string) { o.Prune = v },
+	checkIgnoredField(t, "prune", func(o *legacyOptions, v string) { o.Prune = v },
 		[]string{"transient"}, []string{"destructive", "nope"})
 }
 
@@ -728,21 +729,21 @@ func TestSolvePruneField(t *testing.T) {
 // compatibility: every accepted value yields the response of a request
 // without the field and hits its cache entry, and every rejected value is
 // a 400 naming the field even when the rest of the payload is cached.
-func checkIgnoredField(t *testing.T, field string, set func(*solveOptions, string), accepted, rejected []string) {
+func checkIgnoredField(t *testing.T, field string, set func(*legacyOptions, string), accepted, rejected []string) {
 	t.Helper()
 	netT, libT := readTestdata(t, "line.net"), readTestdata(t, "lib8.buf")
 	request := func(h http.Handler, v string) *httptest.ResponseRecorder {
-		req := solveRequest{Net: netT, Library: libT}
-		set(&req.solveOptions, v)
+		req := solveRequest{SolveRequest: api.SolveRequest{Net: netT, Library: libT}}
+		set(&req.legacyOptions, v)
 		return post(t, h, "/v1/solve", req)
 	}
-	solve := func(h http.Handler, v string) solveResponse {
+	solve := func(h http.Handler, v string) api.SolveResult {
 		t.Helper()
 		rec := request(h, v)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("%s=%q: status %d: %s", field, v, rec.Code, rec.Body.String())
 		}
-		var resp solveResponse
+		var resp api.SolveResult
 		decodeInto(t, rec, &resp)
 		resp.ElapsedMs = 0 // wall time; everything else must match exactly
 		return resp
@@ -768,7 +769,7 @@ func checkIgnoredField(t *testing.T, field string, set func(*solveOptions, strin
 		if rec.Code != http.StatusBadRequest {
 			t.Fatalf("%s=%q on a cached request: status %d", field, v, rec.Code)
 		}
-		var errResp errorResponse
+		var errResp api.ErrorBody
 		decodeInto(t, rec, &errResp)
 		if errResp.Field != field {
 			t.Fatalf("%s=%q: error field = %q, want %s", field, v, errResp.Field, field)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"bufferkit"
+	"bufferkit/internal/api"
 	"bufferkit/internal/netlist"
 	"bufferkit/internal/obs"
 	"bufferkit/internal/server/cache"
@@ -28,56 +29,6 @@ import (
 // answered by an earlier plain solve of the identical net, and vice versa,
 // while a patch pays for hashing the text but not for rendering it.
 
-// sessionRequest is the PUT /v1/sessions/{id} payload. Net and Library are
-// required when the id is new (they define the session) and optional
-// afterwards; when resent they must match the originals byte for byte (409
-// otherwise), which makes retried PUTs safe.
-type sessionRequest struct {
-	Net     string         `json:"net,omitempty"`
-	Library string         `json:"library,omitempty"`
-	Patches []sessionPatch `json:"patches,omitempty"`
-	solveOptions
-}
-
-// sessionPatch is one typed delta. Kind selects the shape: "sink" sets a
-// sink's rat and cap, "edge" sets the res and cap of the wire into the
-// vertex, "buffer" sets the vertex's buffer-position flag (and optionally
-// the allowed library type indices, as in the .net text format). All values
-// are absolute, not increments — retransmitting a patch is idempotent.
-// Vertices are named as in net files and placements: the file name when
-// set, otherwise "v<i>" ("src" for the source).
-type sessionPatch struct {
-	Kind   string `json:"kind"`
-	Vertex string `json:"vertex"`
-	// RAT and Cap parameterize "sink" patches; Res and Cap "edge" patches.
-	RAT *float64 `json:"rat,omitempty"`
-	Cap *float64 `json:"cap,omitempty"`
-	Res *float64 `json:"res,omitempty"`
-	// OK and Allowed parameterize "buffer" patches.
-	OK      *bool `json:"ok,omitempty"`
-	Allowed []int `json:"allowed,omitempty"`
-}
-
-// sessionInfo is the session block of a PUT response.
-type sessionInfo struct {
-	ID string `json:"id"`
-	// Created marks the PUT that opened the session.
-	Created bool `json:"created,omitempty"`
-	// Resolves, FullRebuilds and Recomputed expose the session's
-	// incremental-work story: Recomputed is the number of vertices the last
-	// resolve actually recomputed (0 when the reply came from the cache).
-	Resolves     int `json:"resolves"`
-	FullRebuilds int `json:"full_rebuilds"`
-	Recomputed   int `json:"recomputed"`
-}
-
-// sessionResponse is the PUT /v1/sessions/{id} reply: a solve response plus
-// the session block.
-type sessionResponse struct {
-	solveResponse
-	Session sessionInfo `json:"session"`
-}
-
 // sessionEntry is one retained session. mu serializes use of the session
 // (sessions are single-threaded by contract); lastUsed is guarded by the
 // server's sessMu, not mu, so eviction scans never block on a resolve.
@@ -90,8 +41,8 @@ type sessionEntry struct {
 	name    string            // net name, for response building
 	names   map[string]int    // vertex name → index, for patch addressing
 	tree    *bufferkit.Tree   // the session's patched tree (read-only view)
-	opts    solveOptions      // pinned at create; later requests must not conflict
-	optsKey string            // opts.cacheOptions(), pinned at create
+	opts    api.SolveOptions  // pinned at create; later requests must not conflict
+	optsKey string            // cacheOptions(opts), pinned at create
 
 	mu     sync.Mutex
 	solver *bufferkit.Solver
@@ -176,14 +127,15 @@ func (s *Server) handleSessionPut(w http.ResponseWriter, r *http.Request) {
 	lookup := tr.StartSpan("cache_lookup")
 	key := e.cacheKey()
 	tr.Set("digest", digestAttr(key.Net))
-	hit, ok := cacheGet[solveResponse](s, key)
+	hit, ok := cacheGet[api.SolveResult](s, key)
 	lookup.Set("hit", ok)
 	lookup.End()
 	if ok {
 		s.sessionCacheHits.Add(1)
 		tr.Set("cached", true)
 		enc := tr.StartSpan("encode")
-		writeJSON(w, http.StatusOK, &sessionResponse{solveResponse: *hit, Session: e.info(s, id, created)})
+		hit.Cached = true
+		writeJSON(w, http.StatusOK, &api.SessionResult{SolveResult: *hit, Session: e.info(s, id, created)})
 		enc.End()
 		return
 	}
@@ -209,7 +161,7 @@ func (s *Server) handleSessionPut(w http.ResponseWriter, r *http.Request) {
 		e.lib, e.solver.Algorithm(), res, elapsed)
 	s.cacheStore(key, resp)
 	enc := tr.StartSpan("encode")
-	writeJSON(w, http.StatusOK, &sessionResponse{solveResponse: *resp, Session: info})
+	writeJSON(w, http.StatusOK, &api.SessionResult{SolveResult: *resp, Session: info})
 	enc.End()
 }
 
@@ -260,7 +212,7 @@ func (s *Server) getOrCreateSession(id string, req *sessionRequest) (*sessionEnt
 			return nil, false, &httpError{status: http.StatusConflict, field: "library",
 				msg: "session " + id + " exists with a different library; DELETE it or use a new id"}
 		}
-		if opts := req.solveOptions.cacheOptions(); opts != e.optsKey {
+		if opts := cacheOptions(req.SolveOptions); opts != e.optsKey {
 			return nil, false, &httpError{status: http.StatusConflict, field: "algorithm",
 				msg: "session " + id + " exists with different solve options; DELETE it or use a new id"}
 		}
@@ -275,7 +227,7 @@ func (s *Server) getOrCreateSession(id string, req *sessionRequest) (*sessionEnt
 	if err != nil {
 		return nil, false, err
 	}
-	solver, err := req.newSolver(lib, bufferkit.WithDriver(net.Driver))
+	solver, err := newSolver(req.SolveOptions, lib, bufferkit.WithDriver(net.Driver))
 	if err != nil {
 		return nil, false, err
 	}
@@ -298,8 +250,8 @@ func (s *Server) getOrCreateSession(id string, req *sessionRequest) (*sessionEnt
 		name:    net.Name,
 		names:   names,
 		tree:    tree,
-		opts:    req.solveOptions,
-		optsKey: req.solveOptions.cacheOptions(),
+		opts:    req.SolveOptions,
+		optsKey: cacheOptions(req.SolveOptions),
 		solver:  solver,
 		sess:    sess,
 		lines:   netlist.NewLines(&netlist.Net{Name: net.Name, Tree: tree, Driver: net.Driver}),
@@ -356,7 +308,7 @@ func (e *sessionEntry) close() {
 // info snapshots the session block for a response and feeds the counter
 // deltas since the last observation into the server-wide rebuild/recompute
 // totals. Callers hold e.mu.
-func (e *sessionEntry) info(s *Server, id string, created bool) sessionInfo {
+func (e *sessionEntry) info(s *Server, id string, created bool) api.SessionInfo {
 	st := e.sess.Stats()
 	recomputed := 0
 	if st.Resolves > e.last.Resolves {
@@ -365,7 +317,7 @@ func (e *sessionEntry) info(s *Server, id string, created bool) sessionInfo {
 		s.sessionRebuilds.Add(int64(st.FullRebuilds - e.last.FullRebuilds))
 	}
 	e.last = st
-	return sessionInfo{
+	return api.SessionInfo{
 		ID:           id,
 		Created:      created,
 		Resolves:     st.Resolves,
@@ -376,7 +328,7 @@ func (e *sessionEntry) info(s *Server, id string, created bool) sessionInfo {
 
 // buildDeltas converts wire patches into typed session deltas, resolving
 // vertex names against the session's tree.
-func (e *sessionEntry) buildDeltas(patches []sessionPatch) ([]bufferkit.Delta, error) {
+func (e *sessionEntry) buildDeltas(patches []api.SessionPatch) ([]bufferkit.Delta, error) {
 	out := make([]bufferkit.Delta, 0, len(patches))
 	for i, p := range patches {
 		v, ok := e.names[p.Vertex]

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"bufferkit"
+	"bufferkit/internal/api"
 	"bufferkit/internal/netgen"
 	"bufferkit/internal/obs"
 	"bufferkit/internal/server/cache"
@@ -71,11 +72,11 @@ func TestSessionLifecycle(t *testing.T) {
 	h := New(Config{}).Handler()
 
 	// The creating PUT resolves the whole tree once.
-	rec := request(t, h, "PUT", "/v1/sessions/eco1", sessionRequest{Net: net, Library: lib})
+	rec := request(t, h, "PUT", "/v1/sessions/eco1", api.SessionRequest{Net: net, Library: lib})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("create: %d %s", rec.Code, rec.Body.String())
 	}
-	var created sessionResponse
+	var created api.SessionResult
 	decodeInto(t, rec, &created)
 	if !created.Session.Created || created.Session.ID != "eco1" {
 		t.Fatalf("session block = %+v", created.Session)
@@ -98,13 +99,13 @@ func TestSessionLifecycle(t *testing.T) {
 	patched.Verts[sink].RAT = 512.5
 	patched.Verts[sink].Cap = 4.25
 	rat, cap := 512.5, 4.25
-	rec = request(t, h, "PUT", "/v1/sessions/eco1", sessionRequest{Patches: []sessionPatch{
+	rec = request(t, h, "PUT", "/v1/sessions/eco1", api.SessionRequest{Patches: []api.SessionPatch{
 		{Kind: "sink", Vertex: vertexName(tr, sink), RAT: &rat, Cap: &cap},
 	}})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("patch: %d %s", rec.Code, rec.Body.String())
 	}
-	var delta sessionResponse
+	var delta api.SessionResult
 	decodeInto(t, rec, &delta)
 	if delta.Session.Created || delta.Session.Resolves != 2 {
 		t.Fatalf("patched session block = %+v", delta.Session)
@@ -147,15 +148,15 @@ func TestSessionCacheCoherence(t *testing.T) {
 	h := New(Config{}).Handler()
 
 	// Session first: the creating resolve populates the cache for /v1/solve.
-	rec := request(t, h, "PUT", "/v1/sessions/coh", sessionRequest{Net: net, Library: lib})
+	rec := request(t, h, "PUT", "/v1/sessions/coh", api.SessionRequest{Net: net, Library: lib})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("create: %d %s", rec.Code, rec.Body.String())
 	}
-	solveRec := post(t, h, "/v1/solve", solveRequest{Net: net, Library: lib})
+	solveRec := post(t, h, "/v1/solve", api.SolveRequest{Net: net, Library: lib})
 	if solveRec.Code != http.StatusOK {
 		t.Fatalf("solve: %d %s", solveRec.Code, solveRec.Body.String())
 	}
-	var solved solveResponse
+	var solved api.SolveResult
 	decodeInto(t, solveRec, &solved)
 	if !solved.Cached {
 		t.Fatal("plain solve of the session's net missed the cache")
@@ -171,30 +172,30 @@ func TestSessionCacheCoherence(t *testing.T) {
 	patched.Verts[sink].RAT = 777.25
 	patched.Verts[sink].Cap = 6.5
 	patchedText := netText(t, patched, "eco", bufferkit.Driver{R: 0.2, K: 15})
-	solveRec = post(t, h, "/v1/solve", solveRequest{Net: patchedText, Library: lib})
+	solveRec = post(t, h, "/v1/solve", api.SolveRequest{Net: patchedText, Library: lib})
 	if solveRec.Code != http.StatusOK {
 		t.Fatalf("solve patched: %d %s", solveRec.Code, solveRec.Body.String())
 	}
-	var cold solveResponse
+	var cold api.SolveResult
 	decodeInto(t, solveRec, &cold)
 	if cold.Cached {
 		t.Fatal("patched net unexpectedly cached already")
 	}
 
 	rat, cap := 777.25, 6.5
-	rec = request(t, h, "PUT", "/v1/sessions/coh", sessionRequest{Patches: []sessionPatch{
+	rec = request(t, h, "PUT", "/v1/sessions/coh", api.SessionRequest{Patches: []api.SessionPatch{
 		{Kind: "sink", Vertex: vertexName(tr, sink), RAT: &rat, Cap: &cap},
 	}})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("patch: %d %s", rec.Code, rec.Body.String())
 	}
-	var warm sessionResponse
+	var warm api.SessionResult
 	decodeInto(t, rec, &warm)
 	if !warm.Cached {
 		t.Fatal("session resolve of pre-solved net missed the cache")
 	}
 	if warm.Slack != cold.Slack || warm.Buffers != cold.Buffers {
-		t.Fatalf("cache returned a different result: %+v vs %+v", warm.solveResponse, cold)
+		t.Fatalf("cache returned a different result: %+v vs %+v", warm.SolveResult, cold)
 	}
 	if warm.Session.Recomputed != 0 || warm.Session.Resolves != 1 {
 		t.Fatalf("cache-hit session block = %+v, want no new resolve", warm.Session)
@@ -212,12 +213,12 @@ func TestSessionErrors(t *testing.T) {
 	h := New(Config{}).Handler()
 
 	// Unknown id without net + library cannot create.
-	rec := request(t, h, "PUT", "/v1/sessions/ghost", sessionRequest{})
+	rec := request(t, h, "PUT", "/v1/sessions/ghost", api.SessionRequest{})
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("patch unknown session: %d %s", rec.Code, rec.Body.String())
 	}
 
-	if rec = request(t, h, "PUT", "/v1/sessions/s", sessionRequest{Net: net, Library: lib}); rec.Code != http.StatusOK {
+	if rec = request(t, h, "PUT", "/v1/sessions/s", api.SessionRequest{Net: net, Library: lib}); rec.Code != http.StatusOK {
 		t.Fatalf("create: %d %s", rec.Code, rec.Body.String())
 	}
 
@@ -225,11 +226,11 @@ func TestSessionErrors(t *testing.T) {
 	other := readTestdata(t, "line.net")
 	for _, tc := range []struct {
 		name string
-		req  sessionRequest
+		req  api.SessionRequest
 	}{
-		{"net", sessionRequest{Net: other, Library: lib}},
-		{"library", sessionRequest{Net: net, Library: "buffer b res 1 cin 1 delay 1 cost 1\n"}},
-		{"options", sessionRequest{Net: net, Library: lib, solveOptions: solveOptions{Algorithm: "lillis"}}},
+		{"net", api.SessionRequest{Net: other, Library: lib}},
+		{"library", api.SessionRequest{Net: net, Library: "buffer b res 1 cin 1 delay 1 cost 1\n"}},
+		{"options", api.SessionRequest{Net: net, Library: lib, SolveOptions: api.SolveOptions{Algorithm: "lillis"}}},
 	} {
 		if rec = request(t, h, "PUT", "/v1/sessions/s", tc.req); rec.Code != http.StatusConflict {
 			t.Fatalf("conflicting %s: %d %s", tc.name, rec.Code, rec.Body.String())
@@ -240,13 +241,13 @@ func TestSessionErrors(t *testing.T) {
 	rat, cap := 1.0, 1.0
 	for _, tc := range []struct {
 		name  string
-		patch sessionPatch
+		patch api.SessionPatch
 	}{
-		{"unknown vertex", sessionPatch{Kind: "sink", Vertex: "nope", RAT: &rat, Cap: &cap}},
-		{"missing fields", sessionPatch{Kind: "sink", Vertex: "v1"}},
-		{"unknown kind", sessionPatch{Kind: "teleport", Vertex: "v1"}},
+		{"unknown vertex", api.SessionPatch{Kind: "sink", Vertex: "nope", RAT: &rat, Cap: &cap}},
+		{"missing fields", api.SessionPatch{Kind: "sink", Vertex: "v1"}},
+		{"unknown kind", api.SessionPatch{Kind: "teleport", Vertex: "v1"}},
 	} {
-		rec = request(t, h, "PUT", "/v1/sessions/s", sessionRequest{Patches: []sessionPatch{tc.patch}})
+		rec = request(t, h, "PUT", "/v1/sessions/s", api.SessionRequest{Patches: []api.SessionPatch{tc.patch}})
 		if rec.Code != http.StatusBadRequest {
 			t.Fatalf("%s: %d %s", tc.name, rec.Code, rec.Body.String())
 		}
@@ -254,21 +255,21 @@ func TestSessionErrors(t *testing.T) {
 
 	// A well-formed patch the engine rejects (sink patch on the source)
 	// surfaces as 400 via the session's sticky-error channel...
-	rec = request(t, h, "PUT", "/v1/sessions/s", sessionRequest{Patches: []sessionPatch{
+	rec = request(t, h, "PUT", "/v1/sessions/s", api.SessionRequest{Patches: []api.SessionPatch{
 		{Kind: "sink", Vertex: "src", RAT: &rat, Cap: &cap},
 	}})
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("sink patch on source: %d %s", rec.Code, rec.Body.String())
 	}
 	// ...and the session stays usable afterwards.
-	rec = request(t, h, "PUT", "/v1/sessions/s", sessionRequest{})
+	rec = request(t, h, "PUT", "/v1/sessions/s", api.SessionRequest{})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("resolve after rejected patch: %d %s", rec.Code, rec.Body.String())
 	}
 
 	// The sessions endpoint can be disabled outright.
 	hOff := New(Config{MaxSessions: -1}).Handler()
-	if rec = request(t, hOff, "PUT", "/v1/sessions/s", sessionRequest{Net: net, Library: lib}); rec.Code != http.StatusNotFound {
+	if rec = request(t, hOff, "PUT", "/v1/sessions/s", api.SessionRequest{Net: net, Library: lib}); rec.Code != http.StatusNotFound {
 		t.Fatalf("disabled sessions: %d %s", rec.Code, rec.Body.String())
 	}
 }
@@ -283,22 +284,22 @@ func TestSessionRejectsBufferPatchOnSource(t *testing.T) {
 	net := strings.Replace(readTestdata(t, "line.net"), "driver res 0.2 k 15", "driver res 2 k 15", 1)
 	lib := readTestdata(t, "lib8.buf")
 	h := New(Config{}).Handler()
-	rec := request(t, h, "PUT", "/v1/sessions/src", sessionRequest{Net: net, Library: lib})
+	rec := request(t, h, "PUT", "/v1/sessions/src", api.SessionRequest{Net: net, Library: lib})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("create: %d %s", rec.Code, rec.Body.String())
 	}
-	var created sessionResponse
+	var created api.SessionResult
 	decodeInto(t, rec, &created)
 
 	stores := metric(t, h, "cache_stores")
 	ok := true
-	rec = request(t, h, "PUT", "/v1/sessions/src", sessionRequest{Patches: []sessionPatch{
+	rec = request(t, h, "PUT", "/v1/sessions/src", api.SessionRequest{Patches: []api.SessionPatch{
 		{Kind: "buffer", Vertex: "src", OK: &ok},
 	}})
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("buffer patch on source: %d %s", rec.Code, rec.Body.String())
 	}
-	var e errorResponse
+	var e api.ErrorBody
 	decodeInto(t, rec, &e)
 	if e.Field != "delta" || e.Vertex == nil || *e.Vertex != 0 {
 		t.Fatalf("buffer patch on source: error %+v, want field delta at vertex 0", e)
@@ -307,11 +308,11 @@ func TestSessionRejectsBufferPatchOnSource(t *testing.T) {
 		t.Fatalf("rejected patch stored %d cache entries", got-stores)
 	}
 
-	rec = request(t, h, "PUT", "/v1/sessions/src", sessionRequest{})
+	rec = request(t, h, "PUT", "/v1/sessions/src", api.SessionRequest{})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("resolve after rejected patch: %d %s", rec.Code, rec.Body.String())
 	}
-	var after sessionResponse
+	var after api.SessionResult
 	decodeInto(t, rec, &after)
 	if _, buffered := after.Placement["src"]; buffered || after.Slack != created.Slack {
 		t.Fatalf("after rejected patch: slack %v placement %v, want the unpatched %v", after.Slack, after.Placement, created.Slack)
@@ -323,7 +324,7 @@ func TestSessionDelete(t *testing.T) {
 	_, net, lib := sessionFixture(t)
 	h := New(Config{}).Handler()
 
-	if rec := request(t, h, "PUT", "/v1/sessions/del", sessionRequest{Net: net, Library: lib}); rec.Code != http.StatusOK {
+	if rec := request(t, h, "PUT", "/v1/sessions/del", api.SessionRequest{Net: net, Library: lib}); rec.Code != http.StatusOK {
 		t.Fatalf("create: %d %s", rec.Code, rec.Body.String())
 	}
 	rec := request(t, h, "DELETE", "/v1/sessions/del", nil)
@@ -340,14 +341,14 @@ func TestSessionDelete(t *testing.T) {
 	}
 	// A patches-only PUT after delete is a 404; resending net and library
 	// recreates the session under the same id.
-	if rec = request(t, h, "PUT", "/v1/sessions/del", sessionRequest{}); rec.Code != http.StatusNotFound {
+	if rec = request(t, h, "PUT", "/v1/sessions/del", api.SessionRequest{}); rec.Code != http.StatusNotFound {
 		t.Fatalf("patch deleted session: %d %s", rec.Code, rec.Body.String())
 	}
-	rec = request(t, h, "PUT", "/v1/sessions/del", sessionRequest{Net: net, Library: lib})
+	rec = request(t, h, "PUT", "/v1/sessions/del", api.SessionRequest{Net: net, Library: lib})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("recreate: %d %s", rec.Code, rec.Body.String())
 	}
-	var resp sessionResponse
+	var resp api.SessionResult
 	decodeInto(t, rec, &resp)
 	if !resp.Session.Created {
 		t.Fatalf("recreate session block = %+v", resp.Session)
@@ -360,7 +361,7 @@ func TestSessionLRUEviction(t *testing.T) {
 	h := New(Config{MaxSessions: 2}).Handler()
 
 	for _, id := range []string{"a", "b", "c"} {
-		if rec := request(t, h, "PUT", "/v1/sessions/"+id, sessionRequest{Net: net, Library: lib}); rec.Code != http.StatusOK {
+		if rec := request(t, h, "PUT", "/v1/sessions/"+id, api.SessionRequest{Net: net, Library: lib}); rec.Code != http.StatusOK {
 			t.Fatalf("create %s: %d %s", id, rec.Code, rec.Body.String())
 		}
 	}
@@ -371,11 +372,11 @@ func TestSessionLRUEviction(t *testing.T) {
 		t.Fatalf("sessions_active = %d, want 2", n)
 	}
 	// "a" was least recently used and is gone; "b" and "c" still answer.
-	if rec := request(t, h, "PUT", "/v1/sessions/a", sessionRequest{}); rec.Code != http.StatusNotFound {
+	if rec := request(t, h, "PUT", "/v1/sessions/a", api.SessionRequest{}); rec.Code != http.StatusNotFound {
 		t.Fatalf("evicted session a: %d %s", rec.Code, rec.Body.String())
 	}
 	for _, id := range []string{"b", "c"} {
-		if rec := request(t, h, "PUT", "/v1/sessions/"+id, sessionRequest{}); rec.Code != http.StatusOK {
+		if rec := request(t, h, "PUT", "/v1/sessions/"+id, api.SessionRequest{}); rec.Code != http.StatusOK {
 			t.Fatalf("surviving session %s: %d %s", id, rec.Code, rec.Body.String())
 		}
 	}
@@ -412,7 +413,7 @@ func TestSessionConcurrentPutDeleteEviction(t *testing.T) {
 				var rec *httptest.ResponseRecorder
 				switch op := rng.Intn(4); op {
 				case 0: // creating PUT: always lands (may evict someone)
-					rec = request(t, h, "PUT", "/v1/sessions/"+id, sessionRequest{Net: net, Library: lib})
+					rec = request(t, h, "PUT", "/v1/sessions/"+id, api.SessionRequest{Net: net, Library: lib})
 					if rec.Code != http.StatusOK {
 						t.Errorf("create %s: %d %s", id, rec.Code, rec.Body.String())
 					}
@@ -423,7 +424,7 @@ func TestSessionConcurrentPutDeleteEviction(t *testing.T) {
 					}
 				default: // patch PUT: ok, or 404 if evicted/deleted underneath us
 					rat, cap := 500+float64(rng.Intn(100)), 1+float64(rng.Intn(8))
-					rec = request(t, h, "PUT", "/v1/sessions/"+id, sessionRequest{Patches: []sessionPatch{
+					rec = request(t, h, "PUT", "/v1/sessions/"+id, api.SessionRequest{Patches: []api.SessionPatch{
 						{Kind: "sink", Vertex: sink, RAT: &rat, Cap: &cap},
 					}})
 					if rec.Code != http.StatusOK && rec.Code != http.StatusNotFound {
@@ -440,18 +441,18 @@ func TestSessionConcurrentPutDeleteEviction(t *testing.T) {
 	if n := metric(t, h, "sessions_active"); n > 4 {
 		t.Fatalf("sessions_active = %d after the storm, cap is 4", n)
 	}
-	rec := request(t, h, "PUT", "/v1/sessions/after", sessionRequest{Net: net, Library: lib})
+	rec := request(t, h, "PUT", "/v1/sessions/after", api.SessionRequest{Net: net, Library: lib})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("create after storm: %d %s", rec.Code, rec.Body.String())
 	}
 	rat, cap := 512.5, 4.25
-	rec = request(t, h, "PUT", "/v1/sessions/after", sessionRequest{Patches: []sessionPatch{
+	rec = request(t, h, "PUT", "/v1/sessions/after", api.SessionRequest{Patches: []api.SessionPatch{
 		{Kind: "sink", Vertex: sink, RAT: &rat, Cap: &cap},
 	}})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("patch after storm: %d %s", rec.Code, rec.Body.String())
 	}
-	var resp sessionResponse
+	var resp api.SessionResult
 	decodeInto(t, rec, &resp)
 	if resp.Session.Created {
 		t.Fatalf("post-storm patch recreated the session: %+v", resp.Session)
@@ -471,12 +472,12 @@ func TestSessionTTLEviction(t *testing.T) {
 	_, net, lib := sessionFixture(t)
 	h := New(Config{SessionTTL: time.Millisecond}).Handler()
 
-	if rec := request(t, h, "PUT", "/v1/sessions/old", sessionRequest{Net: net, Library: lib}); rec.Code != http.StatusOK {
+	if rec := request(t, h, "PUT", "/v1/sessions/old", api.SessionRequest{Net: net, Library: lib}); rec.Code != http.StatusOK {
 		t.Fatalf("create: %d %s", rec.Code, rec.Body.String())
 	}
 	time.Sleep(5 * time.Millisecond)
 	// Any session request sweeps expired entries before the table lookup.
-	if rec := request(t, h, "PUT", "/v1/sessions/old", sessionRequest{}); rec.Code != http.StatusNotFound {
+	if rec := request(t, h, "PUT", "/v1/sessions/old", api.SessionRequest{}); rec.Code != http.StatusNotFound {
 		t.Fatalf("expired session: %d %s", rec.Code, rec.Body.String())
 	}
 	if n := metric(t, h, "sessions_evicted"); n != 1 {
@@ -496,16 +497,16 @@ func TestSessionTraceSpans(t *testing.T) {
 	tr, net, lib := sessionFixture(t)
 	h := New(Config{}).Handler()
 	sink := vertexName(tr, tr.Sinks()[0])
-	patch := func(rat float64) sessionRequest {
+	patch := func(rat float64) api.SessionRequest {
 		cap := 5.0
-		return sessionRequest{Patches: []sessionPatch{{Kind: "sink", Vertex: sink, RAT: &rat, Cap: &cap}}}
+		return api.SessionRequest{Patches: []api.SessionPatch{{Kind: "sink", Vertex: sink, RAT: &rat, Cap: &cap}}}
 	}
 	steps := []struct {
 		name string
-		req  sessionRequest
+		req  api.SessionRequest
 		hit  bool
 	}{
-		{"create", sessionRequest{Net: net, Library: lib}, false},
+		{"create", api.SessionRequest{Net: net, Library: lib}, false},
 		{"patch", patch(600.5), false},
 		{"second patch", patch(700.25), false},
 		{"patch back", patch(600.5), true},
@@ -593,7 +594,7 @@ func TestSessionKeyProperty(t *testing.T) {
 
 	srv := New(Config{})
 	h := srv.Handler()
-	if rec := request(t, h, "PUT", "/v1/sessions/prop", sessionRequest{Net: net, Library: lib}); rec.Code != http.StatusOK {
+	if rec := request(t, h, "PUT", "/v1/sessions/prop", api.SessionRequest{Net: net, Library: lib}); rec.Code != http.StatusOK {
 		t.Fatalf("create: %d %s", rec.Code, rec.Body.String())
 	}
 	srv.sessMu.Lock()
@@ -605,26 +606,26 @@ func TestSessionKeyProperty(t *testing.T) {
 		return e.cacheKey()
 	}
 	wantKey := func() cache.Key {
-		return cache.NewKey([]byte(mirrorText()), []byte(lib), solveOptions{}.cacheOptions())
+		return cache.NewKey([]byte(mirrorText()), []byte(lib), cacheOptions(api.SolveOptions{}))
 	}
 
 	rng := rand.New(rand.NewSource(23))
 	num := func(lo, hi float64) *float64 { x := lo + (hi-lo)*rng.Float64(); return &x }
-	bad := []sessionPatch{
+	bad := []api.SessionPatch{
 		{Kind: "sink", Vertex: "nope", RAT: num(500, 1500), Cap: num(1, 20)},
 		{Kind: "buffer", Vertex: "src", OK: new(bool)},
 		{Kind: "wire", Vertex: nodes[0]},
 	}
 	var accepted, rejected int
 	for round := 0; round < 80; round++ {
-		var batch []sessionPatch
+		var batch []api.SessionPatch
 		for n := 1 + rng.Intn(4); n > 0; n-- {
 			switch rng.Intn(3) {
 			case 0:
-				batch = append(batch, sessionPatch{Kind: "sink", Vertex: sinks[rng.Intn(len(sinks))],
+				batch = append(batch, api.SessionPatch{Kind: "sink", Vertex: sinks[rng.Intn(len(sinks))],
 					RAT: num(500, 1500), Cap: num(1, 20)})
 			case 1:
-				batch = append(batch, sessionPatch{Kind: "edge", Vertex: verts[rng.Intn(len(verts))],
+				batch = append(batch, api.SessionPatch{Kind: "edge", Vertex: verts[rng.Intn(len(verts))],
 					Res: num(0, 1), Cap: num(0, 10)})
 			default:
 				ok := rng.Intn(2) == 0
@@ -632,21 +633,21 @@ func TestSessionKeyProperty(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					allowed = rng.Perm(8)[:1+rng.Intn(8)] // unsorted, indices of lib8
 				}
-				batch = append(batch, sessionPatch{Kind: "buffer", Vertex: nodes[rng.Intn(len(nodes))],
+				batch = append(batch, api.SessionPatch{Kind: "buffer", Vertex: nodes[rng.Intn(len(nodes))],
 					OK: &ok, Allowed: allowed})
 			}
 		}
 		if rng.Intn(4) == 0 {
 			before := sessionKey()
 			batch = append(batch, bad[rng.Intn(len(bad))])
-			if rec := request(t, h, "PUT", "/v1/sessions/prop", sessionRequest{Patches: batch}); rec.Code != http.StatusBadRequest {
+			if rec := request(t, h, "PUT", "/v1/sessions/prop", api.SessionRequest{Patches: batch}); rec.Code != http.StatusBadRequest {
 				t.Fatalf("round %d: rejected batch: %d %s", round, rec.Code, rec.Body.String())
 			}
 			if sessionKey() != before {
 				t.Fatalf("round %d: a rejected batch changed the session key", round)
 			}
-			rec := request(t, h, "PUT", "/v1/sessions/prop", sessionRequest{})
-			var again sessionResponse
+			rec := request(t, h, "PUT", "/v1/sessions/prop", api.SessionRequest{})
+			var again api.SessionResult
 			decodeInto(t, rec, &again)
 			if rec.Code != http.StatusOK || !again.Cached {
 				t.Fatalf("round %d: resolve after a rejected batch: %d cached=%v", round, rec.Code, again.Cached)
@@ -666,17 +667,17 @@ func TestSessionKeyProperty(t *testing.T) {
 				v.BufferOK, v.Allowed = *p.OK, append([]int(nil), p.Allowed...)
 			}
 		}
-		rec := request(t, h, "PUT", "/v1/sessions/prop", sessionRequest{Patches: batch})
+		rec := request(t, h, "PUT", "/v1/sessions/prop", api.SessionRequest{Patches: batch})
 		if rec.Code != http.StatusOK {
 			t.Fatalf("round %d: %d %s", round, rec.Code, rec.Body.String())
 		}
-		var got sessionResponse
+		var got api.SessionResult
 		decodeInto(t, rec, &got)
 		if sessionKey() != wantKey() {
 			t.Fatalf("round %d: session key differs from the mirror's WriteNet key", round)
 		}
-		solveRec := post(t, h, "/v1/solve", solveRequest{Net: mirrorText(), Library: lib})
-		var solved solveResponse
+		solveRec := post(t, h, "/v1/solve", api.SolveRequest{Net: mirrorText(), Library: lib})
+		var solved api.SolveResult
 		decodeInto(t, solveRec, &solved)
 		if solveRec.Code != http.StatusOK || !solved.Cached || solved.Slack != got.Slack {
 			t.Fatalf("round %d: solve of the mirror: %d cached=%v slack %v, session slack %v",

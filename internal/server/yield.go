@@ -8,85 +8,9 @@ import (
 	"time"
 
 	"bufferkit"
+	"bufferkit/internal/api"
 	"bufferkit/internal/server/cache"
 )
-
-// yieldRequest is the POST /v1/yield payload. The embedded solveOptions
-// select algorithm / prune / timeout exactly as /v1/solve does; yield
-// analysis accepts the core-engine algorithm only ("" or "new").
-type yieldRequest struct {
-	// Net is the net in the repository's .net text format.
-	Net string `json:"net"`
-	// Library is the buffer library in the .buf text format.
-	Library string `json:"library"`
-	// Samples is the number of Monte Carlo corners to draw (0 = none;
-	// capped by Config.MaxYieldSamples).
-	Samples int `json:"samples,omitempty"`
-	// Sigma is the sampler's relative sigma (uniform across library R/K/Cin
-	// and wire r/c).
-	Sigma float64 `json:"sigma,omitempty"`
-	// Seed seeds the sampler (absent = the solver default, 1); results are
-	// deterministic per seed, and an explicit 0 is a valid seed distinct
-	// from the default.
-	Seed *int64 `json:"seed,omitempty"`
-	// Target is the slack threshold (ps) a corner must meet to yield.
-	Target float64 `json:"target,omitempty"`
-	// Robust selects the placement maximizing fixed-placement yield across
-	// corners instead of the nominal optimum.
-	Robust bool `json:"robust,omitempty"`
-	// ProcessCorners additionally evaluates the deterministic named corner
-	// set (fast/slow and the cross corners).
-	ProcessCorners bool `json:"process_corners,omitempty"`
-	solveOptions
-}
-
-// yieldResponse is the POST /v1/yield reply.
-type yieldResponse struct {
-	Net       string  `json:"net,omitempty"`
-	Algorithm string  `json:"algorithm"`
-	Samples   int     `json:"samples"`
-	Target    float64 `json:"target"`
-	Robust    bool    `json:"robust"`
-	// Yield is the chosen placement's fixed-placement yield; OptimalYield
-	// re-optimizes per corner and upper-bounds it.
-	Yield        float64 `json:"yield"`
-	OptimalYield float64 `json:"optimal_yield"`
-	// Slack summarizes the per-corner optimal slack distribution.
-	Slack struct {
-		Mean float64 `json:"mean"`
-		Std  float64 `json:"std"`
-		Min  float64 `json:"min"`
-		Max  float64 `json:"max"`
-		P5   float64 `json:"p5"`
-		P50  float64 `json:"p50"`
-		P95  float64 `json:"p95"`
-	} `json:"slack"`
-	// WorstCorner names the corner with the smallest optimal slack.
-	WorstCorner string  `json:"worst_corner"`
-	WorstSlack  float64 `json:"worst_slack"`
-	// Placements summarizes every distinct optimal placement observed.
-	Placements []yieldPlacement `json:"placements"`
-	// Chosen indexes Placements; Placement/Buffers/Cost describe it.
-	Chosen    int               `json:"chosen"`
-	Placement map[string]string `json:"placement"`
-	Buffers   int               `json:"buffers"`
-	Cost      int               `json:"cost"`
-	// Cached reports whether the result came from the LRU cache without an
-	// engine run.
-	Cached bool `json:"cached"`
-	// ElapsedMs is the sweep runtime of the (original) solve.
-	ElapsedMs float64 `json:"elapsed_ms,omitempty"`
-}
-
-// yieldPlacement summarizes one distinct optimal placement.
-type yieldPlacement struct {
-	Count      int     `json:"count"`
-	Yield      float64 `json:"yield"`
-	WorstSlack float64 `json:"worst_slack"`
-	MeanSlack  float64 `json:"mean_slack"`
-	Buffers    int     `json:"buffers"`
-	Cost       int     `json:"cost"`
-}
 
 // seed resolves the request seed against the solver default, so an absent
 // field and an explicit default share one cache entry.
@@ -101,7 +25,7 @@ func (req *yieldRequest) seed() int64 {
 // sweep parameters, so distinct sweeps never share a cache entry.
 func (req *yieldRequest) yieldCacheOptions() string {
 	return fmt.Sprintf("%s yield samples=%d sigma=%g seed=%d target=%g robust=%t pcorners=%t",
-		req.solveOptions.cacheOptions(), req.Samples, req.Sigma, req.seed(),
+		cacheOptions(req.SolveOptions), req.Samples, req.Sigma, req.seed(),
 		req.Target, req.Robust, req.ProcessCorners)
 }
 
@@ -129,7 +53,8 @@ func (s *Server) handleYield(w http.ResponseWriter, r *http.Request) {
 	}
 
 	key := cache.NewKey([]byte(req.Net), []byte(req.Library), req.yieldCacheOptions())
-	if hit, ok := cacheGet[yieldResponse](s, key); ok {
+	if hit, ok := cacheGet[api.YieldResult](s, key); ok {
+		hit.Cached = true
 		writeJSON(w, http.StatusOK, hit)
 		return
 	}
@@ -139,8 +64,8 @@ func (s *Server) handleYield(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	resp, _, err := coalesce(r.Context(), &s.yieldFlights, key, s.timeout(req.solveOptions), s.sfShared,
-		func(ctx context.Context) (*yieldResponse, error) {
+	resp, _, err := coalesce(r.Context(), &s.yieldFlights, key, s.timeout(req.SolveOptions), s.sfShared,
+		func(ctx context.Context) (*api.YieldResult, error) {
 			// A sweep is a batch of corner runs, so it widens over idle
 			// slots like /v1/batch, up to one slot per corner.
 			corners := 1 + req.Samples
@@ -165,7 +90,7 @@ func (s *Server) handleYield(w http.ResponseWriter, r *http.Request) {
 			if req.ProcessCorners {
 				opts = append(opts, bufferkit.WithCorners(bufferkit.ProcessCorners()[1:]))
 			}
-			solver, err := req.newSolver(lib, opts...)
+			solver, err := newSolver(req.SolveOptions, lib, opts...)
 			if err != nil {
 				return nil, err
 			}
@@ -201,8 +126,8 @@ func (s *Server) handleYield(w http.ResponseWriter, r *http.Request) {
 }
 
 // buildYieldResponse converts a YieldResult into the wire shape.
-func buildYieldResponse(net *bufferkit.Net, lib bufferkit.Library, algo string, res *bufferkit.YieldResult, elapsed time.Duration) *yieldResponse {
-	resp := &yieldResponse{
+func buildYieldResponse(net *bufferkit.Net, lib bufferkit.Library, algo string, res *bufferkit.YieldResult, elapsed time.Duration) *api.YieldResult {
+	resp := &api.YieldResult{
 		Net:          net.Name,
 		Algorithm:    algo,
 		Samples:      len(res.Samples),
@@ -223,7 +148,7 @@ func buildYieldResponse(net *bufferkit.Net, lib bufferkit.Library, algo string, 
 	resp.Slack.Min, resp.Slack.Max = d.Min, d.Max
 	resp.Slack.P5, resp.Slack.P50, resp.Slack.P95 = d.P5, d.P50, d.P95
 	for _, g := range res.Placements {
-		resp.Placements = append(resp.Placements, yieldPlacement{
+		resp.Placements = append(resp.Placements, api.YieldPlacement{
 			Count:      g.Count,
 			Yield:      g.Yield,
 			WorstSlack: g.WorstSlack,

@@ -6,16 +6,17 @@ import (
 	"testing"
 
 	"bufferkit"
+	"bufferkit/internal/api"
 )
 
 func yieldReq(samples int, sigma float64) yieldRequest {
 	seed := int64(3)
-	return yieldRequest{
+	return yieldRequest{YieldRequest: api.YieldRequest{
 		Net:     "net y\ndriver res 0.2 k 15\nnode n1 parent src res 0.3 cap 400 buffer\nsink s1 parent n1 res 0.3 cap 400 load 12 rat 1000\n",
 		Samples: samples,
 		Sigma:   sigma,
 		Seed:    &seed,
-	}
+	}}
 }
 
 // TestYieldSeedCanonicalization: an absent seed and the explicit default
@@ -31,7 +32,7 @@ func TestYieldSeedCanonicalization(t *testing.T) {
 	}
 	one := int64(1)
 	req.Seed = &one
-	var resp yieldResponse
+	var resp api.YieldResult
 	decodeInto(t, post(t, h, "/v1/yield", req), &resp)
 	if !resp.Cached {
 		t.Fatal("explicit default seed missed the absent-seed cache entry")
@@ -54,7 +55,7 @@ func TestYieldHappyPath(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
-	var resp yieldResponse
+	var resp api.YieldResult
 	decodeInto(t, rec, &resp)
 	if resp.Samples != 1+4+32 {
 		t.Fatalf("samples %d, want 37 (nominal + 4 corners + 32 MC)", resp.Samples)
@@ -99,7 +100,7 @@ func TestYieldDeterministicAndCached(t *testing.T) {
 	if rec2.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec2.Code, rec2.Body.String())
 	}
-	var a, b yieldResponse
+	var a, b api.YieldResult
 	decodeInto(t, rec1, &a)
 	decodeInto(t, rec2, &b)
 	if !b.Cached {
@@ -115,7 +116,7 @@ func TestYieldDeterministicAndCached(t *testing.T) {
 
 	// Different sweep parameters must not share the entry.
 	req.Sigma = 0.2
-	var c yieldResponse
+	var c api.YieldResult
 	rec3 := post(t, h, "/v1/yield", req)
 	decodeInto(t, rec3, &c)
 	if c.Cached {
@@ -147,7 +148,7 @@ func TestYieldValidation(t *testing.T) {
 			if rec.Code != http.StatusBadRequest {
 				t.Fatalf("status %d, want 400: %s", rec.Code, rec.Body.String())
 			}
-			var er errorResponse
+			var er api.ErrorBody
 			decodeInto(t, rec, &er)
 			if tc.field != "" && er.Field != tc.field {
 				t.Fatalf("field %q, want %q (%s)", er.Field, tc.field, rec.Body.String())
@@ -164,7 +165,7 @@ func TestYieldInfeasible(t *testing.T) {
 	if err := bufferkit.WriteLibrary(&lb, bufferkit.GenerateLibraryWithInverters(4)); err != nil {
 		t.Fatal(err)
 	}
-	rec := post(t, h, "/v1/yield", yieldRequest{
+	rec := post(t, h, "/v1/yield", api.YieldRequest{
 		Net:     "sink s1 parent src res 0.1 cap 5 load 10 rat 1000 neg\n",
 		Library: lb.String(),
 		Samples: 4,
@@ -183,18 +184,18 @@ func TestYieldDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := yieldRequest{
+	req := api.YieldRequest{
 		Net:          netText(t, tr, "huge", bufferkit.Driver{R: 0.2, K: 15}),
 		Library:      readTestdata(t, "lib8.buf"),
 		Samples:      512,
 		Sigma:        0.05,
-		solveOptions: solveOptions{TimeoutMs: 1},
+		SolveOptions: api.SolveOptions{TimeoutMs: 1},
 	}
 	rec := post(t, h, "/v1/yield", req)
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504: %s", rec.Code, rec.Body.String())
 	}
-	var er errorResponse
+	var er api.ErrorBody
 	decodeInto(t, rec, &er)
 	if !strings.Contains(er.Error, "aborted after") {
 		t.Fatalf("error %q does not report partial progress", er.Error)
@@ -213,7 +214,7 @@ func TestYieldDeadline(t *testing.T) {
 // identical to a request without it, sharing its cache entry.
 func TestYieldBackendsAgree(t *testing.T) {
 	h := New(Config{}).Handler()
-	var want yieldResponse
+	var want api.YieldResult
 	for i, backend := range []string{"", "list", "soa"} {
 		req := yieldReq(24, 0.1)
 		req.Library = readTestdata(t, "lib8.buf")
@@ -222,7 +223,7 @@ func TestYieldBackendsAgree(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("%q: status %d: %s", backend, rec.Code, rec.Body.String())
 		}
-		var resp yieldResponse
+		var resp api.YieldResult
 		decodeInto(t, rec, &resp)
 		if i == 0 {
 			want = resp

@@ -9,6 +9,7 @@ package vanginneken
 
 import (
 	"context"
+	"slices"
 
 	"bufferkit/internal/candidate"
 	"bufferkit/internal/delay"
@@ -57,7 +58,7 @@ func InsertContext(ctx context.Context, t *tree.Tree, buf library.Buffer, drv de
 			return nil, solvererr.Validation("vanginneken", "polarity",
 				"sink requires negative polarity; library has no inverters").AtVertex(i)
 		}
-		if v.BufferOK && len(v.Allowed) > 0 && !allows(v.Allowed, 0) {
+		if v.BufferOK && len(v.Allowed) > 0 && !slices.Contains(v.Allowed, 0) {
 			return nil, solvererr.Validation("vanginneken", "allowed",
 				"vertex restricts away the only buffer type").AtVertex(i)
 		}
@@ -191,13 +192,4 @@ func insertCand(l []cand, nc cand) []cand {
 		// skip candidates the new one dominates
 	}
 	return append(out, l[i:]...)
-}
-
-func allows(allowed []int, t int) bool {
-	for _, a := range allowed {
-		if a == t {
-			return true
-		}
-	}
-	return false
 }

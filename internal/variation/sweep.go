@@ -34,10 +34,6 @@ type Config struct {
 	// Workers caps the sweep's concurrency; 0 or negative means
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// Completed, when non-nil, is incremented once per finished sample
-	// while the sweep runs, so callers (the server's partial-progress
-	// counters) can observe progress across a deadline abort.
-	Completed *atomic.Int64
 }
 
 func (c Config) workers() int {
@@ -274,9 +270,6 @@ func Sweep(ctx context.Context, t *tree.Tree, lib library.Library, cfg Config) (
 				}
 				samples[i] = Sample{Corner: cfg.Corners[i], Slack: slack, CriticalSink: crit}
 				plcs[i] = stored
-				if cfg.Completed != nil {
-					cfg.Completed.Add(1)
-				}
 			}
 		}()
 	}

@@ -12,7 +12,9 @@ import (
 )
 
 // TestExportedSurface pins the exported identifiers of the bufferkit and
-// client packages: top-level constants, variables, types and functions,
+// client packages and of internal/api, whose types client re-exports as
+// aliases (an alias lists as a type only, so its fields are pinned where
+// the type is declared): top-level constants, variables, types and functions,
 // methods on exported types, the exported fields of exported struct types
 // (fields are the knobs a caller can set) and the methods of exported
 // interfaces, which list as fields too. Adding or removing one
@@ -25,6 +27,7 @@ func TestExportedSurface(t *testing.T) {
 	}{
 		{".", bufferkitSurface},
 		{"client", clientSurface},
+		{"internal/api", apiSurface},
 	} {
 		got := exportedSurface(t, pkg.dir)
 		for _, id := range got {
@@ -284,128 +287,13 @@ var clientSurface = []string{
 	"field APIError.RetryAfter",
 	"field APIError.Status",
 	"field APIError.Trace",
-	"field BatchLine.Error",
-	"field BatchLine.Index",
-	"field BatchLine.Result",
-	"field BatchRequest.Library",
-	"field BatchRequest.Nets",
-	"field BatchRequest.Ordered",
-	"field BatchRequest.SolveOptions",
-	"field ChipLine.CompletedRounds",
-	"field ChipLine.Done",
-	"field ChipLine.Error",
-	"field ChipLine.Round",
-	"field ChipLine.SolvedNets",
-	"field ChipRequest.Capacity",
-	"field ChipRequest.HistoryStep",
-	"field ChipRequest.Instance",
-	"field ChipRequest.Library",
-	"field ChipRequest.Rounds",
-	"field ChipRequest.SolveOptions",
-	"field ChipRequest.Step",
-	"field ChipRequest.StepDecay",
-	"field ChipRound.Buffers",
-	"field ChipRound.MaxOverflow",
-	"field ChipRound.MaxPrice",
-	"field ChipRound.Overflow",
-	"field ChipRound.OverflowSites",
-	"field ChipRound.Repair",
-	"field ChipRound.Resolved",
-	"field ChipRound.Round",
-	"field ChipRound.TotalSlack",
-	"field ChipRound.WorstSlack",
-	"field ChipSummary.Algorithm",
-	"field ChipSummary.Buffers",
-	"field ChipSummary.ElapsedMs",
-	"field ChipSummary.Feasible",
-	"field ChipSummary.Nets",
-	"field ChipSummary.Placements",
-	"field ChipSummary.Rounds",
-	"field ChipSummary.Slacks",
-	"field ChipSummary.TotalSlack",
-	"field ChipSummary.WorstNet",
-	"field ChipSummary.WorstSlack",
-	"field FleetInfo.Enabled",
-	"field FleetInfo.Peers",
-	"field FleetInfo.Replicas",
-	"field FleetInfo.Self",
-	"field FrontierPoint.Buffers",
-	"field FrontierPoint.Cost",
-	"field FrontierPoint.Slack",
-	"field PeerStatus.Phi",
-	"field PeerStatus.Self",
-	"field PeerStatus.State",
-	"field PeerStatus.URL",
 	"field RetryPolicy.BaseDelay",
 	"field RetryPolicy.MaxAttempts",
 	"field RetryPolicy.MaxDelay",
-	"field SessionInfo.Created",
-	"field SessionInfo.FullRebuilds",
-	"field SessionInfo.ID",
-	"field SessionInfo.Recomputed",
-	"field SessionInfo.Resolves",
-	"field SessionPatch.Allowed",
-	"field SessionPatch.Cap",
-	"field SessionPatch.Kind",
-	"field SessionPatch.OK",
-	"field SessionPatch.RAT",
-	"field SessionPatch.Res",
-	"field SessionPatch.Vertex",
-	"field SessionRequest.Library",
-	"field SessionRequest.Net",
-	"field SessionRequest.Patches",
-	"field SessionRequest.SolveOptions",
-	"field SessionResult.Session",
-	"field SessionResult.SolveResult",
-	"field SolveOptions.Algorithm",
-	"field SolveOptions.MaxCost",
-	"field SolveOptions.NoStats",
-	"field SolveOptions.TimeoutMs",
-	"field SolveRequest.Library",
-	"field SolveRequest.Net",
-	"field SolveRequest.SolveOptions",
-	"field SolveResult.Algorithm",
-	"field SolveResult.Buffers",
-	"field SolveResult.Cached",
-	"field SolveResult.Candidates",
-	"field SolveResult.Coalesced",
-	"field SolveResult.Cost",
-	"field SolveResult.ElapsedMs",
-	"field SolveResult.Frontier",
-	"field SolveResult.Net",
-	"field SolveResult.Placement",
-	"field SolveResult.Slack",
-	"field SolveResult.Stats",
-	"field SolveResult.Trace",
 	"field Stats.HedgeLosses",
 	"field Stats.HedgeWins",
 	"field Stats.HedgesLaunched",
 	"field Stats.PeerFailovers",
-	"field YieldRequest.Library",
-	"field YieldRequest.Net",
-	"field YieldRequest.ProcessCorners",
-	"field YieldRequest.Robust",
-	"field YieldRequest.Samples",
-	"field YieldRequest.Seed",
-	"field YieldRequest.Sigma",
-	"field YieldRequest.SolveOptions",
-	"field YieldRequest.Target",
-	"field YieldResult.Algorithm",
-	"field YieldResult.Buffers",
-	"field YieldResult.Cached",
-	"field YieldResult.Chosen",
-	"field YieldResult.Cost",
-	"field YieldResult.ElapsedMs",
-	"field YieldResult.Net",
-	"field YieldResult.OptimalYield",
-	"field YieldResult.Placement",
-	"field YieldResult.Robust",
-	"field YieldResult.Samples",
-	"field YieldResult.Slack",
-	"field YieldResult.Target",
-	"field YieldResult.WorstCorner",
-	"field YieldResult.WorstSlack",
-	"field YieldResult.Yield",
 	"func BufferPatch",
 	"func EdgePatch",
 	"func New",
@@ -463,8 +351,148 @@ var clientSurface = []string{
 	"type SolveResult",
 	"type Stats",
 	"type YieldRequest",
+	"type YieldPlacement",
 	"type YieldResult",
 	"var ErrBudgetExhausted",
 	"var ErrLineTooLong",
 	"var ErrTruncated",
+}
+
+// apiSurface is the pinned exported surface of package internal/api, the
+// wire schema client re-exports: its types' fields are the JSON bodies.
+var apiSurface = []string{
+	"field BatchLine.Error",
+	"field BatchLine.Index",
+	"field BatchLine.Result",
+	"field BatchRequest.Library",
+	"field BatchRequest.Nets",
+	"field BatchRequest.Ordered",
+	"field BatchRequest.SolveOptions",
+	"field ChipLine.CompletedRounds",
+	"field ChipLine.Done",
+	"field ChipLine.Error",
+	"field ChipLine.Round",
+	"field ChipLine.SolvedNets",
+	"field ChipRequest.Capacity",
+	"field ChipRequest.HistoryStep",
+	"field ChipRequest.Instance",
+	"field ChipRequest.Library",
+	"field ChipRequest.Rounds",
+	"field ChipRequest.SolveOptions",
+	"field ChipRequest.Step",
+	"field ChipRequest.StepDecay",
+	"field ChipSummary.Algorithm",
+	"field ChipSummary.Buffers",
+	"field ChipSummary.ElapsedMs",
+	"field ChipSummary.Feasible",
+	"field ChipSummary.Nets",
+	"field ChipSummary.Placements",
+	"field ChipSummary.Rounds",
+	"field ChipSummary.Slacks",
+	"field ChipSummary.TotalSlack",
+	"field ChipSummary.WorstNet",
+	"field ChipSummary.WorstSlack",
+	"field ErrorBody.Error",
+	"field ErrorBody.Field",
+	"field ErrorBody.Peer",
+	"field ErrorBody.Trace",
+	"field ErrorBody.Type",
+	"field ErrorBody.Vertex",
+	"field FleetInfo.Enabled",
+	"field FleetInfo.Peers",
+	"field FleetInfo.Replicas",
+	"field FleetInfo.Self",
+	"field FrontierPoint.Buffers",
+	"field FrontierPoint.Cost",
+	"field FrontierPoint.Slack",
+	"field SessionInfo.Created",
+	"field SessionInfo.FullRebuilds",
+	"field SessionInfo.ID",
+	"field SessionInfo.Recomputed",
+	"field SessionInfo.Resolves",
+	"field SessionPatch.Allowed",
+	"field SessionPatch.Cap",
+	"field SessionPatch.Kind",
+	"field SessionPatch.OK",
+	"field SessionPatch.RAT",
+	"field SessionPatch.Res",
+	"field SessionPatch.Vertex",
+	"field SessionRequest.Library",
+	"field SessionRequest.Net",
+	"field SessionRequest.Patches",
+	"field SessionRequest.SolveOptions",
+	"field SessionResult.Session",
+	"field SessionResult.SolveResult",
+	"field SolveOptions.Algorithm",
+	"field SolveOptions.MaxCost",
+	"field SolveOptions.NoStats",
+	"field SolveOptions.TimeoutMs",
+	"field SolveRequest.Library",
+	"field SolveRequest.Net",
+	"field SolveRequest.SolveOptions",
+	"field SolveResult.Algorithm",
+	"field SolveResult.Buffers",
+	"field SolveResult.Cached",
+	"field SolveResult.Candidates",
+	"field SolveResult.Coalesced",
+	"field SolveResult.Cost",
+	"field SolveResult.ElapsedMs",
+	"field SolveResult.Frontier",
+	"field SolveResult.Net",
+	"field SolveResult.Placement",
+	"field SolveResult.Slack",
+	"field SolveResult.Stats",
+	"field SolveResult.Trace",
+	"field YieldPlacement.Buffers",
+	"field YieldPlacement.Cost",
+	"field YieldPlacement.Count",
+	"field YieldPlacement.MeanSlack",
+	"field YieldPlacement.WorstSlack",
+	"field YieldPlacement.Yield",
+	"field YieldRequest.Library",
+	"field YieldRequest.Net",
+	"field YieldRequest.ProcessCorners",
+	"field YieldRequest.Robust",
+	"field YieldRequest.Samples",
+	"field YieldRequest.Seed",
+	"field YieldRequest.Sigma",
+	"field YieldRequest.SolveOptions",
+	"field YieldRequest.Target",
+	"field YieldResult.Algorithm",
+	"field YieldResult.Buffers",
+	"field YieldResult.Cached",
+	"field YieldResult.Chosen",
+	"field YieldResult.Cost",
+	"field YieldResult.ElapsedMs",
+	"field YieldResult.Net",
+	"field YieldResult.OptimalYield",
+	"field YieldResult.Placement",
+	"field YieldResult.Placements",
+	"field YieldResult.Robust",
+	"field YieldResult.Samples",
+	"field YieldResult.Slack",
+	"field YieldResult.Target",
+	"field YieldResult.WorstCorner",
+	"field YieldResult.WorstSlack",
+	"field YieldResult.Yield",
+	"type BatchLine",
+	"type BatchRequest",
+	"type ChipLine",
+	"type ChipRequest",
+	"type ChipRound",
+	"type ChipSummary",
+	"type ErrorBody",
+	"type FleetInfo",
+	"type FrontierPoint",
+	"type PeerStatus",
+	"type SessionInfo",
+	"type SessionPatch",
+	"type SessionRequest",
+	"type SessionResult",
+	"type SolveOptions",
+	"type SolveRequest",
+	"type SolveResult",
+	"type YieldPlacement",
+	"type YieldRequest",
+	"type YieldResult",
 }
