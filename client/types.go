@@ -9,6 +9,7 @@ type (
 	SolveOptions   = api.SolveOptions
 	SolveRequest   = api.SolveRequest
 	SolveResult    = api.SolveResult
+	Placement      = api.Placement
 	FrontierPoint  = api.FrontierPoint
 	BatchRequest   = api.BatchRequest
 	BatchLine      = api.BatchLine

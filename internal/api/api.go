@@ -47,13 +47,13 @@ type SolveRequest struct {
 // SolveResult is the POST /v1/solve reply and the per-net result of a
 // batch line.
 type SolveResult struct {
-	Net        string            `json:"net,omitempty"`
-	Algorithm  string            `json:"algorithm"`
-	Slack      float64           `json:"slack"`
-	Buffers    int               `json:"buffers"`
-	Cost       int               `json:"cost"`
-	Candidates int               `json:"candidates,omitempty"`
-	Placement  map[string]string `json:"placement"`
+	Net        string    `json:"net,omitempty"`
+	Algorithm  string    `json:"algorithm"`
+	Slack      float64   `json:"slack"`
+	Buffers    int       `json:"buffers"`
+	Cost       int       `json:"cost"`
+	Candidates int       `json:"candidates,omitempty"`
+	Placement  Placement `json:"placement"`
 	// Stats are the engine's instrumentation counters for the run (absent
 	// with no_stats, and on algorithms that report none).
 	Stats    *core.Stats     `json:"stats,omitempty"`
@@ -145,9 +145,9 @@ type ChipSummary struct {
 	WorstSlack float64 `json:"worst_slack"`
 	WorstNet   int     `json:"worst_net"`
 	// Slacks and Placements are indexed like the instance's nets.
-	Slacks     []float64           `json:"slacks"`
-	Placements []map[string]string `json:"placements"`
-	ElapsedMs  float64             `json:"elapsed_ms"`
+	Slacks     []float64   `json:"slacks"`
+	Placements []Placement `json:"placements"`
+	ElapsedMs  float64     `json:"elapsed_ms"`
 }
 
 // ChipLine is one NDJSON line of the chip stream: a round record while
@@ -218,11 +218,11 @@ type YieldResult struct {
 	// Placements summarizes every distinct optimal placement observed.
 	Placements []YieldPlacement `json:"placements"`
 	// Chosen indexes Placements; Placement/Buffers/Cost describe it.
-	Chosen    int               `json:"chosen"`
-	Placement map[string]string `json:"placement"`
-	Buffers   int               `json:"buffers"`
-	Cost      int               `json:"cost"`
-	Cached    bool              `json:"cached"`
+	Chosen    int       `json:"chosen"`
+	Placement Placement `json:"placement"`
+	Buffers   int       `json:"buffers"`
+	Cost      int       `json:"cost"`
+	Cached    bool      `json:"cached"`
 	// ElapsedMs is the sweep runtime of the (original) solve.
 	ElapsedMs float64 `json:"elapsed_ms,omitempty"`
 }

@@ -56,15 +56,22 @@ var (
 	bufferKeys = []string{"res", "cin", "delay", "cost"}
 )
 
-// ParseNet reads a net file. It reads the whole input into one buffer and
-// tokenizes each line in place, so its allocations do not grow with the
-// number of vertices; the vertex names and the net name are copied into
-// one string slab, and no returned string aliases the input.
+// ParseNet reads a net file: the whole input into one buffer, then
+// ParseNetText.
 func ParseNet(r io.Reader) (*Net, error) {
 	text, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("netlist: read: %w", err)
 	}
+	return ParseNetText(text)
+}
+
+// ParseNetText parses a net file held in memory. It tokenizes each line of
+// text in place, so its allocations do not grow with the number of
+// vertices, and it only reads text: the vertex names and the net name are
+// copied into one string slab, and no returned string aliases text.
+func ParseNetText(text []byte) (*Net, error) {
+	var err error
 	nverts, nameBytes := census(text, "node", "sink", "net")
 	var names strings.Builder
 	names.Grow(nameBytes)
@@ -365,13 +372,21 @@ func canonicalNames(t *tree.Tree) []string {
 	return names
 }
 
-// ParseLibrary reads a library file, on the same in-place tokenizer as
-// ParseNet; the buffer names share one string slab.
+// ParseLibrary reads a library file: the whole input into one buffer,
+// then ParseLibraryText.
 func ParseLibrary(r io.Reader) (library.Library, error) {
 	text, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("netlist: read: %w", err)
 	}
+	return ParseLibraryText(text)
+}
+
+// ParseLibraryText parses a library file held in memory, on the same
+// in-place tokenizer as ParseNetText: it only reads text, and the buffer
+// names share one string slab.
+func ParseLibraryText(text []byte) (library.Library, error) {
+	var err error
 	nbufs, nameBytes := census(text, "buffer")
 	var names strings.Builder
 	names.Grow(nameBytes)

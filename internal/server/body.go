@@ -1,0 +1,637 @@
+package server
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"reflect"
+	"strconv"
+	"strings"
+	"unicode/utf16"
+	"unicode/utf8"
+	"unsafe"
+)
+
+// The request reader for the two bodies whose size is net text, /v1/solve
+// and /v1/batch. A body is read once, into one buffer, and decoded in one
+// pass: each JSON string is unescaped straight into a buffer of its own,
+// so a .net text costs one read and one unescape between the socket and
+// the tree, and no decoded string holds the body. The reader decodes what
+// these two bodies hold (an object of strings, a string list, ints and
+// bools, plus any other value under an unknown key, which is skipped) with
+// the outcome encoding/json's Decoder.Decode has on the same wrapper
+// struct:
+//
+//   - a key matches a field exactly or under bytes.EqualFold, after
+//     unescaping; a repeated key overwrites the earlier value;
+//   - null leaves a string, int or bool alone and sets a list to nil;
+//   - invalid UTF-8 and unpaired surrogate escapes decode to U+FFFD;
+//   - an int takes no fraction, exponent or out-of-range value;
+//   - an unknown key's value is skipped but must still be valid JSON,
+//     nested at most maxDepth deep;
+//   - bytes after the first value are not read.
+//
+// Anything else is a 400 naming no field. FuzzDecodeSolveBody and
+// FuzzDecodeBatchBody hold the reader to encoding/json.
+
+// bodyTarget is a request body the reader decodes into: target returns a
+// pointer (*string, *[]string, *int or *bool) to the field key names, or
+// nil for an unknown key.
+type bodyTarget interface {
+	target(key string) any
+	validate() error
+}
+
+// The field tables of the two bodies, read off their json tags, so the
+// keys are declared once, in internal/api and legacyOptions.
+var (
+	solveFields = newFieldTable(reflect.TypeFor[solveRequest]())
+	batchFields = newFieldTable(reflect.TypeFor[batchRequest]())
+)
+
+func (r *solveRequest) target(key string) any { return solveFields.target(r, key) }
+func (r *batchRequest) target(key string) any { return batchFields.target(r, key) }
+
+// fieldTable maps the JSON keys of a struct type to the index paths of
+// its fields.
+type fieldTable []bodyField
+
+type bodyField struct {
+	name  string
+	index []int
+}
+
+// newFieldTable lists the fields of struct type t as encoding/json names
+// them: by tag, else by field name, with the fields of untagged embedded
+// structs promoted. It panics on a field kind the reader does not decode
+// or on two names equal under case folding, which encoding/json would
+// resolve by rules the reader does not implement.
+func newFieldTable(t reflect.Type) fieldTable {
+	var fields fieldTable
+	var walk func(t reflect.Type, index []int)
+	walk = func(t reflect.Type, index []int) {
+		for i := range t.NumField() {
+			sf := t.Field(i)
+			name, _, _ := strings.Cut(sf.Tag.Get("json"), ",")
+			path := append(index[:len(index):len(index)], i)
+			switch {
+			case name == "-" || !sf.IsExported() && !sf.Anonymous:
+				continue
+			case sf.Anonymous && name == "" && sf.Type.Kind() == reflect.Struct:
+				walk(sf.Type, path)
+				continue
+			case name == "":
+				name = sf.Name
+			}
+			switch sf.Type {
+			case reflect.TypeFor[string](), reflect.TypeFor[[]string](),
+				reflect.TypeFor[int](), reflect.TypeFor[bool]():
+			default:
+				panic(fmt.Sprintf("server: request field %s %s has a type the body reader does not decode", sf.Name, sf.Type))
+			}
+			for _, f := range fields {
+				if strings.EqualFold(f.name, name) {
+					panic(fmt.Sprintf("server: request fields %q and %q fold to one key", f.name, name))
+				}
+			}
+			fields = append(fields, bodyField{name, path})
+		}
+	}
+	walk(t, nil)
+	return fields
+}
+
+// target returns a pointer to the field of *dst that key names, or nil.
+// No two names fold together, so the first match under folding is also
+// the exact match encoding/json would prefer.
+func (fields fieldTable) target(dst any, key string) any {
+	for _, f := range fields {
+		if strings.EqualFold(f.name, key) {
+			return reflect.ValueOf(dst).Elem().FieldByIndex(f.index).Addr().Interface()
+		}
+	}
+	return nil
+}
+
+// decodeRequest reads a solve or batch body and decodes it into dst, then
+// validates dst, before any cache lookup.
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, dst bodyTarget) error {
+	body, err := s.readBody(w, r)
+	if err != nil {
+		return err
+	}
+	if err := decodeJSON(body, dst); err != nil {
+		return badRequestf("", "malformed JSON body: %v", err)
+	}
+	return dst.validate()
+}
+
+// bodyPrealloc caps what readBody allocates before a body byte has
+// arrived. It holds a 513 KB industrial body in one allocation, and a
+// client that states a Content-Length of MaxBodyBytes and then stalls
+// holds no more than it; past it, the buffer grows as bytes arrive.
+const bodyPrealloc = 1 << 20
+
+// readBody reads the whole request body through http.MaxBytesReader into
+// one buffer sized from Content-Length, up to bodyPrealloc: a body that
+// states its length and fits costs one allocation. A body over
+// MaxBodyBytes is a 413, even when a complete JSON value ends before the
+// limit.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	limit := s.cfg.MaxBodyBytes
+	size := r.ContentLength
+	if size < 0 {
+		size = 64 << 10
+	}
+	// +1 leaves room for the read that reports EOF.
+	buf := make([]byte, 0, min(size, limit, bodyPrealloc)+1)
+	body := http.MaxBytesReader(w, r.Body, limit)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, bodyReadError(err)
+		}
+	}
+}
+
+// bodyReadError maps a failed body read to its reply: 413 when the body
+// exceeds the limit, 400 otherwise.
+func bodyReadError(err error) error {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return &httpError{status: http.StatusRequestEntityTooLarge,
+			msg: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)}
+	}
+	return badRequestf("", "malformed JSON body: %v", err)
+}
+
+// maxDepth is how deeply encoding/json lets arrays and objects nest,
+// counting the body's own object.
+const maxDepth = 10000
+
+// decodeJSON decodes the first JSON value of buf into dst, unescaping its
+// strings in place. Like Decoder.Decode into a struct, it takes an object
+// or null (which stores nothing) and ignores whatever follows the value.
+func decodeJSON(buf []byte, dst bodyTarget) error {
+	d := bodyReader{buf: buf}
+	d.space()
+	switch d.peek() {
+	case '{':
+		return d.object(dst)
+	case 'n':
+		return d.literal("null")
+	case 0:
+		if d.pos == len(buf) {
+			return errors.New("empty body")
+		}
+	}
+	return d.errorf("want a JSON object")
+}
+
+// bodyReader is the cursor of one decode over a body buffer it owns.
+type bodyReader struct {
+	buf []byte
+	pos int
+}
+
+// errorf reports a decode error at the cursor.
+func (d *bodyReader) errorf(format string, args ...any) error {
+	return fmt.Errorf("offset %d: %s", d.pos, fmt.Sprintf(format, args...))
+}
+
+// peek returns the byte at the cursor, or 0 at the end.
+func (d *bodyReader) peek() byte {
+	if d.pos < len(d.buf) {
+		return d.buf[d.pos]
+	}
+	return 0
+}
+
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+
+// space skips JSON white space.
+func (d *bodyReader) space() {
+	for d.pos < len(d.buf) && isSpace(d.buf[d.pos]) {
+		d.pos++
+	}
+}
+
+// expect consumes the byte c after any white space.
+func (d *bodyReader) expect(c byte) error {
+	d.space()
+	if d.peek() != c {
+		return d.unexpected(fmt.Sprintf("want %q", c))
+	}
+	d.pos++
+	return nil
+}
+
+// unexpected reports the byte at the cursor, or the end, as not what the
+// grammar wants there.
+func (d *bodyReader) unexpected(want string) error {
+	if d.pos >= len(d.buf) {
+		return d.errorf("unexpected end of body, %s", want)
+	}
+	return d.errorf("invalid character %q, %s", d.buf[d.pos], want)
+}
+
+// object decodes the object at the cursor into dst: each key's value goes
+// to the field dst.target names, or is skipped.
+func (d *bodyReader) object(dst bodyTarget) error {
+	return d.members(func(key string) error { return d.value(dst.target(key), key) })
+}
+
+// members walks the array or object at the cursor. For each element it
+// puts the cursor on the value and calls elem with the element's key, or
+// "" in an array.
+func (d *bodyReader) members(elem func(key string) error) error {
+	open, end := d.buf[d.pos], byte(']')
+	if open == '{' {
+		end = '}'
+	}
+	d.pos++
+	d.space()
+	if d.peek() == end {
+		d.pos++
+		return nil
+	}
+	for {
+		var key string
+		if open == '{' {
+			d.space()
+			if d.peek() != '"' {
+				return d.unexpected("want an object key")
+			}
+			var err error
+			if key, err = d.str(); err != nil {
+				return err
+			}
+			if err := d.expect(':'); err != nil {
+				return err
+			}
+		}
+		d.space()
+		if err := elem(key); err != nil {
+			return err
+		}
+		d.space()
+		switch d.peek() {
+		case ',':
+			d.pos++
+		case end:
+			d.pos++
+			return nil
+		default:
+			return d.unexpected(fmt.Sprintf("want ',' or %q", end))
+		}
+	}
+}
+
+// value decodes the value at the cursor into the field p points to, or
+// skips it when p is nil.
+func (d *bodyReader) value(p any, key string) error {
+	if p == nil {
+		return d.skip(1)
+	}
+	if d.peek() == 'n' {
+		if err := d.literal("null"); err != nil {
+			return err
+		}
+		if l, ok := p.(*[]string); ok {
+			*l = nil
+		}
+		return nil
+	}
+	var err error
+	switch p := p.(type) {
+	case *string:
+		if d.peek() != '"' {
+			return d.mismatch(key, "a string")
+		}
+		*p, err = d.str()
+	case *[]string:
+		if d.peek() != '[' {
+			return d.mismatch(key, "a list of strings")
+		}
+		err = d.strList(p, key)
+	case *int:
+		err = d.integer(p, key)
+	case *bool:
+		switch d.peek() {
+		case 't':
+			*p, err = true, d.literal("true")
+		case 'f':
+			*p, err = false, d.literal("false")
+		default:
+			return d.mismatch(key, "true or false")
+		}
+	}
+	return err
+}
+
+// mismatch reports a value of the wrong JSON type for field key.
+func (d *bodyReader) mismatch(key, want string) error {
+	return d.errorf("field %q wants %s", key, want)
+}
+
+// strList decodes the array at the cursor into *p with encoding/json's
+// slice semantics: elements land in *p's existing backing array, growing
+// it as append does, a null element keeps what that slot held, and an
+// empty array is an empty, non-nil list.
+func (d *bodyReader) strList(p *[]string, key string) error {
+	l, n := *p, 0
+	err := d.members(func(string) error {
+		switch {
+		case n >= cap(l):
+			l = append(l, "")
+		case n >= len(l):
+			l = l[:n+1]
+		}
+		n++
+		return d.value(&l[n-1], key)
+	})
+	if n == 0 {
+		l = []string{}
+	}
+	*p = l[:n]
+	return err
+}
+
+// integer decodes the number at the cursor into *p: a fraction, an
+// exponent or a value out of int's range is an error, as encoding/json
+// makes it.
+func (d *bodyReader) integer(p *int, key string) error {
+	c := d.peek()
+	if c != '-' && (c < '0' || c > '9') {
+		return d.mismatch(key, "an integer")
+	}
+	lit, err := d.number()
+	if err != nil {
+		return err
+	}
+	n, err := strconv.ParseInt(string(lit), 10, 0)
+	if err != nil {
+		return d.mismatch(key, "an integer in range, got "+string(lit))
+	}
+	*p = int(n)
+	return nil
+}
+
+// number consumes a JSON number and returns its text:
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+func (d *bodyReader) number() ([]byte, error) {
+	start := d.pos
+	if d.peek() == '-' {
+		d.pos++
+	}
+	switch c := d.peek(); {
+	case c == '0':
+		d.pos++
+	case c >= '1' && c <= '9':
+		d.digits()
+	default:
+		return nil, d.unexpected("want a digit")
+	}
+	if d.peek() == '.' {
+		d.pos++
+		if !d.digits() {
+			return nil, d.unexpected("want a digit after '.'")
+		}
+	}
+	if c := d.peek(); c == 'e' || c == 'E' {
+		d.pos++
+		if c := d.peek(); c == '+' || c == '-' {
+			d.pos++
+		}
+		if !d.digits() {
+			return nil, d.unexpected("want an exponent digit")
+		}
+	}
+	return d.buf[start:d.pos], nil
+}
+
+// digits consumes a run of decimal digits and reports whether there was one.
+func (d *bodyReader) digits() bool {
+	start := d.pos
+	for d.pos < len(d.buf) && d.buf[d.pos] >= '0' && d.buf[d.pos] <= '9' {
+		d.pos++
+	}
+	return d.pos > start
+}
+
+// literal consumes the keyword word (true, false or null).
+func (d *bodyReader) literal(word string) error {
+	for i := 0; i < len(word); i++ {
+		if d.peek() != word[i] {
+			return d.unexpected("in literal " + word)
+		}
+		d.pos++
+	}
+	return nil
+}
+
+// skip checks and consumes any JSON value; depth counts the arrays and
+// objects that enclose it.
+func (d *bodyReader) skip(depth int) error {
+	switch c := d.peek(); {
+	case c == '"':
+		_, err := d.str()
+		return err
+	case c == '-' || (c >= '0' && c <= '9'):
+		_, err := d.number()
+		return err
+	case c == 't':
+		return d.literal("true")
+	case c == 'f':
+		return d.literal("false")
+	case c == 'n':
+		return d.literal("null")
+	case c == '[' || c == '{':
+		if depth >= maxDepth {
+			return d.errorf("exceeded max depth")
+		}
+		return d.members(func(string) error { return d.skip(depth + 1) })
+	}
+	return d.unexpected("want a value")
+}
+
+// str decodes the string whose opening quote is at the cursor into a
+// buffer of its own, sized from the span to the next quote. It jumps from
+// one backslash or quote to the next and copies the runs between them
+// whole; a string with no escape and no byte to check is one copy.
+func (d *bodyReader) str() (string, error) {
+	buf := d.buf
+	r := d.pos + 1
+	q := indexFrom(buf, r, '"') // the next quote: the end, unless escaped
+	if q >= 0 && bytes.IndexByte(buf[r:q], '\\') < 0 && plainASCII(buf[r:q]) {
+		d.pos = q + 1
+		return string(buf[r:q]), nil
+	}
+	var out strings.Builder
+	out.Grow(max(q-r, 0))
+	for {
+		if q < 0 {
+			d.pos = len(buf)
+			return "", d.errorf("unterminated string")
+		}
+		end := q
+		if i := bytes.IndexByte(buf[r:q], '\\'); i >= 0 {
+			end = r + i
+		}
+		if plainASCII(buf[r:end]) {
+			out.Write(buf[r:end])
+		} else if err := d.runes(&out, r, end); err != nil {
+			return "", err
+		}
+		r = end
+		if r == q {
+			break
+		}
+		var err error
+		if r, err = d.escape(&out, r); err != nil {
+			return "", err
+		}
+		if r > q { // the escape was \" and took the quote
+			q = indexFrom(buf, r, '"')
+		}
+	}
+	d.pos = q + 1
+	return out.String(), nil
+}
+
+// runes copies buf[r:end], a run without quotes or backslashes that holds
+// a control byte or a non-ASCII byte, onto out: a control byte is an
+// error, and each byte of invalid UTF-8 becomes U+FFFD.
+func (d *bodyReader) runes(out *strings.Builder, r, end int) error {
+	buf := d.buf
+	for r < end {
+		c := buf[r]
+		switch {
+		case c < ' ':
+			d.pos = r
+			return d.errorf("control character %q in string", c)
+		case c < utf8.RuneSelf:
+			out.WriteByte(c)
+			r++
+			continue
+		}
+		rr, size := utf8.DecodeRune(buf[r:end])
+		if rr == utf8.RuneError && size == 1 {
+			out.WriteRune(rr)
+		} else {
+			out.Write(buf[r : r+size])
+		}
+		r += size
+	}
+	return nil
+}
+
+// escape decodes the escape sequence at buf[r] onto out and returns the
+// read position after it. A high surrogate followed by a low one decodes
+// as their pair; any other surrogate escape decodes to U+FFFD.
+func (d *bodyReader) escape(out *strings.Builder, r int) (int, error) {
+	buf := d.buf
+	if r+1 >= len(buf) {
+		d.pos = len(buf)
+		return 0, d.errorf("unterminated string")
+	}
+	switch c := buf[r+1]; c {
+	case '"', '\\', '/':
+		out.WriteByte(c)
+	case 'b':
+		out.WriteByte('\b')
+	case 'f':
+		out.WriteByte('\f')
+	case 'n':
+		out.WriteByte('\n')
+	case 'r':
+		out.WriteByte('\r')
+	case 't':
+		out.WriteByte('\t')
+	case 'u':
+		rr := hex4(buf[r:])
+		if rr < 0 {
+			d.pos = r
+			return 0, d.errorf("invalid unicode escape")
+		}
+		r += 6
+		if utf16.IsSurrogate(rr) {
+			if pair := utf16.DecodeRune(rr, hex4(buf[r:])); pair != utf8.RuneError {
+				out.WriteRune(pair)
+				return r + 6, nil
+			}
+			rr = utf8.RuneError
+		}
+		out.WriteRune(rr)
+		return r, nil
+	default:
+		d.pos = r
+		return 0, d.errorf("invalid escape %q", buf[r:r+2])
+	}
+	return r + 2, nil
+}
+
+// hex4 decodes the escape \uXXXX at the front of s, or returns -1.
+func hex4(s []byte) rune {
+	if len(s) < 6 || s[0] != '\\' || s[1] != 'u' {
+		return -1
+	}
+	var r rune
+	for _, c := range s[2:6] {
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		case 'A' <= c && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return -1
+		}
+		r = r<<4 | rune(c)
+	}
+	return r
+}
+
+// indexFrom returns the index of the first c in buf at or after from, or -1.
+func indexFrom(buf []byte, from int, c byte) int {
+	if i := bytes.IndexByte(buf[from:], c); i >= 0 {
+		return from + i
+	}
+	return -1
+}
+
+// plainASCII reports whether every byte of s is printable ASCII, in
+// [0x20, 0x80): nothing to reject and no rune to check. It tests eight
+// bytes at a time; a byte below 0x20 sets its high bit in x-0x20…20
+// (the first such byte is never masked by a borrow), a byte from 0x80
+// has it in x.
+func plainASCII(s []byte) bool {
+	for len(s) >= 8 {
+		x := binary.LittleEndian.Uint64(s)
+		if (x|(x-0x2020202020202020))&0x8080808080808080 != 0 {
+			return false
+		}
+		s = s[8:]
+	}
+	for _, c := range s {
+		if c < ' ' || c >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
+// textBytes views the bytes of s without copying them. They must only be
+// read: a string's memory is immutable.
+func textBytes(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)) }

@@ -1,0 +1,369 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"unsafe"
+
+	"bufferkit"
+	"bufferkit/internal/api"
+	"bufferkit/internal/server/cache"
+)
+
+// bodySeeds are request bodies on the edges where a hand-written JSON
+// reader could part from encoding/json: case-folded and escaped keys
+// (U+212A KELVIN SIGN and U+017F LONG S fold onto k and s), repeated
+// keys, nulls, surrogate escapes paired and unpaired, invalid UTF-8,
+// non-integer and out-of-range numbers into ints, nested unknown values,
+// bytes after the value, and the empty body.
+var bodySeeds = []string{
+	``,
+	`   `,
+	`null`,
+	`null x`,
+	`nullx`,
+	`nul`,
+	`[]`,
+	`"net"`,
+	`{}`,
+	`{"net":"net a\ndriver res 1 k 2\n","library":"buffer b res 1 cin 1"}`,
+	`{"NET":"a","Library":"b","ALGORITHM":"new","Max_Cost":3,"No_Stats":true,"TimeOut_MS":7}`,
+	`{"bac\u212aend":"soa","no_\u017ftats":true,"net\u017f":["a"]}`,
+	`{"n\u0065t":"x","\u006eets":["y"]}`,
+	`{"net":"a","net":"b","library":"x","library":null}`,
+	`{"nets":["a","b","c"],"nets":["x"],"nets":[null,null,null]}`,
+	`{"nets":["a"],"nets":null}`,
+	`{"nets":["a"],"nets":[]}`,
+	`{"nets":[null,"b"]}`,
+	`{"net":null,"nets":null,"max_cost":null,"ordered":null,"no_stats":null}`,
+	`{"net":"\ud83d\ude00"}`,
+	`{"net":"\ud83d"}`,
+	`{"net":"\ude00x"}`,
+	`{"net":"\ud83d\ud83d\ude00"}`,
+	`{"net":"\ud83d\u0041"}`,
+	`{"net":"\ud83d\"}`,
+	`{"net":"\u00e9\u0000\u2028"}`,
+	`{"net":"\"\\\/\b\f\n\r\t"}`,
+	"{\"net\":\"a\xffb\xed\xa0\x80c\"}",
+	"{\"net\":\"\xff\xff\xff\xff\"}",
+	"{\"net\":\"\\n\xff\xff\xff\xff\xff\\n\"}",
+	"{\"net\":\"a\tb\"}",
+	"{\"net\xff\":\"a\"}",
+	`{"max_cost":1e2}`,
+	`{"max_cost":1.0}`,
+	`{"max_cost":9223372036854775807}`,
+	`{"max_cost":9223372036854775808}`,
+	`{"max_cost":-9223372036854775808}`,
+	`{"max_cost":-0}`,
+	`{"timeout_ms":01}`,
+	`{"timeout_ms":-}`,
+	`{"timeout_ms":"5"}`,
+	`{"ordered":1}`,
+	`{"ordered":true,"ordered":false}`,
+	`{"net":5}`,
+	`{"nets":"a"}`,
+	`{"nets":[1]}`,
+	`{"x":{"y":[1,-2.5e+3,{"z":null}],"w":"\u00e9","v":[true,false,[]]},"net":"n"}`,
+	`{"x":[[[[[]]]]],"net":"n"}`,
+	`{"x":{"a":1,}}`,
+	`{"x":[1,]}`,
+	`{"net":"a"} trailing`,
+	`{"net":"a"}}`,
+	`{"net":"a",}`,
+	`{"net" "a"}`,
+	`{"net":"a"`,
+	`{"net":"a`,
+	`{"prune":"transient","backend":"soa"}`,
+}
+
+// checkDecode holds decodeJSON to encoding/json's Decoder.Decode on one
+// body: both fail, or both give deeply equal structs.
+func checkDecode[T any, P interface {
+	*T
+	bodyTarget
+}](t *testing.T, body []byte) {
+	var want, got T
+	wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
+	gotErr := decodeJSON(bytes.Clone(body), P(&got))
+	switch {
+	case (wantErr == nil) != (gotErr == nil):
+		t.Fatalf("body %q: encoding/json error %v, decodeJSON error %v", body, wantErr, gotErr)
+	case wantErr == nil && !reflect.DeepEqual(got, want):
+		t.Fatalf("body %q:\ndecodeJSON   %+v\nencoding/json %+v", body, got, want)
+	}
+}
+
+func FuzzDecodeSolveBody(f *testing.F) {
+	for _, s := range bodySeeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(checkDecode[solveRequest])
+}
+
+func FuzzDecodeBatchBody(f *testing.F) {
+	for _, s := range bodySeeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(checkDecode[batchRequest])
+}
+
+// TestDecodeDepth: unknown values nest up to encoding/json's limit and
+// no deeper, counting the body's own object.
+func TestDecodeDepth(t *testing.T) {
+	for _, depth := range []int{maxDepth - 1, maxDepth} {
+		body := `{"x":` + strings.Repeat("[", depth) + strings.Repeat("]", depth) + `}`
+		checkDecode[solveRequest](t, []byte(body))
+	}
+}
+
+// TestDecodeEveryField: every field encoding/json writes for a solve or
+// batch body, each set to a value of its own, decodes back through the
+// reader, so no field of the shared schema is skipped as an unknown key.
+func TestDecodeEveryField(t *testing.T) {
+	for _, dst := range []bodyTarget{&solveRequest{}, &batchRequest{}} {
+		want := reflect.New(reflect.TypeOf(dst).Elem())
+		fillFields(t, want.Elem(), new(int))
+		body, err := json.Marshal(want.Interface())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := decodeJSON(body, dst); err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		if got := reflect.ValueOf(dst).Interface(); !reflect.DeepEqual(got, want.Interface()) {
+			t.Errorf("%s decodes to %+v, want %+v", body, got, want.Interface())
+		}
+	}
+}
+
+// fillFields sets every field of struct v, embedded structs' included,
+// to a distinct non-zero value, counting on *n.
+func fillFields(t *testing.T, v reflect.Value, n *int) {
+	for i := range v.NumField() {
+		f := v.Field(i)
+		*n++
+		switch f.Kind() {
+		case reflect.Struct:
+			fillFields(t, f, n)
+		case reflect.String:
+			f.SetString(fmt.Sprintf("s%d", *n))
+		case reflect.Int:
+			f.SetInt(int64(*n))
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Slice:
+			f.Set(reflect.ValueOf([]string{fmt.Sprintf("a%d", *n), "b"}))
+		default:
+			t.Fatalf("field %s: unexpected kind %s", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+}
+
+// stallingBody yields head, then blocks its next Read until release is
+// closed, as a client does that states a Content-Length and stops
+// sending.
+type stallingBody struct {
+	head             []byte
+	stalled, release chan struct{}
+}
+
+func (b *stallingBody) Read(p []byte) (int, error) {
+	if len(b.head) > 0 {
+		n := copy(p, b.head)
+		b.head = b.head[n:]
+		return n, nil
+	}
+	close(b.stalled)
+	<-b.release
+	return 0, io.ErrUnexpectedEOF
+}
+
+// TestReadBodyStalledClient: a body that claims MaxBodyBytes and stalls
+// after a few bytes holds at most bodyPrealloc while it waits, not a
+// buffer of the claimed size.
+func TestReadBodyStalledClient(t *testing.T) {
+	s := New(Config{})
+	claimed := s.cfg.MaxBodyBytes
+	if claimed < 4*bodyPrealloc {
+		t.Fatalf("MaxBodyBytes %d: the test wants a default well above bodyPrealloc %d", claimed, bodyPrealloc)
+	}
+	body := &stallingBody{head: []byte(`{"net":"`), stalled: make(chan struct{}), release: make(chan struct{})}
+	req := httptest.NewRequest("POST", "/v1/solve", body)
+	req.ContentLength = claimed
+	var before, during runtime.MemStats
+	runtime.ReadMemStats(&before)
+	done := make(chan error)
+	go func() {
+		_, err := s.readBody(httptest.NewRecorder(), req)
+		done <- err
+	}()
+	<-body.stalled
+	runtime.ReadMemStats(&during)
+	close(body.release)
+	if err := <-done; err == nil {
+		t.Fatal("a body cut short read without error")
+	}
+	if held := during.TotalAlloc - before.TotalAlloc; held > 2*bodyPrealloc {
+		t.Fatalf("a stalled body claiming %d bytes allocated %d, want at most %d", claimed, held, 2*bodyPrealloc)
+	}
+}
+
+// TestDecodeRequestBody: a body too large is still a 413 (a complete
+// value before the limit included), and a malformed one a 400 naming no
+// field.
+func TestDecodeRequestBody(t *testing.T) {
+	h := New(Config{MaxBodyBytes: 64}).Handler()
+	for _, tc := range []struct {
+		body   string
+		status int
+	}{
+		{`{"net":"` + strings.Repeat("x", 100) + `"}`, http.StatusRequestEntityTooLarge},
+		{`{"net":"x"}` + strings.Repeat(" ", 100), http.StatusRequestEntityTooLarge},
+		{`{"net":`, http.StatusBadRequest},
+		{`{"max_cost":1.5}`, http.StatusBadRequest},
+	} {
+		for _, path := range []string{"/v1/solve", "/v1/batch"} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(tc.body)))
+			var eb api.ErrorBody
+			if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
+				t.Fatal(err)
+			}
+			if rec.Code != tc.status || eb.Field != "" {
+				t.Errorf("%s %q: status %d field %q, want %d and no field", path, tc.body, rec.Code, eb.Field, tc.status)
+			}
+		}
+	}
+}
+
+// TestSolveReplyHoldsNoRequestMemory: no string of a solve reply, which
+// the cache keeps, shares memory with the request body or with the
+// parse's slab of every vertex name. Either would make each cached reply
+// hold a whole request's worth of memory.
+func TestSolveReplyHoldsNoRequestMemory(t *testing.T) {
+	body, err := json.Marshal(api.SolveRequest{
+		Net:          readTestdata(t, "line.net"),
+		Library:      readTestdata(t, "lib8.buf"),
+		SolveOptions: api.SolveOptions{Algorithm: bufferkit.AlgoNew},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var req solveRequest
+	if err := decodeJSON(body, &req); err != nil {
+		t.Fatal(err)
+	}
+	net, lib, err := parsePayload(req.Net, req.Library)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solver, err := newSolver(req.SolveOptions, lib, bufferkit.WithDriver(net.Driver))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer solver.Close()
+	res, err := solver.Run(context.Background(), net.Tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := buildResponse(net, lib, solver.Algorithm(), res, 0)
+	if resp.Net != "line" || len(resp.Placement) == 0 {
+		t.Fatalf("reply net %q placement %v: want net line and a placement", resp.Net, resp.Placement)
+	}
+
+	type span struct{ lo, hi uintptr }
+	addr := func(s string) uintptr { return uintptr(unsafe.Pointer(unsafe.StringData(s))) }
+	bodyAt := uintptr(unsafe.Pointer(&body[0]))
+	bodySpan := span{bodyAt, bodyAt + uintptr(len(body))}
+	slab := span{addr(net.Name), addr(net.Name) + uintptr(len(net.Name))}
+	for _, v := range net.Tree.Verts[1:] { // the source's name is no parsed text
+		if v.Name != "" {
+			slab.lo, slab.hi = min(slab.lo, addr(v.Name)), max(slab.hi, addr(v.Name)+uintptr(len(v.Name)))
+		}
+	}
+	strs := []string{resp.Net, resp.Algorithm}
+	for k := range resp.Placement {
+		strs = append(strs, k)
+	}
+	for _, s := range strs {
+		for _, sp := range []struct {
+			what string
+			span
+		}{{"request body", bodySpan}, {"parsed name slab", slab}} {
+			if p := addr(s); p >= sp.lo && p < sp.hi {
+				t.Errorf("reply string %q shares the %s", s, sp.what)
+			}
+		}
+	}
+}
+
+// TestPayloadKeyMatchesNewKey: the copy-free key helper builds the key
+// cache.NewKey builds from the same texts.
+func TestPayloadKeyMatchesNewKey(t *testing.T) {
+	net, lib := readTestdata(t, "random12.net"), readTestdata(t, "lib8.buf")
+	if got, want := payloadKey(net, digest(lib), "algo=new"), cache.NewKey([]byte(net), []byte(lib), "algo=new"); got != want {
+		t.Fatalf("payloadKey %+v, cache.NewKey %+v", got, want)
+	}
+}
+
+// FuzzPlacementJSON: api.Placement encodes to the bytes encoding/json
+// writes for the same map[string]string, from MarshalJSON itself (which
+// encoding/json would re-escape for HTML), through json.Marshal and
+// through writeJSON.
+func FuzzPlacementJSON(f *testing.F) {
+	f.Add("n1", "buf8")
+	f.Add("<a&b>", "\u2028\u2029")
+	f.Add("\b\f\n\r\t\x00\x1f\x7f", "\"\\/")
+	f.Add("\xff\xed\xa0\x80", "\ufffd")
+	f.Add("", "é😀")
+	f.Fuzz(func(t *testing.T, a, b string) {
+		m := map[string]string{a: b, b: a, a + b: "", "v" + a: b + "src"}
+		want, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := api.Placement(m).MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(direct, want) {
+			t.Fatalf("MarshalJSON: Placement %s, map %s", direct, want)
+		}
+		got, err := json.Marshal(api.Placement(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("json.Marshal: Placement %s, map %s", got, want)
+		}
+		rec := httptest.NewRecorder()
+		writeJSON(rec, http.StatusOK, api.Placement(m))
+		var enc bytes.Buffer
+		if err := json.NewEncoder(&enc).Encode(m); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rec.Body.Bytes(), enc.Bytes()) {
+			t.Fatalf("writeJSON: Placement %s, map %s", rec.Body.Bytes(), enc.Bytes())
+		}
+	})
+}
+
+// TestPlacementNil: a nil Placement encodes as null, as a nil map does.
+func TestPlacementNil(t *testing.T) {
+	got, err := json.Marshal(api.SolveResult{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(got, []byte(`"placement":null`)) {
+		t.Fatalf("nil placement encodes as %s", got)
+	}
+}

@@ -120,9 +120,9 @@ func (s *Server) handleChip(w http.ResponseWriter, r *http.Request) {
 		out.write(line)
 		return
 	}
-	placements := make([]map[string]string, len(inst.Nets))
+	placements := make([]api.Placement, len(inst.Nets))
 	for i := range inst.Nets {
-		placements[i] = placementNames(inst.Nets[i].Tree, lib, res.Placements[i])
+		placements[i] = placementNames(inst.Nets[i].Tree, lib, res.Placements[i], false)
 	}
 	out.write(&api.ChipLine{Done: &api.ChipSummary{
 		Algorithm:  solver.Algorithm(),

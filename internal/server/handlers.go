@@ -13,6 +13,7 @@ import (
 
 	"bufferkit"
 	"bufferkit/internal/api"
+	"bufferkit/internal/netlist"
 	"bufferkit/internal/obs"
 	"bufferkit/internal/orderbuf"
 	"bufferkit/internal/resilience"
@@ -28,11 +29,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.solveReqs.Add(1)
 	tr := obs.TraceFromContext(r.Context())
 	var req solveRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := s.decodeRequest(w, r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
-	key := cache.NewKey([]byte(req.Net), []byte(req.Library), cacheOptions(req.SolveOptions))
+	key := payloadKey(req.Net, digest(req.Library), cacheOptions(req.SolveOptions))
 	tr.Set("digest", digestAttr(key.Net))
 	lookup := tr.StartSpan("cache_lookup")
 	hit, ok := cacheGet[api.SolveResult](s, key)
@@ -109,7 +110,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.batchReqs.Add(1)
 	var req batchRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := s.decodeRequest(w, r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -123,7 +124,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.batchNets.Add(int64(len(req.Nets)))
 
-	lib, err := bufferkit.ParseLibrary(strings.NewReader(req.Library))
+	lib, err := netlist.ParseLibraryText(textBytes(req.Library))
 	if err != nil {
 		s.writeError(w, wrapParseError("library", err))
 		return
@@ -138,19 +139,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	jobs := make([]job, len(req.Nets))
 	options := cacheOptions(req.SolveOptions)
+	libSum := digest(req.Library) // once for the batch, not once per net
 	// The cache misses form the engine's sub-batch; origIdx maps its
 	// indices back to the request's.
 	var trees []*bufferkit.Tree
 	var drivers []bufferkit.Driver
 	var origIdx []int
 	for i, text := range req.Nets {
-		jobs[i].key = cache.NewKey([]byte(text), []byte(req.Library), options)
+		jobs[i].key = payloadKey(text, libSum, options)
 		if hit, ok := cacheGet[api.SolveResult](s, jobs[i].key); ok {
 			hit.Cached = true
 			jobs[i].resp = hit
 			continue
 		}
-		net, err := bufferkit.ParseNet(strings.NewReader(text))
+		net, err := netlist.ParseNetText(textBytes(text))
 		if err != nil {
 			s.writeError(w, badRequestf("nets", "net %d: %v", i, err))
 			return
@@ -275,19 +277,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, s.metrics.String())
 }
 
-// decodeBody JSON-decodes a size-limited request body into dst. A body
-// exceeding Config.MaxBodyBytes maps to 413 Request Entity Too Large, not
-// a generic decode-error 400. The engine request wrappers are then
-// validated, before any cache lookup.
+// decodeBody JSON-decodes a size-limited request body into dst with
+// encoding/json: the yield, chip, session and replica bodies (solve and
+// batch bodies go through decodeRequest). A body exceeding
+// Config.MaxBodyBytes maps to 413 Request Entity Too Large, not a generic
+// decode-error 400. The engine request wrappers are then validated, before
+// any cache lookup.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	if err := json.NewDecoder(body).Decode(dst); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return &httpError{status: http.StatusRequestEntityTooLarge,
-				msg: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)}
-		}
-		return badRequestf("", "malformed JSON body: %v", err)
+		return bodyReadError(err)
 	}
 	if v, ok := dst.(interface{ validate() error }); ok {
 		return v.validate()
@@ -295,14 +294,14 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) err
 	return nil
 }
 
-// parsePayload parses the raw net and library texts, mapping failures to
-// 400s that name the offending request field.
+// parsePayload parses the raw net and library texts in place, mapping
+// failures to 400s that name the offending request field.
 func parsePayload(netText, libText string) (*bufferkit.Net, bufferkit.Library, error) {
-	net, err := bufferkit.ParseNet(strings.NewReader(netText))
+	net, err := netlist.ParseNetText(textBytes(netText))
 	if err != nil {
 		return nil, nil, wrapParseError("net", err)
 	}
-	lib, err := bufferkit.ParseLibrary(strings.NewReader(libText))
+	lib, err := netlist.ParseLibraryText(textBytes(libText))
 	if err != nil {
 		return nil, nil, wrapParseError("library", err)
 	}
@@ -320,16 +319,24 @@ func wrapParseError(field string, err error) error {
 	return badRequestf(field, "%v", err)
 }
 
-// buildResponse converts a NetResult into the wire shape.
+// buildResponse converts a NetResult on a net from a one-off parse into
+// the wire shape. Its names are copied out of the parse's name slab (see
+// placementNames).
 func buildResponse(net *bufferkit.Net, lib bufferkit.Library, algo string, res *bufferkit.NetResult, elapsed time.Duration) *api.SolveResult {
+	return buildReply(strings.Clone(net.Name), net.Tree, lib, algo, res, elapsed, true)
+}
+
+// buildReply converts a NetResult on tree t, named name, into the wire
+// shape; ownNames is placementNames'.
+func buildReply(name string, t *bufferkit.Tree, lib bufferkit.Library, algo string, res *bufferkit.NetResult, elapsed time.Duration, ownNames bool) *api.SolveResult {
 	resp := &api.SolveResult{
-		Net:        net.Name,
+		Net:        name,
 		Algorithm:  algo,
 		Slack:      res.Slack,
 		Buffers:    res.Placement.Count(),
 		Cost:       res.Placement.Cost(lib),
 		Candidates: res.Candidates,
-		Placement:  placementNames(net.Tree, lib, res.Placement),
+		Placement:  placementNames(t, lib, res.Placement, ownNames),
 		ElapsedMs:  float64(elapsed) / float64(time.Millisecond),
 	}
 	if res.Stats != (bufferkit.Stats{}) {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"expvar"
@@ -45,6 +46,19 @@ func (s *Server) admit(ctx context.Context, want int) (int, error) {
 func (s *Server) release(slots int) {
 	s.inFlightRuns.Add(int64(-slots))
 	s.adm.Release(slots)
+}
+
+// digest is the SHA-256 of a payload text, the library half of a cache
+// key and the net half of payloadKey. It hashes the text's bytes where
+// they lie, without a []byte copy.
+func digest(text string) [sha256.Size]byte { return sha256.Sum256(textBytes(text)) }
+
+// payloadKey is the cache key of a net text under an already digested
+// library: every endpoint that keys raw payloads (solve, batch, yield)
+// builds its keys here, and a batch digests its library once for all of
+// its nets. It equals cache.NewKey over the same texts.
+func payloadKey(net string, lib [sha256.Size]byte, options string) cache.Key {
+	return cache.Key{Net: digest(net), Library: lib, Options: options}
 }
 
 // cacheGet returns a copy of key's cache entry, a *T. Entries are shared

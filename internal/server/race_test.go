@@ -1,0 +1,7 @@
+//go:build race
+
+package server
+
+// raceEnabled reports a -race build, whose detector changes what the
+// allocation gates count.
+const raceEnabled = true

@@ -60,6 +60,8 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -706,7 +708,7 @@ func vertexName(t *bufferkit.Tree, v int) string {
 	if n := t.Verts[v].Name; n != "" {
 		return n
 	}
-	return fmt.Sprintf("v%d", v)
+	return indexName('v', v)
 }
 
 // bufferName returns the display name of library type b.
@@ -714,16 +716,44 @@ func bufferName(lib bufferkit.Library, b int) string {
 	if n := lib[b].Name; n != "" {
 		return n
 	}
-	return fmt.Sprintf("b%d", b)
+	return indexName('b', b)
+}
+
+// indexName renders prefix followed by i in decimal, as one allocation.
+func indexName(prefix byte, i int) string {
+	var buf [24]byte
+	return string(strconv.AppendInt(append(buf[:0], prefix), int64(i), 10))
 }
 
 // placementNames renders a placement as vertex name → buffer type name.
-func placementNames(t *bufferkit.Tree, lib bufferkit.Library, p bufferkit.Placement) map[string]string {
-	out := make(map[string]string, p.Count())
-	for v, b := range p {
-		if b != bufferkit.NoBuffer {
-			out[vertexName(t, v)] = bufferName(lib, b)
+// With ownNames the parsed vertex names it uses are copied into one slab
+// of the reply's own. Pass it for a tree from a one-off parse: its names
+// are substrings of the parse's slab of every vertex name, which a reply
+// the cache keeps would otherwise hold whole. A session keeps its tree,
+// so its replies share its slab instead.
+func placementNames(t *bufferkit.Tree, lib bufferkit.Library, p bufferkit.Placement, ownNames bool) api.Placement {
+	var slab strings.Builder
+	if ownNames {
+		size := 0
+		for v, b := range p {
+			if b != bufferkit.NoBuffer {
+				size += len(t.Verts[v].Name)
+			}
 		}
+		slab.Grow(size)
+	}
+	out := make(api.Placement, p.Count())
+	for v, b := range p {
+		if b == bufferkit.NoBuffer {
+			continue
+		}
+		name := vertexName(t, v)
+		if ownNames && name == t.Verts[v].Name {
+			start := slab.Len()
+			slab.WriteString(name)
+			name = slab.String()[start:]
+		}
+		out[name] = bufferName(lib, b)
 	}
 	return out
 }

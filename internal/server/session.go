@@ -157,15 +157,14 @@ func (s *Server) handleSessionPut(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, s.asCanceled(err))
 		return
 	}
-	resp := buildResponse(&bufferkit.Net{Name: e.name, Tree: e.tree},
-		e.lib, e.solver.Algorithm(), res, elapsed)
+	resp := buildReply(e.name, e.tree, e.lib, e.solver.Algorithm(), res, elapsed, false)
 	s.cacheStore(key, resp)
 	enc := tr.StartSpan("encode")
 	writeJSON(w, http.StatusOK, &api.SessionResult{SolveResult: *resp, Session: info})
 	enc.End()
 }
 
-// cacheKey is cache.NewKey(WriteNet(patched net), libText, optsKey),
+// cacheKey is payloadKey(WriteNet(patched net), digest(libText), optsKey),
 // computed from the kept lines: one sha256 pass over the same bytes, no
 // rendering (and no error: a hash.Hash write never fails). Callers hold
 // e.mu.
@@ -245,7 +244,7 @@ func (s *Server) getOrCreateSession(id string, req *sessionRequest) (*sessionEnt
 		id:      id,
 		netText: req.Net,
 		libText: req.Library,
-		libSum:  sha256.Sum256([]byte(req.Library)),
+		libSum:  digest(req.Library),
 		lib:     lib,
 		name:    net.Name,
 		names:   names,

@@ -5,11 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 	"time"
 
 	"bufferkit"
 	"bufferkit/internal/api"
-	"bufferkit/internal/server/cache"
 )
 
 // seed resolves the request seed against the solver default, so an absent
@@ -52,7 +52,7 @@ func (s *Server) handleYield(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	key := cache.NewKey([]byte(req.Net), []byte(req.Library), req.yieldCacheOptions())
+	key := payloadKey(req.Net, digest(req.Library), req.yieldCacheOptions())
 	if hit, ok := cacheGet[api.YieldResult](s, key); ok {
 		hit.Cached = true
 		writeJSON(w, http.StatusOK, hit)
@@ -128,7 +128,7 @@ func (s *Server) handleYield(w http.ResponseWriter, r *http.Request) {
 // buildYieldResponse converts a YieldResult into the wire shape.
 func buildYieldResponse(net *bufferkit.Net, lib bufferkit.Library, algo string, res *bufferkit.YieldResult, elapsed time.Duration) *api.YieldResult {
 	resp := &api.YieldResult{
-		Net:          net.Name,
+		Net:          strings.Clone(net.Name), // not the whole name slab (placementNames)
 		Algorithm:    algo,
 		Samples:      len(res.Samples),
 		Target:       res.Target,
@@ -138,7 +138,7 @@ func buildYieldResponse(net *bufferkit.Net, lib bufferkit.Library, algo string, 
 		WorstCorner:  res.Samples[res.WorstSample].Corner.Name,
 		WorstSlack:   res.Samples[res.WorstSample].Slack,
 		Chosen:       res.Chosen,
-		Placement:    placementNames(net.Tree, lib, res.Placement),
+		Placement:    placementNames(net.Tree, lib, res.Placement, true),
 		Buffers:      res.Placement.Count(),
 		Cost:         res.Placements[res.Chosen].Cost,
 		ElapsedMs:    float64(elapsed) / float64(time.Millisecond),

@@ -340,6 +340,7 @@ var clientSurface = []string{
 	"type FrontierPoint",
 	"type Option",
 	"type PeerStatus",
+	"type Placement",
 	"type RetryPolicy",
 	"type Session",
 	"type SessionInfo",
@@ -475,6 +476,7 @@ var apiSurface = []string{
 	"field YieldResult.WorstCorner",
 	"field YieldResult.WorstSlack",
 	"field YieldResult.Yield",
+	"method (Placement).MarshalJSON",
 	"type BatchLine",
 	"type BatchRequest",
 	"type ChipLine",
@@ -485,6 +487,7 @@ var apiSurface = []string{
 	"type FleetInfo",
 	"type FrontierPoint",
 	"type PeerStatus",
+	"type Placement",
 	"type SessionInfo",
 	"type SessionPatch",
 	"type SessionRequest",
