@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -13,47 +14,35 @@ import (
 	"unicode/utf16"
 	"unicode/utf8"
 	"unsafe"
+
+	"bufferkit/internal/api"
 )
 
-// The request reader for the two bodies whose size is net text, /v1/solve
-// and /v1/batch. A body is read once, into one buffer, and decoded in one
-// pass: each JSON string is unescaped straight into a buffer of its own,
-// so a .net text costs one read and one unescape between the socket and
-// the tree, and no decoded string holds the body. The reader decodes what
-// these two bodies hold (an object of strings, a string list, ints and
-// bools, plus any other value under an unknown key, which is skipped) with
-// the outcome encoding/json's Decoder.Decode has on the same wrapper
-// struct:
+// The request reader. Every bufferkitd request body (solve, batch, yield,
+// chip, session PUT and the fleet's cache replica) is read once, into one
+// buffer, and decoded in one pass into its wrapper struct: each JSON string
+// is unescaped straight into a buffer of its own, so a .net text costs one
+// read and one unescape between the socket and the tree, and no decoded
+// value holds the body. The reader decodes the field types decodable
+// accepts, plus any value under an unknown key, which is skipped, with the
+// outcome encoding/json's Decoder.Decode has on the same wrapper:
 //
 //   - a key matches a field exactly or under bytes.EqualFold, after
-//     unescaping; a repeated key overwrites the earlier value;
-//   - null leaves a string, int or bool alone and sets a list to nil;
+//     unescaping; a repeated key overwrites the earlier value, and a
+//     repeated object, list or pointer decodes into what the earlier left;
+//   - null leaves a string, number, bool or struct alone, sets a pointer,
+//     slice or map to nil, and is the raw value null in a RawMessage;
 //   - invalid UTF-8 and unpaired surrogate escapes decode to U+FFFD;
-//   - an int takes no fraction, exponent or out-of-range value;
+//   - an int takes no fraction, exponent or out-of-range value, and a
+//     float is strconv.ParseFloat of the literal, so 1e400 is an error;
+//   - a RawMessage is a copy of its value's span, syntax-checked;
 //   - an unknown key's value is skipped but must still be valid JSON,
 //     nested at most maxDepth deep;
-//   - bytes after the first value are not read.
+//   - bytes after the first value are read but not decoded.
 //
-// Anything else is a 400 naming no field. FuzzDecodeSolveBody and
-// FuzzDecodeBatchBody hold the reader to encoding/json.
-
-// bodyTarget is a request body the reader decodes into: target returns a
-// pointer (*string, *[]string, *int or *bool) to the field key names, or
-// nil for an unknown key.
-type bodyTarget interface {
-	target(key string) any
-	validate() error
-}
-
-// The field tables of the two bodies, read off their json tags, so the
-// keys are declared once, in internal/api and legacyOptions.
-var (
-	solveFields = newFieldTable(reflect.TypeFor[solveRequest]())
-	batchFields = newFieldTable(reflect.TypeFor[batchRequest]())
-)
-
-func (r *solveRequest) target(key string) any { return solveFields.target(r, key) }
-func (r *batchRequest) target(key string) any { return batchFields.target(r, key) }
+// Anything else is a 400 naming no field, and a body over MaxBodyBytes is
+// a 413 even when a complete value ends before the limit. FuzzDecodeBody
+// holds the reader to encoding/json on every wrapper.
 
 // fieldTable maps the JSON keys of a struct type to the index paths of
 // its fields.
@@ -64,12 +53,36 @@ type bodyField struct {
 	index []int
 }
 
-// newFieldTable lists the fields of struct type t as encoding/json names
-// them: by tag, else by field name, with the fields of untagged embedded
-// structs promoted. It panics on a field kind the reader does not decode
+// bodyTables holds the field table of every struct type a body decodes
+// into, read off the json tags at start-up, so the keys are declared once,
+// in internal/api, legacyOptions and cacheReplica, and a field the reader
+// cannot decode panics before the server serves. api.ErrorBody is a
+// peer's error reply (callPeerSolve).
+var bodyTables = map[reflect.Type]fieldTable{}
+
+var rawMessageType = reflect.TypeFor[json.RawMessage]()
+
+func init() {
+	for _, t := range []reflect.Type{
+		reflect.TypeFor[solveRequest](), reflect.TypeFor[batchRequest](),
+		reflect.TypeFor[yieldRequest](), reflect.TypeFor[chipRequest](),
+		reflect.TypeFor[sessionRequest](), reflect.TypeFor[cacheReplica](),
+		reflect.TypeFor[api.ErrorBody](),
+	} {
+		addFieldTable(t)
+	}
+}
+
+// addFieldTable adds to bodyTables the fields of struct type t, as
+// encoding/json names them (by tag, else by field name, with the fields
+// of untagged embedded structs promoted), and the tables of the struct
+// types they hold. It panics on a field type the reader does not decode
 // or on two names equal under case folding, which encoding/json would
 // resolve by rules the reader does not implement.
-func newFieldTable(t reflect.Type) fieldTable {
+func addFieldTable(t reflect.Type) {
+	if _, ok := bodyTables[t]; ok {
+		return
+	}
 	var fields fieldTable
 	var walk func(t reflect.Type, index []int)
 	walk = func(t reflect.Type, index []int) {
@@ -86,10 +99,7 @@ func newFieldTable(t reflect.Type) fieldTable {
 			case name == "":
 				name = sf.Name
 			}
-			switch sf.Type {
-			case reflect.TypeFor[string](), reflect.TypeFor[[]string](),
-				reflect.TypeFor[int](), reflect.TypeFor[bool]():
-			default:
+			if !decodable(sf.Type) {
 				panic(fmt.Sprintf("server: request field %s %s has a type the body reader does not decode", sf.Name, sf.Type))
 			}
 			for _, f := range fields {
@@ -101,24 +111,45 @@ func newFieldTable(t reflect.Type) fieldTable {
 		}
 	}
 	walk(t, nil)
-	return fields
+	bodyTables[t] = fields
 }
 
-// target returns a pointer to the field of *dst that key names, or nil.
-// No two names fold together, so the first match under folding is also
-// the exact match encoding/json would prefer.
-func (fields fieldTable) target(dst any, key string) any {
-	for _, f := range fields {
-		if strings.EqualFold(f.name, key) {
-			return reflect.ValueOf(dst).Elem().FieldByIndex(f.index).Addr().Interface()
+// decodable reports whether the reader decodes type t, adding the field
+// table of every struct type t holds.
+func decodable(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.String, reflect.Bool, reflect.Int, reflect.Int64, reflect.Float64:
+		return true
+	case reflect.Pointer:
+		return decodable(t.Elem())
+	case reflect.Slice:
+		k := t.Elem().Kind()
+		return t == rawMessageType || (k == reflect.String || k == reflect.Int || k == reflect.Struct) && decodable(t.Elem())
+	case reflect.Map:
+		return t.Key().Kind() == reflect.String && t.Elem().Kind() == reflect.String
+	case reflect.Struct:
+		addFieldTable(t)
+		return true
+	}
+	return false
+}
+
+// field returns the field key names, or nil. No two names fold together,
+// so the first match under folding is also the exact match encoding/json
+// would prefer.
+func (fields fieldTable) field(key string) *bodyField {
+	for i := range fields {
+		if strings.EqualFold(fields[i].name, key) {
+			return &fields[i]
 		}
 	}
 	return nil
 }
 
-// decodeRequest reads a solve or batch body and decodes it into dst, then
-// validates dst, before any cache lookup.
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, dst bodyTarget) error {
+// decodeRequest reads a request body and decodes it into dst, a pointer
+// to a wrapper struct, then validates dst when it has a validate method,
+// before any cache lookup.
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, dst any) error {
 	body, err := s.readBody(w, r)
 	if err != nil {
 		return err
@@ -126,7 +157,10 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, dst bodyT
 	if err := decodeJSON(body, dst); err != nil {
 		return badRequestf("", "malformed JSON body: %v", err)
 	}
-	return dst.validate()
+	if v, ok := dst.(interface{ validate() error }); ok {
+		return v.validate()
+	}
+	return nil
 }
 
 // bodyPrealloc caps what readBody allocates before a body byte has
@@ -159,35 +193,34 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error
 			return buf, nil
 		}
 		if err != nil {
-			return nil, bodyReadError(err)
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				return nil, &httpError{status: http.StatusRequestEntityTooLarge,
+					msg: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)}
+			}
+			return nil, badRequestf("", "malformed JSON body: %v", err)
 		}
 	}
-}
-
-// bodyReadError maps a failed body read to its reply: 413 when the body
-// exceeds the limit, 400 otherwise.
-func bodyReadError(err error) error {
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		return &httpError{status: http.StatusRequestEntityTooLarge,
-			msg: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)}
-	}
-	return badRequestf("", "malformed JSON body: %v", err)
 }
 
 // maxDepth is how deeply encoding/json lets arrays and objects nest,
 // counting the body's own object.
 const maxDepth = 10000
 
-// decodeJSON decodes the first JSON value of buf into dst, unescaping its
-// strings in place. Like Decoder.Decode into a struct, it takes an object
-// or null (which stores nothing) and ignores whatever follows the value.
-func decodeJSON(buf []byte, dst bodyTarget) error {
+// decodeJSON decodes the first JSON value of buf into dst, a pointer to a
+// struct type in bodyTables. Like Decoder.Decode into a struct, it takes
+// an object or null (which stores nothing) and ignores whatever follows
+// the value.
+func decodeJSON(buf []byte, dst any) error {
+	v := reflect.ValueOf(dst).Elem()
+	if _, ok := bodyTables[v.Type()]; !ok {
+		panic(fmt.Sprintf("server: %s has no body field table", v.Type()))
+	}
 	d := bodyReader{buf: buf}
 	d.space()
 	switch d.peek() {
 	case '{':
-		return d.object(dst)
+		return d.object(v, 0)
 	case 'n':
 		return d.literal("null")
 	case 0:
@@ -198,7 +231,7 @@ func decodeJSON(buf []byte, dst bodyTarget) error {
 	return d.errorf("want a JSON object")
 }
 
-// bodyReader is the cursor of one decode over a body buffer it owns.
+// bodyReader is the cursor of one decode over a body buffer.
 type bodyReader struct {
 	buf []byte
 	pos int
@@ -245,10 +278,33 @@ func (d *bodyReader) unexpected(want string) error {
 	return d.errorf("invalid character %q, %s", d.buf[d.pos], want)
 }
 
-// object decodes the object at the cursor into dst: each key's value goes
-// to the field dst.target names, or is skipped.
-func (d *bodyReader) object(dst bodyTarget) error {
-	return d.members(func(key string) error { return d.value(dst.target(key), key) })
+// object decodes the object at the cursor into v, a struct (each key's
+// value goes to the field it names, or is skipped) or a map; depth counts
+// the arrays and objects that enclose the object.
+func (d *bodyReader) object(v reflect.Value, depth int) error {
+	if v.Kind() == reflect.Map {
+		if v.IsNil() {
+			v.Set(reflect.MakeMap(v.Type()))
+		}
+		k, elem := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+		return d.members(func(key string) error {
+			elem.SetZero()
+			if err := d.value(elem, key, depth+1); err != nil {
+				return err
+			}
+			k.SetString(key)
+			v.SetMapIndex(k, elem)
+			return nil
+		})
+	}
+	fields := bodyTables[v.Type()]
+	return d.members(func(key string) error {
+		var field reflect.Value
+		if f := fields.field(key); f != nil {
+			field = v.FieldByIndex(f.index)
+		}
+		return d.value(field, key, depth+1)
+	})
 }
 
 // members walks the array or object at the cursor. For each element it
@@ -297,46 +353,63 @@ func (d *bodyReader) members(elem func(key string) error) error {
 	}
 }
 
-// value decodes the value at the cursor into the field p points to, or
-// skips it when p is nil.
-func (d *bodyReader) value(p any, key string) error {
-	if p == nil {
-		return d.skip(1)
-	}
-	if d.peek() == 'n' {
+// value decodes the value at the cursor into v, the field or element under
+// key, or skips it when v is the zero Value; depth counts the arrays and
+// objects that enclose the value.
+func (d *bodyReader) value(v reflect.Value, key string, depth int) error {
+	switch {
+	case !v.IsValid():
+		return d.skip(depth)
+	case v.Type() == rawMessageType:
+		start := d.pos
+		err := d.skip(depth)
+		v.SetBytes(bytes.Clone(d.buf[start:d.pos]))
+		return err
+	case d.peek() == 'n':
 		if err := d.literal("null"); err != nil {
 			return err
 		}
-		if l, ok := p.(*[]string); ok {
-			*l = nil
+		switch v.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Map:
+			v.SetZero()
 		}
 		return nil
 	}
-	var err error
-	switch p := p.(type) {
-	case *string:
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() {
+			v.Set(reflect.New(v.Type().Elem()))
+		}
+		return d.value(v.Elem(), key, depth)
+	case reflect.String:
 		if d.peek() != '"' {
 			return d.mismatch(key, "a string")
 		}
-		*p, err = d.str()
-	case *[]string:
-		if d.peek() != '[' {
-			return d.mismatch(key, "a list of strings")
-		}
-		err = d.strList(p, key)
-	case *int:
-		err = d.integer(p, key)
-	case *bool:
+		s, err := d.str()
+		v.SetString(s)
+		return err
+	case reflect.Bool:
 		switch d.peek() {
 		case 't':
-			*p, err = true, d.literal("true")
+			v.SetBool(true)
+			return d.literal("true")
 		case 'f':
-			*p, err = false, d.literal("false")
-		default:
-			return d.mismatch(key, "true or false")
+			v.SetBool(false)
+			return d.literal("false")
 		}
+		return d.mismatch(key, "true or false")
+	case reflect.Int, reflect.Int64, reflect.Float64:
+		return d.numberInto(v, key)
+	case reflect.Slice:
+		if d.peek() != '[' {
+			return d.mismatch(key, "a list")
+		}
+		return d.list(v, key, depth)
 	}
-	return err
+	if d.peek() != '{' { // a struct or a map
+		return d.mismatch(key, "an object")
+	}
+	return d.object(v, depth)
 }
 
 // mismatch reports a value of the wrong JSON type for field key.
@@ -344,46 +417,56 @@ func (d *bodyReader) mismatch(key, want string) error {
 	return d.errorf("field %q wants %s", key, want)
 }
 
-// strList decodes the array at the cursor into *p with encoding/json's
-// slice semantics: elements land in *p's existing backing array, growing
-// it as append does, a null element keeps what that slot held, and an
-// empty array is an empty, non-nil list.
-func (d *bodyReader) strList(p *[]string, key string) error {
-	l, n := *p, 0
+// list decodes the array at the cursor into slice v with encoding/json's
+// slice semantics: elements decode into v's existing backing array,
+// growing it as append does, so an element of a repeated list decodes
+// into what the earlier list left in its slot (a null element keeps it),
+// and an empty array is an empty, non-nil slice.
+func (d *bodyReader) list(v reflect.Value, key string, depth int) error {
+	n := 0
 	err := d.members(func(string) error {
-		switch {
-		case n >= cap(l):
-			l = append(l, "")
-		case n >= len(l):
-			l = l[:n+1]
+		if n == v.Cap() {
+			v.Grow(1)
+		}
+		if n == v.Len() {
+			v.SetLen(n + 1)
 		}
 		n++
-		return d.value(&l[n-1], key)
+		return d.value(v.Index(n-1), key, depth+1)
 	})
 	if n == 0 {
-		l = []string{}
+		v.Set(reflect.MakeSlice(v.Type(), 0, 0))
 	}
-	*p = l[:n]
+	v.SetLen(n)
 	return err
 }
 
-// integer decodes the number at the cursor into *p: a fraction, an
-// exponent or a value out of int's range is an error, as encoding/json
-// makes it.
-func (d *bodyReader) integer(p *int, key string) error {
+// numberInto decodes the number at the cursor into v, an int, int64 or
+// float64, as encoding/json does: an integer takes no fraction, exponent
+// or value out of v's range, and a float is strconv.ParseFloat of the
+// literal, out of range beyond the largest float64.
+func (d *bodyReader) numberInto(v reflect.Value, key string) error {
 	c := d.peek()
 	if c != '-' && (c < '0' || c > '9') {
-		return d.mismatch(key, "an integer")
+		return d.mismatch(key, "a number")
 	}
 	lit, err := d.number()
 	if err != nil {
 		return err
 	}
-	n, err := strconv.ParseInt(string(lit), 10, 0)
-	if err != nil {
+	if v.Kind() == reflect.Float64 {
+		f, err := strconv.ParseFloat(string(lit), 64)
+		if err != nil {
+			return d.mismatch(key, "a number in range, got "+string(lit))
+		}
+		v.SetFloat(f)
+		return nil
+	}
+	n, err := strconv.ParseInt(string(lit), 10, 64)
+	if err != nil || v.OverflowInt(n) {
 		return d.mismatch(key, "an integer in range, got "+string(lit))
 	}
-	*p = int(n)
+	v.SetInt(n)
 	return nil
 }
 

@@ -10,21 +10,24 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
 	"bufferkit"
 	"bufferkit/internal/api"
+	"bufferkit/internal/fleet"
 	"bufferkit/internal/server/cache"
 )
 
 // bodySeeds are request bodies on the edges where a hand-written JSON
 // reader could part from encoding/json: case-folded and escaped keys
 // (U+212A KELVIN SIGN and U+017F LONG S fold onto k and s), repeated
-// keys, nulls, surrogate escapes paired and unpaired, invalid UTF-8,
-// non-integer and out-of-range numbers into ints, nested unknown values,
-// bytes after the value, and the empty body.
+// keys, lists and objects, nulls, surrogate escapes paired and unpaired,
+// invalid UTF-8, non-integer and out-of-range numbers, raw values,
+// nested unknown values, bytes after the value, and the empty body.
 var bodySeeds = []string{
 	``,
 	`   `,
@@ -83,55 +86,107 @@ var bodySeeds = []string{
 	`{"net":"a"`,
 	`{"net":"a`,
 	`{"prune":"transient","backend":"soa"}`,
+	`{"seed":null,"seed":7}`,
+	`{"seed":7,"seed":null}`,
+	`{"sigma":1e400}`,
+	`{"sigma":0.1,"target":1e39,"step":123456789.123456789}`,
+	`{"sigma":-1e-400,"target":-0,"step":2.5E+2,"step_decay":0.5,"history_step":-1}`,
+	`{"seed":1.5}`,
+	`{"seed":-9223372036854775809}`,
+	`{"samples":3,"robust":true,"process_corners":false,"rounds":2,"capacity":1}`,
+	`{"instance":null}`,
+	`{"instance":[1,2`,
+	`{"instance":tru}`,
+	`{"instance":  {"a" : [ 1 , "\ud83d" ] }  ,"library":"x"}`,
+	`{"instance":"a\nb","instance":[{"nets":[]}]}`,
+	`{"patches":[{"kind":"sink","vertex":"a","rat":1,"cap":2,"allowed":[1,2,3]}],"patches":[{"res":3,"allowed":[4]},{"ok":true}]}`,
+	`{"patches":[{"kind":"sink","rat":1},null],"patches":[null,null,{"rat":null,"ok":false}]}`,
+	`{"patches":[{"allowed":[1,2]}],"patches":[{"allowed":null}],"patches":[{"allowed":[]}]}`,
+	`{"patches":[{"allowed":[1.5]}]}`,
+	`{"patches":[{"ok":1}]}`,
+	`{"patches":{}}`,
+	`{"patches":[[]]}`,
+	`{"response":{"placement":{"a":"b","a":"c"},"stats":{"Positions":3,"arenabytes":4}}}`,
+	`{"net_sha":"ab","lib_sha":"cd","options":"algo=new","response":{"net":"n","algorithm":"new","slack":1.5,"buffers":2,"cost":3,"cached":true,"elapsed_ms":0.25}}`,
+	`{"response":{"net":"a"},"response":{"slack":2,"frontier":[{"cost":1,"slack":-1,"buffers":1},null]}}`,
+	`{"response":{"frontier":[{"cost":1}]},"response":{"frontier":[{"slack":2},{"buffers":3}]}}`,
+	`{"response":{"placement":{"a":"b"}},"response":{"placement":{"c":"d"}}}`,
+	`{"response":{"placement":{"a":"b"}},"response":{"placement":null}}`,
+	`{"response":{"placement":{"a":null,"\u0062":"\ud83d"}}}`,
+	`{"response":{"placement":{"a":1}}}`,
+	`{"response":{"stats":null,"Stats":{"decisions":1}}}`,
+	`{"response":{"Trace":"t","stats":{"x":[1]}}}`,
+	`{"response":null}`,
+	`{"response":[]}`,
+	`{"response":"x"}`,
+	`{"error":"e","field":"f","vertex":1,"type":null,"peer":"p","trace":"t"}`,
 }
 
 // checkDecode holds decodeJSON to encoding/json's Decoder.Decode on one
-// body: both fail, or both give deeply equal structs.
-func checkDecode[T any, P interface {
-	*T
-	bodyTarget
-}](t *testing.T, body []byte) {
+// body decoded into a T: both fail, or both give deeply equal values.
+func checkDecode[T any](t *testing.T, body []byte) {
 	var want, got T
 	wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
-	gotErr := decodeJSON(bytes.Clone(body), P(&got))
+	gotErr := decodeJSON(bytes.Clone(body), &got)
 	switch {
 	case (wantErr == nil) != (gotErr == nil):
-		t.Fatalf("body %q: encoding/json error %v, decodeJSON error %v", body, wantErr, gotErr)
+		t.Fatalf("%T body %q: encoding/json error %v, decodeJSON error %v", got, body, wantErr, gotErr)
 	case wantErr == nil && !reflect.DeepEqual(got, want):
-		t.Fatalf("body %q:\ndecodeJSON   %+v\nencoding/json %+v", body, got, want)
+		t.Fatalf("%T body %q:\ndecodeJSON   %+v\nencoding/json %+v", got, body, got, want)
 	}
 }
 
-func FuzzDecodeSolveBody(f *testing.F) {
+// checkDecodeAll runs checkDecode on every type a body decodes into.
+func checkDecodeAll(t *testing.T, body []byte) {
+	checkDecode[solveRequest](t, body)
+	checkDecode[batchRequest](t, body)
+	checkDecode[yieldRequest](t, body)
+	checkDecode[chipRequest](t, body)
+	checkDecode[sessionRequest](t, body)
+	checkDecode[cacheReplica](t, body)
+	checkDecode[api.ErrorBody](t, body)
+}
+
+// fuzzBodies fuzzes check, seeded with bodySeeds.
+func fuzzBodies(f *testing.F, check func(*testing.T, []byte)) {
 	for _, s := range bodySeeds {
 		f.Add([]byte(s))
 	}
-	f.Fuzz(checkDecode[solveRequest])
+	f.Fuzz(check)
 }
 
-func FuzzDecodeBatchBody(f *testing.F) {
-	for _, s := range bodySeeds {
-		f.Add([]byte(s))
-	}
-	f.Fuzz(checkDecode[batchRequest])
-}
+// FuzzDecodeBody decodes each input into every wrapper both with the
+// request reader and with encoding/json.
+func FuzzDecodeBody(f *testing.F) { fuzzBodies(f, checkDecodeAll) }
 
-// TestDecodeDepth: unknown values nest up to encoding/json's limit and
-// no deeper, counting the body's own object.
+// FuzzDecodeSolveBody and FuzzDecodeBatchBody are FuzzDecodeBody's solve
+// and batch halves, kept so their seed tests keep their names.
+func FuzzDecodeSolveBody(f *testing.F) { fuzzBodies(f, checkDecode[solveRequest]) }
+func FuzzDecodeBatchBody(f *testing.F) { fuzzBodies(f, checkDecode[batchRequest]) }
+
+// TestDecodeDepth: unknown and raw values nest up to encoding/json's
+// limit and no deeper, counting the body's own object and the typed
+// objects around them.
 func TestDecodeDepth(t *testing.T) {
-	for _, depth := range []int{maxDepth - 1, maxDepth} {
-		body := `{"x":` + strings.Repeat("[", depth) + strings.Repeat("]", depth) + `}`
-		checkDecode[solveRequest](t, []byte(body))
+	for _, shell := range [][2]string{
+		{`{"x":`, `}`},
+		{`{"instance":`, `}`},
+		{`{"response":{"stats":{"x":`, `}}}`},
+	} {
+		for _, depth := range []int{maxDepth - 3, maxDepth - 2, maxDepth - 1, maxDepth} {
+			checkDecodeAll(t, []byte(shell[0]+strings.Repeat("[", depth)+strings.Repeat("]", depth)+shell[1]))
+		}
 	}
 }
 
-// TestDecodeEveryField: every field encoding/json writes for a solve or
-// batch body, each set to a value of its own, decodes back through the
-// reader, so no field of the shared schema is skipped as an unknown key.
+// TestDecodeEveryField: every field encoding/json writes for a body,
+// each set to a value of its own, decodes back through the reader, so no
+// field of the shared schema is skipped as an unknown key.
 func TestDecodeEveryField(t *testing.T) {
-	for _, dst := range []bodyTarget{&solveRequest{}, &batchRequest{}} {
+	for _, dst := range []any{&solveRequest{}, &batchRequest{}, &yieldRequest{},
+		&chipRequest{}, &sessionRequest{}, &cacheReplica{}, &api.ErrorBody{}} {
 		want := reflect.New(reflect.TypeOf(dst).Elem())
-		fillFields(t, want.Elem(), new(int))
+		fillValue(t, want.Elem(), new(int))
 		body, err := json.Marshal(want.Interface())
 		if err != nil {
 			t.Fatal(err)
@@ -145,26 +200,48 @@ func TestDecodeEveryField(t *testing.T) {
 	}
 }
 
-// fillFields sets every field of struct v, embedded structs' included,
-// to a distinct non-zero value, counting on *n.
-func fillFields(t *testing.T, v reflect.Value, n *int) {
-	for i := range v.NumField() {
-		f := v.Field(i)
-		*n++
-		switch f.Kind() {
-		case reflect.Struct:
-			fillFields(t, f, n)
-		case reflect.String:
-			f.SetString(fmt.Sprintf("s%d", *n))
-		case reflect.Int:
-			f.SetInt(int64(*n))
-		case reflect.Bool:
-			f.SetBool(true)
-		case reflect.Slice:
-			f.Set(reflect.ValueOf([]string{fmt.Sprintf("a%d", *n), "b"}))
-		default:
-			t.Fatalf("field %s: unexpected kind %s", v.Type().Field(i).Name, f.Kind())
+// fillValue sets v, and every field, element and pointee it holds, to a
+// distinct non-zero value, counting on *n. Fields encoding/json does not
+// write stay zero.
+func fillValue(t *testing.T, v reflect.Value, n *int) {
+	*n++
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if sf := v.Type().Field(i); sf.Tag.Get("json") != "-" && (sf.IsExported() || sf.Anonymous) {
+				fillValue(t, v.Field(i), n)
+			}
 		}
+	case reflect.String:
+		v.SetString(fmt.Sprintf("s%d", *n))
+	case reflect.Int, reflect.Int64:
+		v.SetInt(int64(*n))
+	case reflect.Float64:
+		v.SetFloat(float64(*n) + 0.25)
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fillValue(t, v.Elem(), n)
+	case reflect.Slice:
+		if v.Type() == reflect.TypeFor[json.RawMessage]() {
+			v.SetBytes(fmt.Appendf(nil, `{"r":[%d,"s"]}`, *n))
+			return
+		}
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := range 2 {
+			fillValue(t, v.Index(i), n)
+		}
+	case reflect.Map:
+		v.Set(reflect.MakeMap(v.Type()))
+		for range 2 {
+			key, elem := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+			fillValue(t, key, n)
+			fillValue(t, elem, n)
+			v.SetMapIndex(key, elem)
+		}
+	default:
+		t.Fatalf("%s: unexpected kind %s", v.Type(), v.Kind())
 	}
 }
 
@@ -217,11 +294,29 @@ func TestReadBodyStalledClient(t *testing.T) {
 	}
 }
 
-// TestDecodeRequestBody: a body too large is still a 413 (a complete
-// value before the limit included), and a malformed one a 400 naming no
-// field.
+// TestDecodeRequestBody: on every endpoint that reads a body, a body too
+// large is a 413 naming the limit (a complete value before the limit
+// included), and a malformed one a 400 naming no field.
 func TestDecodeRequestBody(t *testing.T) {
-	h := New(Config{MaxBodyBytes: 64}).Handler()
+	const limit = 64
+	plain := New(Config{MaxBodyBytes: limit}).Handler()
+	member := New(Config{MaxBodyBytes: limit, Fleet: fleet.Config{
+		Self:          "http://127.0.0.1:1",
+		Peers:         []string{"http://127.0.0.1:1", "http://127.0.0.1:2"},
+		ProbeInterval: time.Hour,
+	}})
+	defer member.Close()
+	endpoints := []struct {
+		method, path string
+		h            http.Handler
+	}{
+		{"POST", "/v1/solve", plain},
+		{"POST", "/v1/batch", plain},
+		{"POST", "/v1/yield", plain},
+		{"POST", "/v1/chip", plain},
+		{"PUT", "/v1/sessions/s1", plain},
+		{"PUT", "/internal/v1/cache", member.Handler()},
+	}
 	for _, tc := range []struct {
 		body   string
 		status int
@@ -229,17 +324,20 @@ func TestDecodeRequestBody(t *testing.T) {
 		{`{"net":"` + strings.Repeat("x", 100) + `"}`, http.StatusRequestEntityTooLarge},
 		{`{"net":"x"}` + strings.Repeat(" ", 100), http.StatusRequestEntityTooLarge},
 		{`{"net":`, http.StatusBadRequest},
-		{`{"max_cost":1.5}`, http.StatusBadRequest},
+		{`{"max_cost":1.5,"net_sha":1.5}`, http.StatusBadRequest},
 	} {
-		for _, path := range []string{"/v1/solve", "/v1/batch"} {
+		for _, ep := range endpoints {
 			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(tc.body)))
+			ep.h.ServeHTTP(rec, httptest.NewRequest(ep.method, ep.path, strings.NewReader(tc.body)))
 			var eb api.ErrorBody
 			if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
 				t.Fatal(err)
 			}
 			if rec.Code != tc.status || eb.Field != "" {
-				t.Errorf("%s %q: status %d field %q, want %d and no field", path, tc.body, rec.Code, eb.Field, tc.status)
+				t.Errorf("%s %s %q: status %d field %q, want %d and no field", ep.method, ep.path, tc.body, rec.Code, eb.Field, tc.status)
+			}
+			if tc.status == http.StatusRequestEntityTooLarge && !strings.Contains(eb.Error, strconv.Itoa(limit)) {
+				t.Errorf("%s %s: 413 body %q does not name the limit", ep.method, ep.path, eb.Error)
 			}
 		}
 	}

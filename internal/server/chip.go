@@ -5,11 +5,11 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"strings"
 	"time"
 
 	"bufferkit"
 	"bufferkit/internal/api"
+	"bufferkit/internal/netlist"
 )
 
 // handleChip solves a multi-net chip instance by Lagrangian
@@ -26,7 +26,7 @@ import (
 func (s *Server) handleChip(w http.ResponseWriter, r *http.Request) {
 	s.chipReqs.Add(1)
 	var req chipRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := s.decodeRequest(w, r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -44,7 +44,7 @@ func (s *Server) handleChip(w http.ResponseWriter, r *http.Request) {
 			len(inst.Nets), s.cfg.MaxChipNets))
 		return
 	}
-	lib, err := bufferkit.ParseLibrary(strings.NewReader(req.Library))
+	lib, err := netlist.ParseLibraryText(textBytes(req.Library))
 	if err != nil {
 		s.writeError(w, wrapParseError("library", err))
 		return

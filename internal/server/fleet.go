@@ -253,13 +253,13 @@ func (s *Server) callPeerSolve(ctx context.Context, peer string, req *solveReque
 	s.fleet.Detector().ReportSuccess(peer)
 	if hresp.StatusCode == http.StatusOK {
 		var resp api.SolveResult
-		if err := json.NewDecoder(hresp.Body).Decode(&resp); err != nil {
+		if err := readReply(hresp.Body, &resp); err != nil {
 			return forwardOutcome{}, &forwardError{peer: peer, err: err}
 		}
 		return forwardOutcome{resp: &resp}, nil
 	}
 	var eb api.ErrorBody
-	_ = json.NewDecoder(io.LimitReader(hresp.Body, 1<<20)).Decode(&eb)
+	_ = readReply(io.LimitReader(hresp.Body, 1<<20), &eb)
 	if eb.Error == "" {
 		eb.Error = hresp.Status
 	}
@@ -279,6 +279,16 @@ func (s *Server) callPeerSolve(ctx context.Context, peer string, req *solveReque
 		body:       eb,
 		retryAfter: hresp.Header.Get("Retry-After"),
 	}}, nil
+}
+
+// readReply reads a peer's reply body whole and decodes it into dst with
+// the request reader.
+func readReply(body io.Reader, dst any) error {
+	buf, err := io.ReadAll(body)
+	if err != nil {
+		return err
+	}
+	return decodeJSON(buf, dst)
 }
 
 // writeRelayed writes a peer's authoritative error to the client with
@@ -393,7 +403,7 @@ func (s *Server) handleCacheReplica(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req cacheReplica
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := s.decodeRequest(w, r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}

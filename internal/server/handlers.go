@@ -277,23 +277,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, s.metrics.String())
 }
 
-// decodeBody JSON-decodes a size-limited request body into dst with
-// encoding/json: the yield, chip, session and replica bodies (solve and
-// batch bodies go through decodeRequest). A body exceeding
-// Config.MaxBodyBytes maps to 413 Request Entity Too Large, not a generic
-// decode-error 400. The engine request wrappers are then validated, before
-// any cache lookup.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(dst); err != nil {
-		return bodyReadError(err)
-	}
-	if v, ok := dst.(interface{ validate() error }); ok {
-		return v.validate()
-	}
-	return nil
-}
-
 // parsePayload parses the raw net and library texts in place, mapping
 // failures to 400s that name the offending request field.
 func parsePayload(netText, libText string) (*bufferkit.Net, bufferkit.Library, error) {

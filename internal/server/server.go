@@ -595,7 +595,7 @@ type legacyOptions struct {
 
 // The five engine endpoints decode into their shared api body plus
 // legacyOptions, and validate both before any cache lookup (see
-// decodeBody).
+// decodeRequest).
 type (
 	solveRequest struct {
 		api.SolveRequest

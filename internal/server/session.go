@@ -71,7 +71,7 @@ func (s *Server) handleSessionPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req sessionRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := s.decodeRequest(w, r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}

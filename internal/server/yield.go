@@ -39,7 +39,7 @@ func (req *yieldRequest) yieldCacheOptions() string {
 func (s *Server) handleYield(w http.ResponseWriter, r *http.Request) {
 	s.yieldReqs.Add(1)
 	var req yieldRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := s.decodeRequest(w, r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
