@@ -13,9 +13,10 @@
 // driving resistance R ≥ 0 the maximizer of Q − R·C lies on it. The hull
 // is built as a read-only view (AppendHullInto); the list itself keeps
 // every nonredundant candidate, which is what makes pruning exact on
-// multi-pin nets (DESIGN.md §4). Every engine — internal/core,
-// internal/lillis and the cost–slack extension internal/costopt — runs on
-// SoAList; the tests hold it to brute-force references.
+// multi-pin nets (DESIGN.md §4). Every engine — internal/core (the
+// paper's algorithm and the Lillis baseline) and the cost–slack extension
+// internal/costopt — runs on SoAList; the tests hold it to brute-force
+// references.
 //
 // Allocation model: reconstruction decisions are index-linked records in a
 // per-run Arena (see arena.go) rather than individually heap-allocated
@@ -51,11 +52,6 @@ type Decision struct {
 type Pair struct {
 	Q, C float64
 }
-
-// WireDelay is the Elmore delay r·(c/2 + cdown) of a wire driving cdown.
-// (Duplicated from the delay package to keep this package dependency-free;
-// both are covered by tests.)
-func WireDelay(r, c, cdown float64) float64 { return r * (c/2 + cdown) }
 
 // Beta is a buffered candidate generated at a buffer position: inserting
 // library type Buffer at Vertex yields slack Q and presents capacitance C

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"bufferkit/internal/delay"
 )
 
 // refNonredundant is the O(k²)-spirited reference implementation of
@@ -122,7 +124,7 @@ func TestAddWireProperty(t *testing.T) {
 		// Reference: transform every candidate, dominance-filter.
 		ref := make([]Pair, len(before))
 		for i, p := range before {
-			ref[i] = Pair{p.Q - WireDelay(r, c, p.C), p.C + c}
+			ref[i] = Pair{p.Q - delay.WireDelay(r, c, p.C), p.C + c}
 		}
 		pairsEqual(t, l.Pairs(), refNonredundant(ref), "AddWire vs reference")
 	}

@@ -147,7 +147,7 @@ func (l *SoAList) AddWire(r, c float64) {
 		return
 	}
 	// half is hoisted but the expression stays r·(c/2 + C) — bit-identical
-	// to WireDelay, which the reference property tests hold it to.
+	// to delay.WireDelay, which the reference property tests hold it to.
 	half := c / 2
 	out := 0
 	last := math.Inf(-1)

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"bufferkit/internal/delay"
 )
 
 // refHull is the brute-force upper envelope of a C-sorted nonredundant
@@ -285,7 +287,7 @@ func TestSoAListTieHeavyMatchesReference(t *testing.T) {
 				l.AddWire(r, c)
 				wired := make([]Pair, len(want))
 				for i, p := range want {
-					wired[i] = Pair{p.Q - WireDelay(r, c, p.C), p.C + c}
+					wired[i] = Pair{p.Q - delay.WireDelay(r, c, p.C), p.C + c}
 				}
 				want = refNonredundant(wired)
 			case 2:

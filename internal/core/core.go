@@ -18,6 +18,10 @@
 //
 // Everything else (add-wire O(k), merge O(k₁ + k₂)) is shared with the
 // baselines, giving O(bn²) overall versus Lillis–Cheng–Lin's O(b²n²).
+// That baseline runs on this same engine: Options.Lillis swaps the hull
+// add-buffer for its O(b·k) one (one list scan and one insertion per
+// type) and leaves the rest of the walk as it is, so the two algorithms
+// differ in exactly the step the paper changes.
 //
 // Beyond the paper, the package supports inverting buffer types and sink
 // polarity requirements by running the dynamic program on a pair of
@@ -69,6 +73,14 @@ type Options struct {
 	// penalty vector at zero cost. Length must be at least the tree size,
 	// and every entry finite and nonnegative.
 	SitePenalty []float64
+	// Lillis runs the Lillis–Cheng–Lin baseline (IEEE JSSC 1996) in place
+	// of the paper's algorithm: at every buffer position each allowed type
+	// scans the whole list for its best candidate and inserts its buffered
+	// candidate by a linear pass, O(b·k) against the hull walk's O(k + b).
+	// Like the paper's experiments it takes no inverting types and no
+	// negative-polarity sinks; Reset rejects both. SitePenalty does not
+	// apply to it (the chip allocator runs only the paper's algorithm).
+	Lillis bool
 }
 
 // Stats are instrumentation counters for one run.
@@ -82,10 +94,12 @@ type Stats struct {
 	// SumHullLen accumulates hull size at each buffer position.
 	SumHullLen int
 	// HullPruned counts candidates off the hull: skipped by the hull walk,
-	// kept in the list.
+	// kept in the list. Both hull fields stay 0 under Options.Lillis.
 	HullPruned int
-	// BetasGenerated counts buffered candidates produced by the hull walk;
-	// BetasKept counts those surviving normalization.
+	// BetasGenerated counts buffered candidates produced by the add-buffer
+	// (under Options.Lillis, the allowed types summed over positions);
+	// BetasKept counts those surviving normalization (under Lillis, the
+	// insertions that kept their candidate).
 	BetasGenerated, BetasKept int
 	// Decisions is the number of reconstruction records the arena holds at
 	// the end of the run.
@@ -145,7 +159,7 @@ type Engine struct {
 	hull     [2]candidate.Hull   // packed hulls, per source parity
 	betaSlot [2][]candidate.Beta // slotted by cin rank, per destination parity
 	betaHas  [2][]bool
-	betaOrd  [2][]candidate.Beta // cin-ordered betas, per destination parity
+	betaOrd  [2][]candidate.Beta // cin-ordered betas, per destination parity (Lillis: library order)
 
 	lists []pair // per-vertex candidate state, reused across runs
 
@@ -172,10 +186,17 @@ func (e *Engine) Reset(t *tree.Tree, lib library.Library, opt Options) error {
 			return err
 		}
 	}
+	op := "core"
+	if opt.Lillis {
+		op = "lillis"
+		if lib.HasInverters() {
+			return solvererr.Validation(op, "library", "inverting types not supported by the Lillis baseline")
+		}
+	}
 	if !lib.HasInverters() {
 		for i := range t.Verts {
 			if t.Verts[i].Kind == tree.Sink && t.Verts[i].Pol == tree.Negative {
-				return solvererr.Validation("core", "polarity",
+				return solvererr.Validation(op, "polarity",
 					"sink requires negative polarity but the library has no inverters").AtVertex(i)
 			}
 		}

@@ -7,7 +7,6 @@ import (
 	"bufferkit/internal/bruteforce"
 	"bufferkit/internal/delay"
 	"bufferkit/internal/library"
-	"bufferkit/internal/lillis"
 	"bufferkit/internal/netgen"
 	"bufferkit/internal/segment"
 	"bufferkit/internal/testutil"
@@ -70,8 +69,9 @@ func TestMatchesBruteForceWithRestrictedPositions(t *testing.T) {
 }
 
 // TestMatchesLillisOnMediumNets is the headline equivalence: the O(bn²)
-// algorithm and the O(b²n²) baseline are both exact, so they must agree on
-// every instance, across library sizes and topologies.
+// algorithm and the O(b²n²) baseline (Options.Lillis) are both exact, so
+// they must agree on every instance, across library sizes and topologies,
+// and the shared walk visits the same positions in both.
 func TestMatchesLillisOnMediumNets(t *testing.T) {
 	drv := delay.Driver{R: 0.3, K: 5}
 	for _, b := range []int{1, 2, 4, 8, 16} {
@@ -82,7 +82,7 @@ func TestMatchesLillisOnMediumNets(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ll, err := lillis.Insert(tr, lib, drv)
+			ll, err := Insert(tr, lib, Options{Driver: drv, CheckInvariants: true, Lillis: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +93,11 @@ func TestMatchesLillisOnMediumNets(t *testing.T) {
 			if !testutil.AlmostEqual(ll.Slack, co.Slack) {
 				t.Fatalf("b=%d seed=%d: lillis %.12g vs core %.12g", b, seed, ll.Slack, co.Slack)
 			}
+			if ll.Stats.Positions != co.Stats.Positions {
+				t.Fatalf("b=%d seed=%d: positions: lillis %d vs core %d", b, seed, ll.Stats.Positions, co.Stats.Positions)
+			}
 			testutil.CheckPlacement(t, tr, lib, co.Placement, drv, co.Slack, "core medium")
+			testutil.CheckPlacement(t, tr, lib, ll.Placement, drv, ll.Slack, "lillis medium")
 		}
 	}
 }

@@ -17,7 +17,8 @@ import (
 type pair [2]*candidate.SoAList
 
 // solve is van Ginneken's bottom-up dynamic program with the paper's
-// O(k+b) add-buffer, run on the instance set by Reset. It has two modes.
+// O(k+b) add-buffer (Lillis's O(b·k) one under Options.Lillis), run on the
+// instance set by Reset. It has two modes.
 //
 // A plain run (dirty == nil, full) consumes every child's list into its
 // parent, leaving only the root's in e.lists.
@@ -110,7 +111,13 @@ func (e *Engine) solve(ctx context.Context, res *Result, dirty []bool, full bool
 			return recomputed, solvererr.Infeasible("core: subtree at vertex %d has no polarity-feasible candidates", v)
 		}
 		if vert.BufferOK {
-			e.addBuffer(v, &acc, vert.Allowed)
+			e.stats.Positions++
+			e.stats.SumListLen += lenNil(acc[0]) + lenNil(acc[1])
+			if e.opt.Lillis {
+				e.addBufferLillis(v, acc[0], vert.Allowed)
+			} else {
+				e.addBuffer(v, &acc, vert.Allowed)
+			}
 		}
 		if err := e.check(&acc); err != nil {
 			return recomputed, err
@@ -146,9 +153,6 @@ func (e *Engine) solve(ctx context.Context, res *Result, dirty []bool, full bool
 // candidates by input-capacitance rank, and merge them back in one pass
 // (Theorem 2).
 func (e *Engine) addBuffer(v int, acc *pair, allowed []int) {
-	e.stats.Positions++
-	e.stats.SumListLen += lenNil(acc[0]) + lenNil(acc[1])
-
 	// Hulls of both source lists, before any new candidate lands.
 	for s := 0; s < 2; s++ {
 		h := &e.hull[s]
@@ -235,6 +239,38 @@ func (e *Engine) addBuffer(v int, acc *pair, allowed []int) {
 			acc[dst] = e.arena.NewSoAList()
 		}
 		acc[dst].MergeBetas(ord)
+	}
+}
+
+// addBufferLillis is the Lillis–Cheng–Lin add-buffer, the O(b·k) step the
+// paper removes: for each allowed type, in library order, a full scan of
+// the list (Best) finds the type's best unbuffered candidate, and each
+// buffered candidate is then inserted by its own O(k) pass (InsertOne).
+// Every beta is generated from the list as it stood before the first
+// insertion. Lillis runs are non-polar, so l is the source-parity list.
+func (e *Engine) addBufferLillis(v int, l *candidate.SoAList, allowed []int) {
+	betas := e.betaOrd[0][:0]
+	for ti, b := range e.lib {
+		if len(allowed) > 0 && !slices.Contains(allowed, ti) {
+			continue
+		}
+		q, c, dec, ok := l.Best(b.R)
+		if !ok {
+			continue
+		}
+		betas = append(betas, candidate.Beta{
+			Q:      q - b.R*c - b.K,
+			C:      b.Cin,
+			Buffer: ti,
+			Dec:    e.arena.BufferDec(v, ti, dec),
+		})
+	}
+	e.betaOrd[0] = betas
+	e.stats.BetasGenerated += len(betas)
+	for i := range betas {
+		if l.InsertOne(betas[i].Q, betas[i].C, betas[i].Dec) {
+			e.stats.BetasKept++
+		}
 	}
 }
 

@@ -27,7 +27,6 @@ import (
 	"bufferkit/internal/delay"
 	"bufferkit/internal/library"
 	"bufferkit/internal/libreduce"
-	"bufferkit/internal/lillis"
 	"bufferkit/internal/netgen"
 	"bufferkit/internal/tree"
 )
@@ -118,10 +117,10 @@ func (c Config) Net(m, n int) (*tree.Tree, error) {
 	return netgen.Industrial(m, n, c.Seed+1)
 }
 
-// Cell is one timed run of the paper evaluation: a cold lillis.Insert (if
-// Lillis is set) or core.Insert of one net and library. Table is the repro
-// experiment it belongs to and Name its sub-benchmark name under the root
-// BenchmarkTable1/Fig3/Fig4, e.g. Table "table1", Name
+// Cell is one timed run of the paper evaluation: a cold core.Insert of one
+// net and library, under the Lillis baseline if Lillis is set. Table is
+// the repro experiment it belongs to and Name its sub-benchmark name under
+// the root BenchmarkTable1/Fig3/Fig4, e.g. Table "table1", Name
 // "m337_n5729/b8/lillis".
 type Cell struct {
 	Table, Name string
@@ -134,14 +133,7 @@ type Cell struct {
 // Run makes the cell's cold run on t, its built net, and returns the
 // optimal slack.
 func (c Cell) Run(t *tree.Tree) (float64, error) {
-	if c.Lillis {
-		r, err := lillis.Insert(t, c.Lib, Driver)
-		if err != nil {
-			return 0, err
-		}
-		return r.Slack, nil
-	}
-	r, err := core.Insert(t, c.Lib, core.Options{Driver: Driver})
+	r, err := core.Insert(t, c.Lib, core.Options{Driver: Driver, Lillis: c.Lillis})
 	if err != nil {
 		return 0, err
 	}

@@ -287,7 +287,7 @@ func (d *bodyReader) object(v reflect.Value, depth int) error {
 			v.Set(reflect.MakeMap(v.Type()))
 		}
 		k, elem := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
-		return d.members(func(key string) error {
+		return d.members(true, func(key string) error {
 			elem.SetZero()
 			if err := d.value(elem, key, depth+1); err != nil {
 				return err
@@ -298,7 +298,7 @@ func (d *bodyReader) object(v reflect.Value, depth int) error {
 		})
 	}
 	fields := bodyTables[v.Type()]
-	return d.members(func(key string) error {
+	return d.members(true, func(key string) error {
 		var field reflect.Value
 		if f := fields.field(key); f != nil {
 			field = v.FieldByIndex(f.index)
@@ -309,8 +309,8 @@ func (d *bodyReader) object(v reflect.Value, depth int) error {
 
 // members walks the array or object at the cursor. For each element it
 // puts the cursor on the value and calls elem with the element's key, or
-// "" in an array.
-func (d *bodyReader) members(elem func(key string) error) error {
+// "" in an array or when keys is false (the keys are then only checked).
+func (d *bodyReader) members(keys bool, elem func(key string) error) error {
 	open, end := d.buf[d.pos], byte(']')
 	if open == '{' {
 		end = '}'
@@ -329,7 +329,12 @@ func (d *bodyReader) members(elem func(key string) error) error {
 				return d.unexpected("want an object key")
 			}
 			var err error
-			if key, err = d.str(); err != nil {
+			if keys {
+				key, err = d.str()
+			} else {
+				err = d.skipStr()
+			}
+			if err != nil {
 				return err
 			}
 			if err := d.expect(':'); err != nil {
@@ -424,7 +429,7 @@ func (d *bodyReader) mismatch(key, want string) error {
 // and an empty array is an empty, non-nil slice.
 func (d *bodyReader) list(v reflect.Value, key string, depth int) error {
 	n := 0
-	err := d.members(func(string) error {
+	err := d.members(false, func(string) error {
 		if n == v.Cap() {
 			v.Grow(1)
 		}
@@ -528,8 +533,7 @@ func (d *bodyReader) literal(word string) error {
 func (d *bodyReader) skip(depth int) error {
 	switch c := d.peek(); {
 	case c == '"':
-		_, err := d.str()
-		return err
+		return d.skipStr()
 	case c == '-' || (c >= '0' && c <= '9'):
 		_, err := d.number()
 		return err
@@ -543,15 +547,14 @@ func (d *bodyReader) skip(depth int) error {
 		if depth >= maxDepth {
 			return d.errorf("exceeded max depth")
 		}
-		return d.members(func(string) error { return d.skip(depth + 1) })
+		return d.members(false, func(string) error { return d.skip(depth + 1) })
 	}
 	return d.unexpected("want a value")
 }
 
 // str decodes the string whose opening quote is at the cursor into a
-// buffer of its own, sized from the span to the next quote. It jumps from
-// one backslash or quote to the next and copies the runs between them
-// whole; a string with no escape and no byte to check is one copy.
+// buffer of its own, sized from the span to the next quote. A string with
+// no escape and no byte to check is one copy; any other goes through scan.
 func (d *bodyReader) str() (string, error) {
 	buf := d.buf
 	r := d.pos + 1
@@ -560,8 +563,29 @@ func (d *bodyReader) str() (string, error) {
 		d.pos = q + 1
 		return string(buf[r:q]), nil
 	}
+	return d.scan(q, true)
+}
+
+// skipStr checks and consumes the string whose opening quote is at the
+// cursor by str's rules, to the same errors, without building it: skip
+// passes over strings and keys this way and allocates nothing.
+func (d *bodyReader) skipStr() error {
+	_, err := d.scan(indexFrom(d.buf, d.pos+1, '"'), false)
+	return err
+}
+
+// scan consumes the string whose opening quote is at the cursor and
+// returns its decoded text, or only checks it when build is false; q is
+// the index of the first quote after the opening one, or -1. It jumps
+// from one backslash or quote to the next and takes the runs between
+// them whole.
+func (d *bodyReader) scan(q int, build bool) (string, error) {
+	buf := d.buf
+	r := d.pos + 1
 	var out strings.Builder
-	out.Grow(max(q-r, 0))
+	if build {
+		out.Grow(max(q-r, 0))
+	}
 	for {
 		if q < 0 {
 			d.pos = len(buf)
@@ -571,20 +595,29 @@ func (d *bodyReader) str() (string, error) {
 		if i := bytes.IndexByte(buf[r:q], '\\'); i >= 0 {
 			end = r + i
 		}
-		if plainASCII(buf[r:end]) {
+		if !plainASCII(buf[r:end]) {
+			if err := d.runes(&out, r, end, build); err != nil {
+				return "", err
+			}
+		} else if build {
 			out.Write(buf[r:end])
-		} else if err := d.runes(&out, r, end); err != nil {
-			return "", err
 		}
 		r = end
 		if r == q {
 			break
 		}
-		var err error
-		if r, err = d.escape(&out, r); err != nil {
+		rr, next, err := d.escape(r)
+		if err != nil {
 			return "", err
 		}
-		if r > q { // the escape was \" and took the quote
+		switch {
+		case !build:
+		case rr < utf8.RuneSelf: // WriteByte inlines, WriteRune does not
+			out.WriteByte(byte(rr))
+		default:
+			out.WriteRune(rr)
+		}
+		if r = next; r > q { // the escape was \" and took the quote
 			q = indexFrom(buf, r, '"')
 		}
 	}
@@ -593,9 +626,10 @@ func (d *bodyReader) str() (string, error) {
 }
 
 // runes copies buf[r:end], a run without quotes or backslashes that holds
-// a control byte or a non-ASCII byte, onto out: a control byte is an
-// error, and each byte of invalid UTF-8 becomes U+FFFD.
-func (d *bodyReader) runes(out *strings.Builder, r, end int) error {
+// a control byte or a non-ASCII byte, onto out (or only checks it, when
+// build is false): a control byte is an error, and each byte of invalid
+// UTF-8 becomes U+FFFD.
+func (d *bodyReader) runes(out *strings.Builder, r, end int, build bool) error {
 	buf := d.buf
 	for r < end {
 		c := buf[r]
@@ -603,8 +637,10 @@ func (d *bodyReader) runes(out *strings.Builder, r, end int) error {
 		case c < ' ':
 			d.pos = r
 			return d.errorf("control character %q in string", c)
-		case c < utf8.RuneSelf:
-			out.WriteByte(c)
+		case !build || c < utf8.RuneSelf:
+			if build {
+				out.WriteByte(c)
+			}
 			r++
 			continue
 		}
@@ -619,49 +655,45 @@ func (d *bodyReader) runes(out *strings.Builder, r, end int) error {
 	return nil
 }
 
-// escape decodes the escape sequence at buf[r] onto out and returns the
-// read position after it. A high surrogate followed by a low one decodes
-// as their pair; any other surrogate escape decodes to U+FFFD.
-func (d *bodyReader) escape(out *strings.Builder, r int) (int, error) {
+// escape decodes the escape sequence at buf[r] and returns its rune and
+// the read position after it. A high surrogate followed by a low one
+// decodes as their pair; any other surrogate escape decodes to U+FFFD.
+func (d *bodyReader) escape(r int) (rune, int, error) {
 	buf := d.buf
 	if r+1 >= len(buf) {
 		d.pos = len(buf)
-		return 0, d.errorf("unterminated string")
+		return 0, 0, d.errorf("unterminated string")
 	}
 	switch c := buf[r+1]; c {
 	case '"', '\\', '/':
-		out.WriteByte(c)
+		return rune(c), r + 2, nil
 	case 'b':
-		out.WriteByte('\b')
+		return '\b', r + 2, nil
 	case 'f':
-		out.WriteByte('\f')
+		return '\f', r + 2, nil
 	case 'n':
-		out.WriteByte('\n')
+		return '\n', r + 2, nil
 	case 'r':
-		out.WriteByte('\r')
+		return '\r', r + 2, nil
 	case 't':
-		out.WriteByte('\t')
+		return '\t', r + 2, nil
 	case 'u':
 		rr := hex4(buf[r:])
 		if rr < 0 {
 			d.pos = r
-			return 0, d.errorf("invalid unicode escape")
+			return 0, 0, d.errorf("invalid unicode escape")
 		}
 		r += 6
 		if utf16.IsSurrogate(rr) {
 			if pair := utf16.DecodeRune(rr, hex4(buf[r:])); pair != utf8.RuneError {
-				out.WriteRune(pair)
-				return r + 6, nil
+				return pair, r + 6, nil
 			}
 			rr = utf8.RuneError
 		}
-		out.WriteRune(rr)
-		return r, nil
-	default:
-		d.pos = r
-		return 0, d.errorf("invalid escape %q", buf[r:r+2])
+		return rr, r, nil
 	}
-	return r + 2, nil
+	d.pos = r
+	return 0, 0, d.errorf("invalid escape %q", buf[r:r+2])
 }
 
 // hex4 decodes the escape \uXXXX at the front of s, or returns -1.

@@ -27,7 +27,8 @@ import (
 // (U+212A KELVIN SIGN and U+017F LONG S fold onto k and s), repeated
 // keys, lists and objects, nulls, surrogate escapes paired and unpaired,
 // invalid UTF-8, non-integer and out-of-range numbers, raw values,
-// nested unknown values, bytes after the value, and the empty body.
+// nested unknown values, strings and keys skipped with bad escapes or
+// control bytes, bytes after the value, and the empty body.
 var bodySeeds = []string{
 	``,
 	`   `,
@@ -99,6 +100,13 @@ var bodySeeds = []string{
 	`{"instance":tru}`,
 	`{"instance":  {"a" : [ 1 , "\ud83d" ] }  ,"library":"x"}`,
 	`{"instance":"a\nb","instance":[{"nets":[]}]}`,
+	`{"x":"a\qb","net":"n"}`,
+	`{"x":{"k\q":1}}`,
+	`{"x":"\u12g4"}`,
+	`{"x":"a\`,
+	"{\"x\":\"a\tb\"}",
+	"{\"instance\":{\"a\x01\":1}}",
+	`{"instance":["\"\\\/\b\f\n\r\t\u00e9\ud83d\ude00\ud83d"],"x":{"\u006b":"\"}"}}`,
 	`{"patches":[{"kind":"sink","vertex":"a","rat":1,"cap":2,"allowed":[1,2,3]}],"patches":[{"res":3,"allowed":[4]},{"ok":true}]}`,
 	`{"patches":[{"kind":"sink","rat":1},null],"patches":[null,null,{"rat":null,"ok":false}]}`,
 	`{"patches":[{"allowed":[1,2]}],"patches":[{"allowed":null}],"patches":[{"allowed":[]}]}`,
@@ -163,6 +171,31 @@ func FuzzDecodeBody(f *testing.F) { fuzzBodies(f, checkDecodeAll) }
 // and batch halves, kept so their seed tests keep their names.
 func FuzzDecodeSolveBody(f *testing.F) { fuzzBodies(f, checkDecode[solveRequest]) }
 func FuzzDecodeBatchBody(f *testing.F) { fuzzBodies(f, checkDecode[batchRequest]) }
+
+// TestChipBodyAllocsFlat: a chip body costs the same allocations to
+// decode whatever the size of its instance. The instance is a raw value,
+// checked and copied whole, so no string or key inside it is built.
+func TestChipBodyAllocsFlat(t *testing.T) {
+	allocs := func(nets int) float64 {
+		body, err := json.Marshal(api.ChipRequest{
+			Instance: chipInstanceJSON(t, bufferkit.ChipGenOpts{
+				W: 10, H: 10, Nets: nets, Capacity: 2, Contention: 0.7, Seed: 3}),
+			Library: libText(t, bufferkit.GenerateLibrary(8)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			var req chipRequest
+			if err := decodeJSON(body, &req); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(4), allocs(40); small != large {
+		t.Fatalf("a chip body decodes in %.0f allocations at 4 nets and %.0f at 40, want the same", small, large)
+	}
+}
 
 // TestDecodeDepth: unknown and raw values nest up to encoding/json's
 // limit and no deeper, counting the body's own object and the typed

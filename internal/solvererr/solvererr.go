@@ -9,9 +9,9 @@
 //     field, polarity requirement the library cannot serve, …), with
 //     vertex / library-type / field detail.
 //
-// The package sits below internal/core, internal/lillis,
-// internal/vanginneken and internal/costopt so that all four wrap the same
-// sentinel values the facade exports.
+// The package sits below internal/core, internal/vanginneken and
+// internal/costopt so that all three wrap the same sentinel values the
+// facade exports.
 package solvererr
 
 import (
@@ -35,7 +35,7 @@ var ErrCanceled = errors.New("run canceled")
 // loop: the context is consulted on vertices where vi&PollMask == 0 (a
 // power-of-two stride), so the warm path stays allocation-free and the
 // check cost is amortized away while cancellation latency stays bounded by
-// a few dozen list operations. Shared here so all four algorithm packages
+// a few dozen list operations. Shared here so all three algorithm packages
 // poll at the same stride.
 const PollMask = 63
 

@@ -2,9 +2,11 @@
 // algorithm for a single buffer type (L.P.P.P. van Ginneken, ISCAS 1990).
 //
 // It is the historical baseline the paper builds on and doubles as an
-// independent cross-check: it uses a plain sorted slice rather than the
-// linked-list machinery in internal/candidate, so agreement between the two
-// implementations on b = 1 instances is meaningful evidence of correctness.
+// independent cross-check: its candidate lists are plain sorted slices
+// with their own add-wire, merge and add-buffer, not candidate.SoAList
+// (it shares only the decision arena), so agreement with internal/core —
+// both the paper's algorithm and the Lillis baseline — on b = 1 instances
+// is meaningful evidence of correctness.
 package vanginneken
 
 import (

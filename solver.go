@@ -8,7 +8,6 @@ import (
 	"bufferkit/internal/core"
 	"bufferkit/internal/costopt"
 	"bufferkit/internal/libreduce"
-	"bufferkit/internal/lillis"
 	"bufferkit/internal/solvererr"
 	"bufferkit/internal/vanginneken"
 )
@@ -58,8 +57,9 @@ type NetResult struct {
 	Candidates int
 	// Stats carries algorithm instrumentation when RunConfig.CollectStats
 	// is set. Which fields are populated depends on the algorithm: AlgoNew
-	// fills everything, AlgoLillis fills Positions / list lengths /
-	// BetasKept, AlgoVanGinneken fills MaxListLen only.
+	// fills everything; AlgoLillis fills everything but the hull fields
+	// (SumHullLen, HullPruned), with BetasGenerated counting one beta per
+	// allowed type and position; AlgoVanGinneken fills MaxListLen only.
 	Stats Stats
 	// Frontier is the cost–slack Pareto frontier (AlgoCostSlack only).
 	Frontier []CostSlackPoint
@@ -178,7 +178,7 @@ func lookup(name string) (func() Algorithm, error) {
 
 func init() {
 	Register(AlgoNew, func() Algorithm { return &coreAlgo{} })
-	Register(AlgoLillis, func() Algorithm { return &lillisAlgo{} })
+	Register(AlgoLillis, func() Algorithm { return &coreAlgo{lillis: true} })
 	Register(AlgoVanGinneken, func() Algorithm { return vgAlgo{} })
 	Register(AlgoCostSlack, func() Algorithm { return costAlgo{} })
 }
@@ -413,15 +413,26 @@ func (s *Solver) Close() {
 	s.algo = nil
 }
 
-// coreAlgo adapts internal/core (the paper's O(bn²) algorithm) to the
-// Algorithm interface, holding one warm engine borrowed from core's pool.
+// coreAlgo adapts internal/core to the Algorithm interface, holding one
+// warm engine borrowed from core's pool. It runs the paper's O(bn²)
+// algorithm, or with lillis set the Lillis–Cheng–Lin baseline
+// (core.Options.Lillis).
 type coreAlgo struct {
-	eng *core.Engine
+	eng    *core.Engine
+	lillis bool
 }
 
-func (a *coreAlgo) Name() string { return AlgoNew }
+func (a *coreAlgo) Name() string {
+	if a.lillis {
+		return AlgoLillis
+	}
+	return AlgoNew
+}
 
 func (a *coreAlgo) Description() string {
+	if a.lillis {
+		return "Lillis–Cheng–Lin O(b²n²) baseline; non-inverting libraries only"
+	}
 	return "Li–Shi O(bn²) algorithm (DATE 2005); inverters and sink polarities supported (default)"
 }
 
@@ -429,7 +440,7 @@ func (a *coreAlgo) Solve(ctx context.Context, t *Tree, cfg RunConfig) (*NetResul
 	if a.eng == nil {
 		a.eng = core.GetEngine()
 	}
-	opt := core.Options{Driver: cfg.Driver}
+	opt := core.Options{Driver: cfg.Driver, Lillis: a.lillis}
 	if err := a.eng.Reset(t, cfg.Library, opt); err != nil {
 		return nil, err
 	}
@@ -450,37 +461,6 @@ func (a *coreAlgo) release() {
 	}
 	core.PutEngine(a.eng)
 	a.eng = nil
-}
-
-// lillisAlgo adapts internal/lillis (the O(b²n²) baseline).
-type lillisAlgo struct {
-	eng *lillis.Engine
-}
-
-func (a *lillisAlgo) Name() string { return AlgoLillis }
-
-func (a *lillisAlgo) Description() string {
-	return "Lillis–Cheng–Lin O(b²n²) baseline; non-inverting libraries only"
-}
-
-func (a *lillisAlgo) Solve(ctx context.Context, t *Tree, cfg RunConfig) (*NetResult, error) {
-	if a.eng == nil {
-		a.eng = lillis.NewEngine()
-	}
-	res := &lillis.Result{}
-	if err := a.eng.RunContext(ctx, t, cfg.Library, cfg.Driver, res); err != nil {
-		return nil, err
-	}
-	nr := &NetResult{Slack: res.Slack, Placement: res.Placement, Candidates: res.Candidates}
-	if cfg.CollectStats {
-		nr.Stats = Stats{
-			Positions:  res.Stats.Positions,
-			MaxListLen: res.Stats.MaxListLen,
-			SumListLen: res.Stats.SumListLen,
-			BetasKept:  res.Stats.BetasInserted,
-		}
-	}
-	return nr, nil
 }
 
 // vgAlgo adapts internal/vanginneken (the classic single-type O(n²)

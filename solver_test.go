@@ -13,7 +13,7 @@ import (
 	"bufferkit"
 	"bufferkit/internal/core"
 	"bufferkit/internal/costopt"
-	"bufferkit/internal/lillis"
+	"bufferkit/internal/testutil"
 	"bufferkit/internal/vanginneken"
 )
 
@@ -84,9 +84,16 @@ func TestSolverEquivalence(t *testing.T) {
 
 		t.Run("lillis/"+name, func(t *testing.T) {
 			lib := bufferkit.GenerateLibrary(6)
-			want, err := lillis.Insert(net, lib, d)
+			want, err := core.Insert(net, lib, core.Options{Driver: d, Lillis: true})
 			if err != nil {
 				t.Fatal(err)
+			}
+			hull, err := core.Insert(net, lib, core.Options{Driver: d})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !testutil.AlmostEqual(want.Slack, hull.Slack) {
+				t.Fatalf("lillis slack %v, new %v", want.Slack, hull.Slack)
 			}
 			s, err := bufferkit.NewSolver(
 				bufferkit.WithLibrary(lib),
@@ -96,14 +103,14 @@ func TestSolverEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer s.Close()
 			got, err := s.Run(ctxBG(), net)
 			if err != nil {
 				t.Fatal(err)
 			}
 			equalBits(t, "lillis", got.Slack, want.Slack)
 			equalPlacement(t, "lillis", got.Placement, want.Placement)
-			if got.Candidates != want.Candidates || got.Stats.BetasKept != want.Stats.BetasInserted ||
-				got.Stats.MaxListLen != want.Stats.MaxListLen {
+			if got.Candidates != want.Candidates || !sameCounters(got.Stats, want.Stats) {
 				t.Fatalf("stats diverged: %+v vs %+v", got.Stats, want.Stats)
 			}
 		})
